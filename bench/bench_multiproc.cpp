@@ -10,8 +10,9 @@
 //      scripts/check_bench_json.py, so the runtime can never silently
 //      degrade into the in-process path.
 //
-// Emits BENCH_multiproc.json with per-worker-count wall times, the IPC
-// traffic the job moved, and the w=4-over-w=1 speedup in ppm.
+// Emits BENCH_multiproc.json with per-worker-count wall times, the
+// w=4-over-w=1 speedup in ppm, and the w=4 leg's data-plane dials per
+// pull (shuffle.conns_opened_per_pull_ppm).
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -106,9 +107,11 @@ int main() {
   double walltime[3] = {0.0, 0.0, 0.0};
   for (std::size_t i = 0; i < 3; ++i) {
     const std::size_t workers = worker_counts[i];
+    MetricsRegistry leg_registry;
     JobSpec spec = bench_spec();
     spec.conf.execution_mode = ExecutionMode::kMultiProcess;
     spec.conf.num_workers = workers;
+    spec.metrics = &leg_registry;
     const JobResult result = run_job(spec, bench_input());
     walltime[i] = result.real_seconds;
     std::printf("workers=%zu: %s\n", workers,
@@ -122,57 +125,22 @@ int main() {
     }
     registry.gauge("multiproc.walltime_w" + std::to_string(workers) + "_us")
         .set(static_cast<std::int64_t>(result.real_seconds * 1e6));
+    // Connection reuse: each reducer dials every mapper owner once and
+    // reuses the pooled socket for all subsequent pulls, so
+    // conns-opened-per-pull stays around or below 1.0 (= 1'000'000 ppm).
+    // CI gates this at <= 1.1 to catch a regression that re-dials per
+    // pull (which would sit near the pull count, several times over the
+    // gate).
+    const double pulls =
+        static_cast<double>(leg_registry.gauge_value("shuffle.pulls"));
+    if (workers == 4 && pulls > 0.0) {
+      const double conns = static_cast<double>(
+          leg_registry.gauge_value("shuffle.conns_opened"));
+      bench::set_ppm(registry, "shuffle.conns_opened_per_pull_ppm",
+                     conns / pulls);
+    }
   }
   std::printf("all multi-process legs byte-identical to in-process\n");
-
-  // Worker-to-worker shuffle legs: same parity gate, plus the topology's
-  // defining property — the supervisor relays (approximately) zero shuffle
-  // bytes. CI gates gauge shuffle.relay_bytes_ppm (relayed bytes per
-  // million shuffled bytes) at <= 0, so a regression that quietly routes
-  // pulls back through the supervisor fails the bench.
-  for (const std::size_t workers : {2, 4}) {
-    MetricsRegistry leg_registry;
-    JobSpec spec = bench_spec();
-    spec.conf.execution_mode = ExecutionMode::kMultiProcess;
-    spec.conf.shuffle_mode = ShuffleMode::kWorkerToWorker;
-    spec.conf.num_workers = workers;
-    spec.metrics = &leg_registry;
-    const JobResult result = run_job(spec, bench_input());
-    std::printf("workers=%zu (worker-to-worker): %s\n", workers,
-                bench::format_seconds(result.real_seconds).c_str());
-    if (flatten(result.output) != expected) {
-      std::fprintf(stderr,
-                   "FAIL: workers=%zu worker-to-worker output differs from "
-                   "the in-process run (the cross-topology parity "
-                   "invariant is broken)\n",
-                   workers);
-      return 1;
-    }
-    registry
-        .gauge("multiproc.walltime_w2w_w" + std::to_string(workers) + "_us")
-        .set(static_cast<std::int64_t>(result.real_seconds * 1e6));
-    if (workers == 4 && result.counters.shuffle_bytes > 0) {
-      const double relayed = static_cast<double>(
-          leg_registry.gauge_value("shuffle.relay_bytes"));
-      bench::set_ppm(registry, "shuffle.relay_bytes_ppm",
-                     relayed /
-                         static_cast<double>(result.counters.shuffle_bytes));
-      // Connection reuse: with pooling on (the default) each reducer
-      // dials every mapper owner once and reuses the socket for all
-      // subsequent pulls, so conns-opened-per-pull stays around or below
-      // 1.0 (= 1'000'000 ppm). CI gates this at <= 1.1 to catch a
-      // regression that re-dials per pull (which would sit near the
-      // pull count, several times over the gate).
-      const double pulls =
-          static_cast<double>(leg_registry.gauge_value("shuffle.pulls"));
-      if (pulls > 0.0) {
-        const double conns = static_cast<double>(
-            leg_registry.gauge_value("shuffle.conns_opened"));
-        bench::set_ppm(registry, "shuffle.conns_opened_per_pull_ppm",
-                       conns / pulls);
-      }
-    }
-  }
 
   registry.gauge("multiproc.workers_max").set(4);
   registry.gauge("multiproc.inproc_walltime_us")

@@ -63,14 +63,10 @@
 //   execution-mode=<mode>      mapreduce engine only: in_process (default)
 //                              runs tasks on a thread pool; multi_process
 //                              runs them in forked worker processes over
-//                              the ipc transport (DESIGN.md section 13).
-//                              Labels are byte-identical either way.
-//   shuffle-mode=<mode>        mapreduce engine, multi_process only: relay
-//                              (default) gathers the shuffle through the
-//                              supervisor; worker_to_worker has reducers
-//                              pull partitions straight from mapper
-//                              workers' data planes, spooling under
-//                              spill-budget (DESIGN.md section 14).
+//                              the ipc transport (DESIGN.md section 13),
+//                              with reducers pulling their partitions
+//                              straight from the mapper workers and
+//                              spooling under spill-budget (section 14).
 //                              Labels are byte-identical either way.
 //   workers=<int>              mapreduce engine only: worker processes in
 //                              multi_process mode (default 2)
@@ -88,9 +84,6 @@
 //                              duration gets a backup (default 4.0)
 //   spec-min-ms=<float>        speculation floor: never speculate on tasks
 //                              faster than this many ms (default 5.0)
-//   pool-conns=<on|off>        worker_to_worker shuffle only: pool and
-//                              pipeline data-plane connections per owner
-//                              (default on; off dials per pull)
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
@@ -120,14 +113,11 @@ struct Options {
   bool use_mapreduce = false;
   dasc::mapreduce::ExecutionMode execution_mode =
       dasc::mapreduce::ExecutionMode::kInProcess;
-  dasc::mapreduce::ShuffleMode shuffle_mode =
-      dasc::mapreduce::ShuffleMode::kRelay;
   std::size_t workers = 0;        ///< 0 = JobConf default
   std::size_t task_attempts = 0;  ///< 0 = JobConf default
   bool speculation = false;
   double spec_slowdown = 0.0;  ///< 0 = JobConf default
   double spec_min_ms = -1.0;   ///< < 0 = JobConf default
-  bool pool_conns = true;
   dasc::core::DascParams params;
 };
 
@@ -217,28 +207,17 @@ Options parse(int argc, char** argv) {
         std::fprintf(stderr, "%s\n", e.what());
         std::exit(2);
       }
-    } else if (key == "shuffle-mode") {
-      try {
-        options.shuffle_mode = dasc::mapreduce::parse_shuffle_mode(value);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        std::exit(2);
-      }
     } else if (key == "workers") {
       options.workers = std::stoul(value);
     } else if (key == "task-attempts") {
       options.task_attempts = std::stoul(value);
-    } else if (key == "speculation" || key == "pool-conns") {
-      bool parsed = false;
-      if (value == "on") {
-        parsed = true;
-      } else if (value != "off") {
-        std::fprintf(stderr, "%s=%s: expected on or off\n", key.c_str(),
+    } else if (key == "speculation") {
+      if (value != "on" && value != "off") {
+        std::fprintf(stderr, "speculation=%s: expected on or off\n",
                      value.c_str());
         std::exit(2);
       }
-      (key == "speculation" ? options.speculation : options.pool_conns) =
-          parsed;
+      options.speculation = value == "on";
     } else if (key == "spec-slowdown") {
       options.spec_slowdown = std::stod(value);
     } else if (key == "spec-min-ms") {
@@ -329,7 +308,6 @@ int main(int argc, char** argv) {
       core::MapReduceDascParams mr;
       mr.dasc = params;
       mr.conf.execution_mode = options.execution_mode;
-      mr.conf.shuffle_mode = options.shuffle_mode;
       if (options.workers > 0) mr.conf.num_workers = options.workers;
       if (options.task_attempts > 0) {
         mr.conf.max_task_attempts = options.task_attempts;
@@ -341,14 +319,12 @@ int main(int argc, char** argv) {
       if (options.spec_min_ms >= 0.0) {
         mr.conf.speculative_min_ms = options.spec_min_ms;
       }
-      mr.conf.pool_data_connections = options.pool_conns;
       if (params.threads > 0) mr.conf.physical_threads = params.threads;
       std::printf("mapreduce engine: %s",
                   mapreduce::to_string(mr.conf.execution_mode));
       if (mr.conf.execution_mode ==
           mapreduce::ExecutionMode::kMultiProcess) {
-        std::printf(", %zu workers, %s shuffle", mr.conf.num_workers,
-                    mapreduce::to_string(mr.conf.shuffle_mode));
+        std::printf(", %zu workers", mr.conf.num_workers);
       }
       std::printf("\n");
       core::MapReduceDascResult mr_result =

@@ -52,10 +52,10 @@ int main(int argc, char** argv) {
     options.heartbeat_ms = static_cast<std::size_t>(reader.u64());
     const bool use_combiner = reader.u32() != 0;
     const std::string job_name(reader.bytes());
-    // Worker-to-worker shuffle extras: the data-plane address this worker
-    // binds ("" = relay mode) and the fault plan it evaluates for worker-
-    // side sites ("" = no faults). Exec'd workers own their injector —
-    // fires are reported back in kReducePullDone, so no metrics here.
+    // The data-plane address this worker binds for reducers' pulls and the
+    // fault plan it evaluates for worker-side sites ("" = no faults).
+    // Exec'd workers own their injector — fires are reported back in
+    // kReducePullDone, so no metrics here.
     options.data_socket_path = std::string(reader.bytes());
     const std::string fault_plan_text(reader.bytes());
     std::optional<FaultInjector> faults;

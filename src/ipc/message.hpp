@@ -36,10 +36,7 @@ enum class MessageType : std::uint32_t {
   kJobSetup,       ///< supervisor -> exec worker: registered-job setup
   kMapAssign,      ///< supervisor -> worker: map task + input records
   kMapDone,        ///< worker -> supervisor: map task counters
-  kFetch,          ///< supervisor -> worker: fetch one map output
-  kFetchData,      ///< worker -> supervisor: CRC + serialized records
-  kReduceAssign,   ///< supervisor -> worker: reduce task + partition
-  kReduceDone,     ///< worker -> supervisor: reduce output records
+  kFetchData,      ///< owner -> reducer: CRC + one partition's records
   kTaskError,      ///< worker -> supervisor: task failed (message text)
   kHeartbeat,      ///< worker -> supervisor: liveness while busy
   kShutdown,       ///< supervisor -> worker: exit the serve loop

@@ -92,12 +92,11 @@ void send_message(Transport& transport, const Message& message,
   const std::uint64_t total = message.payload.size();
   std::uint64_t sent_chunks = 0;
   std::uint64_t acked_chunks = 0;
-  for (std::size_t offset = 0; offset < message.payload.size();
-       offset += config.chunk_bytes) {
-    // Bounded in-flight window: block for credit before exceeding it. The
-    // receiver acks every window_chunks chunks, so credit always arrives
-    // (or the peer's death surfaces as EOF/IoError right here).
-    while (sent_chunks - acked_chunks >= config.window_chunks) {
+  // Block until at most `in_flight` chunks are unacknowledged. Credit
+  // always arrives (the receiver acks on its cadence and once more after
+  // the trailer), or the peer's death surfaces as EOF/IoError right here.
+  const auto await_credit = [&](std::uint64_t in_flight) {
+    while (sent_chunks - acked_chunks > in_flight) {
       std::optional<Message> credit = transport.recv();
       if (!credit.has_value()) {
         throw IoError("ipc: peer died mid-stream (no chunk credit)");
@@ -113,6 +112,10 @@ void send_message(Transport& transport, const Message& message,
       }
       route_interloper(*credit, interloper, "while awaiting chunk credit");
     }
+  };
+  for (std::size_t offset = 0; offset < message.payload.size();
+       offset += config.chunk_bytes) {
+    await_credit(config.window_chunks - 1);  // bounded in-flight window
     const std::size_t len =
         std::min(config.chunk_bytes, message.payload.size() - offset);
     transport.send(encode_chunk(
@@ -122,6 +125,9 @@ void send_message(Transport& transport, const Message& message,
   }
   transport.send(encode_stream_end(message.type, total, sent_chunks,
                                    crc32(message.payload)));
+  // Consume every credit frame before returning, so none is left in the
+  // socket for whoever reads from this transport next.
+  await_credit(0);
 }
 
 std::optional<Message> recv_message(
@@ -196,6 +202,13 @@ std::optional<Message> recv_message(
       }
       if (crc32(payload) != crc) {
         throw IoError("ipc: stream payload failed CRC-32 verification");
+      }
+      if (next_index % ack_every != 0) {
+        // The final credit: the sender drains acks until every chunk is
+        // acknowledged, so a stream never leaves a kChunkAck unread.
+        WireWriter ack;
+        ack.u64(next_index);
+        transport.send({MessageType::kChunkAck, ack.take()});
       }
       assembled.payload = std::move(payload);
       return assembled;

@@ -16,9 +16,12 @@
 // CRC over the whole reassembled payload, so a pathologically reordered or
 // dropped chunk cannot reassemble silently. The receiver grants flow-
 // control credit with kChunkAck{chunks_received} every
-// StreamConfig::window_chunks chunks; the sender blocks for credit once
-// that many chunks are unacknowledged, bounding in-flight bytes at
-// window_chunks x chunk_bytes regardless of payload size.
+// StreamConfig::window_chunks chunks, and once more for the full chunk
+// count after a verified kDataEnd when the cadence did not land on it; the
+// sender blocks for credit once that many chunks are unacknowledged,
+// bounding in-flight bytes at window_chunks x chunk_bytes regardless of
+// payload size, and drains credit until every chunk is acknowledged before
+// send_message returns — no kChunkAck is ever left for the next reader.
 //
 // send_message / recv_message are drop-in wrappers over Transport::send /
 // Transport::recv: payloads at or under chunk_bytes go as one plain frame,

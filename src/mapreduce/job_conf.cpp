@@ -15,17 +15,6 @@ const char* to_string(ExecutionMode mode) {
   return mode == ExecutionMode::kInProcess ? "in_process" : "multi_process";
 }
 
-ShuffleMode parse_shuffle_mode(const std::string& text) {
-  if (text == "relay") return ShuffleMode::kRelay;
-  if (text == "worker_to_worker") return ShuffleMode::kWorkerToWorker;
-  throw InvalidArgument(
-      "shuffle mode must be relay or worker_to_worker, got '" + text + "'");
-}
-
-const char* to_string(ShuffleMode mode) {
-  return mode == ShuffleMode::kRelay ? "relay" : "worker_to_worker";
-}
-
 void JobConf::validate() const {
   DASC_EXPECT(num_nodes >= 1, "JobConf: num_nodes must be >= 1");
   DASC_EXPECT(map_slots_per_node >= 1,

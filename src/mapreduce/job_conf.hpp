@@ -22,22 +22,10 @@ enum class ExecutionMode { kInProcess, kMultiProcess };
 ExecutionMode parse_execution_mode(const std::string& text);
 const char* to_string(ExecutionMode mode);
 
-/// How multi-process shuffle traffic moves (kInProcess ignores this):
-///   kRelay          — the supervisor star-gathers every map output over
-///                     the control sockets and ships whole partitions to
-///                     reducers (the historical topology; partitions are
-///                     resident in supervisor RAM).
-///   kWorkerToWorker — reducers pull their partitions directly from the
-///                     mapper workers' data-plane listeners, streaming
-///                     records into per-partition sort-on-seal spools so
-///                     spill_budget_bytes bounds reducer residency and the
-///                     supervisor relays ~no shuffle bytes (DESIGN.md
-///                     section 14). Labels are byte-identical either way.
-enum class ShuffleMode { kRelay, kWorkerToWorker };
-
-/// Parses "relay" / "worker_to_worker"; throws InvalidArgument otherwise.
-ShuffleMode parse_shuffle_mode(const std::string& text);
-const char* to_string(ShuffleMode mode);
+/// The multi-process shuffle topology. There is one: reducers pull their
+/// partitions from the mapper workers (DESIGN.md section 14). The enum
+/// survives so callers that name it keep compiling; nothing reads it.
+enum class ShuffleMode { kWorkerToWorker };
 
 /// Hadoop daemon heap sizes from Table 2. They do not influence the
 /// simulation result but are carried (and printed by the elasticity bench)
@@ -89,14 +77,6 @@ struct JobConf {
   bool enable_speculation = false;
   double speculative_slowdown = 4.0;
   double speculative_min_ms = 5.0;
-  /// Worker-to-worker shuffle data plane: reuse one pooled connection per
-  /// map-output owner across pulls, reduce tasks, and re-attempts, instead
-  /// of dialing per pull. Off forces the historical dial-per-pull path.
-  bool pool_data_connections = true;
-  /// With pooling on, how many kFetchPart requests a reducer keeps in
-  /// flight per owner connection (replies are consumed in request order).
-  /// 0 disables pipelining (pooled but strictly request/reply).
-  std::size_t pull_pipeline_depth = 4;
   /// Out-of-core shuffle: when > 0, map outputs shuffle through per-
   /// partition spool buffers (external merge sort) whose sealed pages
   /// spill to disk past this resident-byte budget, instead of the RAM
@@ -106,9 +86,8 @@ struct JobConf {
   std::string spill_dir;
   /// Physical execution substrate for task attempts.
   ExecutionMode execution_mode = ExecutionMode::kInProcess;
-  /// Multi-process shuffle topology: supervisor relay (default) or direct
-  /// worker-to-worker pulls through per-worker data-plane listeners.
-  ShuffleMode shuffle_mode = ShuffleMode::kRelay;
+  /// Multi-process shuffle topology (the single worker-to-worker one).
+  ShuffleMode shuffle_mode = ShuffleMode::kWorkerToWorker;
   /// Worker processes running tasks in kMultiProcess mode.
   std::size_t num_workers = 2;
   /// Pre-forked spare workers that replace killed ones (worker.kill

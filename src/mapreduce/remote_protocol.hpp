@@ -1,0 +1,153 @@
+// Internal to the multi-process runtime: the wire vocabulary and worker
+// state its three units share (worker_loop.cpp, pull_client.cpp,
+// remote_runner.cpp). Conversations: remote_runner.hpp, DESIGN.md 13-15.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <map>
+#include <mutex>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/error.hpp"
+#include "ipc/conn_pool.hpp"
+#include "ipc/message.hpp"
+#include "mapreduce/remote_runner.hpp"
+#include "mapreduce/shuffle.hpp"
+#include "mapreduce/task_exec.hpp"
+#include "mapreduce/types.hpp"
+
+namespace dasc::ipc {
+class Transport;
+}  // namespace dasc::ipc
+
+namespace dasc::mapreduce::remote {
+
+/// No worker: a map task whose output has no owner.
+constexpr std::size_t kNoOwner = static_cast<std::size_t>(-1);
+
+inline void append_records(ipc::WireWriter& writer,
+                           const std::vector<Record>& records) {
+  for (const auto& record : records) writer.record(record.key, record.value);
+}
+
+inline std::vector<Record> read_records(ipc::WireReader& reader) {
+  std::vector<Record> records;
+  while (!reader.done()) {
+    const auto [key, value] = reader.record();
+    records.push_back({std::string(key), std::string(value)});
+  }
+  return records;
+}
+
+/// The kTaskError reply reporting that `task` failed with `what`.
+inline ipc::Message task_error(std::uint64_t task, const std::string& what) {
+  ipc::WireWriter writer;
+  writer.u64(task);
+  writer.bytes(what);
+  return {ipc::MessageType::kTaskError, writer.take()};
+}
+
+/// Throws the worker-reported task failure a kTaskError reply carries.
+[[noreturn]] inline void rethrow_task_error(const ipc::Message& reply) {
+  ipc::WireReader reader(reply.payload);
+  reader.u64();  // task
+  throw IoError("worker task failed: " + std::string(reader.bytes()));
+}
+
+/// Owner of one map task's output as a kReducePull partition map names
+/// it. An empty path means the owner has no data-plane address.
+struct OwnerRef {
+  std::size_t slot = kNoOwner;
+  std::string path;
+};
+
+/// kReducePull: one pull-based reduce assignment.
+struct ReducePull {
+  std::uint64_t task = 0;
+  std::uint64_t num_partitions = 1;
+  std::uint64_t spill_budget = 0;  ///< JobConf semantics: 0 = no spilling
+  std::string spill_dir;
+  std::uint64_t max_fetch_attempts = 1;
+  std::vector<OwnerRef> owners;  ///< indexed by map task
+
+  ipc::Message encode() const;
+  static ReducePull decode(const ipc::Message& message);
+};
+
+/// kReducePullDone: the reduce result plus the pulled byte volume and the
+/// spill, fault, and connection work the supervisor absorbs into its own
+/// registry and injector when the attempt commits.
+struct PullReport {
+  std::uint64_t task = 0;
+  detail::ReduceTaskResult reduced;
+  std::uint64_t record_bytes = 0;
+  std::uint64_t spill_bytes_written = 0;
+  std::uint64_t spill_bytes_read = 0;
+  std::uint64_t spill_pages = 0;
+  std::uint64_t fetch_fires = 0;
+  std::uint64_t fetch_retries = 0;
+  /// Also the spool's fire count: every realized spool fire was retried on
+  /// the way to a report. (The injector's fired() delta would also count
+  /// `spill.page_io` fires inside user map/reduce code, whose retries stay
+  /// worker-local.)
+  std::uint64_t spill_retries = 0;
+  std::uint64_t conns_opened = 0;  ///< data-plane dials this task paid
+  std::uint64_t pulls = 0;         ///< map-output slices gathered
+
+  ipc::Message encode() const;
+  static PullReport decode(const ipc::Message& message);
+};
+
+/// A worker's map outputs and outbound data-plane connections, shared by
+/// its serve loop (which stores outputs, including re-executions inside a
+/// pull recovery), its data-plane threads (which serve slices to other
+/// reducers), and its own pull client.
+class WorkerState {
+ public:
+  void store(std::uint64_t map_task, std::vector<Record> output) {
+    std::lock_guard lock(mutex_);
+    outputs_[map_task] = std::move(output);
+  }
+  /// Drops a retained output; returns how many were dropped (0 or 1).
+  std::uint64_t drop(std::uint64_t map_task) {
+    std::lock_guard lock(mutex_);
+    return outputs_.erase(map_task);
+  }
+  /// The records of `map_task`'s output that hash to `partition`, in
+  /// output order, with their CRC — or nullopt when the output is not
+  /// resident here. Order preservation is what makes a reducer pulling
+  /// its slice of every map output in task order see exactly the record
+  /// sequence fetch_and_partition builds for that partition.
+  std::optional<FetchedSlice> slice(std::uint64_t map_task,
+                                    std::uint64_t partition,
+                                    std::uint64_t num_partitions);
+  /// Pooled data-plane connections to map-output owners, reused across
+  /// pulls, reduce tasks, and re-attempts (DESIGN.md section 15).
+  ipc::ConnPool& pool() { return pool_; }
+
+ private:
+  std::mutex mutex_;
+  std::map<std::uint64_t, std::vector<Record>> outputs_;
+  ipc::ConnPool pool_;
+};
+
+/// Runs the kMapAssign whose payload `reader` holds (positioned after the
+/// task id), retains the output in `state`, and returns the kMapDone
+/// reply. Throws when the map task fails. Defined in worker_loop.cpp.
+ipc::Message run_map_assign(const WorkerJob& job, WorkerState& state,
+                            std::uint64_t task, ipc::WireReader& reader);
+
+/// The reducer half of kReducePull: pulls `request.task`'s slice of every
+/// map output in map-task order into one sort-on-seal spool and reduces
+/// off it. A dead owner is recovered over `control` (kPullFailed ->
+/// kMapAssign -> kPullResume). Throws when the task fails. Defined in
+/// pull_client.cpp.
+PullReport run_reduce_pull(ipc::Transport& control, const WorkerJob& job,
+                           const WorkerOptions& options, WorkerState& state,
+                           ReducePull request);
+
+}  // namespace dasc::mapreduce::remote

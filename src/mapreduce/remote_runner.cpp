@@ -1,34 +1,30 @@
+// The supervisor side of the multi-process runtime: launches the workers,
+// drives the map and reduce phases through detail::run_task_phase, answers
+// reducers' dead-owner recoveries, and cancels losing speculative
+// attempts. Protocol and contracts in remote_runner.hpp.
 #include "mapreduce/remote_runner.hpp"
 
 #include <unistd.h>
 
-#include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
-#include <deque>
 #include <filesystem>
-#include <limits>
-#include <map>
+#include <functional>
 #include <mutex>
 #include <optional>
-#include <sstream>
-#include <thread>
+#include <string>
 #include <utility>
 #include <vector>
 
-#include "common/checksum.hpp"
 #include "common/error.hpp"
 #include "common/fault_injection.hpp"
 #include "common/log.hpp"
 #include "common/metrics.hpp"
-#include "common/spool.hpp"
 #include "common/stopwatch.hpp"
-#include "ipc/conn_pool.hpp"
 #include "ipc/stream.hpp"
 #include "ipc/transport.hpp"
 #include "ipc/worker_supervisor.hpp"
-#include "mapreduce/shuffle.hpp"
+#include "mapreduce/remote_protocol.hpp"
 #include "mapreduce/task_exec.hpp"
 #include "mapreduce/virtual_cluster.hpp"
 
@@ -40,912 +36,25 @@ using ipc::Message;
 using ipc::MessageType;
 using ipc::WireReader;
 using ipc::WireWriter;
+using remote::kNoOwner;
+using remote::rethrow_task_error;
 
-constexpr std::size_t kNoOwner = static_cast<std::size_t>(-1);
+/// Runs each reply of a conversation: true finishes the conversation with
+/// that reply; false means the handler consumed the frame mid-conversation
+/// (the kPullFailed -> kMapAssign -> kPullResume recovery) and the
+/// exchange keeps listening. A null handler accepts the first reply.
+using ReplyHandler = std::function<bool(const Message&)>;
 
-/// CRC over records in the "key\tvalue\n" convention — the same transfer
-/// checksum fetch_one_verified uses in shuffle.cpp, so both shuffle
-/// topologies' verification (and their fault accounting) mirror
-/// in-process.
-std::uint32_t records_crc(const std::vector<Record>& records) {
-  Crc32 crc;
-  for (const auto& record : records) {
-    crc.update(record.key).update("\t").update(record.value).update("\n");
-  }
-  return crc.value();
-}
-
-void append_records(WireWriter& writer, const std::vector<Record>& records) {
-  for (const auto& record : records) {
-    writer.record(record.key, record.value);
+/// Adds a nonzero `value` to gauge `name` (null-safe; zero adds nothing, so
+/// a gauge appears only once something happened).
+void add_gauge(MetricsRegistry* metrics, const char* name,
+               std::uint64_t value) {
+  if (metrics != nullptr && value > 0) {
+    metrics->gauge(name).add(static_cast<std::int64_t>(value));
   }
 }
 
-std::vector<Record> read_records(WireReader& reader) {
-  std::vector<Record> records;
-  while (!reader.done()) {
-    const auto [key, value] = reader.record();
-    records.push_back({std::string(key), std::string(value)});
-  }
-  return records;
-}
-
-/// Throws the worker-reported task failure carried by a kTaskError reply.
-[[noreturn]] void rethrow_task_error(const Message& reply) {
-  WireReader reader(reply.payload);
-  reader.u64();  // task
-  throw IoError("worker task failed: " + std::string(reader.bytes()));
-}
-
-/// The records of `output` that hash to `partition` — order-preserving, so
-/// a reducer pulling its slice of every map output in task order sees the
-/// exact record sequence fetch_and_partition appends for that partition.
-std::vector<Record> filter_partition(const std::vector<Record>& output,
-                                     std::size_t partition,
-                                     std::size_t num_partitions) {
-  std::vector<Record> slice;
-  for (const auto& record : output) {
-    if (partition_for_key(record.key, num_partitions) == partition) {
-      slice.push_back(record);
-    }
-  }
-  return slice;
-}
-
-/// Injected-corruption realization shared by the relay gather and the
-/// worker-side pull: flip one byte of the transfer so the CRC check
-/// catches it. Returns false when every record is empty (nothing to flip —
-/// the caller fails the attempt instead).
-bool flip_one_byte(std::vector<Record>& records) {
-  for (auto& record : records) {
-    if (!record.value.empty()) {
-      record.value.front() = static_cast<char>(record.value.front() ^ 0x1);
-      return true;
-    }
-    if (!record.key.empty()) {
-      record.key.front() = static_cast<char>(record.key.front() ^ 0x1);
-      return true;
-    }
-  }
-  return false;
-}
-
-// ---------------------------------------------------------------------------
-// Worker side
-// ---------------------------------------------------------------------------
-
-/// The canonical wordcount job, pre-registered so exec-mode workers and
-/// supervisors agree on its semantics by sharing this single definition.
-class WordCountMapper final : public Mapper {
- public:
-  void map(const std::string& /*key*/, const std::string& value,
-           Emitter& out) override {
-    std::istringstream stream(value);
-    std::string word;
-    while (stream >> word) out.emit(word, "1");
-  }
-};
-
-class WordCountSumReducer final : public Reducer {
- public:
-  void reduce(const std::string& key, const std::vector<std::string>& values,
-              Emitter& out) override {
-    long total = 0;
-    for (const auto& value : values) total += std::stol(value);
-    out.emit(key, std::to_string(total));
-  }
-};
-
-WorkerJob builtin_wordcount_job() {
-  WorkerJob job;
-  job.mapper_factory = [] { return std::make_unique<WordCountMapper>(); };
-  job.reducer_factory = [] { return std::make_unique<WordCountSumReducer>(); };
-  job.combiner_factory = [] {
-    return std::make_unique<WordCountSumReducer>();
-  };
-  return job;
-}
-
-std::map<std::string, std::function<WorkerJob()>>& job_registry() {
-  static std::map<std::string, std::function<WorkerJob()>> registry = {
-      {"wordcount", builtin_wordcount_job},
-  };
-  return registry;
-}
-
-std::mutex& job_registry_mutex() {
-  static std::mutex mutex;
-  return mutex;
-}
-
-/// State shared between a worker's serve loop and its data-plane thread:
-/// map outputs are written by the serve loop (kMapAssign, and kMapAssign
-/// re-executions inside a pull recovery) and read concurrently by
-/// kFetchPart servers and local pulls.
-struct WorkerState {
-  std::mutex outputs_mutex;
-  std::map<std::uint64_t, std::vector<Record>> map_outputs;
-  /// Pooled data-plane connections to map-output owners, reused across
-  /// pulls, reduce tasks, and re-attempts (DESIGN.md section 15).
-  ipc::ConnPool pool;
-};
-
-/// Thrown inside a pull when the owner's data plane is unreachable (dead
-/// process, stale socket path, EOF mid-reply): the reducer reports
-/// kPullFailed so the supervisor re-homes the map output, rather than
-/// burning fetch attempts on a peer that cannot answer.
-struct OwnerUnreachable {
-  std::string reason;
-};
-
-/// Owner of one map task's output as the kReducePull partition map
-/// describes it. An empty path on our own slot means "pull locally".
-struct OwnerRef {
-  std::size_t slot = kNoOwner;
-  std::string path;
-};
-
-/// One pulled slice plus the checksum its owner computed before transfer.
-struct PullSlice {
-  std::vector<Record> records;
-  std::uint32_t crc = 0;
-};
-
-/// Everything a kReducePullDone report carries besides the output records:
-/// the reduce result, the pulled byte volume, and the spill/fault work the
-/// supervisor absorbs into its own registry and injector.
-struct PullOutcome {
-  detail::ReduceTaskResult reduced;
-  std::uint64_t record_bytes = 0;
-  std::uint64_t spill_bytes_written = 0;
-  std::uint64_t spill_bytes_read = 0;
-  std::uint64_t spill_pages = 0;
-  std::uint64_t fetch_fires = 0;
-  std::uint64_t fetch_retries = 0;
-  std::uint64_t spill_fires = 0;
-  std::uint64_t spill_retries = 0;
-  std::uint64_t conns_opened = 0;  ///< data-plane dials this task paid
-  std::uint64_t pulls = 0;         ///< map-output slices gathered
-};
-
-/// Serve one data-plane connection: kFetchPart requests until the peer
-/// closes. Each request is a self-contained transaction, so pullers can
-/// hold a pooled connection open across many pulls (or reconnect per
-/// attempt) and a dead puller costs nothing but this loop's EOF. Pullers
-/// may pipeline several kFetchPart requests before reading replies; the
-/// serve loop naturally answers them in order.
-void serve_data_peer(ipc::Transport& peer, WorkerState& state) {
-  const ipc::StreamConfig stream = ipc::adaptive_stream_config();
-  while (true) {
-    std::optional<Message> request = ipc::recv_message(peer, stream);
-    if (!request.has_value()) return;  // puller closed cleanly
-    if (request->type != MessageType::kFetchPart) {
-      throw IoError("data plane: unexpected message type " +
-                    std::to_string(
-                        static_cast<std::uint32_t>(request->type)));
-    }
-    WireReader reader(request->payload);
-    const std::uint64_t map_task = reader.u64();
-    const std::uint64_t partition = reader.u64();
-    const std::uint64_t num_partitions = reader.u64();
-    std::optional<std::vector<Record>> slice;
-    {
-      std::lock_guard lock(state.outputs_mutex);
-      const auto it = state.map_outputs.find(map_task);
-      if (it != state.map_outputs.end()) {
-        slice = filter_partition(it->second,
-                                 static_cast<std::size_t>(partition),
-                                 static_cast<std::size_t>(num_partitions));
-      }
-    }
-    if (!slice.has_value()) {
-      WireWriter writer;
-      writer.u64(map_task);
-      writer.bytes("fetch_part: map output not resident on this worker");
-      peer.send({MessageType::kTaskError, writer.take()});
-      continue;
-    }
-    WireWriter writer;
-    writer.u64(map_task);
-    writer.u32(records_crc(*slice));
-    writer.u64(slice->size());
-    append_records(writer, *slice);
-    ipc::send_message(peer, {MessageType::kFetchData, writer.take()}, stream);
-  }
-}
-
-/// The worker half of a kReducePull assignment (topology in the header
-/// comment): pull this reduce task's slice of every map output in map-task
-/// order — remote owners over their data planes, our own outputs directly
-/// — into one sort-on-seal spool, then reduce off the merged stream. Pull
-/// order fixes the partition's record sequence to exactly what
-/// fetch_and_partition builds, so the spool's stable merge makes the
-/// reduce byte-identical to every other path.
-PullOutcome run_reduce_pull(ipc::Transport& control, const WorkerJob& job,
-                            const WorkerOptions& options, WorkerState& state,
-                            std::uint64_t task, WireReader& reader) {
-  const std::uint64_t num_partitions = reader.u64();
-  const std::uint64_t num_map_tasks = reader.u64();
-  const std::uint64_t spill_budget = reader.u64();
-  const std::string spill_dir(reader.bytes());
-  const std::uint64_t max_fetch_attempts = reader.u64();
-  const bool pool_conns = reader.u32() != 0;
-  const std::size_t pipeline_depth = static_cast<std::size_t>(reader.u32());
-  std::vector<OwnerRef> owners(static_cast<std::size_t>(num_map_tasks));
-  for (auto& owner : owners) {
-    owner.slot = static_cast<std::size_t>(reader.u64());
-    owner.path = std::string(reader.bytes());
-  }
-  const ipc::StreamConfig stream = ipc::adaptive_stream_config();
-
-  FaultInjector* faults = options.faults;
-  const std::uint64_t fetch_base =
-      faults != nullptr ? faults->fired("shuffle.fetch") : 0;
-
-  // A per-task registry so the spill gauges snapshot cleanly into the
-  // kReducePullDone report; the supervisor re-homes them in its own
-  // registry when the task commits.
-  MetricsRegistry task_metrics;
-  SpoolConfig spool_config;
-  spool_config.dir = spill_dir;
-  // JobConf budget 0 means spilling off; SpoolConfig budget 0 means spill
-  // every sealed page. Map "off" to a budget nothing reaches.
-  spool_config.budget_bytes =
-      spill_budget == 0 ? std::numeric_limits<std::size_t>::max()
-                        : static_cast<std::size_t>(spill_budget);
-  spool_config.sort_on_seal = true;
-  spool_config.faults = faults;
-  spool_config.metrics = &task_metrics;
-  SpoolBuffer spool(spool_config);
-
-  PullOutcome outcome;
-  const std::uint64_t conns_base = state.pool.opened();
-
-  // ---- Pipelined prefetch over pooled connections (section 15) ----
-  // One window of kFetchPart requests stays in flight per distinct remote
-  // owner, so pulls from different owners overlap and successive pulls
-  // from one owner hide the request/reply turnaround. Replies are consumed
-  // strictly in request order (the owner's serve loop answers in order),
-  // which is what keeps a pooled connection at a message boundary. Any
-  // wobble — an error, a mismatched reply, out-of-order consumption —
-  // breaks the pipeline: the lease is invalidated and the affected pulls
-  // fall back to the one-shot path, which reproduces the owner's typed
-  // error or unreachability with identical fault accounting.
-  struct OwnerPipeline {
-    std::string path;
-    std::optional<ipc::ConnPool::Lease> lease;
-    std::vector<std::uint64_t> tasks;   ///< owner's map tasks, pull order
-    std::size_t next_request = 0;       ///< tasks[next_request..) unsent
-    std::deque<std::uint64_t> pending;  ///< requested, reply unread
-    bool broken = false;
-  };
-  std::map<std::size_t, OwnerPipeline> pipelines;
-
-  const auto request_part = [&](ipc::Transport& peer,
-                                std::uint64_t map_task) {
-    WireWriter writer;
-    writer.u64(map_task);
-    writer.u64(task);
-    writer.u64(num_partitions);
-    peer.send({MessageType::kFetchPart, writer.take()});
-  };
-
-  const auto break_pipeline = [&](OwnerPipeline& pipe) {
-    pipe.broken = true;
-    if (pipe.lease.has_value()) {
-      pipe.lease->invalidate();
-      pipe.lease.reset();
-    }
-  };
-
-  const auto top_up = [&](OwnerPipeline& pipe) {
-    if (pipe.broken || !pipe.lease.has_value()) return;
-    try {
-      while (pipe.pending.size() < pipeline_depth &&
-             pipe.next_request < pipe.tasks.size()) {
-        request_part(**pipe.lease, pipe.tasks[pipe.next_request]);
-        pipe.pending.push_back(pipe.tasks[pipe.next_request]);
-        ++pipe.next_request;
-      }
-    } catch (const IoError&) {
-      break_pipeline(pipe);
-    }
-  };
-
-  if (pool_conns && pipeline_depth > 0) {
-    for (std::uint64_t m = 0; m < num_map_tasks; ++m) {
-      const OwnerRef& owner = owners[static_cast<std::size_t>(m)];
-      if (owner.slot == options.ordinal || owner.slot == kNoOwner ||
-          owner.path.empty()) {
-        continue;
-      }
-      OwnerPipeline& pipe = pipelines[owner.slot];
-      pipe.path = owner.path;
-      pipe.tasks.push_back(m);
-    }
-    for (auto& [slot, pipe] : pipelines) {
-      try {
-        pipe.lease.emplace(state.pool.lease(slot, pipe.path));
-      } catch (const IoError&) {
-        pipe.broken = true;  // dead owner: surfaces as unreachable later
-        continue;
-      }
-      top_up(pipe);
-    }
-  }
-
-  // Consume the pipelined reply for `map_task`, if one is in flight.
-  // Called exactly once per map task, before its attempt loop; nullopt
-  // means the pull falls back to the one-shot path.
-  const auto take_prefetched =
-      [&](std::uint64_t map_task) -> std::optional<PullSlice> {
-    const OwnerRef& owner = owners[static_cast<std::size_t>(map_task)];
-    const auto it = pipelines.find(owner.slot);
-    if (it == pipelines.end()) return std::nullopt;
-    OwnerPipeline& pipe = it->second;
-    if (pipe.broken || !pipe.lease.has_value()) return std::nullopt;
-    if (pipe.pending.empty() || pipe.pending.front() != map_task) {
-      break_pipeline(pipe);  // out of order would desynchronize the conn
-      return std::nullopt;
-    }
-    try {
-      std::optional<Message> reply = ipc::recv_message(**pipe.lease, stream);
-      if (!reply.has_value()) {
-        break_pipeline(pipe);
-        return std::nullopt;
-      }
-      pipe.pending.pop_front();
-      if (reply->type == MessageType::kTaskError) {
-        // Connection still clean (the serve loop answers errors in-band);
-        // the fallback pull will surface the same typed error.
-        top_up(pipe);
-        return std::nullopt;
-      }
-      DASC_ENSURE(reply->type == MessageType::kFetchData,
-                  "ipc: unexpected reply to pipelined kFetchPart");
-      WireReader data(reply->payload);
-      DASC_ENSURE(data.u64() == map_task,
-                  "ipc: pipelined kFetchData map task mismatch");
-      PullSlice slice;
-      slice.crc = data.u32();
-      const std::uint64_t count = data.u64();
-      slice.records = read_records(data);
-      DASC_ENSURE(slice.records.size() == count,
-                  "ipc: pipelined kFetchData record count mismatch");
-      top_up(pipe);
-      return slice;
-    } catch (const std::exception&) {
-      break_pipeline(pipe);
-      return std::nullopt;
-    }
-  };
-
-  // Unconsumed pipelined replies leave a connection mid-conversation; a
-  // failed reduce task must close those instead of pooling them.
-  const auto abandon_pipelines = [&] {
-    for (auto& entry : pipelines) {
-      OwnerPipeline& pipe = entry.second;
-      if (pipe.lease.has_value() && !pipe.pending.empty()) {
-        break_pipeline(pipe);
-      }
-    }
-  };
-
-  const auto pull_local = [&](std::uint64_t map_task) -> PullSlice {
-    std::lock_guard lock(state.outputs_mutex);
-    const auto it = state.map_outputs.find(map_task);
-    if (it == state.map_outputs.end()) {
-      throw IoError("pull: map output " + std::to_string(map_task) +
-                    " not resident on this worker");
-    }
-    PullSlice slice;
-    slice.records =
-        filter_partition(it->second, static_cast<std::size_t>(task),
-                         static_cast<std::size_t>(num_partitions));
-    slice.crc = records_crc(slice.records);
-    return slice;
-  };
-
-  const auto pull_remote = [&](const OwnerRef& owner,
-                               std::uint64_t map_task) -> PullSlice {
-    // Any transport failure here — connecting to a dead process's stale
-    // socket, EOF mid-reply — is the owner being gone, not a verification
-    // failure, so it routes to recovery instead of the fetch-attempt loop.
-    // With pooling on, the connection is leased from (and returned to) the
-    // per-slot pool; a failure invalidates the lease so a desynchronized
-    // socket is closed, never reused.
-    std::optional<Message> reply;
-    try {
-      if (pool_conns) {
-        ipc::ConnPool::Lease lease = state.pool.lease(owner.slot, owner.path);
-        try {
-          request_part(*lease, map_task);
-          reply = ipc::recv_message(*lease, stream);
-        } catch (...) {
-          lease.invalidate();
-          throw;
-        }
-        if (!reply.has_value()) lease.invalidate();
-      } else {
-        const std::unique_ptr<ipc::Transport> peer =
-            ipc::Transport::connect(owner.path);
-        ++outcome.conns_opened;
-        request_part(*peer, map_task);
-        reply = ipc::recv_message(*peer, stream);
-      }
-    } catch (const IoError& error) {
-      throw OwnerUnreachable{error.what()};
-    }
-    if (!reply.has_value()) {
-      throw OwnerUnreachable{"owner closed the data plane mid-pull"};
-    }
-    if (reply->type == MessageType::kTaskError) rethrow_task_error(*reply);
-    DASC_ENSURE(reply->type == MessageType::kFetchData,
-                "ipc: unexpected reply to kFetchPart");
-    WireReader data(reply->payload);
-    DASC_ENSURE(data.u64() == map_task,
-                "ipc: kFetchData map task mismatch");
-    PullSlice slice;
-    slice.crc = data.u32();
-    const std::uint64_t count = data.u64();
-    slice.records = read_records(data);
-    DASC_ENSURE(slice.records.size() == count,
-                "ipc: kFetchData record count mismatch");
-    return slice;
-  };
-
-  // Mirrors the supervisor's relay fetch loop: one `shuffle.fetch` check
-  // per attempt, the same corruption realization, the same attempt cap —
-  // the fault plan is exercised identically whichever process fetches.
-  // `prefetched` (the pipelined reply, if any) serves the first attempt
-  // that actually pulls; a retry always re-pulls fresh, because a corrupt
-  // transfer must not be reused.
-  const auto pull_verified =
-      [&](std::uint64_t map_task,
-          std::optional<PullSlice>& prefetched) -> std::vector<Record> {
-    const OwnerRef& owner = owners[static_cast<std::size_t>(map_task)];
-    for (std::uint64_t attempt = 1;; ++attempt) {
-      const FaultInjector::Outcome fault =
-          faults != nullptr ? faults->check("shuffle.fetch")
-                            : FaultInjector::Outcome::kNone;
-      bool ok = fault != FaultInjector::Outcome::kError;
-      std::vector<Record> records;
-      if (ok) {
-        PullSlice slice;
-        if (prefetched.has_value()) {
-          slice = *std::move(prefetched);
-          prefetched.reset();
-        } else if (owner.slot == options.ordinal) {
-          slice = pull_local(map_task);
-        } else if (owner.path.empty()) {
-          throw OwnerUnreachable{"owner has no data-plane address"};
-        } else {
-          slice = pull_remote(owner, map_task);
-        }
-        records = std::move(slice.records);
-        if (fault == FaultInjector::Outcome::kCorruption) {
-          ok = flip_one_byte(records) && records_crc(records) == slice.crc;
-        } else {
-          ok = records_crc(records) == slice.crc;
-        }
-      }
-      if (ok) return records;
-      if (attempt >= max_fetch_attempts) {
-        throw IoError("pull: fetch of map output " +
-                      std::to_string(map_task) + " failed after " +
-                      std::to_string(max_fetch_attempts) + " attempts");
-      }
-      ++outcome.fetch_retries;
-      DASC_LOG(kWarn) << "worker " << options.ordinal
-                      << ": re-pulling map output " << map_task
-                      << " (attempt " << attempt
-                      << " failed verification)";
-    }
-  };
-
-  // Dead-owner recovery (state machine in DESIGN.md section 14): report
-  // the dead owner, serve the supervisor's inline kMapAssign re-execution
-  // of that map task, and resume with the output re-homed onto us. The
-  // whole dance happens inside our own kReducePull conversation, so it
-  // needs no second supervisor thread and works at any worker count.
-  const auto recover_owner = [&](std::uint64_t map_task,
-                                 const std::string& reason) {
-    DASC_LOG(kWarn) << "worker " << options.ordinal << ": map output "
-                    << map_task << " owner unreachable (" << reason
-                    << "); asking the supervisor to re-home it";
-    // Any idle pooled connection to the dead owner is garbage now — its
-    // next incarnation listens on a fresh accept queue.
-    const std::size_t dead_slot =
-        owners[static_cast<std::size_t>(map_task)].slot;
-    if (dead_slot != kNoOwner && dead_slot != options.ordinal) {
-      state.pool.invalidate(dead_slot);
-    }
-    WireWriter failed;
-    failed.u64(task);
-    failed.u64(map_task);
-    control.send({MessageType::kPullFailed, failed.take()});
-    while (true) {
-      std::optional<Message> frame = ipc::recv_message(control, stream);
-      if (!frame.has_value()) {
-        throw IoError("pull: supervisor vanished during owner recovery");
-      }
-      switch (frame->type) {
-        case MessageType::kMapAssign: {
-          WireReader assign(frame->payload);
-          const std::uint64_t assigned = assign.u64();
-          const std::vector<Record> input = read_records(assign);
-          detail::MapTaskResult mapped = detail::execute_map_task(
-              job.mapper_factory, job.combiner_factory,
-              job.use_combiner && job.combiner_factory != nullptr, input);
-          WireWriter done;
-          done.u64(assigned);
-          done.u64(mapped.emitted);
-          done.u64(mapped.combined);
-          done.u64(mapped.output.size());
-          {
-            std::lock_guard lock(state.outputs_mutex);
-            state.map_outputs[assigned] = std::move(mapped.output);
-          }
-          control.send({MessageType::kMapDone, done.take()});
-          break;
-        }
-        case MessageType::kPullResume: {
-          WireReader resume(frame->payload);
-          DASC_ENSURE(resume.u64() == map_task,
-                      "ipc: kPullResume map task mismatch");
-          owners[static_cast<std::size_t>(map_task)] =
-              OwnerRef{options.ordinal, std::string()};
-          return;
-        }
-        default:
-          throw IoError("pull: unexpected message type " +
-                        std::to_string(
-                            static_cast<std::uint32_t>(frame->type)) +
-                        " during owner recovery");
-      }
-    }
-  };
-
-  try {
-    for (std::uint64_t m = 0; m < num_map_tasks; ++m) {
-      std::optional<PullSlice> prefetched = take_prefetched(m);
-      std::vector<Record> slice;
-      // Two rounds suffice: a failed pull re-homes the output onto this
-      // worker, and a local pull cannot lose its owner.
-      for (std::size_t round = 0;; ++round) {
-        try {
-          slice = pull_verified(m, prefetched);
-          break;
-        } catch (const OwnerUnreachable& unreachable) {
-          if (round >= 1) {
-            throw IoError("pull: map output " + std::to_string(m) +
-                          " unreachable after re-homing: " +
-                          unreachable.reason);
-          }
-          recover_owner(m, unreachable.reason);
-        }
-      }
-      for (const auto& record : slice) {
-        spool.append(record.key, record.value);
-      }
-      ++outcome.pulls;
-    }
-  } catch (...) {
-    abandon_pipelines();
-    throw;
-  }
-  abandon_pipelines();  // no-op on success: every pending reply consumed
-  spool.finish();
-  outcome.reduced =
-      detail::execute_reduce_spooled(job.reducer_factory, spool);
-  outcome.record_bytes = spool.record_bytes();
-  outcome.spill_bytes_written = static_cast<std::uint64_t>(
-      task_metrics.gauge_value("spill.bytes_written"));
-  outcome.spill_bytes_read = static_cast<std::uint64_t>(
-      task_metrics.gauge_value("spill.bytes_read"));
-  outcome.spill_pages =
-      static_cast<std::uint64_t>(task_metrics.gauge_value("spill.pages"));
-  outcome.spill_retries = static_cast<std::uint64_t>(
-      task_metrics.counter_value("retry.spill_page_io"));
-  // Every realized spool fire was retried on the way to this (successful)
-  // report, so the spool's retry count IS its fire count. The injector's
-  // fired() delta would also pick up `spill.page_io` fires realized inside
-  // user map/reduce code (e.g. a reduce stage running its own spools on
-  // the job's detached registry); absorbing those without their retries
-  // would break the supervisor's fired == retried invariant, so they stay
-  // worker-local like every other user-code metric. `shuffle.fetch` has no
-  // such aliasing — only the pull loop above calls it in a worker — so its
-  // delta is exact.
-  outcome.spill_fires = outcome.spill_retries;
-  if (faults != nullptr) {
-    outcome.fetch_fires = faults->fired("shuffle.fetch") - fetch_base;
-  }
-  // Pooled dials are visible only as the pool's counter; the delta over
-  // this task is what the report attributes to it (reused connections by
-  // definition add nothing here).
-  outcome.conns_opened += state.pool.opened() - conns_base;
-  return outcome;
-}
-
-}  // namespace
-
-void register_worker_job(const std::string& name,
-                         std::function<WorkerJob()> factory) {
-  DASC_EXPECT(factory != nullptr, "register_worker_job: null factory");
-  std::lock_guard lock(job_registry_mutex());
-  job_registry()[name] = std::move(factory);
-}
-
-WorkerJob make_registered_worker_job(const std::string& name) {
-  std::function<WorkerJob()> factory;
-  {
-    std::lock_guard lock(job_registry_mutex());
-    const auto it = job_registry().find(name);
-    if (it == job_registry().end()) {
-      throw InvalidArgument("worker job not registered: '" + name + "'");
-    }
-    factory = it->second;
-  }
-  return factory();
-}
-
-void serve_worker_loop(ipc::Transport& transport, const WorkerJob& job,
-                       const WorkerOptions& options) {
-  DASC_EXPECT(job.mapper_factory != nullptr, "worker: missing mapper");
-  DASC_EXPECT(job.reducer_factory != nullptr, "worker: missing reducer");
-
-  WorkerState state;
-
-  // Heartbeats flow only while a task is executing: that is when the
-  // supervisor is blocked in the exchange's recv loop draining them, so
-  // unread frames stay bounded even between phases.
-  std::atomic<bool> busy{false};
-  std::atomic<bool> stop{false};
-  std::thread heartbeat;
-  if (options.heartbeat_ms > 0) {
-    heartbeat = std::thread([&] {
-      while (!stop.load(std::memory_order_acquire)) {
-        std::this_thread::sleep_for(
-            std::chrono::milliseconds(options.heartbeat_ms));
-        if (!busy.load(std::memory_order_acquire)) continue;
-        try {
-          transport.send({MessageType::kHeartbeat, {}});
-        } catch (const std::exception&) {
-          return;  // supervisor gone; the serve loop will see EOF too
-        }
-      }
-    });
-  }
-
-  // Worker-to-worker shuffle: bind the data plane before serving the first
-  // assignment, so by the time any reducer learns this worker's address
-  // (from a partition map built after our first kMapDone) the listener is
-  // already accepting. The accept loop polls so it can observe `stop`.
-  //
-  // Each accepted peer gets its own serving thread: with pooled
-  // connections a reducer holds its conversation open across many pulls,
-  // and a serve-one-peer-to-EOF loop would park every other reducer behind
-  // it. The peer registry lets shutdown wake threads blocked in recv via
-  // shutdown_rw (close() would be unsafe cross-thread — the fd could be
-  // reused under the reader).
-  std::unique_ptr<ipc::Listener> data_listener;
-  std::thread data_server;
-  std::mutex peers_mutex;
-  std::vector<ipc::Transport*> live_peers;
-  std::vector<std::thread> peer_threads;
-  if (!options.data_socket_path.empty()) {
-    data_listener = std::make_unique<ipc::Listener>(options.data_socket_path);
-    data_server = std::thread([&] {
-      while (!stop.load(std::memory_order_acquire)) {
-        std::unique_ptr<ipc::Transport> peer;
-        try {
-          peer = data_listener->try_accept(100);
-        } catch (const std::exception& error) {
-          DASC_LOG(kWarn) << "worker " << options.ordinal
-                          << ": data-plane listener failed: "
-                          << error.what();
-          return;
-        }
-        if (peer == nullptr) continue;
-        std::lock_guard lock(peers_mutex);
-        live_peers.push_back(peer.get());
-        peer_threads.emplace_back(
-            [&state, &options, &peers_mutex, &live_peers,
-             peer = std::move(peer)]() mutable {
-              try {
-                serve_data_peer(*peer, state);
-              } catch (const std::exception& error) {
-                // One misbehaving puller must not take the plane down; its
-                // failed pull surfaces on the puller's side.
-                DASC_LOG(kWarn) << "worker " << options.ordinal
-                                << ": data-plane connection failed: "
-                                << error.what();
-              }
-              std::lock_guard lock(peers_mutex);
-              live_peers.erase(std::find(live_peers.begin(),
-                                         live_peers.end(), peer.get()));
-            });
-      }
-    });
-  }
-
-  const auto join_threads = [&] {
-    stop.store(true, std::memory_order_release);
-    if (heartbeat.joinable()) heartbeat.join();
-    if (data_server.joinable()) data_server.join();
-    // No new peer threads can spawn now; our own outbound pool closes
-    // first so peer workers' serving threads see EOF too, then any thread
-    // still blocked on an inbound recv is woken with a half-close.
-    state.pool.clear();
-    {
-      std::lock_guard lock(peers_mutex);
-      for (ipc::Transport* peer : live_peers) peer->shutdown_rw();
-    }
-    for (std::thread& thread : peer_threads) thread.join();
-  };
-
-  const auto reply_error = [&](std::uint64_t task, const char* where,
-                               const std::exception& error) {
-    WireWriter writer;
-    writer.u64(task);
-    writer.bytes(std::string(where) + ": " + error.what());
-    transport.send({MessageType::kTaskError, writer.take()});
-  };
-
-  const ipc::StreamConfig stream = ipc::adaptive_stream_config();
-  try {
-    bool serving = true;
-    while (serving) {
-      std::optional<Message> message = ipc::recv_message(transport, stream);
-      if (!message.has_value()) break;  // supervisor closed or died
-      switch (message->type) {
-        case MessageType::kMapAssign: {
-          WireReader reader(message->payload);
-          const std::uint64_t task = reader.u64();
-          busy.store(true, std::memory_order_release);
-          try {
-            const std::vector<Record> input = read_records(reader);
-            detail::MapTaskResult mapped = detail::execute_map_task(
-                job.mapper_factory, job.combiner_factory,
-                job.use_combiner && job.combiner_factory != nullptr, input);
-            WireWriter writer;
-            writer.u64(task);
-            writer.u64(mapped.emitted);
-            writer.u64(mapped.combined);
-            writer.u64(mapped.output.size());
-            {
-              std::lock_guard lock(state.outputs_mutex);
-              state.map_outputs[task] = std::move(mapped.output);
-            }
-            transport.send({MessageType::kMapDone, writer.take()});
-          } catch (const std::exception& error) {
-            reply_error(task, "map", error);
-          }
-          busy.store(false, std::memory_order_release);
-          break;
-        }
-        case MessageType::kFetch: {
-          WireReader reader(message->payload);
-          const std::uint64_t task = reader.u64();
-          WireWriter writer;
-          {
-            std::lock_guard lock(state.outputs_mutex);
-            const auto it = state.map_outputs.find(task);
-            if (it == state.map_outputs.end()) {
-              reply_error(task, "fetch",
-                          IoError("map output not resident on this worker"));
-              break;
-            }
-            writer.u64(task);
-            writer.u32(records_crc(it->second));
-            writer.u64(it->second.size());
-            append_records(writer, it->second);
-          }
-          ipc::send_message(transport,
-                            {MessageType::kFetchData, writer.take()}, stream);
-          break;
-        }
-        case MessageType::kReduceAssign: {
-          WireReader reader(message->payload);
-          const std::uint64_t task = reader.u64();
-          busy.store(true, std::memory_order_release);
-          try {
-            detail::ReduceTaskResult reduced = detail::execute_reduce_records(
-                job.reducer_factory, read_records(reader));
-            WireWriter writer;
-            writer.u64(task);
-            writer.u64(reduced.num_groups);
-            writer.u64(reduced.in_records);
-            writer.u64(reduced.output.size());
-            append_records(writer, reduced.output);
-            ipc::send_message(
-                transport, {MessageType::kReduceDone, writer.take()}, stream);
-          } catch (const std::exception& error) {
-            reply_error(task, "reduce", error);
-          }
-          busy.store(false, std::memory_order_release);
-          break;
-        }
-        case MessageType::kReducePull: {
-          WireReader reader(message->payload);
-          const std::uint64_t task = reader.u64();
-          busy.store(true, std::memory_order_release);
-          try {
-            PullOutcome outcome =
-                run_reduce_pull(transport, job, options, state, task, reader);
-            WireWriter writer;
-            writer.u64(task);
-            writer.u64(outcome.reduced.num_groups);
-            writer.u64(outcome.reduced.in_records);
-            writer.u64(outcome.reduced.output.size());
-            writer.u64(outcome.record_bytes);
-            writer.u64(outcome.spill_bytes_written);
-            writer.u64(outcome.spill_bytes_read);
-            writer.u64(outcome.spill_pages);
-            writer.u64(outcome.fetch_fires);
-            writer.u64(outcome.fetch_retries);
-            writer.u64(outcome.spill_fires);
-            writer.u64(outcome.spill_retries);
-            writer.u64(outcome.conns_opened);
-            writer.u64(outcome.pulls);
-            append_records(writer, outcome.reduced.output);
-            ipc::send_message(
-                transport, {MessageType::kReducePullDone, writer.take()},
-                stream);
-          } catch (const std::exception& error) {
-            reply_error(task, "reduce_pull", error);
-          }
-          busy.store(false, std::memory_order_release);
-          break;
-        }
-        case MessageType::kTaskCancel: {
-          // A retained attempt of ours lost the commit race (DESIGN.md
-          // section 15): drop the losing map output so no reducer can pull
-          // a side effect the job discarded, and sweep our spool files so
-          // a cancelled reduce attempt leaks no disk.
-          WireReader reader(message->payload);
-          const std::uint64_t kind = reader.u64();  // 0 = map, 1 = reduce
-          const std::uint64_t task = reader.u64();
-          const std::string spill_dir(reader.bytes());
-          std::uint64_t dropped = 0;
-          if (kind == 0) {
-            std::lock_guard lock(state.outputs_mutex);
-            dropped = state.map_outputs.erase(task);
-          }
-          const std::uint64_t swept = static_cast<std::uint64_t>(
-              ipc::sweep_spool_files(spill_dir,
-                                     static_cast<long>(::getpid())));
-          WireWriter writer;
-          writer.u64(task);
-          writer.u64(dropped);
-          writer.u64(swept);
-          transport.send({MessageType::kTaskCancelled, writer.take()});
-          break;
-        }
-        case MessageType::kShutdown:
-          serving = false;
-          break;
-        default:
-          DASC_LOG(kWarn) << "worker " << options.ordinal
-                          << ": ignoring unexpected message type "
-                          << static_cast<std::uint32_t>(message->type);
-          break;
-      }
-    }
-  } catch (...) {
-    join_threads();
-    throw;
-  }
-  join_threads();
-}
-
-// ---------------------------------------------------------------------------
-// Supervisor side
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Supervisor-side conversation driver over one worker's transport.
+/// Supervisor-side conversation driver over the workers' transports.
 class WorkerExchange {
  public:
   WorkerExchange(ipc::WorkerSupervisor& supervisor, MetricsRegistry* metrics)
@@ -961,38 +70,29 @@ class WorkerExchange {
                     " during a streamed exchange");
     };
   }
+  WorkerExchange(const WorkerExchange&) = delete;
+  WorkerExchange& operator=(const WorkerExchange&) = delete;
 
   /// One request/response conversation with `slot`, serialized by the
-  /// slot's exchange mutex. With `kill_after_send` the worker is
-  /// SIGKILLed right after the request ships — the worker.kill fault
-  /// lands genuinely mid-task. Heartbeats are drained (worker.heartbeats
-  /// gauge); kTaskError is returned like any reply (the worker is alive).
-  /// Transport failure or EOF marks the slot dead and throws IoError.
-  Message call(std::size_t slot, const Message& request,
-               bool kill_after_send = false) {
-    return converse(slot, request, kill_after_send,
-                    [](const Message&) { return true; });
+  /// slot's exchange mutex. With `kill_after_send` the worker is SIGKILLed
+  /// right after the request ships, so worker.kill lands genuinely
+  /// mid-task. Heartbeats are drained (worker.heartbeats gauge); other
+  /// frames, kTaskError included, run through `handle`, whose exceptions
+  /// propagate without marking the worker dead. Transport failure or EOF
+  /// marks the slot dead and throws IoError.
+  Message converse(std::size_t slot, const Message& request,
+                   bool kill_after_send = false,
+                   const ReplyHandler& handle = nullptr) {
+    std::lock_guard lock(supervisor_.exchange_mutex(slot));
+    return converse_locked(slot, request, kill_after_send, handle);
   }
 
-  /// call(), but every reply runs through `handle` first: returning true
-  /// finishes the conversation with that reply; returning false means the
-  /// handler consumed the frame mid-conversation (the worker-to-worker
-  /// kPullFailed -> kMapAssign -> kPullResume recovery dance) and the
-  /// exchange keeps listening. Handler exceptions propagate without
-  /// marking the worker dead — a kTaskError from a live worker is a task
-  /// failure, not a transport failure.
-  Message converse(std::size_t slot, const Message& request,
-                   bool kill_after_send,
-                   const std::function<bool(const Message&)>& handle) {
-    std::lock_guard lock(supervisor_.exchange_mutex(slot));
-    try {
-      ipc::send_message(supervisor_.transport(slot), request, stream_config_,
-                        interloper_);
-    } catch (const std::exception&) {
-      supervisor_.mark_dead(slot);
-      throw IoError("ipc: worker " + std::to_string(slot) +
-                    " unreachable (send failed)");
-    }
+  /// converse() from inside a handler, whose conversation already holds
+  /// `slot`'s exchange mutex.
+  Message converse_locked(std::size_t slot, const Message& request,
+                          bool kill_after_send = false,
+                          const ReplyHandler& handle = nullptr) {
+    send_locked(slot, request);
     if (kill_after_send) supervisor_.kill_worker(slot);
     while (true) {
       std::optional<Message> reply;
@@ -1012,764 +112,502 @@ class WorkerExchange {
         note_heartbeat();
         continue;
       }
-      if (handle(*reply)) return *std::move(reply);
+      if (handle == nullptr || handle(*reply)) return *std::move(reply);
     }
   }
 
-  /// First live slot scanning from placement[task] + shift (wrapping over
-  /// every provisioned slot, spares included). Deterministic: the scan
-  /// order depends only on the placement plan and which workers are dead.
-  /// `avoid` excludes one slot from the scan — a speculative backup must
-  /// land on a different worker than the straggling primary, otherwise it
-  /// would queue behind the very serve loop it is meant to outrun.
-  std::size_t pick_worker(std::size_t task,
-                          const std::vector<std::size_t>& placement,
-                          std::size_t shift,
-                          std::size_t avoid = kNoOwner) const {
-    const std::size_t total = supervisor_.provisioned();
-    for (std::size_t i = 0; i < total; ++i) {
-      const std::size_t slot = (placement[task] + shift + i) % total;
-      if (slot == avoid) continue;
-      if (supervisor_.alive(slot)) return slot;
+  /// A one-way message within a conversation that holds `slot`'s exchange
+  /// mutex. Transport failure marks the slot dead and throws IoError.
+  void send_locked(std::size_t slot, const Message& message) {
+    try {
+      ipc::send_message(supervisor_.transport(slot), message, stream_config_,
+                        interloper_);
+    } catch (const std::exception&) {
+      supervisor_.mark_dead(slot);
+      throw IoError("ipc: worker " + std::to_string(slot) +
+                    " unreachable (send failed)");
     }
-    throw IoError(avoid == kNoOwner
-                      ? "ipc: no live workers remain"
-                      : "ipc: no distinct live worker for a backup attempt");
   }
 
+ private:
   void note_heartbeat() {
     if (metrics_ != nullptr) metrics_->gauge("worker.heartbeats").add(1);
   }
 
-  const ipc::StreamConfig& stream_config() const { return stream_config_; }
-  const std::function<void(const Message&)>& interloper() const {
-    return interloper_;
-  }
-
- private:
   ipc::WorkerSupervisor& supervisor_;
   MetricsRegistry* metrics_ = nullptr;
   ipc::StreamConfig stream_config_;
   std::function<void(const Message&)> interloper_;
 };
 
-}  // namespace
-
-JobResult run_job_multiproc(const JobSpec& spec,
-                            std::vector<std::vector<Record>> splits) {
-  // Speculative execution runs for real here: a backup attempt is
-  // dispatched to a *different* live worker than the straggling primary's
-  // current slot, the commit-once exchange in run_task_phase arbitrates
-  // which attempt's report lands, and the loser's worker receives a
-  // kTaskCancel so its retained side effects (map output, spool files)
-  // are discarded — DESIGN.md section 15.
-  JobSpec mp = spec;
-  const JobConf& conf = mp.conf;
-  const bool w2w = conf.shuffle_mode == ShuffleMode::kWorkerToWorker;
-
-  Stopwatch total_clock;
-  JobResult result;
-  result.num_map_tasks = splits.size();
-  result.num_reduce_tasks = conf.num_reducers;
-  result.map_task_seconds.assign(splits.size(), 0.0);
-  result.map_task_workers =
-      assign_tasks(splits.size(), conf.num_workers, conf.placement_seed);
-  result.reduce_task_workers = assign_tasks(
-      conf.num_reducers, conf.num_workers, conf.placement_seed + 1);
-
-  const bool use_combiner =
-      conf.enable_combiner && mp.combiner_factory != nullptr;
-
-  // Worker-to-worker shuffle: every provisioned slot (spares included)
-  // gets a data-plane address up front, supervisor-pid-namespaced so
-  // concurrent jobs sharing a spill_dir cannot collide.
-  std::vector<std::string> data_paths;
-  if (w2w) {
-    namespace fs = std::filesystem;
-    const fs::path base = conf.spill_dir.empty()
-                              ? fs::temp_directory_path()
-                              : fs::path(conf.spill_dir);
-    const std::size_t total_slots = conf.num_workers + conf.worker_spares;
-    for (std::size_t slot = 0; slot < total_slots; ++slot) {
-      data_paths.push_back(
-          (base / ("dasc-data-" + std::to_string(::getpid()) + "-" +
-                   std::to_string(slot) + ".sock"))
-              .string());
+/// One phase's placement bookkeeping, shared by its primary, retry, and
+/// backup attempts: each task's retry shift (a failed attempt moves the
+/// task to the next live slot) and the slot its latest primary attempt
+/// dispatched to, which a speculative backup avoids. Backups run
+/// concurrently with their primaries' retries, so both are atomics.
+class PhasePlacement {
+ public:
+  PhasePlacement(const ipc::WorkerSupervisor& supervisor,
+                 WorkerExchange& exchange,
+                 const std::vector<std::size_t>& plan)
+      : supervisor_(supervisor), exchange_(exchange), plan_(plan),
+        shift_(plan.size()), primary_slot_(plan.size()) {
+    // Seeded from the plan so a backup launched while the primary is
+    // still pre-dispatch (stalled in fault injection) avoids the slot the
+    // primary is about to use.
+    for (std::size_t t = 0; t < plan.size(); ++t) {
+      primary_slot_[t].store(plan[t], std::memory_order_relaxed);
     }
   }
 
-  // ---- Launch the workers (before any job threads exist: fork safety) ----
-  ipc::WorkerLaunch launch;
-  launch.num_workers = conf.num_workers;
-  launch.num_spares = conf.worker_spares;
-  launch.spill_dir = conf.spill_dir;
-  launch.socket_dir = conf.spill_dir;
-  launch.metrics = mp.metrics;
-  const bool exec_mode = !conf.worker_binary.empty();
-  if (exec_mode) {
-    launch.exec_argv = {conf.worker_binary};
-  } else {
+  /// The worker for one attempt of `task`: the first live slot from
+  /// plan[task] + shift over every provisioned slot, spares included —
+  /// deterministic given the plan and which workers are dead. A backup
+  /// skips the primary's slot, or it would queue behind the very serve loop
+  /// it is meant to outrun.
+  std::size_t pick(std::size_t task, bool backup) {
+    const std::size_t shift = shift_[task].load(std::memory_order_acquire);
+    const std::size_t avoid =
+        backup ? primary_slot_[task].load(std::memory_order_acquire)
+               : kNoOwner;
+    const std::size_t total = supervisor_.provisioned();
+    for (std::size_t i = 0; i < total; ++i) {
+      const std::size_t slot = (plan_[task] + shift + i) % total;
+      if (slot == avoid || !supervisor_.alive(slot)) continue;
+      if (!backup) primary_slot_[task].store(slot, std::memory_order_release);
+      return slot;
+    }
+    throw IoError(backup ? "ipc: no distinct live worker for a backup attempt"
+                         : "ipc: no live workers remain");
+  }
+
+  /// One attempt's conversation; when it fails with an IoError the task
+  /// shifts, so its next attempt tries another worker.
+  Message dispatch(std::size_t task, std::size_t slot, const Message& request,
+                   bool kill_after_send, const ReplyHandler& handle = nullptr) {
+    try {
+      return exchange_.converse(slot, request, kill_after_send, handle);
+    } catch (const IoError&) {
+      shift_[task].fetch_add(1, std::memory_order_acq_rel);
+      throw;
+    }
+  }
+
+ private:
+  const ipc::WorkerSupervisor& supervisor_;
+  WorkerExchange& exchange_;
+  const std::vector<std::size_t>& plan_;
+  std::vector<std::atomic<std::size_t>> shift_;
+  std::vector<std::atomic<std::size_t>> primary_slot_;
+};
+
+/// Every provisioned slot (spares included) gets a data-plane address up
+/// front, supervisor-pid-namespaced so concurrent jobs sharing a spill_dir
+/// cannot collide.
+std::vector<std::string> data_socket_paths(const JobConf& conf) {
+  namespace fs = std::filesystem;
+  const fs::path base = conf.spill_dir.empty() ? fs::temp_directory_path()
+                                               : fs::path(conf.spill_dir);
+  std::vector<std::string> paths;
+  for (std::size_t slot = 0; slot < conf.num_workers + conf.worker_spares;
+       ++slot) {
+    paths.push_back((base / ("dasc-data-" + std::to_string(::getpid()) +
+                             "-" + std::to_string(slot) + ".sock"))
+                        .string());
+  }
+  return paths;
+}
+
+/// A JobResult with the task counts, time slots, and the placement plan
+/// the in-process executor records filled in.
+JobResult planned_result(const JobConf& conf, std::size_t num_map_tasks) {
+  JobResult result;
+  result.num_map_tasks = num_map_tasks;
+  result.num_reduce_tasks = conf.num_reducers;
+  result.map_task_seconds.assign(num_map_tasks, 0.0);
+  result.reduce_task_seconds.assign(conf.num_reducers, 0.0);
+  result.map_task_workers =
+      assign_tasks(num_map_tasks, conf.num_workers, conf.placement_seed);
+  result.reduce_task_workers = assign_tasks(
+      conf.num_reducers, conf.num_workers, conf.placement_seed + 1);
+  return result;
+}
+
+/// A losing attempt's retained state on `slot`, to cancel after its phase.
+struct CancelRequest {
+  std::uint64_t kind;  ///< 0 = map, 1 = reduce
+  std::size_t task;
+  std::size_t slot;
+};
+
+/// One job on worker processes, from launch to shutdown.
+class MultiprocRun {
+ public:
+  MultiprocRun(const JobSpec& spec, std::vector<std::vector<Record>> splits)
+      : spec_(spec), conf_(spec_.conf), splits_(std::move(splits)),
+        use_combiner_(conf_.enable_combiner &&
+                      spec_.combiner_factory != nullptr),
+        data_paths_(data_socket_paths(conf_)),
+        result_(planned_result(conf_, splits_.size())),
+        map_owner_(splits_.size(), kNoOwner),
+        reduce_outputs_(conf_.num_reducers),
+        // Workers launch before any job thread exists: fork safety.
+        supervisor_(worker_launch()),
+        exchange_(supervisor_, spec_.metrics),
+        map_placement_(supervisor_, exchange_, result_.map_task_workers),
+        reduce_placement_(supervisor_, exchange_,
+                          result_.reduce_task_workers) {}
+  // Commit and abandon closures hold `this`.
+  MultiprocRun(const MultiprocRun&) = delete;
+  MultiprocRun& operator=(const MultiprocRun&) = delete;
+
+  JobResult run() {
+    DASC_LOG(kInfo) << conf_.job_name << ": " << splits_.size()
+                    << " map tasks, " << conf_.num_reducers
+                    << " reduce tasks on " << supervisor_.primaries() << "+"
+                    << (supervisor_.provisioned() - supervisor_.primaries())
+                    << " worker processes ("
+                    << (conf_.worker_binary.empty() ? "forked"
+                                                    : conf_.worker_binary)
+                    << ")";
+    if (!conf_.worker_binary.empty()) send_job_setup();
+
+    detail::run_task_phase(
+        spec_, splits_.size(), "map.task", "retry.map_attempts",
+        failed_attempts_, speculative_launches_, result_.map_task_seconds,
+        [this](std::size_t task, bool backup) {
+          return map_attempt(task, backup);
+        });
+    // Losing map attempts' retained outputs are dropped before any reducer
+    // can see a partition map.
+    flush_cancels();
+
+    detail::run_task_phase(
+        spec_, conf_.num_reducers, "reduce.task", "retry.reduce_attempts",
+        failed_attempts_, speculative_launches_, result_.reduce_task_seconds,
+        [this](std::size_t task, bool backup) {
+          return reduce_attempt(task, backup);
+        });
+    // Losing reduce attempts have no retained output (their reports were
+    // discarded with the attempt), but their spool files still get swept.
+    flush_cancels();
+
+    result_.counters.failed_task_attempts = failed_attempts_.load();
+    for (auto& part : reduce_outputs_) {
+      result_.output.insert(result_.output.end(),
+                            std::make_move_iterator(part.begin()),
+                            std::make_move_iterator(part.end()));
+    }
+
+    supervisor_.shutdown();
+    // Workers unlink their data sockets with their Listeners, but a
+    // SIGKILLed worker cannot; sweep the paths so shared spill_dirs stay
+    // clean.
+    for (const auto& path : data_paths_) ::unlink(path.c_str());
+
+    result_.real_seconds = clock_.seconds();
+    detail::finalize_job_result(spec_, speculative_launches_.load(), result_);
+    return std::move(result_);
+  }
+
+ private:
+  ipc::WorkerLaunch worker_launch() const {
+    ipc::WorkerLaunch launch;
+    launch.num_workers = conf_.num_workers;
+    launch.num_spares = conf_.worker_spares;
+    launch.spill_dir = conf_.spill_dir;
+    launch.socket_dir = conf_.spill_dir;
+    launch.metrics = spec_.metrics;
+    if (!conf_.worker_binary.empty()) {
+      launch.exec_argv = {conf_.worker_binary};
+      return launch;
+    }
     WorkerJob job;
-    job.mapper_factory = mp.mapper_factory;
-    job.reducer_factory = mp.reducer_factory;
-    job.combiner_factory = mp.combiner_factory;
-    job.use_combiner = use_combiner;
-    launch.worker_main = [job = std::move(job), faults = mp.faults,
-                          heartbeat_ms = conf.heartbeat_interval_ms,
-                          data_paths](ipc::Transport& transport,
-                                      std::size_t slot) {
+    job.mapper_factory = spec_.mapper_factory;
+    job.reducer_factory = spec_.reducer_factory;
+    job.combiner_factory = spec_.combiner_factory;
+    job.use_combiner = use_combiner_;
+    launch.worker_main = [job = std::move(job), faults = spec_.faults,
+                          heartbeat_ms = conf_.heartbeat_interval_ms,
+                          data_paths = data_paths_](ipc::Transport& transport,
+                                                    std::size_t slot) {
       // The child's copy-on-write FaultInjector must never touch the
       // parent-owned MetricsRegistry. Worker-side sites (`shuffle.fetch`
       // during pulls, `spill.page_io` in the reduce spool) still evaluate
-      // here; their fires are reported back in kReducePullDone and
-      // re-homed into the supervisor's injector and registry.
+      // here; their fires are reported back in kReducePullDone and re-homed
+      // into the supervisor's injector and registry.
       if (faults != nullptr) faults->detach_metrics();
       WorkerOptions options;
       options.ordinal = slot;
       options.heartbeat_ms = heartbeat_ms;
-      if (slot < data_paths.size()) {
-        options.data_socket_path = data_paths[slot];
-      }
+      options.data_socket_path = data_paths[slot];
       options.faults = faults;
       serve_worker_loop(transport, job, options);
     };
+    return launch;
   }
-  ipc::WorkerSupervisor supervisor(std::move(launch));
-  WorkerExchange exchange(supervisor, mp.metrics);
 
-  DASC_LOG(kInfo) << conf.job_name << ": " << splits.size() << " map tasks, "
-                  << conf.num_reducers << " reduce tasks on "
-                  << supervisor.primaries() << "+"
-                  << (supervisor.provisioned() - supervisor.primaries())
-                  << " worker processes ("
-                  << (exec_mode ? conf.worker_binary : "forked") << ", "
-                  << to_string(conf.shuffle_mode) << " shuffle)";
-
-  if (exec_mode) {
-    // Exec'd binaries reconstruct the job from the registry; every slot
-    // (spares included) learns its assignment-independent setup up front.
-    for (std::size_t slot = 0; slot < supervisor.provisioned(); ++slot) {
+  /// Exec'd binaries reconstruct the job from the registry; every slot
+  /// (spares included) learns its assignment-independent setup up front.
+  void send_job_setup() {
+    for (std::size_t slot = 0; slot < supervisor_.provisioned(); ++slot) {
       WireWriter writer;
       writer.u64(slot);
-      writer.u64(conf.heartbeat_interval_ms);
-      writer.u32(use_combiner ? 1 : 0);
-      writer.bytes(conf.job_name);
-      writer.bytes(slot < data_paths.size() ? data_paths[slot]
-                                            : std::string());
-      writer.bytes(mp.faults != nullptr ? mp.faults->plan().to_string()
-                                        : std::string());
-      supervisor.transport(slot).send(
-          {MessageType::kJobSetup, writer.take()});
+      writer.u64(conf_.heartbeat_interval_ms);
+      writer.u32(use_combiner_ ? 1 : 0);
+      writer.bytes(conf_.job_name);
+      writer.bytes(data_paths_[slot]);
+      writer.bytes(spec_.faults != nullptr ? spec_.faults->plan().to_string()
+                                           : std::string());
+      supervisor_.transport(slot).send({MessageType::kJobSetup, writer.take()});
     }
   }
-
-  std::atomic<std::uint64_t> failed_attempts{0};
-  std::atomic<std::uint64_t> speculative_launches{0};
 
   /// Injected worker.kill: SIGKILL the assigned worker after this task's
   /// assignment ships (recovery = the attempt's transport error + retry).
-  const auto kill_fires = [&]() {
-    return mp.faults != nullptr &&
-           mp.faults->check("worker.kill") !=
-               FaultInjector::Outcome::kNone;
-  };
-
-  // ---- Map phase ----
-  std::atomic<std::uint64_t> map_in{0};
-  std::atomic<std::uint64_t> map_out{0};
-  std::atomic<std::uint64_t> combine_in{0};
-  std::atomic<std::uint64_t> combine_out{0};
-  std::vector<std::size_t> map_owner(splits.size(), kNoOwner);
-  // Guards map_owner once the reduce phase starts: under worker-to-worker
-  // shuffle, concurrent reduce tasks read the owner table while a
-  // kPullFailed recovery rewrites the re-homed entry. (The map phase needs
-  // no locking: commit-once arbitration makes each task's committing
-  // attempt the entry's only writer, and the phases are separated by the
-  // pool join.)
-  std::mutex owner_mutex;
-  // Retries shift to the next live slot. A speculative backup runs
-  // concurrently with its primary's retries, so the shifts are atomics.
-  const auto map_shift =
-      std::make_unique<std::atomic<std::size_t>[]>(splits.size());
-  // The slot each task's latest primary attempt dispatched to — what a
-  // backup must avoid. Seeded from the placement plan so a backup launched
-  // while the primary is still pre-dispatch (stalled in fault injection)
-  // avoids the slot the primary is about to use.
-  const auto map_attempt_slot =
-      std::make_unique<std::atomic<std::size_t>[]>(splits.size());
-  for (std::size_t t = 0; t < splits.size(); ++t) {
-    map_shift[t].store(0, std::memory_order_relaxed);
-    map_attempt_slot[t].store(result.map_task_workers[t],
-                              std::memory_order_relaxed);
-  }
-  const auto reduce_attempt_slot =
-      std::make_unique<std::atomic<std::size_t>[]>(conf.num_reducers);
-  for (std::size_t t = 0; t < conf.num_reducers; ++t) {
-    reduce_attempt_slot[t].store(result.reduce_task_workers[t],
-                                 std::memory_order_relaxed);
+  bool kill_fires() const {
+    return spec_.faults != nullptr &&
+           spec_.faults->check("worker.kill") != FaultInjector::Outcome::kNone;
   }
 
-  // ---- Commit arbitration cleanup (DESIGN.md section 15) ----
-  // A losing attempt's abandon closure only *queues* the cancel: at the
-  // moment the loser observes `committed`, the winner's commit closure may
-  // not have published its owner slot yet, and a retried primary can have
-  // migrated onto the very worker the backup used — cancelling there would
-  // drop the winning output. Flushing after the phase joins (all commits
-  // visible, no attempt in flight) makes the winner check race-free.
-  struct CancelRequest {
-    std::uint64_t kind;  ///< 0 = map, 1 = reduce
-    std::size_t task;
-    std::size_t slot;
-  };
-  std::mutex cancel_mutex;
-  std::vector<CancelRequest> pending_cancels;
-  const auto queue_cancel = [&](std::uint64_t kind, std::size_t task,
-                                std::size_t slot) {
-    std::lock_guard lock(cancel_mutex);
-    pending_cancels.push_back({kind, task, slot});
-  };
-  const auto flush_cancels = [&] {
+  detail::TaskAttempt map_attempt(std::size_t task, bool backup) {
+    const std::size_t slot = map_placement_.pick(task, backup);
+    WireWriter writer;
+    writer.u64(task);
+    remote::append_records(writer, splits_[task]);
+    const Message reply = map_placement_.dispatch(
+        task, slot, {MessageType::kMapAssign, writer.take()}, kill_fires());
+    if (reply.type == MessageType::kTaskError) rethrow_task_error(reply);
+    DASC_ENSURE(reply.type == MessageType::kMapDone,
+                "ipc: unexpected reply to kMapAssign");
+    WireReader reader(reply.payload);
+    DASC_ENSURE(reader.u64() == task, "ipc: kMapDone task mismatch");
+    const std::uint64_t emitted = reader.u64();
+    const std::uint64_t combined = reader.u64();
+    return {[this, task, slot, emitted, combined] {
+              std::lock_guard lock(commit_mutex_);
+              Counters& counters = result_.counters;
+              counters.map_input_records += splits_[task].size();
+              counters.map_output_records += emitted;
+              if (use_combiner_) {
+                counters.combine_input_records += emitted;
+                counters.combine_output_records += combined;
+              }
+              map_owner_[task] = slot;
+            },
+            [this, task, slot] { queue_cancel(/*kind=*/0, task, slot); }};
+  }
+
+  /// Ships the partition map, lets the reducer pull and spool its own
+  /// partition (answering its dead-owner recoveries), then absorbs its
+  /// report on commit.
+  detail::TaskAttempt reduce_attempt(std::size_t task, bool backup) {
+    const std::size_t slot = reduce_placement_.pick(task, backup);
+    const Message reply = reduce_placement_.dispatch(
+        task, slot, reduce_pull_request(task), kill_fires(),
+        [this, slot](const Message& frame) {
+          if (frame.type != MessageType::kPullFailed) return true;
+          handle_pull_failed(slot, frame);
+          return false;  // keep the conversation open
+        });
+    if (reply.type == MessageType::kTaskError) rethrow_task_error(reply);
+    DASC_ENSURE(reply.type == MessageType::kReducePullDone,
+                "ipc: unexpected reply to kReducePull");
+    remote::PullReport report = remote::PullReport::decode(reply);
+    DASC_ENSURE(report.task == task, "ipc: kReducePullDone task mismatch");
+    return {[this, report = std::move(report)]() mutable {
+              commit_pull_report(std::move(report));
+            },
+            [this, task, slot] { queue_cancel(/*kind=*/1, task, slot); }};
+  }
+
+  Message reduce_pull_request(std::size_t task) {
+    remote::ReducePull request;
+    request.task = task;
+    request.num_partitions = conf_.num_reducers;
+    request.spill_budget = conf_.spill_budget_bytes;
+    request.spill_dir = conf_.spill_dir;
+    request.max_fetch_attempts = conf_.max_fetch_attempts;
+    std::lock_guard lock(owner_mutex_);
+    for (const std::size_t owner : map_owner_) {
+      request.owners.push_back(
+          {owner, owner == kNoOwner ? std::string() : data_paths_[owner]});
+    }
+    return request.encode();
+  }
+
+  /// Dead-owner recovery (DESIGN.md section 14): retire the owner a
+  /// reducer could not reach (even if its control socket lingers),
+  /// re-execute the map task inline on that reducer over its own
+  /// conversation — no second exchange, so this cannot deadlock even at
+  /// one worker — and hand the pull back with the output re-homed.
+  void handle_pull_failed(std::size_t reducer_slot, const Message& frame) {
+    WireReader reader(frame.payload);
+    const std::uint64_t reduce_task = reader.u64();
+    const std::uint64_t map_task = reader.u64();
+    DASC_ENSURE(map_task < splits_.size(),
+                "ipc: kPullFailed map task out of range");
+    std::size_t owner = kNoOwner;
+    {
+      std::lock_guard lock(owner_mutex_);
+      owner = map_owner_[map_task];
+    }
+    if (owner != kNoOwner && owner != reducer_slot) {
+      supervisor_.kill_worker(owner);
+    }
+    DASC_LOG(kWarn) << conf_.job_name << ": re-executing map task " << map_task
+                    << " on reducer worker " << reducer_slot
+                    << " (owner unreachable during pull for reduce task "
+                    << reduce_task << ")";
+    add_gauge(spec_.metrics, "worker.map_reexecutions", 1);
+    WireWriter writer;
+    writer.u64(map_task);
+    remote::append_records(writer, splits_[map_task]);
+    // The worker reports a failed re-execution as the reduce task's one
+    // kTaskError; the attempt fails and retries cleanly.
+    const Message reply = exchange_.converse_locked(
+        reducer_slot, {MessageType::kMapAssign, writer.take()});
+    if (reply.type == MessageType::kTaskError) rethrow_task_error(reply);
+    DASC_ENSURE(reply.type == MessageType::kMapDone,
+                "ipc: unexpected reply to kMapAssign (pull recovery)");
+    WireReader done(reply.payload);
+    DASC_ENSURE(done.u64() == map_task,
+                "ipc: kMapDone task mismatch (pull recovery)");
+    {
+      std::lock_guard lock(owner_mutex_);
+      map_owner_[map_task] = reducer_slot;
+    }
+    WireWriter resume;
+    resume.u64(map_task);
+    exchange_.send_locked(reducer_slot,
+                          {MessageType::kPullResume, resume.take()});
+  }
+
+  /// Publishes the committing attempt's results and re-homes its worker-
+  /// side accounting into the supervisor's registry and injector: spill
+  /// gauges accumulate, retry counters count, and every reported fire lands
+  /// in fault.injected.<site>. (A failed attempt's report is discarded
+  /// whole, keeping the views consistent.)
+  void commit_pull_report(remote::PullReport report) {
+    {
+      std::lock_guard lock(commit_mutex_);
+      Counters& counters = result_.counters;
+      counters.reduce_input_groups += report.reduced.num_groups;
+      counters.reduce_input_records += report.reduced.in_records;
+      counters.reduce_output_records += report.reduced.output.size();
+      // The reducers moved the shuffle bytes; the supervisor only tallies
+      // them, in the RAM shuffle's key+value+2 convention, so the counter is
+      // worker-count-invariant and equal to the in-process one.
+      counters.shuffle_bytes += report.record_bytes;
+      reduce_outputs_[report.task] = std::move(report.reduced.output);
+    }
+
+    MetricsRegistry* metrics = spec_.metrics;
+    // Connection economics are scheduling-shaped (how many distinct owners a
+    // reducer pulls from, pool reuse across its tasks), so they are gauges
+    // like the spill volumes; bench_multiproc gates the dials-per-pull ratio.
+    add_gauge(metrics, "spill.bytes_written", report.spill_bytes_written);
+    add_gauge(metrics, "spill.bytes_read", report.spill_bytes_read);
+    add_gauge(metrics, "spill.pages", report.spill_pages);
+    add_gauge(metrics, "shuffle.conns_opened", report.conns_opened);
+    add_gauge(metrics, "shuffle.pulls", report.pulls);
+    if (metrics != nullptr) {
+      for (const auto& [name, retries] :
+           {std::pair{"retry.shuffle_fetch", report.fetch_retries},
+            std::pair{"retry.spill_page_io", report.spill_retries}}) {
+        if (retries > 0) {
+          metrics->counter(name).add(static_cast<std::int64_t>(retries));
+        }
+      }
+    }
+    if (spec_.faults != nullptr) {
+      spec_.faults->record_remote_fires("shuffle.fetch", report.fetch_fires);
+      spec_.faults->record_remote_fires("spill.page_io", report.spill_retries);
+    }
+  }
+
+  /// Commit arbitration cleanup (DESIGN.md section 15). A losing attempt's
+  /// abandon closure only *queues* the cancel: at the moment the loser
+  /// observes the commit, the winner's commit closure may not have published
+  /// its owner slot yet, and a retried primary can have migrated onto the
+  /// very worker the backup used — cancelling there would drop the winning
+  /// output. Flushing after the phase joins (all commits visible, no attempt
+  /// in flight) makes the winner check race-free.
+  void queue_cancel(std::uint64_t kind, std::size_t task, std::size_t slot) {
+    std::lock_guard lock(cancel_mutex_);
+    pending_cancels_.push_back({kind, task, slot});
+  }
+
+  void flush_cancels() {
     std::vector<CancelRequest> cancels;
     {
-      std::lock_guard lock(cancel_mutex);
-      cancels.swap(pending_cancels);
+      std::lock_guard lock(cancel_mutex_);
+      cancels.swap(pending_cancels_);
     }
     for (const CancelRequest& cancel : cancels) {
       if (cancel.kind == 0) {
-        std::lock_guard lock(owner_mutex);
+        std::lock_guard lock(owner_mutex_);
         // The committed output landed on the loser's slot after all (the
         // primary retried onto it, or a recovery re-homed the task there):
         // the retained output *is* the winner's — leave it alone.
-        if (map_owner[cancel.task] == cancel.slot) continue;
+        if (map_owner_[cancel.task] == cancel.slot) continue;
       }
-      if (!supervisor.alive(cancel.slot)) continue;
+      if (!supervisor_.alive(cancel.slot)) continue;
       WireWriter writer;
       writer.u64(cancel.kind);
       writer.u64(static_cast<std::uint64_t>(cancel.task));
-      writer.bytes(conf.spill_dir);
+      writer.bytes(conf_.spill_dir);
       try {
-        const Message reply = exchange.call(
+        const Message reply = exchange_.converse(
             cancel.slot, {MessageType::kTaskCancel, writer.take()});
         DASC_ENSURE(reply.type == MessageType::kTaskCancelled,
                     "ipc: unexpected reply to kTaskCancel");
         WireReader reader(reply.payload);
         DASC_ENSURE(reader.u64() == cancel.task,
                     "ipc: kTaskCancelled task mismatch");
-        const std::uint64_t dropped = reader.u64();
-        const std::uint64_t swept = reader.u64();
-        if (mp.metrics != nullptr) {
-          mp.metrics->gauge("worker.task_cancels").add(1);
-          if (dropped > 0) {
-            mp.metrics->gauge("worker.outputs_cancelled")
-                .add(static_cast<std::int64_t>(dropped));
-          }
-          if (swept > 0) {
-            mp.metrics->gauge("worker.spool_files_swept")
-                .add(static_cast<std::int64_t>(swept));
-          }
-        }
+        add_gauge(spec_.metrics, "worker.task_cancels", 1);
+        add_gauge(spec_.metrics, "worker.outputs_cancelled", reader.u64());
+        add_gauge(spec_.metrics, "worker.spool_files_swept", reader.u64());
       } catch (const IoError&) {
         // Best effort: a loser slot that died since takes its retained
         // state with it.
       }
     }
-  };
-
-  detail::run_task_phase(
-      mp, splits.size(), "map.task", "retry.map_attempts", failed_attempts,
-      speculative_launches, result.map_task_seconds,
-      [&](std::size_t task, bool backup) -> detail::TaskAttempt {
-        std::size_t slot;
-        if (backup) {
-          slot = exchange.pick_worker(
-              task, result.map_task_workers,
-              map_shift[task].load(std::memory_order_acquire),
-              map_attempt_slot[task].load(std::memory_order_acquire));
-        } else {
-          slot = exchange.pick_worker(
-              task, result.map_task_workers,
-              map_shift[task].load(std::memory_order_acquire));
-          map_attempt_slot[task].store(slot, std::memory_order_release);
-        }
-        WireWriter writer;
-        writer.u64(task);
-        append_records(writer, splits[task]);
-        Message reply;
-        try {
-          reply = exchange.call(slot, {MessageType::kMapAssign, writer.take()},
-                                kill_fires());
-        } catch (const IoError&) {
-          // The next attempt tries another worker.
-          map_shift[task].fetch_add(1, std::memory_order_acq_rel);
-          throw;
-        }
-        if (reply.type == MessageType::kTaskError) rethrow_task_error(reply);
-        DASC_ENSURE(reply.type == MessageType::kMapDone,
-                    "ipc: unexpected reply to kMapAssign");
-        WireReader reader(reply.payload);
-        DASC_ENSURE(reader.u64() == task, "ipc: kMapDone task mismatch");
-        const std::uint64_t emitted = reader.u64();
-        const std::uint64_t combined = reader.u64();
-        return {[&, task, slot, emitted, combined] {
-                  map_in.fetch_add(splits[task].size(),
-                                   std::memory_order_relaxed);
-                  map_out.fetch_add(emitted, std::memory_order_relaxed);
-                  if (use_combiner) {
-                    combine_in.fetch_add(emitted, std::memory_order_relaxed);
-                    combine_out.fetch_add(combined,
-                                          std::memory_order_relaxed);
-                  }
-                  map_owner[task] = slot;
-                },
-                [&queue_cancel, task, slot] {
-                  queue_cancel(/*kind=*/0, task, slot);
-                }};
-      });
-  // Losing map attempts' retained outputs are dropped before any reducer
-  // can see a partition map.
-  flush_cancels();
-
-  result.counters.map_input_records = map_in.load();
-  result.counters.map_output_records = map_out.load();
-  result.counters.combine_input_records = combine_in.load();
-  result.counters.combine_output_records = combine_out.load();
-
-  // ---- Gather + partition (relay shuffle only) ----
-  // Fetch each map task's output from its owner in task order, verify the
-  // transfer, and build partitions exactly as fetch_and_partition does —
-  // same record order, same `shuffle.fetch` call sequence, same
-  // `retry.shuffle_fetch` accounting. A dead owner triggers deterministic
-  // map re-execution on the next live slot (worker.map_reexecutions
-  // gauge, not a counter: how often it happens depends on which phase of
-  // the exchange a killed worker died in).
-  //
-  // conf.spill_budget_bytes governs the in-process executor's shuffle
-  // only: here every partition must be serialized whole into a
-  // kReduceAssign anyway, so the gather stays in supervisor RAM. The
-  // worker-to-worker topology exists to break exactly this residency —
-  // it skips the gather entirely and reducers spool their own partitions.
-  const auto fetch_from_owner =
-      [&](std::size_t owner, std::size_t task) -> std::vector<Record> {
-    for (std::size_t attempt = 1;; ++attempt) {
-      const FaultInjector::Outcome outcome =
-          mp.faults != nullptr ? mp.faults->check("shuffle.fetch")
-                               : FaultInjector::Outcome::kNone;
-      bool ok = outcome != FaultInjector::Outcome::kError;
-      std::vector<Record> fetched;
-      std::uint32_t expected = 0;
-      if (ok) {
-        WireWriter writer;
-        writer.u64(task);
-        Message reply =
-            exchange.call(owner, {MessageType::kFetch, writer.take()});
-        if (reply.type == MessageType::kTaskError) rethrow_task_error(reply);
-        DASC_ENSURE(reply.type == MessageType::kFetchData,
-                    "ipc: unexpected reply to kFetch");
-        WireReader reader(reply.payload);
-        DASC_ENSURE(reader.u64() == task, "ipc: kFetchData task mismatch");
-        expected = reader.u32();
-        const std::uint64_t count = reader.u64();
-        fetched = read_records(reader);
-        DASC_ENSURE(fetched.size() == count,
-                    "ipc: kFetchData record count mismatch");
-        if (outcome == FaultInjector::Outcome::kCorruption) {
-          // Flip one byte of the transfer; the CRC check catches it. An
-          // empty transfer has nothing to flip — fail the attempt.
-          ok = flip_one_byte(fetched) && records_crc(fetched) == expected;
-        } else {
-          ok = records_crc(fetched) == expected;
-        }
-      }
-      if (ok) return fetched;
-      if (attempt >= conf.max_fetch_attempts) {
-        throw IoError("shuffle: fetch of map output " + std::to_string(task) +
-                      " failed after " +
-                      std::to_string(conf.max_fetch_attempts) + " attempts");
-      }
-      if (mp.metrics != nullptr) {
-        mp.metrics->counter("retry.shuffle_fetch").add();
-      }
-      DASC_LOG(kWarn) << "shuffle: re-fetching map output " << task
-                      << " (attempt " << attempt << " failed verification)";
-    }
-  };
-
-  const auto reexecute_map_task = [&](std::size_t task) {
-    const std::size_t shift =
-        map_shift[task].fetch_add(1, std::memory_order_acq_rel) + 1;
-    const std::size_t slot =
-        exchange.pick_worker(task, result.map_task_workers, shift);
-    DASC_LOG(kWarn) << conf.job_name << ": re-executing map task " << task
-                    << " on worker " << slot << " (output owner died)";
-    if (mp.metrics != nullptr) {
-      mp.metrics->gauge("worker.map_reexecutions").add(1);
-    }
-    WireWriter writer;
-    writer.u64(task);
-    append_records(writer, splits[task]);
-    const Message reply =
-        exchange.call(slot, {MessageType::kMapAssign, writer.take()});
-    if (reply.type == MessageType::kTaskError) rethrow_task_error(reply);
-    DASC_ENSURE(reply.type == MessageType::kMapDone,
-                "ipc: unexpected reply to kMapAssign (re-execution)");
-    // The task already committed its counters; only the output moved.
-    map_owner[task] = slot;
-  };
-
-  const auto fetch_verified = [&](std::size_t task) -> std::vector<Record> {
-    // Each round either fetches or loses one more worker; provisioned()+1
-    // rounds bound the loop before "no live workers" surfaces naturally.
-    for (std::size_t round = 0; round <= supervisor.provisioned(); ++round) {
-      try {
-        if (map_owner[task] == kNoOwner ||
-            !supervisor.alive(map_owner[task])) {
-          reexecute_map_task(task);
-        }
-        return fetch_from_owner(map_owner[task], task);
-      } catch (const IoError&) {
-        // A live owner means the transfer itself never verified (injected
-        // faults exhausted max_fetch_attempts): fatal, as in-process. A
-        // dead one means the owner (or the re-execution target) died
-        // mid-conversation: drop the owner and go again.
-        if (map_owner[task] != kNoOwner &&
-            supervisor.alive(map_owner[task])) {
-          throw;
-        }
-        map_owner[task] = kNoOwner;
-      }
-    }
-    throw IoError("shuffle: could not gather map output " +
-                  std::to_string(task));
-  };
-
-  std::vector<std::vector<Record>> partitions(conf.num_reducers);
-  if (!w2w) {
-    ScopedTimer shuffle_timer(mp.metrics, "mapreduce.shuffle");
-    for (std::size_t task = 0; task < splits.size(); ++task) {
-      std::vector<Record> fetched = fetch_verified(task);
-      for (auto& record : fetched) {
-        partitions[partition_for_key(record.key, conf.num_reducers)]
-            .push_back(std::move(record));
-      }
-    }
-    result.counters.shuffle_bytes = shuffle_bytes(partitions);
-    if (mp.metrics != nullptr) {
-      // Shuffle bytes that physically moved through the supervisor — the
-      // residency the worker-to-worker topology eliminates (its jobs
-      // leave this gauge untouched; bench_multiproc gates the ratio).
-      mp.metrics->gauge("shuffle.relay_bytes")
-          .add(static_cast<std::int64_t>(result.counters.shuffle_bytes));
-    }
   }
 
-  // ---- Reduce phase ----
-  result.reduce_task_seconds.assign(conf.num_reducers, 0.0);
-  std::vector<std::vector<Record>> reduce_outputs(conf.num_reducers);
-  std::atomic<std::uint64_t> reduce_groups{0};
-  std::atomic<std::uint64_t> reduce_in{0};
-  std::atomic<std::uint64_t> reduce_out{0};
-  std::atomic<std::uint64_t> pulled_shuffle_bytes{0};
-  const auto reduce_shift =
-      std::make_unique<std::atomic<std::size_t>[]>(conf.num_reducers);
-  for (std::size_t t = 0; t < conf.num_reducers; ++t) {
-    reduce_shift[t].store(0, std::memory_order_relaxed);
-  }
+  Stopwatch clock_;
+  const JobSpec spec_;
+  const JobConf& conf_;
+  const std::vector<std::vector<Record>> splits_;
+  const bool use_combiner_;
+  const std::vector<std::string> data_paths_;
+  JobResult result_;
+  // Commit closures run concurrently on the phase pools; they publish
+  // counters and outputs into result_ under this lock.
+  std::mutex commit_mutex_;
+  std::atomic<std::uint64_t> failed_attempts_{0};
+  std::atomic<std::uint64_t> speculative_launches_{0};
+  // The owner slot of each map task's committed output. The map phase
+  // needs no lock (commit-once arbitration makes each task's committing
+  // attempt the entry's only writer, and the phases are separated by the
+  // pool join); from the reduce phase on, concurrent reduce attempts read
+  // the table while a kPullFailed recovery rewrites the re-homed entry.
+  std::vector<std::size_t> map_owner_;
+  std::mutex owner_mutex_;
+  std::vector<std::vector<Record>> reduce_outputs_;
+  std::mutex cancel_mutex_;
+  std::vector<CancelRequest> pending_cancels_;
+  ipc::WorkerSupervisor supervisor_;
+  WorkerExchange exchange_;
+  PhasePlacement map_placement_;
+  PhasePlacement reduce_placement_;
+};
 
-  // Picks the worker for one reduce attempt, with the same backup
-  // avoid-the-primary rule as the map phase.
-  const auto pick_reduce_slot = [&](std::size_t task, bool backup) {
-    if (backup) {
-      return exchange.pick_worker(
-          task, result.reduce_task_workers,
-          reduce_shift[task].load(std::memory_order_acquire),
-          reduce_attempt_slot[task].load(std::memory_order_acquire));
-    }
-    const std::size_t slot = exchange.pick_worker(
-        task, result.reduce_task_workers,
-        reduce_shift[task].load(std::memory_order_acquire));
-    reduce_attempt_slot[task].store(slot, std::memory_order_release);
-    return slot;
-  };
+}  // namespace
 
-  // Relay topology: ship the supervisor-resident partition whole.
-  const detail::TaskBody reduce_relay_body =
-      [&](std::size_t task, bool backup) -> detail::TaskAttempt {
-    const std::size_t slot = pick_reduce_slot(task, backup);
-    WireWriter writer;
-    writer.u64(task);
-    append_records(writer, partitions[task]);
-    Message reply;
-    try {
-      reply = exchange.call(
-          slot, {MessageType::kReduceAssign, writer.take()},
-          kill_fires());
-    } catch (const IoError&) {
-      reduce_shift[task].fetch_add(1, std::memory_order_acq_rel);
-      throw;
-    }
-    if (reply.type == MessageType::kTaskError) rethrow_task_error(reply);
-    DASC_ENSURE(reply.type == MessageType::kReduceDone,
-                "ipc: unexpected reply to kReduceAssign");
-    WireReader reader(reply.payload);
-    DASC_ENSURE(reader.u64() == task, "ipc: kReduceDone task mismatch");
-    const std::uint64_t num_groups = reader.u64();
-    const std::uint64_t in_records = reader.u64();
-    const std::uint64_t out_count = reader.u64();
-    std::vector<Record> out = read_records(reader);
-    DASC_ENSURE(out.size() == out_count,
-                "ipc: kReduceDone record count mismatch");
-    return {[&, task, num_groups, in_records,
-             out = std::move(out)]() mutable {
-              reduce_groups.fetch_add(num_groups, std::memory_order_relaxed);
-              reduce_in.fetch_add(in_records, std::memory_order_relaxed);
-              reduce_out.fetch_add(out.size(), std::memory_order_relaxed);
-              reduce_outputs[task] = std::move(out);
-            },
-            [&queue_cancel, task, slot] {
-              queue_cancel(/*kind=*/1, task, slot);
-            }};
-  };
-
-  // Worker-to-worker recovery (DESIGN.md section 14): a reducer reported
-  // a dead map-output owner mid-pull. Retire the owner for real (it is
-  // unreachable from the data plane even if its control socket lingers),
-  // re-execute the map task inline on the reporting reducer over its own
-  // conversation — no second exchange, so this cannot deadlock even at
-  // one worker — and hand the pull back with the output re-homed.
-  const auto handle_pull_failed = [&](std::size_t reducer_slot,
-                                      const Message& frame) {
-    WireReader reader(frame.payload);
-    const std::uint64_t reduce_task = reader.u64();
-    const std::uint64_t map_task = reader.u64();
-    DASC_ENSURE(map_task < splits.size(),
-                "ipc: kPullFailed map task out of range");
-    std::size_t owner = kNoOwner;
-    {
-      std::lock_guard lock(owner_mutex);
-      owner = map_owner[map_task];
-    }
-    if (owner != kNoOwner && owner != reducer_slot) {
-      supervisor.kill_worker(owner);
-    }
-    DASC_LOG(kWarn) << conf.job_name << ": re-executing map task "
-                    << map_task << " on reducer worker " << reducer_slot
-                    << " (owner unreachable during pull for reduce task "
-                    << reduce_task << ")";
-    if (mp.metrics != nullptr) {
-      mp.metrics->gauge("worker.map_reexecutions").add(1);
-    }
-    ipc::Transport& transport = supervisor.transport(reducer_slot);
-    WireWriter writer;
-    writer.u64(map_task);
-    append_records(writer, splits[map_task]);
-    try {
-      ipc::send_message(transport, {MessageType::kMapAssign, writer.take()},
-                        exchange.stream_config(), exchange.interloper());
-    } catch (const std::exception&) {
-      supervisor.mark_dead(reducer_slot);
-      throw IoError("ipc: worker " + std::to_string(reducer_slot) +
-                    " unreachable (send failed)");
-    }
-    while (true) {
-      std::optional<Message> reply;
-      try {
-        reply = ipc::recv_message(transport, exchange.stream_config(),
-                                  exchange.interloper());
-      } catch (const IoError&) {
-        supervisor.mark_dead(reducer_slot);
-        throw;
-      }
-      if (!reply.has_value()) {
-        supervisor.mark_dead(reducer_slot);
-        throw IoError("ipc: worker " + std::to_string(reducer_slot) +
-                      " died mid-task (connection closed)");
-      }
-      if (reply->type == MessageType::kHeartbeat) {
-        exchange.note_heartbeat();
-        continue;
-      }
-      // The worker reports the re-execution's failure as the reduce
-      // task's one kTaskError; the attempt fails and retries cleanly.
-      if (reply->type == MessageType::kTaskError) {
-        rethrow_task_error(*reply);
-      }
-      DASC_ENSURE(reply->type == MessageType::kMapDone,
-                  "ipc: unexpected reply to kMapAssign (pull recovery)");
-      WireReader done(reply->payload);
-      DASC_ENSURE(done.u64() == map_task,
-                  "ipc: kMapDone task mismatch (pull recovery)");
-      break;
-    }
-    {
-      std::lock_guard lock(owner_mutex);
-      map_owner[map_task] = reducer_slot;
-    }
-    WireWriter resume;
-    resume.u64(map_task);
-    try {
-      transport.send({MessageType::kPullResume, resume.take()});
-    } catch (const std::exception&) {
-      supervisor.mark_dead(reducer_slot);
-      throw IoError("ipc: worker " + std::to_string(reducer_slot) +
-                    " unreachable (send failed)");
-    }
-  };
-
-  // Worker-to-worker topology: ship the partition map, let the reducer
-  // pull and spool its own partition, then absorb its report.
-  const detail::TaskBody reduce_pull_body =
-      [&](std::size_t task, bool backup) -> detail::TaskAttempt {
-    const std::size_t slot = pick_reduce_slot(task, backup);
-    WireWriter writer;
-    writer.u64(task);
-    writer.u64(conf.num_reducers);
-    writer.u64(splits.size());
-    writer.u64(conf.spill_budget_bytes);
-    writer.bytes(conf.spill_dir);
-    writer.u64(conf.max_fetch_attempts);
-    writer.u32(conf.pool_data_connections ? 1 : 0);
-    writer.u32(static_cast<std::uint32_t>(conf.pull_pipeline_depth));
-    {
-      std::lock_guard lock(owner_mutex);
-      for (std::size_t m = 0; m < splits.size(); ++m) {
-        const std::size_t owner = map_owner[m];
-        writer.u64(static_cast<std::uint64_t>(owner));
-        writer.bytes(owner != kNoOwner && owner < data_paths.size()
-                         ? data_paths[owner]
-                         : std::string());
-      }
-    }
-    Message reply;
-    try {
-      reply = exchange.converse(
-          slot, {MessageType::kReducePull, writer.take()}, kill_fires(),
-          [&](const Message& frame) {
-            if (frame.type == MessageType::kPullFailed) {
-              handle_pull_failed(slot, frame);
-              return false;  // keep the conversation open
-            }
-            return true;
-          });
-    } catch (const IoError&) {
-      reduce_shift[task].fetch_add(1, std::memory_order_acq_rel);
-      throw;
-    }
-    if (reply.type == MessageType::kTaskError) rethrow_task_error(reply);
-    DASC_ENSURE(reply.type == MessageType::kReducePullDone,
-                "ipc: unexpected reply to kReducePull");
-    WireReader reader(reply.payload);
-    DASC_ENSURE(reader.u64() == task, "ipc: kReducePullDone task mismatch");
-    const std::uint64_t num_groups = reader.u64();
-    const std::uint64_t in_records = reader.u64();
-    const std::uint64_t out_count = reader.u64();
-    const std::uint64_t record_bytes = reader.u64();
-    const std::uint64_t spill_written = reader.u64();
-    const std::uint64_t spill_read = reader.u64();
-    const std::uint64_t spill_pages = reader.u64();
-    const std::uint64_t fetch_fires = reader.u64();
-    const std::uint64_t fetch_retries = reader.u64();
-    const std::uint64_t spill_fires = reader.u64();
-    const std::uint64_t spill_retries = reader.u64();
-    const std::uint64_t conns_opened = reader.u64();
-    const std::uint64_t pulls = reader.u64();
-    std::vector<Record> out = read_records(reader);
-    DASC_ENSURE(out.size() == out_count,
-                "ipc: kReducePullDone record count mismatch");
-    return {[&, task, num_groups, in_records, record_bytes, spill_written,
-             spill_read, spill_pages, fetch_fires, fetch_retries, spill_fires,
-             spill_retries, conns_opened, pulls,
-             out = std::move(out)]() mutable {
-      reduce_groups.fetch_add(num_groups, std::memory_order_relaxed);
-      reduce_in.fetch_add(in_records, std::memory_order_relaxed);
-      reduce_out.fetch_add(out.size(), std::memory_order_relaxed);
-      pulled_shuffle_bytes.fetch_add(record_bytes,
-                                     std::memory_order_relaxed);
-      reduce_outputs[task] = std::move(out);
-      // Re-home the committing attempt's worker-side accounting so the
-      // supervisor's registry and injector read the same as a relay run:
-      // spill gauges accumulate, retry counters count, and every
-      // reported fire lands in fault.injected.<site>. (A failed
-      // attempt's report is discarded with the attempt — fires, retries,
-      // and spill work vanish together, keeping the views consistent.)
-      if (mp.metrics != nullptr) {
-        if (spill_written > 0) {
-          mp.metrics->gauge("spill.bytes_written")
-              .add(static_cast<std::int64_t>(spill_written));
-        }
-        if (spill_read > 0) {
-          mp.metrics->gauge("spill.bytes_read")
-              .add(static_cast<std::int64_t>(spill_read));
-        }
-        if (spill_pages > 0) {
-          mp.metrics->gauge("spill.pages")
-              .add(static_cast<std::int64_t>(spill_pages));
-        }
-        if (fetch_retries > 0) {
-          mp.metrics->counter("retry.shuffle_fetch")
-              .add(static_cast<std::int64_t>(fetch_retries));
-        }
-        if (spill_retries > 0) {
-          mp.metrics->counter("retry.spill_page_io")
-              .add(static_cast<std::int64_t>(spill_retries));
-        }
-        // Connection economics are scheduling-shaped (how many distinct
-        // owners a reducer pulls from, pool reuse across its tasks), so
-        // they are gauges; bench_multiproc gates the dials-per-pull
-        // ratio.
-        if (conns_opened > 0) {
-          mp.metrics->gauge("shuffle.conns_opened")
-              .add(static_cast<std::int64_t>(conns_opened));
-        }
-        if (pulls > 0) {
-          mp.metrics->gauge("shuffle.pulls")
-              .add(static_cast<std::int64_t>(pulls));
-        }
-      }
-      if (mp.faults != nullptr) {
-        mp.faults->record_remote_fires("shuffle.fetch", fetch_fires);
-        mp.faults->record_remote_fires("spill.page_io", spill_fires);
-      }
-    },
-            [&queue_cancel, task, slot] {
-              queue_cancel(/*kind=*/1, task, slot);
-            }};
-  };
-
-  detail::run_task_phase(mp, conf.num_reducers, "reduce.task",
-                         "retry.reduce_attempts", failed_attempts,
-                         speculative_launches, result.reduce_task_seconds,
-                         w2w ? reduce_pull_body : reduce_relay_body);
-  // Losing reduce attempts have no retained output (their reports were
-  // discarded with the attempt), but their spool files still get swept.
-  flush_cancels();
-
-  if (w2w) {
-    // The reducers moved the shuffle bytes; the supervisor only tallies
-    // them. Same key+value+2 convention as the relay gather, so the
-    // counter is topology- and worker-count-invariant.
-    result.counters.shuffle_bytes = pulled_shuffle_bytes.load();
-  }
-
-  result.counters.reduce_input_groups = reduce_groups.load();
-  result.counters.reduce_input_records = reduce_in.load();
-  result.counters.reduce_output_records = reduce_out.load();
-  result.counters.failed_task_attempts = failed_attempts.load();
-
-  for (auto& part : reduce_outputs) {
-    result.output.insert(result.output.end(),
-                         std::make_move_iterator(part.begin()),
-                         std::make_move_iterator(part.end()));
-  }
-
-  supervisor.shutdown();
-  // Workers unlink their data sockets with their Listeners, but a
-  // SIGKILLed worker cannot; sweep the paths so shared spill_dirs stay
-  // clean.
-  for (const auto& path : data_paths) ::unlink(path.c_str());
-
-  result.real_seconds = total_clock.seconds();
-  detail::finalize_job_result(mp, speculative_launches.load(), result);
-  return result;
+JobResult run_job_multiproc(const JobSpec& spec,
+                            std::vector<std::vector<Record>> splits) {
+  return MultiprocRun(spec, std::move(splits)).run();
 }
 
 }  // namespace dasc::mapreduce

@@ -1,6 +1,8 @@
 // Multi-process job execution: the supervisor side (run_job_multiproc) and
 // the worker side (serve_worker_loop) of JobConf::execution_mode ==
-// kMultiProcess.
+// kMultiProcess. Three units implement it: the supervisor's phase driver
+// (remote_runner.cpp), the worker serve loop and data plane
+// (worker_loop.cpp), and the reducer-side pull client (pull_client.cpp).
 //
 // The control plane is a supervisor-mediated star (DESIGN.md section 13):
 // the supervisor — the process that called run_job — forks (or execs) the
@@ -8,75 +10,32 @@
 // same detail::run_task_phase as the in-process executor, and moves data
 // as CRC-framed messages. Payloads larger than one stream chunk ship as
 // bounded kDataChunk/kDataEnd streams (ipc/stream.hpp), so a big map input
-// or reduce partition never buffers whole in a socket.
+// or reduce output never buffers whole in a socket.
 //
-// Shuffle topology is JobConf::shuffle_mode:
+// The shuffle is worker-to-worker (DESIGN.md section 14), as Hadoop
+// reducers fetch map output straight from the mappers: each worker binds a
+// data-plane Listener, and reducers pull their partitions from the mapper
+// workers — the supervisor relays no shuffle bytes:
 //
-//   kRelay (default) — the supervisor gathers every map output over the
-//   control sockets and ships whole partitions to reducers:
+//   map:     kMapAssign{task, records}        -> kMapDone{counters}
+//   reduce:  kReducePull{task, partition map} -> kReducePullDone{records,
+//                                                spill/fault accounting}
+//   pull:    kFetchPart{map_task, partition}  -> kFetchData{crc, records}
+//            (reducer -> owner's data plane, pooled and pipelined per
+//            owner — DESIGN.md section 15)
 //
-//     map:     kMapAssign{task, records}      -> kMapDone{counters}
-//     shuffle: kFetch{task}                   -> kFetchData{crc, records}
-//     reduce:  kReduceAssign{task, partition} -> kReduceDone{records}
+// Pulled records stream into one sort-on-seal SpoolBuffer per reduce task,
+// so JobConf::spill_budget_bytes bounds reducer residency. A map-output
+// owner that dies mid-pull is re-executed inline on the pulling reducer
+// (kPullFailed -> kMapAssign -> kPullResume). A speculative backup runs on
+// a different live worker; the loser of the commit race gets a kTaskCancel
+// after the phase joins (section 15).
 //
-//   Partitions are built in the supervisor in map-task order — the exact
-//   record order fetch_and_partition produces. The relayed byte volume is
-//   recorded in the `shuffle.relay_bytes` gauge.
-//
-//   kWorkerToWorker (DESIGN.md section 14) — each worker additionally
-//   binds a data-plane Listener; reducers pull their partitions straight
-//   from the mapper workers and the supervisor relays no shuffle bytes:
-//
-//     reduce:  kReducePull{task, partition map} -> kReducePullDone{records,
-//                                                  spill/fault accounting}
-//     pull:    kFetchPart{map_task, partition}  -> kFetchData{crc, records}
-//              (reducer -> owner's data plane, over a pooled per-owner
-//              connection with a pipelined request window; see below)
-//
-//   Pulled records stream into one sort-on-seal SpoolBuffer per reduce
-//   task, so JobConf::spill_budget_bytes bounds reducer residency instead
-//   of supervisor RAM. A map-output owner that dies mid-pull is first-
-//   class: the reducer reports kPullFailed, the supervisor re-executes the
-//   map task inline on that reducer (kMapAssign over the same
-//   conversation), replies kPullResume, and the pull resumes locally.
-//
-//   Data-plane efficiency (DESIGN.md section 15): with
-//   JobConf::pool_data_connections each reducer keeps one pooled
-//   connection per owner slot (ipc/conn_pool.hpp), reused across pulls and
-//   reduce tasks and invalidated whenever an owner dies or a conversation
-//   breaks mid-reply; JobConf::pull_pipeline_depth kFetchPart requests per
-//   owner stay in flight, consumed strictly in request order. Owners serve
-//   each accepted data-plane peer on its own thread, so one reducer's
-//   long-lived conversation never parks another's. Stream framing is
-//   adaptive on every endpoint (ipc::adaptive_stream_config): chunk size
-//   and credit window derive from each payload's declared size.
-//
-// Speculative execution (DESIGN.md section 15): with
-// JobConf::enable_speculation a straggling task gets one backup attempt,
-// dispatched to a different live worker than the primary's current slot.
-// run_task_phase's commit-once exchange arbitrates which attempt's report
-// lands; the losing attempt queues a kTaskCancel that — flushed after the
-// phase joins, so the winner check is race-free — makes the loser's worker
-// drop its retained map output and sweep its spool files
-// (kTaskCancelled{task, outputs_dropped, spools_swept} receipt;
-// `worker.task_cancels` / `worker.spec_commits_won` gauges).
-//
-// Together with commit-once attempts and the shared task helpers, job
-// output is byte-identical to kInProcess for any worker count, either
-// shuffle mode, any spill budget, and any fault plan that lets the job
-// finish.
-//
-// Fault sites: `map.task` / `reduce.task` fire in the supervisor exactly
-// as in-process, and `worker.kill` SIGKILLs the assigned worker right
-// after its task ships — the task's transport then sees EOF, the attempt
-// fails, and the retry re-dispatches to the next live slot (a pre-forked
-// spare when the primaries are exhausted). `shuffle.fetch` fires wherever
-// the fetch runs: in the supervisor's gather under kRelay, inside the
-// pulling reduce worker under kWorkerToWorker (fires/retries are reported
-// back in kReducePullDone and absorbed into the supervisor's injector and
-// registry, so accounting stays consistent). A dead map-output owner
-// causes a deterministic map re-execution (`worker.map_reexecutions`
-// gauge).
+// Job output is byte-identical to kInProcess for any worker count, any
+// spill budget, and any fault plan that lets the job finish. `map.task`,
+// `reduce.task` and `worker.kill` fire in the supervisor; `shuffle.fetch`
+// and `spill.page_io` fire in the pulling worker, and their fires and
+// retries come back in kReducePullDone.
 #pragma once
 
 #include <cstddef>
@@ -115,8 +74,9 @@ struct WorkerOptions {
   std::size_t ordinal = 0;
   /// kHeartbeat period while a task runs (0 = off).
   std::size_t heartbeat_ms = 0;
-  /// Worker-to-worker shuffle: AF_UNIX path this worker binds its data-
-  /// plane Listener on. Empty = relay mode, no data plane.
+  /// AF_UNIX path this worker binds its data-plane Listener on, so other
+  /// reducers can pull its map outputs. Empty = no data plane (a worker
+  /// driven directly over a socketpair); it can still pull its own.
   std::string data_socket_path;
   /// Worker-side fault injection (`shuffle.fetch` during pulls,
   /// `spill.page_io` in the reduce spool). May be null. Forked workers
@@ -127,15 +87,12 @@ struct WorkerOptions {
 
 /// A worker process's whole life: serve task assignments from `transport`
 /// until kShutdown or EOF (supervisor gone). Runs map tasks with
-/// execute_map_task (outputs retained for later kFetch / data-plane
-/// pulls), relay reduce tasks with execute_reduce_records, and pull-based
-/// reduce tasks (kReducePull) by fetching each map task's slice of the
-/// partition — remote owners over their data planes, itself directly —
+/// execute_map_task (outputs retained for data-plane pulls) and reduce
+/// tasks (kReducePull) by pulling each map task's slice of the partition
 /// into a sort-on-seal SpoolBuffer reduced via execute_reduce_spooled. A
 /// task that throws is reported as kTaskError and the loop keeps serving
 /// (the supervisor decides whether to retry). While a task is executing, a
-/// companion thread sends kHeartbeat every options.heartbeat_ms (idle
-/// workers stay silent so unread frames stay bounded).
+/// companion thread sends kHeartbeat every options.heartbeat_ms.
 void serve_worker_loop(ipc::Transport& transport, const WorkerJob& job,
                        const WorkerOptions& options);
 

@@ -13,7 +13,39 @@ namespace dasc::mapreduce {
 
 namespace {
 
-/// CRC over one map output's serialized records (the transfer checksum).
+/// Injected-corruption realization: flip one byte of the transfer so the
+/// CRC check catches it. Returns false when every record is empty (nothing
+/// to flip — the caller fails the attempt instead).
+bool flip_one_byte(std::vector<Record>& records) {
+  for (auto& record : records) {
+    if (!record.value.empty()) {
+      record.value.front() = static_cast<char>(record.value.front() ^ 0x1);
+      return true;
+    }
+    if (!record.key.empty()) {
+      record.key.front() = static_cast<char>(record.key.front() ^ 0x1);
+      return true;
+    }
+  }
+  return false;
+}
+
+/// fetch_verified over an in-memory map output: each attempt copies it.
+std::vector<Record> fetch_local(const std::vector<Record>& output,
+                                std::size_t task, FaultInjector* faults,
+                                std::size_t max_attempts,
+                                MetricsRegistry* metrics) {
+  const std::uint32_t expected = records_crc(output);
+  return fetch_verified(
+      task, faults, max_attempts,
+      [&] { return FetchedSlice{output, expected}; },
+      [metrics] {
+        if (metrics != nullptr) metrics->counter("retry.shuffle_fetch").add();
+      });
+}
+
+}  // namespace
+
 std::uint32_t records_crc(const std::vector<Record>& records) {
   Crc32 crc;
   for (const auto& record : records) {
@@ -22,57 +54,36 @@ std::uint32_t records_crc(const std::vector<Record>& records) {
   return crc.value();
 }
 
-/// Fetch one map output with CRC verification and retries — the transfer
-/// loop shared by the RAM and spooled shuffle paths. Returns the verified
-/// copy; throws IoError when the transfer never verifies.
-std::vector<Record> fetch_one_verified(const std::vector<Record>& output,
-                                       std::size_t task,
-                                       FaultInjector* faults,
-                                       std::size_t max_attempts,
-                                       MetricsRegistry* metrics) {
-  const std::uint32_t expected = records_crc(output);
+std::vector<Record> fetch_verified(
+    std::size_t map_task, FaultInjector* faults, std::size_t max_attempts,
+    const std::function<FetchedSlice()>& transfer,
+    const std::function<void()>& on_retry) {
   for (std::size_t attempt = 1;; ++attempt) {
-    const FaultInjector::Outcome outcome = faults->check("shuffle.fetch");
-    bool ok = outcome != FaultInjector::Outcome::kError;
-    std::vector<Record> fetched;
+    const FaultInjector::Outcome fault =
+        faults != nullptr ? faults->check("shuffle.fetch")
+                          : FaultInjector::Outcome::kNone;
+    bool ok = fault != FaultInjector::Outcome::kError;
+    FetchedSlice slice;
     if (ok) {
-      fetched = output;
-      if (outcome == FaultInjector::Outcome::kCorruption) {
-        // Flip one byte of the transfer; the CRC check catches it. An
-        // empty transfer has nothing to flip — fail the attempt.
-        bool flipped = false;
-        for (auto& record : fetched) {
-          if (!record.value.empty()) {
-            record.value.front() =
-                static_cast<char>(record.value.front() ^ 0x1);
-            flipped = true;
-            break;
-          }
-          if (!record.key.empty()) {
-            record.key.front() =
-                static_cast<char>(record.key.front() ^ 0x1);
-            flipped = true;
-            break;
-          }
-        }
-        ok = flipped && records_crc(fetched) == expected;
+      slice = transfer();
+      if (fault == FaultInjector::Outcome::kCorruption) {
+        ok = flip_one_byte(slice.records) &&
+             records_crc(slice.records) == slice.crc;
       } else {
-        ok = records_crc(fetched) == expected;
+        ok = records_crc(slice.records) == slice.crc;
       }
     }
-    if (ok) return fetched;
+    if (ok) return std::move(slice.records);
     if (attempt >= max_attempts) {
-      throw IoError("shuffle: fetch of map output " + std::to_string(task) +
-                    " failed after " + std::to_string(max_attempts) +
-                    " attempts");
+      throw IoError("shuffle: fetch of map output " +
+                    std::to_string(map_task) + " failed after " +
+                    std::to_string(max_attempts) + " attempts");
     }
-    if (metrics != nullptr) metrics->counter("retry.shuffle_fetch").add();
-    DASC_LOG(kWarn) << "shuffle: re-fetching map output " << task
+    on_retry();
+    DASC_LOG(kWarn) << "shuffle: re-fetching map output " << map_task
                     << " (attempt " << attempt << " failed verification)";
   }
 }
-
-}  // namespace
 
 std::size_t partition_for_key(const std::string& key,
                               std::size_t num_partitions) {
@@ -103,7 +114,7 @@ std::vector<std::vector<Record>> fetch_and_partition(
   std::vector<std::vector<Record>> partitions(num_partitions);
   for (std::size_t task = 0; task < outputs.size(); ++task) {
     std::vector<Record> fetched =
-        fetch_one_verified(outputs[task], task, faults, max_attempts, metrics);
+        fetch_local(outputs[task], task, faults, max_attempts, metrics);
     for (auto& record : fetched) {
       partitions[partition_for_key(record.key, num_partitions)].push_back(
           std::move(record));
@@ -184,8 +195,8 @@ SpilledShuffle fetch_and_partition_to_spool(
       }
       continue;
     }
-    const std::vector<Record> fetched = fetch_one_verified(
-        outputs[task], task, faults, max_attempts, metrics);
+    const std::vector<Record> fetched =
+        fetch_local(outputs[task], task, faults, max_attempts, metrics);
     for (const auto& record : fetched) {
       shuffle.partitions[partition_for_key(record.key, num_partitions)]
           ->append(record.key, record.value);

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -35,14 +36,36 @@ std::vector<std::vector<Record>> partition_outputs(
     const std::vector<std::vector<Record>>& outputs,
     std::size_t num_partitions);
 
-/// Checksummed shuffle transfer: each map output is served with a CRC-32
-/// over its serialized records; fetching copies the payload (optionally
-/// corrupted or failed by the injector at site `shuffle.fetch`), verifies
-/// the CRC, and re-fetches on mismatch up to `max_attempts` times per map
-/// output — counting `retry.shuffle_fetch` per re-fetch and throwing
-/// IoError when a transfer never verifies. With no injector this is
-/// exactly partition_outputs (no copy, no CRC cost). Same result layout as
-/// partition_outputs for any run that completes.
+/// CRC-32 over records in the "key\tvalue\n" convention: the transfer
+/// checksum every shuffle path serves and verifies.
+std::uint32_t records_crc(const std::vector<Record>& records);
+
+/// One transfer attempt's result: the records as received plus the
+/// checksum their source computed before sending them.
+struct FetchedSlice {
+  std::vector<Record> records;
+  std::uint32_t crc = 0;
+};
+
+/// The CRC-plus-retry fetch loop every shuffle path shares — the in-
+/// process RAM and spooled shuffles and the multi-process pull client — so
+/// a fault plan exercises them identically whichever process fetches.
+/// Each attempt makes one `shuffle.fetch` check (`faults` may be null): an
+/// error fails the attempt without transferring; otherwise `transfer`
+/// runs, a corruption flips one byte of what it returned, and the records
+/// must match the source's CRC. A failed attempt calls `on_retry` and goes
+/// again; after `max_attempts` the loop throws IoError. Exceptions from
+/// `transfer` propagate untouched. Returns the verified records.
+std::vector<Record> fetch_verified(
+    std::size_t map_task, FaultInjector* faults, std::size_t max_attempts,
+    const std::function<FetchedSlice()>& transfer,
+    const std::function<void()>& on_retry);
+
+/// Checksummed shuffle transfer: each map output is copied through
+/// fetch_verified (counting `retry.shuffle_fetch` per re-fetch) and
+/// partitioned. With no injector this is exactly partition_outputs (no
+/// copy, no CRC cost); the result layout is the same for any run that
+/// completes.
 std::vector<std::vector<Record>> fetch_and_partition(
     const std::vector<std::vector<Record>>& outputs,
     std::size_t num_partitions, FaultInjector* faults,
@@ -70,9 +93,8 @@ struct SpilledShuffle {
 };
 
 /// External-merge variant of fetch_and_partition: identical transfer
-/// semantics (CRC-verified fetch per map output with retries at the
-/// `shuffle.fetch` site), but verified records are appended to per-
-/// partition spool buffers in task order instead of a RAM partition map.
+/// semantics, but verified records are appended to per-partition spool
+/// buffers in task order instead of a RAM partition map.
 /// `spool` supplies dir/budget/page knobs; sort_on_seal is forced on and
 /// faults/metrics are overridden with the arguments so page I/O shares
 /// the job's injector and registry. Each partition's grouped stream is

@@ -1,0 +1,392 @@
+// The worker side of the multi-process runtime: the job registry exec'd
+// workers build their job from, the control-plane serve loop, and the
+// data plane that serves this worker's map outputs to pulling reducers.
+#include <unistd.h>
+
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <deque>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <sstream>
+#include <thread>
+#include <utility>
+#include <vector>
+
+#include "common/error.hpp"
+#include "common/log.hpp"
+#include "ipc/stream.hpp"
+#include "ipc/transport.hpp"
+#include "ipc/worker_supervisor.hpp"
+#include "mapreduce/remote_protocol.hpp"
+
+namespace dasc::mapreduce {
+
+namespace remote {
+
+std::optional<FetchedSlice> WorkerState::slice(std::uint64_t map_task,
+                                               std::uint64_t partition,
+                                               std::uint64_t num_partitions) {
+  FetchedSlice slice;
+  {
+    std::lock_guard lock(mutex_);
+    const auto it = outputs_.find(map_task);
+    if (it == outputs_.end()) return std::nullopt;
+    for (const auto& record : it->second) {
+      if (partition_for_key(record.key,
+                            static_cast<std::size_t>(num_partitions)) ==
+          partition) {
+        slice.records.push_back(record);
+      }
+    }
+  }
+  slice.crc = records_crc(slice.records);
+  return slice;
+}
+
+ipc::Message run_map_assign(const WorkerJob& job, WorkerState& state,
+                            std::uint64_t task, ipc::WireReader& reader) {
+  const std::vector<Record> input = read_records(reader);
+  detail::MapTaskResult mapped = detail::execute_map_task(
+      job.mapper_factory, job.combiner_factory,
+      job.use_combiner && job.combiner_factory != nullptr, input);
+  ipc::WireWriter writer;
+  writer.u64(task);
+  writer.u64(mapped.emitted);
+  writer.u64(mapped.combined);
+  writer.u64(mapped.output.size());
+  state.store(task, std::move(mapped.output));
+  return {ipc::MessageType::kMapDone, writer.take()};
+}
+
+}  // namespace remote
+
+namespace {
+
+using ipc::Message;
+using ipc::MessageType;
+using ipc::WireReader;
+using ipc::WireWriter;
+using remote::WorkerState;
+
+/// The canonical wordcount job, pre-registered so exec-mode workers and
+/// supervisors agree on its semantics by sharing this single definition.
+class WordCountMapper final : public Mapper {
+ public:
+  void map(const std::string& /*key*/, const std::string& value,
+           Emitter& out) override {
+    std::istringstream stream(value);
+    std::string word;
+    while (stream >> word) out.emit(word, "1");
+  }
+};
+
+class WordCountSumReducer final : public Reducer {
+ public:
+  void reduce(const std::string& key, const std::vector<std::string>& values,
+              Emitter& out) override {
+    long total = 0;
+    for (const auto& value : values) total += std::stol(value);
+    out.emit(key, std::to_string(total));
+  }
+};
+
+WorkerJob builtin_wordcount_job() {
+  WorkerJob job;
+  job.mapper_factory = [] { return std::make_unique<WordCountMapper>(); };
+  job.reducer_factory = [] { return std::make_unique<WordCountSumReducer>(); };
+  job.combiner_factory = [] {
+    return std::make_unique<WordCountSumReducer>();
+  };
+  return job;
+}
+
+std::map<std::string, std::function<WorkerJob()>>& job_registry() {
+  static std::map<std::string, std::function<WorkerJob()>> registry = {
+      {"wordcount", builtin_wordcount_job},
+  };
+  return registry;
+}
+
+std::mutex& job_registry_mutex() {
+  static std::mutex mutex;
+  return mutex;
+}
+
+/// Serve one data-plane connection: kFetchPart requests until the peer
+/// closes. Each request is a self-contained transaction, so pullers can
+/// hold a pooled connection open across many pulls and a dead puller costs
+/// nothing but this loop's EOF. Pullers pipeline several requests before
+/// reading replies; those that arrive while a streamed reply awaits its
+/// chunk credit are queued and answered in order.
+void serve_data_peer(ipc::Transport& peer, WorkerState& state) {
+  const ipc::StreamConfig stream = ipc::adaptive_stream_config();
+  std::deque<Message> queued;
+  const auto queue = [&queued](const Message& frame) {
+    queued.push_back(frame);
+  };
+  while (true) {
+    std::optional<Message> request;
+    if (queued.empty()) {
+      request = ipc::recv_message(peer, stream);
+      if (!request.has_value()) return;  // puller closed cleanly
+    } else {
+      request = std::move(queued.front());
+      queued.pop_front();
+    }
+    if (request->type != MessageType::kFetchPart) {
+      throw IoError("data plane: unexpected message type " +
+                    std::to_string(
+                        static_cast<std::uint32_t>(request->type)));
+    }
+    WireReader reader(request->payload);
+    const std::uint64_t map_task = reader.u64();
+    const std::uint64_t partition = reader.u64();
+    const std::uint64_t num_partitions = reader.u64();
+    std::optional<FetchedSlice> slice =
+        state.slice(map_task, partition, num_partitions);
+    if (!slice.has_value()) {
+      peer.send(remote::task_error(
+          map_task, "fetch_part: map output not resident on this worker"));
+      continue;
+    }
+    WireWriter writer;
+    writer.u64(map_task);
+    writer.u32(slice->crc);
+    writer.u64(slice->records.size());
+    remote::append_records(writer, slice->records);
+    ipc::send_message(peer, {MessageType::kFetchData, writer.take()}, stream,
+                      queue);
+  }
+}
+
+/// The worker's data-plane listener and its serving threads. It binds
+/// before the serve loop answers its first assignment, so any address a
+/// reducer learns from a partition map is already accepting. Each peer gets
+/// its own thread: a reducer holds its pooled connection across many
+/// pulls, and serving one peer to EOF would park every other reducer.
+class DataPlane {
+ public:
+  DataPlane(const WorkerOptions& options, WorkerState& state)
+      : options_(options), state_(state) {
+    if (options.data_socket_path.empty()) return;
+    listener_ = std::make_unique<ipc::Listener>(options.data_socket_path);
+    acceptor_ = std::thread([this] { accept_loop(); });
+  }
+  DataPlane(const DataPlane&) = delete;
+  DataPlane& operator=(const DataPlane&) = delete;
+
+  /// Stops accepting, closes our own outbound pool first (so peer
+  /// workers' serving threads see EOF too), then wakes any serving thread
+  /// still blocked on an inbound recv with a half-close — close() would be
+  /// unsafe cross-thread, the fd could be reused under the reader.
+  ~DataPlane() {
+    stop_.store(true, std::memory_order_release);
+    if (acceptor_.joinable()) acceptor_.join();
+    state_.pool().clear();
+    {
+      std::lock_guard lock(peers_mutex_);
+      for (ipc::Transport* peer : live_peers_) peer->shutdown_rw();
+    }
+    for (std::thread& thread : peer_threads_) thread.join();
+  }
+
+ private:
+  void accept_loop() {
+    // Polls so it can observe stop_; the supervisor's shutdown waits for
+    // this worker to exit, so the poll period is on every job's tail.
+    while (!stop_.load(std::memory_order_acquire)) {
+      std::unique_ptr<ipc::Transport> peer;
+      try {
+        peer = listener_->try_accept(10);
+      } catch (const std::exception& error) {
+        DASC_LOG(kWarn) << "worker " << options_.ordinal
+                        << ": data-plane listener failed: " << error.what();
+        return;
+      }
+      if (peer == nullptr) continue;
+      std::lock_guard lock(peers_mutex_);
+      live_peers_.push_back(peer.get());
+      peer_threads_.emplace_back(
+          [this, peer = std::move(peer)] { serve_peer(*peer); });
+    }
+  }
+
+  void serve_peer(ipc::Transport& peer) {
+    try {
+      serve_data_peer(peer, state_);
+    } catch (const std::exception& error) {
+      // One misbehaving puller must not take the plane down; its failed
+      // pull surfaces on the puller's side.
+      DASC_LOG(kWarn) << "worker " << options_.ordinal
+                      << ": data-plane connection failed: " << error.what();
+    }
+    std::lock_guard lock(peers_mutex_);
+    live_peers_.erase(
+        std::find(live_peers_.begin(), live_peers_.end(), &peer));
+  }
+
+  const WorkerOptions& options_;
+  WorkerState& state_;
+  std::unique_ptr<ipc::Listener> listener_;
+  std::atomic<bool> stop_{false};
+  std::mutex peers_mutex_;
+  std::vector<ipc::Transport*> live_peers_;
+  std::vector<std::thread> peer_threads_;
+  std::thread acceptor_;
+};
+
+/// Sends kHeartbeat every period while a task is executing. That is when
+/// the supervisor is blocked in the exchange's recv loop draining them, so
+/// unread frames stay bounded even between phases. Stopping wakes the
+/// thread at once: worker exit is on the supervisor's shutdown path.
+class Heartbeat {
+ public:
+  Heartbeat(ipc::Transport& transport, std::size_t period_ms) {
+    if (period_ms == 0) return;
+    thread_ = std::thread([this, &transport, period_ms] {
+      std::unique_lock lock(mutex_);
+      while (!wake_.wait_for(lock, std::chrono::milliseconds(period_ms),
+                             [this] { return stop_; })) {
+        if (!busy_.load(std::memory_order_acquire)) continue;
+        try {
+          transport.send({MessageType::kHeartbeat, {}});
+        } catch (const std::exception&) {
+          return;  // supervisor gone; the serve loop will see EOF too
+        }
+      }
+    });
+  }
+  Heartbeat(const Heartbeat&) = delete;
+  Heartbeat& operator=(const Heartbeat&) = delete;
+
+  ~Heartbeat() {
+    {
+      std::lock_guard lock(mutex_);
+      stop_ = true;
+    }
+    wake_.notify_all();
+    if (thread_.joinable()) thread_.join();
+  }
+
+  void set_busy(bool busy) { busy_.store(busy, std::memory_order_release); }
+
+ private:
+  std::atomic<bool> busy_{false};
+  std::mutex mutex_;
+  std::condition_variable wake_;
+  bool stop_ = false;
+  std::thread thread_;
+};
+
+/// kTaskCancel: a retained attempt of ours lost the commit race (DESIGN.md
+/// section 15). Drop the losing map output so no reducer can pull a side
+/// effect the job discarded, and sweep our spool files so a cancelled
+/// reduce attempt leaks no disk.
+Message cancel_task(WorkerState& state, const Message& request) {
+  WireReader reader(request.payload);
+  const std::uint64_t kind = reader.u64();  // 0 = map, 1 = reduce
+  const std::uint64_t task = reader.u64();
+  const std::string spill_dir(reader.bytes());
+  const std::uint64_t dropped = kind == 0 ? state.drop(task) : 0;
+  const std::uint64_t swept = static_cast<std::uint64_t>(
+      ipc::sweep_spool_files(spill_dir, static_cast<long>(::getpid())));
+  WireWriter writer;
+  writer.u64(task);
+  writer.u64(dropped);
+  writer.u64(swept);
+  return {MessageType::kTaskCancelled, writer.take()};
+}
+
+}  // namespace
+
+void register_worker_job(const std::string& name,
+                         std::function<WorkerJob()> factory) {
+  DASC_EXPECT(factory != nullptr, "register_worker_job: null factory");
+  std::lock_guard lock(job_registry_mutex());
+  job_registry()[name] = std::move(factory);
+}
+
+WorkerJob make_registered_worker_job(const std::string& name) {
+  std::function<WorkerJob()> factory;
+  {
+    std::lock_guard lock(job_registry_mutex());
+    const auto it = job_registry().find(name);
+    if (it == job_registry().end()) {
+      throw InvalidArgument("worker job not registered: '" + name + "'");
+    }
+    factory = it->second;
+  }
+  return factory();
+}
+
+void serve_worker_loop(ipc::Transport& transport, const WorkerJob& job,
+                       const WorkerOptions& options) {
+  DASC_EXPECT(job.mapper_factory != nullptr, "worker: missing mapper");
+  DASC_EXPECT(job.reducer_factory != nullptr, "worker: missing reducer");
+
+  // Declaration order is teardown order, reversed: heartbeats stop first,
+  // then the data plane, then the outputs it served.
+  WorkerState state;
+  DataPlane data_plane(options, state);
+  Heartbeat heartbeat(transport, options.heartbeat_ms);
+  const ipc::StreamConfig stream = ipc::adaptive_stream_config();
+
+  // Runs one task with heartbeats on and replies with its result, or with
+  // a kTaskError naming `where` when it throws; the loop keeps serving.
+  const auto run_task = [&](std::uint64_t task, const char* where,
+                            const std::function<Message()>& body) {
+    heartbeat.set_busy(true);
+    Message reply;
+    try {
+      reply = body();
+    } catch (const std::exception& error) {
+      reply = remote::task_error(task, std::string(where) + ": " +
+                                           error.what());
+    }
+    ipc::send_message(transport, reply, stream);
+    heartbeat.set_busy(false);
+  };
+
+  while (true) {
+    const std::optional<Message> message =
+        ipc::recv_message(transport, stream);
+    // EOF: the supervisor closed or died.
+    if (!message.has_value() || message->type == MessageType::kShutdown) {
+      return;
+    }
+    switch (message->type) {
+      case MessageType::kMapAssign: {
+        WireReader reader(message->payload);
+        const std::uint64_t task = reader.u64();
+        run_task(task, "map", [&] {
+          return remote::run_map_assign(job, state, task, reader);
+        });
+        break;
+      }
+      case MessageType::kReducePull: {
+        remote::ReducePull request = remote::ReducePull::decode(*message);
+        const std::uint64_t task = request.task;
+        run_task(task, "reduce_pull", [&] {
+          return remote::run_reduce_pull(transport, job, options, state,
+                                         std::move(request))
+              .encode();
+        });
+        break;
+      }
+      case MessageType::kTaskCancel:
+        transport.send(cancel_task(state, *message));
+        break;
+      default:
+        DASC_LOG(kWarn) << "worker " << options.ordinal
+                        << ": ignoring unexpected message type "
+                        << static_cast<std::uint32_t>(message->type);
+        break;
+    }
+  }
+}
+
+}  // namespace dasc::mapreduce

@@ -57,12 +57,11 @@ struct ChaosCase {
       mapreduce::ExecutionMode::kInProcess;
   /// Worker-process count for multi-process cases (0 = JobConf default).
   std::size_t num_workers = 0;
-  /// Shuffle topology of the faulted multi-process run. Worker-to-worker
-  /// cases route partitions over the data plane (reducers pull from mapper
-  /// workers, spooling under the spill budget) while the clean baseline
-  /// stays in-process, so one comparison gates fault recovery, cross-mode
-  /// parity, AND cross-topology parity at once.
-  mapreduce::ShuffleMode shuffle_mode = mapreduce::ShuffleMode::kRelay;
+  /// The plan kills a worker whose map outputs a reducer then pulls, so
+  /// the run must go through the reducers' dead-owner recovery (kPullFailed
+  /// -> inline map re-execution -> kPullResume): worker.map_reexecutions
+  /// >= 1.
+  bool expect_reexecution = false;
 };
 
 const ChaosCase kCases[] = {
@@ -145,8 +144,9 @@ const ChaosCase kCases[] = {
      core::GramBackendPolicy::kAuto, 1},
     // Multi-process execution: the faulted run uses real worker processes
     // while the clean baseline stays in-process, so every case below also
-    // asserts cross-mode label parity. Task/shuffle faults fire
-    // supervisor-side, so their exact retry accounting carries over.
+    // asserts cross-mode label parity. Task faults fire supervisor-side;
+    // shuffle faults fire in the pulling workers and travel back in
+    // kReducePullDone, so the exact retry accounting carries over.
     {"MultiprocMapTaskNth", Consumer::kMapReduce, "map.task",
      "retry.map_attempts", "seed=16;map.task:nth=2:max=3",
      core::GramBackendPolicy::kAuto, 0,
@@ -167,58 +167,50 @@ const ChaosCase kCases[] = {
     // dispatches, so nth<=4 kills mid-map and nth in [5,7] mid-reduce.
     {"MultiprocKillMidMapW1", Consumer::kMapReduce, "", "",
      "seed=19;worker.kill:nth=2:max=1", core::GramBackendPolicy::kAuto, 0,
-     mapreduce::ExecutionMode::kMultiProcess, 1},
+     mapreduce::ExecutionMode::kMultiProcess, 1, true},
     {"MultiprocKillMidMapW2", Consumer::kMapReduce, "", "",
      "seed=19;worker.kill:nth=3:max=1", core::GramBackendPolicy::kAuto, 0,
-     mapreduce::ExecutionMode::kMultiProcess, 2},
+     mapreduce::ExecutionMode::kMultiProcess, 2, true},
     {"MultiprocKillMidReduceW4", Consumer::kMapReduce, "", "",
      "seed=19;worker.kill:nth=6:max=1", core::GramBackendPolicy::kAuto, 0,
-     mapreduce::ExecutionMode::kMultiProcess, 4},
+     mapreduce::ExecutionMode::kMultiProcess, 4, true},
     // Worker death while tasks are also failing and shuffle transfers are
     // being corrupted: the full multi-process recovery stack at once.
     {"MultiprocStorm", Consumer::kMapReduce, "", "",
      "seed=20;map.task:nth=3:max=2;"
      "shuffle.fetch:nth=2:max=2:kind=corrupt;worker.kill:nth=5:max=1",
      core::GramBackendPolicy::kAuto, 0,
-     mapreduce::ExecutionMode::kMultiProcess, 2},
-    // Worker-to-worker shuffle: reducers pull partitions straight from
-    // mapper workers, so shuffle.fetch fires inside the pulling worker
-    // (fires/retries travel back in kReducePullDone) and worker.kill can
-    // strand map outputs whose owner died — forcing the kPullFailed ->
-    // inline re-execution -> kPullResume recovery. Crossed with spill
-    // budgets so the pulled spool itself runs resident (64Ki), fully
-    // spilled (1), and unbudgeted (0).
+     mapreduce::ExecutionMode::kMultiProcess, 2, true},
+    // Reducers pull partitions straight from mapper workers, so
+    // worker.kill can strand map outputs whose owner died — forcing the
+    // kPullFailed -> inline re-execution -> kPullResume recovery. Crossed
+    // with spill budgets so the pulled spool itself runs resident (64Ki),
+    // fully spilled (1), and unbudgeted (0).
     {"W2WShuffleErrorNthW2", Consumer::kMapReduce, "shuffle.fetch",
      "retry.shuffle_fetch", "seed=21;shuffle.fetch:nth=2:max=2",
      core::GramBackendPolicy::kAuto, 0,
-     mapreduce::ExecutionMode::kMultiProcess, 2,
-     mapreduce::ShuffleMode::kWorkerToWorker},
+     mapreduce::ExecutionMode::kMultiProcess, 2},
     {"W2WShuffleCorruptNthW2Spill1", Consumer::kMapReduce, "shuffle.fetch",
      "retry.shuffle_fetch",
      "seed=22;shuffle.fetch:nth=3:max=2:kind=corrupt",
      core::GramBackendPolicy::kAuto, 1,
-     mapreduce::ExecutionMode::kMultiProcess, 2,
-     mapreduce::ShuffleMode::kWorkerToWorker},
+     mapreduce::ExecutionMode::kMultiProcess, 2},
     {"W2WShuffleCorruptNthW4Spill64K", Consumer::kMapReduce,
      "shuffle.fetch", "retry.shuffle_fetch",
      "seed=23;shuffle.fetch:nth=2:max=1:kind=corrupt",
      core::GramBackendPolicy::kAuto, 64 * 1024,
-     mapreduce::ExecutionMode::kMultiProcess, 4,
-     mapreduce::ShuffleMode::kWorkerToWorker},
+     mapreduce::ExecutionMode::kMultiProcess, 4},
     {"W2WSpillPageIoCorruptNth", Consumer::kMapReduce, "spill.page_io",
      "retry.spill_page_io",
      "seed=24;spill.page_io:nth=3:max=4:kind=corrupt",
      core::GramBackendPolicy::kAuto, 1,
-     mapreduce::ExecutionMode::kMultiProcess, 2,
-     mapreduce::ShuffleMode::kWorkerToWorker},
+     mapreduce::ExecutionMode::kMultiProcess, 2},
     {"W2WKillMidMapW2", Consumer::kMapReduce, "", "",
      "seed=25;worker.kill:nth=2:max=1", core::GramBackendPolicy::kAuto, 0,
-     mapreduce::ExecutionMode::kMultiProcess, 2,
-     mapreduce::ShuffleMode::kWorkerToWorker},
+     mapreduce::ExecutionMode::kMultiProcess, 2},
     {"W2WKillMidReduceW4Spill1", Consumer::kMapReduce, "", "",
      "seed=25;worker.kill:nth=6:max=1", core::GramBackendPolicy::kAuto, 1,
-     mapreduce::ExecutionMode::kMultiProcess, 4,
-     mapreduce::ShuffleMode::kWorkerToWorker},
+     mapreduce::ExecutionMode::kMultiProcess, 4, true},
     // Kill + corruption at once through the pull path: a reducer dies,
     // its re-dispatched pull both re-executes orphaned map tasks and
     // retries CRC-caught corrupt transfers, and the labels still match.
@@ -226,8 +218,7 @@ const ChaosCase kCases[] = {
      "seed=26;worker.kill:nth=5:max=1;"
      "shuffle.fetch:nth=2:max=2:kind=corrupt",
      core::GramBackendPolicy::kAuto, 1,
-     mapreduce::ExecutionMode::kMultiProcess, 2,
-     mapreduce::ShuffleMode::kWorkerToWorker},
+     mapreduce::ExecutionMode::kMultiProcess, 2, true},
 };
 
 data::PointSet chaos_points() {
@@ -262,9 +253,7 @@ std::vector<int> run_consumer(Consumer consumer, const data::PointSet& points,
                               std::size_t spill_budget,
                               mapreduce::ExecutionMode execution_mode =
                                   mapreduce::ExecutionMode::kInProcess,
-                              std::size_t num_workers = 0,
-                              mapreduce::ShuffleMode shuffle_mode =
-                                  mapreduce::ShuffleMode::kRelay) {
+                              std::size_t num_workers = 0) {
   const core::DascParams params =
       chaos_params(faults, metrics, backend, spill_budget);
   Rng rng(77);
@@ -285,7 +274,6 @@ std::vector<int> run_consumer(Consumer consumer, const data::PointSet& points,
       mr.conf.max_task_attempts = 10;
       mr.conf.max_fetch_attempts = 10;
       mr.conf.execution_mode = execution_mode;
-      mr.conf.shuffle_mode = shuffle_mode;
       if (num_workers > 0) mr.conf.num_workers = num_workers;
       if (consumer == Consumer::kMapReduce) {
         return core::dasc_cluster_mapreduce(points, mr, rng).labels;
@@ -329,8 +317,7 @@ TEST_P(ChaosMatrix, LabelsSurviveFaultsBitIdentically) {
   const std::vector<int> faulted =
       run_consumer(test_case.consumer, points, &injector, &registry,
                    test_case.backend, test_case.spill_budget,
-                   test_case.execution_mode, test_case.num_workers,
-                   test_case.shuffle_mode);
+                   test_case.execution_mode, test_case.num_workers);
 
   // The invariant: the run survived, so the labels are exactly the
   // fault-free labels.
@@ -340,6 +327,10 @@ TEST_P(ChaosMatrix, LabelsSurviveFaultsBitIdentically) {
   EXPECT_GT(injector.total_fired(), 0u) << "plan never fired: "
                                         << test_case.plan;
   EXPECT_GT(registry.counter_value("fault.injected"), 0);
+
+  if (test_case.expect_reexecution) {
+    EXPECT_GE(registry.gauge_value("worker.map_reexecutions"), 1);
+  }
 
   // ...and the retry machinery must account for every fault: each injected
   // fault failed exactly one attempt, and (since the run succeeded) each
@@ -361,8 +352,7 @@ TEST_P(ChaosMatrix, LabelsSurviveFaultsBitIdentically) {
   const std::vector<int> replayed =
       run_consumer(test_case.consumer, points, &replay, &replay_registry,
                    test_case.backend, test_case.spill_budget,
-                   test_case.execution_mode, test_case.num_workers,
-                   test_case.shuffle_mode);
+                   test_case.execution_mode, test_case.num_workers);
   EXPECT_EQ(replayed, clean);
   EXPECT_EQ(replay.total_fired(), injector.total_fired());
 }

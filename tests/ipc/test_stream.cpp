@@ -243,6 +243,30 @@ TEST(Stream, OutOfSequenceCreditIsIoErrorAtTheSender) {
   EXPECT_TRUE(threw);
 }
 
+TEST(Stream, StreamShorterThanTheWindowLeavesNoCreditUnread) {
+  // 1.5 MiB adaptive: 6 chunks of 256 KiB under a sender window of 16, so
+  // the sender never fills its window, while the receiver acks every 4.
+  // The reply that follows on the same socket must be the reply — not a
+  // leftover kChunkAck that a window-only credit read would leave behind.
+  Pair pair;
+  const StreamConfig adaptive = adaptive_stream_config();
+  const Message request{MessageType::kMapAssign,
+                        std::string(1536 * 1024, 'r')};
+  ASSERT_EQ(derived_stream_config(request.payload.size()).window_chunks, 16u);
+  std::thread receiver([&] {
+    const auto received = recv_message(*pair.right, adaptive);
+    ASSERT_TRUE(received.has_value());
+    EXPECT_EQ(received->payload, request.payload);
+    pair.right->send({MessageType::kMapDone, "reply"});
+  });
+  send_message(*pair.left, request, adaptive);
+  const auto reply = recv_message(*pair.left, adaptive);
+  receiver.join();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->type, MessageType::kMapDone);
+  EXPECT_EQ(reply->payload, "reply");
+}
+
 TEST(Stream, SenderSeesPeerDeathWhileAwaitingCredit) {
   Pair pair;
   const StreamConfig config{/*chunk_bytes=*/4, /*window_chunks=*/1};

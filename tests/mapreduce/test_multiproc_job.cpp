@@ -1,8 +1,10 @@
-// Multi-process execution tests: output parity with the in-process
-// executor across worker counts, placement determinism across modes and
-// seeds, worker.kill recovery mid-map and mid-reduce, worker-side task
-// failures surfacing as typed errors, the exec-mode worker binary
-// (DESIGN.md section 13), and cross-process speculative execution with
+// Multi-process execution tests: output and counter parity with the
+// in-process executor across worker counts and spill budgets, worker-
+// count-invariant shuffle and spill volumes, placement determinism across
+// modes and seeds, worker.kill recovery mid-map and mid-reduce (including
+// the reducers' dead-owner pull recovery), worker-side task failures
+// surfacing as typed errors, the exec-mode worker binary (DESIGN.md
+// sections 13-14), and cross-process speculative execution with
 // supervisor-arbitrated commit and kTaskCancel cleanup (section 15).
 #include "mapreduce/remote_runner.hpp"
 
@@ -86,13 +88,19 @@ std::string flatten(const std::vector<Record>& output) {
   return text;
 }
 
+JobSpec multiproc_spec(std::size_t workers, std::size_t spill_budget = 0) {
+  JobSpec spec = word_count_spec();
+  spec.conf.execution_mode = ExecutionMode::kMultiProcess;
+  spec.conf.num_workers = workers;
+  spec.conf.spill_budget_bytes = spill_budget;
+  return spec;
+}
+
 TEST(MultiprocJob, OutputIsByteIdenticalToInProcess) {
   const JobResult baseline = run_job(word_count_spec(), word_count_input());
   for (const std::size_t workers : {1u, 2u, 4u}) {
-    JobSpec spec = word_count_spec();
-    spec.conf.execution_mode = ExecutionMode::kMultiProcess;
-    spec.conf.num_workers = workers;
-    const JobResult result = run_job(spec, word_count_input());
+    const JobResult result =
+        run_job(multiproc_spec(workers), word_count_input());
     EXPECT_EQ(flatten(result.output), flatten(baseline.output))
         << "workers=" << workers;
     EXPECT_EQ(result.counters.map_input_records,
@@ -113,13 +121,33 @@ TEST(MultiprocJob, NoCombinerParityHolds) {
   JobSpec in_proc = word_count_spec();
   in_proc.conf.enable_combiner = false;
   const JobResult baseline = run_job(in_proc, word_count_input());
-  JobSpec multi = word_count_spec();
+  JobSpec multi = multiproc_spec(2);
   multi.conf.enable_combiner = false;
-  multi.conf.execution_mode = ExecutionMode::kMultiProcess;
-  multi.conf.num_workers = 2;
   const JobResult result = run_job(multi, word_count_input());
   EXPECT_EQ(flatten(result.output), flatten(baseline.output));
   EXPECT_EQ(result.counters.combine_input_records, 0u);
+}
+
+TEST(MultiprocJob, ShuffleAndSpillBytesAreWorkerCountInvariant) {
+  // The shuffle volume is derived from the record stream (key + value + 2
+  // per record) and every pulled record spools through the same budget, so
+  // neither number may depend on how many workers the records crossed.
+  std::vector<std::uint64_t> shuffle_bytes;
+  std::vector<std::int64_t> spill_written;
+  for (const std::size_t workers : {1u, 2u, 4u}) {
+    MetricsRegistry registry;
+    JobSpec spec = multiproc_spec(workers, /*spill_budget=*/1);
+    spec.metrics = &registry;
+    const JobResult result = run_job(spec, word_count_input());
+    shuffle_bytes.push_back(result.counters.shuffle_bytes);
+    spill_written.push_back(registry.gauge_value("spill.bytes_written"));
+  }
+  EXPECT_GT(shuffle_bytes[0], 0u);
+  EXPECT_EQ(shuffle_bytes[0], shuffle_bytes[1]);
+  EXPECT_EQ(shuffle_bytes[0], shuffle_bytes[2]);
+  EXPECT_GT(spill_written[0], 0);
+  EXPECT_EQ(spill_written[0], spill_written[1]);
+  EXPECT_EQ(spill_written[0], spill_written[2]);
 }
 
 TEST(MultiprocJob, PlacementIsDeterministicAcrossModesAndSeeds) {
@@ -157,9 +185,7 @@ TEST(MultiprocJob, WorkerKillMidMapRecovers) {
   MetricsRegistry registry;
   FaultInjector injector(FaultPlan::parse("seed=3;worker.kill:nth=2:max=1"),
                          &registry);
-  JobSpec spec = word_count_spec();
-  spec.conf.execution_mode = ExecutionMode::kMultiProcess;
-  spec.conf.num_workers = 2;
+  JobSpec spec = multiproc_spec(2);
   spec.conf.worker_spares = 1;
   spec.conf.max_task_attempts = 3;
   spec.metrics = &registry;
@@ -170,21 +196,19 @@ TEST(MultiprocJob, WorkerKillMidMapRecovers) {
   EXPECT_EQ(injector.fired("worker.kill"), 1u);
   // Not asserting failed_task_attempts == 1: in principle a reply can
   // already be in the socket buffer when SIGKILL lands, in which case the
-  // attempt succeeds and only the gather re-executes the task.
+  // attempt succeeds and only a reducer's pull recovery re-executes the
+  // task.
   EXPECT_GE(registry.gauge_value("worker.killed"), 1);
 }
 
 TEST(MultiprocJob, WorkerKillMidReduceRecovers) {
   const JobResult baseline = run_job(word_count_spec(), word_count_input());
-
   // 12 input records / split_records=2 => 6 map tasks; nth=8 fires on the
   // second worker.kill check of the reduce phase.
   MetricsRegistry registry;
   FaultInjector injector(FaultPlan::parse("seed=3;worker.kill:nth=8:max=1"),
                          &registry);
-  JobSpec spec = word_count_spec();
-  spec.conf.execution_mode = ExecutionMode::kMultiProcess;
-  spec.conf.num_workers = 2;
+  JobSpec spec = multiproc_spec(2);
   spec.conf.worker_spares = 1;
   spec.conf.max_task_attempts = 3;
   spec.metrics = &registry;
@@ -197,10 +221,8 @@ TEST(MultiprocJob, WorkerKillMidReduceRecovers) {
 }
 
 TEST(MultiprocJob, WorkerTaskFailureSurfacesAsTypedError) {
-  JobSpec spec = word_count_spec();
+  JobSpec spec = multiproc_spec(2);
   spec.reducer_factory = [] { return std::make_unique<ThrowingReducer>(); };
-  spec.conf.execution_mode = ExecutionMode::kMultiProcess;
-  spec.conf.num_workers = 2;
   // One attempt: the worker-side failure must come back as the job error
   // (and the worker must stay alive to report it, not crash).
   spec.conf.max_task_attempts = 1;
@@ -208,9 +230,7 @@ TEST(MultiprocJob, WorkerTaskFailureSurfacesAsTypedError) {
 }
 
 TEST(MultiprocJob, EmptyInputStillRuns) {
-  JobSpec spec = word_count_spec();
-  spec.conf.execution_mode = ExecutionMode::kMultiProcess;
-  const JobResult result = run_job(spec, {});
+  const JobResult result = run_job(multiproc_spec(2), {});
   EXPECT_TRUE(result.output.empty());
   EXPECT_EQ(result.num_map_tasks, 1u);
 }
@@ -244,86 +264,40 @@ TEST(MultiprocJob, UnknownRegisteredJobIsInvalidArgument) {
   EXPECT_THROW(make_registered_worker_job("no-such-job"), InvalidArgument);
 }
 
-// --- Worker-to-worker shuffle (DESIGN.md section 14) ---
+// --- Worker-to-worker pulls spooled under a spill budget (section 14) ---
+//
+// The MultiprocJob tests above run unbudgeted; these repeat the parity,
+// recovery and failure contracts with reducers spooling pulled pages to
+// disk, where a dead map-output owner forces inline map re-execution.
 
 JobSpec w2w_spec(std::size_t workers, std::size_t spill_budget) {
-  JobSpec spec = word_count_spec();
-  spec.conf.execution_mode = ExecutionMode::kMultiProcess;
+  JobSpec spec = multiproc_spec(workers, spill_budget);
   spec.conf.shuffle_mode = ShuffleMode::kWorkerToWorker;
-  spec.conf.num_workers = workers;
-  spec.conf.spill_budget_bytes = spill_budget;
   return spec;
 }
 
 TEST(MultiprocW2W, OutputIsByteIdenticalAcrossWorkersAndBudgets) {
+  // Unbudgeted, every page on disk, and resident below 64 KiB.
   const JobResult baseline = run_job(word_count_spec(), word_count_input());
   for (const std::size_t workers : {1u, 2u, 4u}) {
     for (const std::size_t budget : {0u, 1u, 64u * 1024}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers) +
+                   " budget=" + std::to_string(budget));
       const JobResult result =
           run_job(w2w_spec(workers, budget), word_count_input());
-      EXPECT_EQ(flatten(result.output), flatten(baseline.output))
-          << "workers=" << workers << " budget=" << budget;
+      EXPECT_EQ(flatten(result.output), flatten(baseline.output));
+      EXPECT_EQ(result.counters.map_output_records,
+                baseline.counters.map_output_records);
+      EXPECT_EQ(result.counters.combine_output_records,
+                baseline.counters.combine_output_records);
       EXPECT_EQ(result.counters.reduce_input_groups,
-                baseline.counters.reduce_input_groups)
-          << "workers=" << workers << " budget=" << budget;
+                baseline.counters.reduce_input_groups);
+      EXPECT_EQ(result.counters.reduce_output_records,
+                baseline.counters.reduce_output_records);
       EXPECT_EQ(result.counters.shuffle_bytes,
-                baseline.counters.shuffle_bytes)
-          << "workers=" << workers << " budget=" << budget;
+                baseline.counters.shuffle_bytes);
     }
   }
-}
-
-TEST(MultiprocW2W, MatchesRelayModeByteForByte) {
-  JobSpec relay = word_count_spec();
-  relay.conf.execution_mode = ExecutionMode::kMultiProcess;
-  relay.conf.num_workers = 2;
-  const JobResult relayed = run_job(relay, word_count_input());
-  const JobResult pulled = run_job(w2w_spec(2, 0), word_count_input());
-  EXPECT_EQ(flatten(pulled.output), flatten(relayed.output));
-  EXPECT_EQ(pulled.counters.shuffle_bytes, relayed.counters.shuffle_bytes);
-}
-
-TEST(MultiprocW2W, ShuffleAndSpillBytesAreWorkerCountInvariant) {
-  // The shuffle volume is derived from the record stream (key + value + 2
-  // per record) and every pulled record spools through the same budget, so
-  // neither number may depend on how many workers the records crossed.
-  std::vector<std::uint64_t> shuffle_bytes;
-  std::vector<std::int64_t> spill_written;
-  for (const std::size_t workers : {1u, 2u, 4u}) {
-    MetricsRegistry registry;
-    JobSpec spec = w2w_spec(workers, /*spill_budget=*/1);
-    spec.metrics = &registry;
-    const JobResult result = run_job(spec, word_count_input());
-    shuffle_bytes.push_back(result.counters.shuffle_bytes);
-    spill_written.push_back(registry.gauge_value("spill.bytes_written"));
-  }
-  EXPECT_GT(shuffle_bytes[0], 0u);
-  EXPECT_EQ(shuffle_bytes[0], shuffle_bytes[1]);
-  EXPECT_EQ(shuffle_bytes[0], shuffle_bytes[2]);
-  EXPECT_GT(spill_written[0], 0);
-  EXPECT_EQ(spill_written[0], spill_written[1]);
-  EXPECT_EQ(spill_written[0], spill_written[2]);
-}
-
-TEST(MultiprocW2W, RelaysNoShuffleBytesThroughTheSupervisor) {
-  // Relay mode funnels every shuffle byte through the supervisor
-  // (shuffle.relay_bytes); worker-to-worker must move the same records
-  // while relaying none, bounding reducer residency via the spool instead.
-  MetricsRegistry relay_registry;
-  JobSpec relay = word_count_spec();
-  relay.conf.execution_mode = ExecutionMode::kMultiProcess;
-  relay.conf.num_workers = 2;
-  relay.metrics = &relay_registry;
-  run_job(relay, word_count_input());
-  EXPECT_GT(relay_registry.gauge_value("shuffle.relay_bytes"), 0);
-
-  MetricsRegistry w2w_registry;
-  JobSpec pulled = w2w_spec(2, /*spill_budget=*/1);
-  pulled.metrics = &w2w_registry;
-  run_job(pulled, word_count_input());
-  EXPECT_EQ(w2w_registry.gauge_value("shuffle.relay_bytes"), 0);
-  EXPECT_GE(w2w_registry.gauge_value("spill.bytes_written"), 1);
-  EXPECT_GE(w2w_registry.gauge_value("spill.pages"), 1);
 }
 
 TEST(MultiprocW2W, WorkerKillMidMapRecovers) {
@@ -331,7 +305,7 @@ TEST(MultiprocW2W, WorkerKillMidMapRecovers) {
   MetricsRegistry registry;
   FaultInjector injector(FaultPlan::parse("seed=3;worker.kill:nth=2:max=1"),
                          &registry);
-  JobSpec spec = w2w_spec(2, 0);
+  JobSpec spec = w2w_spec(2, /*spill_budget=*/1);
   spec.conf.worker_spares = 1;
   spec.conf.max_task_attempts = 3;
   spec.metrics = &registry;
@@ -340,6 +314,7 @@ TEST(MultiprocW2W, WorkerKillMidMapRecovers) {
   EXPECT_EQ(flatten(result.output), flatten(baseline.output));
   EXPECT_EQ(injector.fired("worker.kill"), 1u);
   EXPECT_GE(registry.gauge_value("worker.killed"), 1);
+  EXPECT_GE(registry.gauge_value("spill.bytes_written"), 1);
 }
 
 TEST(MultiprocW2W, WorkerKillMidReduceReexecutesLostMapOutputs) {
@@ -365,14 +340,14 @@ TEST(MultiprocW2W, WorkerKillMidReduceReexecutesLostMapOutputs) {
 }
 
 TEST(MultiprocW2W, WorkerTaskFailureSurfacesAsTypedError) {
-  JobSpec spec = w2w_spec(2, 0);
+  JobSpec spec = w2w_spec(2, /*spill_budget=*/1);
   spec.reducer_factory = [] { return std::make_unique<ThrowingReducer>(); };
   spec.conf.max_task_attempts = 1;
   EXPECT_THROW(run_job(spec, word_count_input()), IoError);
 }
 
 TEST(MultiprocW2W, EmptyInputStillRuns) {
-  const JobResult result = run_job(w2w_spec(2, 0), {});
+  const JobResult result = run_job(w2w_spec(2, /*spill_budget=*/1), {});
   EXPECT_TRUE(result.output.empty());
   EXPECT_EQ(result.num_map_tasks, 1u);
 }
@@ -421,59 +396,51 @@ TEST(MultiprocSpeculation, EveryCellKeepsParityAndCommitsEachTaskOnce) {
       "seed=5;worker.kill:nth=2:max=1;"
       "reduce.task:nth=1:max=1:kind=stall:stall_ms=300";
   for (const std::size_t workers : {1u, 2u, 4u}) {
-    for (const ShuffleMode mode :
-         {ShuffleMode::kRelay, ShuffleMode::kWorkerToWorker}) {
-      for (const bool speculate : {false, true}) {
-        SCOPED_TRACE("workers=" + std::to_string(workers) + " shuffle=" +
-                     to_string(mode) + (speculate ? " spec=on" : " spec=off"));
-        MetricsRegistry registry;
-        FaultInjector injector(FaultPlan::parse(kPlan), &registry);
-        JobSpec spec = word_count_spec();
-        spec.conf.execution_mode = ExecutionMode::kMultiProcess;
-        spec.conf.shuffle_mode = mode;
-        spec.conf.num_workers = workers;
-        spec.conf.worker_spares = 1;
-        spec.conf.max_task_attempts = 3;
-        // The straggler monitor needs the non-stalled tasks to commit
-        // while the stalled one sleeps, so the phase pool must not
-        // serialize behind it (single-CPU hosts default to one thread).
-        spec.conf.physical_threads = 4;
-        if (mode == ShuffleMode::kWorkerToWorker) {
-          spec.conf.spill_budget_bytes = 1;  // pulls spool through disk
-        }
-        if (speculate) {
-          spec.conf.enable_speculation = true;
-          spec.conf.speculative_slowdown = 1.5;
-          spec.conf.speculative_min_ms = 1.0;
-        }
-        spec.metrics = &registry;
-        spec.faults = &injector;
+    for (const bool speculate : {false, true}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers) +
+                   (speculate ? " spec=on" : " spec=off"));
+      MetricsRegistry registry;
+      FaultInjector injector(FaultPlan::parse(kPlan), &registry);
+      // Pulls spool through disk.
+      JobSpec spec = multiproc_spec(workers, /*spill_budget=*/1);
+      spec.conf.worker_spares = 1;
+      spec.conf.max_task_attempts = 3;
+      // The straggler monitor needs the non-stalled tasks to commit while
+      // the stalled one sleeps, so the phase pool must not serialize
+      // behind it (single-CPU hosts default to one thread).
+      spec.conf.physical_threads = 4;
+      if (speculate) {
+        spec.conf.enable_speculation = true;
+        spec.conf.speculative_slowdown = 1.5;
+        spec.conf.speculative_min_ms = 1.0;
+      }
+      spec.metrics = &registry;
+      spec.faults = &injector;
 
-        const JobResult result = run_job(spec, word_count_input());
-        EXPECT_EQ(flatten(result.output), flatten(baseline.output));
-        EXPECT_EQ(result.counters.map_input_records,
-                  baseline.counters.map_input_records);
-        EXPECT_EQ(result.counters.map_output_records,
-                  baseline.counters.map_output_records);
-        EXPECT_EQ(result.counters.reduce_input_groups,
-                  baseline.counters.reduce_input_groups);
-        EXPECT_EQ(result.counters.reduce_output_records,
-                  baseline.counters.reduce_output_records);
-        EXPECT_EQ(result.counters.shuffle_bytes,
-                  baseline.counters.shuffle_bytes);
+      const JobResult result = run_job(spec, word_count_input());
+      EXPECT_EQ(flatten(result.output), flatten(baseline.output));
+      EXPECT_EQ(result.counters.map_input_records,
+                baseline.counters.map_input_records);
+      EXPECT_EQ(result.counters.map_output_records,
+                baseline.counters.map_output_records);
+      EXPECT_EQ(result.counters.reduce_input_groups,
+                baseline.counters.reduce_input_groups);
+      EXPECT_EQ(result.counters.reduce_output_records,
+                baseline.counters.reduce_output_records);
+      EXPECT_EQ(result.counters.shuffle_bytes,
+                baseline.counters.shuffle_bytes);
 
-        // Every fire the plan promises happened, exactly once, and the
-        // injector's own view agrees with the metrics view (remote fires
-        // are absorbed into both). Retry counts for worker.kill are
-        // deliberately not asserted: a reply can already be in the socket
-        // buffer when SIGKILL lands, in which case no attempt fails.
-        EXPECT_EQ(injector.fired("worker.kill"), 1u);
-        EXPECT_EQ(registry.counter_value("fault.injected.worker.kill"), 1);
-        EXPECT_EQ(injector.fired("reduce.task"), 1u);
-        EXPECT_EQ(registry.counter_value("fault.injected.reduce.task"), 1);
-        if (speculate) {
-          EXPECT_GE(registry.gauge_value("retry.speculative_launches"), 1);
-        }
+      // Every fire the plan promises happened, exactly once, and the
+      // injector's own view agrees with the metrics view (remote fires are
+      // absorbed into both). Retry counts for worker.kill are deliberately
+      // not asserted: a reply can already be in the socket buffer when
+      // SIGKILL lands, in which case no attempt fails.
+      EXPECT_EQ(injector.fired("worker.kill"), 1u);
+      EXPECT_EQ(registry.counter_value("fault.injected.worker.kill"), 1);
+      EXPECT_EQ(injector.fired("reduce.task"), 1u);
+      EXPECT_EQ(registry.counter_value("fault.injected.reduce.task"), 1);
+      if (speculate) {
+        EXPECT_GE(registry.gauge_value("retry.speculative_launches"), 1);
       }
     }
   }
@@ -490,13 +457,20 @@ TEST(MultiprocSpeculation, TaskCancelDropsOutputAndSweepsOnlyOwnSpools) {
   ipc::Transport supervisor(sup_fd);
   ipc::Transport worker_end(worker_fd);
 
+  const fs::path dir =
+      fs::temp_directory_path() /
+      ("dasc-cancel-test-" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+
   WorkerJob job;
   job.mapper_factory = [] { return std::make_unique<WordCountMapper>(); };
   job.reducer_factory = [] { return std::make_unique<SumReducer>(); };
-  const WorkerOptions options;  // no heartbeat, no data plane
+  WorkerOptions options;  // no heartbeat
+  // The data plane is where a dropped output must become unreachable.
+  options.data_socket_path = (dir / "data.sock").string();
   std::thread worker([&] { serve_worker_loop(worker_end, job, options); });
 
-  // A committed map task retains its output for later fetches.
+  // A committed map task retains its output for reducers' pulls.
   {
     ipc::WireWriter writer;
     writer.u64(0);
@@ -510,10 +484,6 @@ TEST(MultiprocSpeculation, TaskCancelDropsOutputAndSweepsOnlyOwnSpools) {
   // Plant spool files: the serve loop runs in this process, so files named
   // with our pid are the losing worker's; the winner is "another worker",
   // simulated by a different pid in the filename.
-  const fs::path dir =
-      fs::temp_directory_path() /
-      ("dasc-cancel-test-" + std::to_string(::getpid()));
-  fs::create_directories(dir);
   const fs::path loser =
       dir / ("dasc-spool-" + std::to_string(::getpid()) + "-999.spl");
   const fs::path winner =
@@ -539,20 +509,27 @@ TEST(MultiprocSpeculation, TaskCancelDropsOutputAndSweepsOnlyOwnSpools) {
     EXPECT_EQ(reader.u64(), expect_swept);
   };
 
+  // A reducer's pull of map task 0's only partition over the data plane.
+  const auto pull_reply_type = [&] {
+    const std::unique_ptr<ipc::Transport> puller =
+        ipc::Transport::connect(options.data_socket_path);
+    ipc::WireWriter writer;
+    writer.u64(0);  // map task
+    writer.u64(0);  // partition
+    writer.u64(1);  // num_partitions
+    puller->send({ipc::MessageType::kFetchPart, writer.take()});
+    const auto reply = puller->recv();
+    return reply.has_value() ? reply->type : ipc::MessageType::kHello;
+  };
+  EXPECT_EQ(pull_reply_type(), ipc::MessageType::kFetchData);
+
   cancel(/*expect_dropped=*/1, /*expect_swept=*/1);
   EXPECT_FALSE(fs::exists(loser));   // the loser's spool is gone
   EXPECT_TRUE(fs::exists(winner));   // the winner's survives
 
-  // The dropped output is unreachable: a fetch for it fails typed instead
-  // of serving a side effect the job discarded.
-  {
-    ipc::WireWriter writer;
-    writer.u64(0);
-    supervisor.send({ipc::MessageType::kFetch, writer.take()});
-    const auto reply = supervisor.recv();
-    ASSERT_TRUE(reply.has_value());
-    EXPECT_EQ(reply->type, ipc::MessageType::kTaskError);
-  }
+  // The dropped output is unreachable: the same pull now fails typed
+  // instead of serving a side effect the job discarded.
+  EXPECT_EQ(pull_reply_type(), ipc::MessageType::kTaskError);
 
   // Cancel is idempotent: nothing left to drop or sweep.
   cancel(/*expect_dropped=*/0, /*expect_swept=*/0);
