@@ -21,7 +21,8 @@ ctest --preset asan --tests-regex 'SimdDifferential' --repeat until-fail:3
 # the framing layer with malformed, truncated, and bit-flipped input and
 # the data-plane pool through kill/restart/invalidation churn; every
 # rejection and teardown path must be allocation-clean under ASan, so
-# hammer them too.
-ctest --preset asan --tests-regex '^(TransportFuzz|WireFuzz|Stream|ConnPool)\.' \
+# hammer them too, with the spool and shuffle suites.
+ctest --preset asan --tests-regex \
+  '^(TransportFuzz|WireFuzz|Stream|ConnPool|SpoolBuffer|SpilledShuffle)\.|^JobRetry\.SpeculativeBackupReStreams' \
   --repeat until-fail:3
 

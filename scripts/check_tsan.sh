@@ -22,6 +22,8 @@ ctest --preset tsan "$@"
 # transport pair (flow-control credit, mid-stream death), and the
 # connection-pool suite mixes leases with owner kills/restarts across
 # threads; hammer both so a racy ack, shutdown, or give-back path cannot
-# hide behind a lucky interleaving.
-ctest --preset tsan --tests-regex '^(TransportFuzz|WireFuzz|Stream|ConnPool)\.' \
+# hide behind a lucky interleaving. So must the sealed shuffle spools that
+# a stalled reduce and its speculative backup stream concurrently.
+ctest --preset tsan --tests-regex \
+  '^(TransportFuzz|WireFuzz|Stream|ConnPool|SpoolBuffer|SpilledShuffle)\.|^JobRetry\.SpeculativeBackupReStreams' \
   --repeat until-fail:3

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <cstring>
 #include <iterator>
+#include <limits>
 #include <numeric>
 #include <utility>
 
@@ -268,8 +269,10 @@ SpoolBuffer::SpoolBuffer(const SpoolConfig& config) : config_(config) {
 void SpoolBuffer::append(std::string_view key, std::string_view value) {
   DASC_EXPECT(!finished_, "spool: append after finish");
   const std::size_t framed = framed_size(key, value);
-  DASC_EXPECT(framed <= config_.page_bytes,
-              "spool: record larger than one spool page; raise page_bytes");
+  DASC_EXPECT(framed <= std::numeric_limits<std::uint32_t>::max(),
+              "spool: record too large for the u32 record frame");
+  // A record larger than page_bytes seals the open page and then fills
+  // the next one alone; the following append seals it in turn.
   if (open_page_.size() + framed > config_.page_bytes) {
     seal_open_page();
   }

@@ -1,8 +1,8 @@
 // Out-of-core spool: page-based record buffers with an explicit byte
 // budget and CRC-guarded spill-to-disk pages.
 //
-// The paper's target regime (2^20..2^30 points) does not fit the RAM-
-// resident shuffle map or a full set of dense Gram blocks, so both paths
+// The paper's target regime (2^20..2^30 points) does not fit a RAM-
+// resident shuffle or a full set of dense Gram blocks, so both paths
 // can spill through this layer (DESIGN.md section 12):
 //
 //   SpoolPager   -- the page store. Fixed-size payload pages written to a
@@ -16,7 +16,8 @@
 //                   up to `max_attempts` before an IoError escapes.
 //   SpoolBuffer  -- record-framed spooling on top of the pager. Records
 //                   append into an open page; a page seals when the next
-//                   record would overflow `page_bytes`, and sealed pages
+//                   record would overflow `page_bytes` (an oversized
+//                   record gets a page of its own), and sealed pages
 //                   spill to disk whenever resident payload exceeds
 //                   `budget_bytes` (budget 0 = spill every sealed page).
 //                   With `sort_on_seal`, each page is stable-sorted by key
@@ -60,8 +61,8 @@ struct SpoolConfig {
   /// Resident payload budget. A sealed page stays in RAM only while total
   /// sealed resident payload fits the budget; 0 spills every sealed page.
   std::size_t budget_bytes = 0;
-  /// Payload capacity per page. Record framing larger than this is a
-  /// typed InvalidArgument (the record cannot be spooled at all).
+  /// Payload capacity per page. A record whose framing is larger takes a
+  /// page of its own.
   std::size_t page_bytes = 256 * 1024;
   /// Stable-sort each page by key at seal time and merge runs in finish(),
   /// enabling for_each_sorted(). Off = append-order for_each() only.
@@ -131,7 +132,7 @@ class SpoolBuffer {
   explicit SpoolBuffer(const SpoolConfig& config);
 
   /// Append one record. Throws InvalidArgument if the framed record
-  /// (8-byte length header + key + value) exceeds page_bytes, or if
+  /// (8-byte length header + key + value) overflows the u32 frame, or if
   /// called after finish().
   void append(std::string_view key, std::string_view value);
 
@@ -149,8 +150,8 @@ class SpoolBuffer {
   void for_each_sorted(const SpoolVisitor& visit) const;
 
   std::size_t records() const { return records_; }
-  /// Accounting bytes (key + value + 2 per record), matching the RAM
-  /// shuffle's shuffle_bytes convention.
+  /// Accounting bytes (key + value + 2 per record): the shuffle_bytes
+  /// counter's convention.
   std::size_t record_bytes() const { return record_bytes_; }
   std::size_t pages_spilled() const;
   std::size_t resident_bytes() const { return resident_bytes_; }

@@ -21,7 +21,7 @@ namespace dasc::mapreduce {
 namespace {
 
 using detail::execute_map_task;
-using detail::execute_reduce_records;
+using detail::execute_reduce_spooled;
 using detail::run_task_phase;
 
 /// In-process execution: tasks run on a host thread pool; splits are one
@@ -63,13 +63,6 @@ JobResult execute(const JobSpec& spec,
   std::atomic<std::uint64_t> failed_attempts{0};
   std::atomic<std::uint64_t> speculative_launches{0};
 
-  // Attempts other than the committing one may run to completion (a retry
-  // racing a speculative backup), so tasks re-group from a kept partition
-  // instead of destructively moving it.
-  const bool reattempts_possible = spec.faults != nullptr ||
-                                   spec.conf.enable_speculation ||
-                                   spec.conf.max_task_attempts > 1;
-
   run_task_phase(
       spec, splits.size(), "map.task", "retry.map_attempts", failed_attempts,
       speculative_launches, result.map_task_seconds,
@@ -104,38 +97,26 @@ JobResult execute(const JobSpec& spec,
   result.counters.combine_output_records = combine_out.load();
 
   // ---- Shuffle (checksum-verified transfers when faults are on) ----
-  // With a spill budget the shuffle runs out of core: verified map
-  // outputs stream into per-partition spool buffers (external merge
-  // sort) whose sealed pages spill to disk past the budget. Reduce
-  // groups are bit-identical to the RAM path in either mode.
-  const bool spill_shuffle = spec.conf.spill_budget_bytes > 0;
-  std::vector<std::vector<Record>> partitions;
-  std::unique_ptr<SpilledShuffle> spilled;
+  // Verified map outputs stream into per-partition sort-on-seal spools
+  // (external merge sort); the spill budget only decides whether sealed
+  // pages stay resident or go to disk, never the groups a reducer sees.
+  std::vector<std::unique_ptr<SpoolBuffer>> partitions;
   {
     ScopedTimer shuffle_timer(spec.metrics, "mapreduce.shuffle");
-    if (spill_shuffle) {
-      SpoolConfig spool;
-      spool.dir = spec.conf.spill_dir;
-      spool.budget_bytes = spec.conf.spill_budget_bytes;
-      spool.max_attempts =
-          std::max<std::size_t>(spool.max_attempts,
-                                spec.conf.max_fetch_attempts);
-      spilled = std::make_unique<SpilledShuffle>(fetch_and_partition_to_spool(
-          map_outputs, spec.conf.num_reducers, spec.faults,
-          spec.conf.max_fetch_attempts, spec.metrics, spool));
-      result.counters.shuffle_bytes = spilled->total_record_bytes();
-    } else {
-      partitions =
-          fetch_and_partition(map_outputs, spec.conf.num_reducers, spec.faults,
-                              spec.conf.max_fetch_attempts, spec.metrics);
-      result.counters.shuffle_bytes = shuffle_bytes(partitions);
+    partitions = fetch_and_partition(
+        map_outputs, spec.conf.num_reducers, spec.faults,
+        spec.conf.max_fetch_attempts, spec.metrics,
+        shuffle_spool_config(spec.conf.spill_budget_bytes,
+                             spec.conf.spill_dir,
+                             spec.conf.max_fetch_attempts));
+    for (const auto& partition : partitions) {
+      result.counters.shuffle_bytes += partition->record_bytes();
     }
     map_outputs.clear();
   }
 
   // ---- Reduce phase ----
-  const std::size_t num_reduce_tasks =
-      spill_shuffle ? spilled->partitions.size() : partitions.size();
+  const std::size_t num_reduce_tasks = partitions.size();
   result.reduce_task_seconds.assign(num_reduce_tasks, 0.0);
   std::vector<std::vector<Record>> reduce_outputs(num_reduce_tasks);
   std::atomic<std::uint64_t> reduce_groups{0};
@@ -146,24 +127,10 @@ JobResult execute(const JobSpec& spec,
       spec, num_reduce_tasks, "reduce.task", "retry.reduce_attempts",
       failed_attempts, speculative_launches, result.reduce_task_seconds,
       [&](std::size_t task, bool /*backup*/) -> detail::TaskAttempt {
-        detail::ReduceTaskResult reduced;
-        if (spill_shuffle) {
-          // Sealed spools are const-readable, so re-attempts and
-          // speculative backups stream the same groups again.
-          const std::unique_ptr<Reducer> reducer = spec.reducer_factory();
-          VectorEmitter emitter;
-          spilled->for_each_group(task, [&](const KeyGroup& group) {
-            ++reduced.num_groups;
-            reduced.in_records += group.values.size();
-            reducer->reduce(group.key, group.values, emitter);
-          });
-          reduced.output = std::move(emitter.records());
-        } else {
-          reduced = execute_reduce_records(
-              spec.reducer_factory,
-              reattempts_possible ? partitions[task]
-                                  : std::move(partitions[task]));
-        }
+        // Sealed spools are const-readable, so re-attempts and speculative
+        // backups stream the same partition again without copying it.
+        detail::ReduceTaskResult reduced =
+            execute_reduce_spooled(spec.reducer_factory, *partitions[task]);
         return {[&, task, num_groups = reduced.num_groups,
                  in_records = reduced.in_records,
                  out = std::move(reduced.output)]() mutable {

@@ -77,10 +77,10 @@ struct JobConf {
   bool enable_speculation = false;
   double speculative_slowdown = 4.0;
   double speculative_min_ms = 5.0;
-  /// Out-of-core shuffle: when > 0, map outputs shuffle through per-
-  /// partition spool buffers (external merge sort) whose sealed pages
-  /// spill to disk past this resident-byte budget, instead of the RAM
-  /// partition map. Labels/output are bit-identical either way.
+  /// Resident-byte budget of the shuffle's per-partition spool buffers
+  /// (external merge sort): sealed pages past it spill to disk. 0 keeps
+  /// every page resident and never spills. Labels/output are bit-identical
+  /// for any budget.
   std::size_t spill_budget_bytes = 0;
   /// Directory for spill files ("" = the system temp directory).
   std::string spill_dir;

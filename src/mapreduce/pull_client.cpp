@@ -1,10 +1,9 @@
 // The reducer side of the worker-to-worker shuffle (DESIGN.md sections
 // 14-15) and the kReducePull / kReducePullDone codecs. Pull order fixes the
-// partition's record sequence to exactly what fetch_and_partition builds,
-// so the spool's stable merge makes the reduce byte-identical to every
-// other path.
+// partition's record sequence to exactly what the in-process
+// fetch_and_partition appends, and both spool it under the same
+// shuffle_spool_config, so the reduce is byte-identical in either mode.
 #include <deque>
-#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -259,15 +258,9 @@ class PullClient {
     // Spill gauges snapshot into the report; the supervisor re-homes them
     // in its own registry when the task commits.
     MetricsRegistry task_metrics;
-    SpoolConfig spool_config;
-    spool_config.dir = request_.spill_dir;
-    // JobConf budget 0 means spilling off; SpoolConfig budget 0 means spill
-    // every sealed page. Map "off" to a budget nothing reaches.
-    spool_config.budget_bytes =
-        request_.spill_budget == 0
-            ? std::numeric_limits<std::size_t>::max()
-            : static_cast<std::size_t>(request_.spill_budget);
-    spool_config.sort_on_seal = true;
+    SpoolConfig spool_config = shuffle_spool_config(
+        static_cast<std::size_t>(request_.spill_budget), request_.spill_dir,
+        static_cast<std::size_t>(request_.max_fetch_attempts));
     spool_config.faults = faults;
     spool_config.metrics = &task_metrics;
     SpoolBuffer spool(spool_config);

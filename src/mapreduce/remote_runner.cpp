@@ -496,7 +496,7 @@ class MultiprocRun {
       counters.reduce_input_records += report.reduced.in_records;
       counters.reduce_output_records += report.reduced.output.size();
       // The reducers moved the shuffle bytes; the supervisor only tallies
-      // them, in the RAM shuffle's key+value+2 convention, so the counter is
+      // them, in the spool's key+value+2 convention, so the counter is
       // worker-count-invariant and equal to the in-process one.
       counters.shuffle_bytes += report.record_bytes;
       reduce_outputs_[report.task] = std::move(report.reduced.output);

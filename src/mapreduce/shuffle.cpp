@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <limits>
 
 #include "common/checksum.hpp"
 #include "common/error.hpp"
@@ -91,38 +92,6 @@ std::size_t partition_for_key(const std::string& key,
   return std::hash<std::string>{}(key) % num_partitions;
 }
 
-std::vector<std::vector<Record>> partition_outputs(
-    const std::vector<std::vector<Record>>& outputs,
-    std::size_t num_partitions) {
-  std::vector<std::vector<Record>> partitions(num_partitions);
-  for (const auto& task_output : outputs) {
-    for (const auto& record : task_output) {
-      partitions[partition_for_key(record.key, num_partitions)].push_back(
-          record);
-    }
-  }
-  return partitions;
-}
-
-std::vector<std::vector<Record>> fetch_and_partition(
-    const std::vector<std::vector<Record>>& outputs,
-    std::size_t num_partitions, FaultInjector* faults,
-    std::size_t max_attempts, MetricsRegistry* metrics) {
-  if (faults == nullptr) return partition_outputs(outputs, num_partitions);
-  DASC_EXPECT(max_attempts >= 1, "fetch_and_partition: need >= 1 attempt");
-
-  std::vector<std::vector<Record>> partitions(num_partitions);
-  for (std::size_t task = 0; task < outputs.size(); ++task) {
-    std::vector<Record> fetched =
-        fetch_local(outputs[task], task, faults, max_attempts, metrics);
-    for (auto& record : fetched) {
-      partitions[partition_for_key(record.key, num_partitions)].push_back(
-          std::move(record));
-    }
-  }
-  return partitions;
-}
-
 std::vector<KeyGroup> sort_and_group(std::vector<Record> partition) {
   std::stable_sort(partition.begin(), partition.end(),
                    [](const Record& a, const Record& b) {
@@ -138,83 +107,50 @@ std::vector<KeyGroup> sort_and_group(std::vector<Record> partition) {
   return groups;
 }
 
-void SpilledShuffle::for_each_group(
-    std::size_t partition,
-    const std::function<void(const KeyGroup&)>& fn) const {
-  DASC_EXPECT(partition < partitions.size(),
-              "SpilledShuffle: partition out of range");
-  // The spool's merged stream is the partition stable-sorted by key, so
-  // grouping is a single streaming pass: flush whenever the key changes.
-  KeyGroup group;
-  bool open = false;
-  partitions[partition]->for_each_sorted(
-      [&](std::string_view key, std::string_view value) {
-        if (!open || group.key != key) {
-          if (open) fn(group);
-          group.key.assign(key);
-          group.values.clear();
-          open = true;
-        }
-        group.values.emplace_back(value);
-      });
-  if (open) fn(group);
+SpoolConfig shuffle_spool_config(std::size_t spill_budget_bytes,
+                                 const std::string& spill_dir,
+                                 std::size_t max_fetch_attempts) {
+  SpoolConfig config;
+  config.dir = spill_dir;
+  config.budget_bytes = spill_budget_bytes == 0
+                            ? std::numeric_limits<std::size_t>::max()
+                            : spill_budget_bytes;
+  config.max_attempts = std::max(config.max_attempts, max_fetch_attempts);
+  config.sort_on_seal = true;
+  return config;
 }
 
-std::size_t SpilledShuffle::total_record_bytes() const {
-  std::size_t bytes = 0;
-  for (const auto& spool : partitions) bytes += spool->record_bytes();
-  return bytes;
-}
-
-SpilledShuffle fetch_and_partition_to_spool(
+std::vector<std::unique_ptr<SpoolBuffer>> fetch_and_partition(
     const std::vector<std::vector<Record>>& outputs,
     std::size_t num_partitions, FaultInjector* faults,
     std::size_t max_attempts, MetricsRegistry* metrics,
     const SpoolConfig& spool) {
-  DASC_EXPECT(num_partitions >= 1,
-              "fetch_and_partition_to_spool: need >= 1 partition");
-  DASC_EXPECT(max_attempts >= 1,
-              "fetch_and_partition_to_spool: need >= 1 attempt");
+  DASC_EXPECT(num_partitions >= 1, "fetch_and_partition: need >= 1 partition");
+  DASC_EXPECT(max_attempts >= 1, "fetch_and_partition: need >= 1 attempt");
 
   SpoolConfig config = spool;
   config.sort_on_seal = true;
   config.faults = faults;
   config.metrics = metrics;
 
-  SpilledShuffle shuffle;
-  shuffle.partitions.reserve(num_partitions);
+  std::vector<std::unique_ptr<SpoolBuffer>> partitions;
+  partitions.reserve(num_partitions);
   for (std::size_t p = 0; p < num_partitions; ++p) {
-    shuffle.partitions.push_back(std::make_unique<SpoolBuffer>(config));
+    partitions.push_back(std::make_unique<SpoolBuffer>(config));
   }
-
   for (std::size_t task = 0; task < outputs.size(); ++task) {
-    if (faults == nullptr) {
-      for (const auto& record : outputs[task]) {
-        shuffle.partitions[partition_for_key(record.key, num_partitions)]
-            ->append(record.key, record.value);
-      }
-      continue;
-    }
+    // With no injector nothing can fire: no copy, no CRC.
     const std::vector<Record> fetched =
-        fetch_local(outputs[task], task, faults, max_attempts, metrics);
-    for (const auto& record : fetched) {
-      shuffle.partitions[partition_for_key(record.key, num_partitions)]
-          ->append(record.key, record.value);
+        faults == nullptr
+            ? std::vector<Record>()
+            : fetch_local(outputs[task], task, faults, max_attempts, metrics);
+    for (const auto& record : faults == nullptr ? outputs[task] : fetched) {
+      partitions[partition_for_key(record.key, num_partitions)]->append(
+          record.key, record.value);
     }
   }
-  for (auto& partition : shuffle.partitions) partition->finish();
-  return shuffle;
-}
-
-std::size_t shuffle_bytes(
-    const std::vector<std::vector<Record>>& partitions) {
-  std::size_t bytes = 0;
-  for (const auto& partition : partitions) {
-    for (const auto& record : partition) {
-      bytes += record.key.size() + record.value.size() + 2;
-    }
-  }
-  return bytes;
+  for (auto& partition : partitions) partition->finish();
+  return partitions;
 }
 
 }  // namespace dasc::mapreduce

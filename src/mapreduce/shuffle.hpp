@@ -1,5 +1,7 @@
-// Shuffle phase: hash partitioning of map outputs, per-partition sort, and
-// grouping by key — the bridge between map and reduce.
+// Shuffle phase: hash partitioning of map outputs into per-partition
+// sort-on-seal spools — the bridge between map and reduce. One shuffle
+// serves both execution modes; the spill budget only decides where sealed
+// pages live (DESIGN.md section 12).
 #pragma once
 
 #include <cstddef>
@@ -30,12 +32,6 @@ struct KeyGroup {
   std::vector<std::string> values;
 };
 
-/// Partition map outputs. outputs[task] is one map task's emitted records;
-/// the result has one record vector per partition.
-std::vector<std::vector<Record>> partition_outputs(
-    const std::vector<std::vector<Record>>& outputs,
-    std::size_t num_partitions);
-
 /// CRC-32 over records in the "key\tvalue\n" convention: the transfer
 /// checksum every shuffle path serves and verifies.
 std::uint32_t records_crc(const std::vector<Record>& records);
@@ -48,8 +44,8 @@ struct FetchedSlice {
 };
 
 /// The CRC-plus-retry fetch loop every shuffle path shares — the in-
-/// process RAM and spooled shuffles and the multi-process pull client — so
-/// a fault plan exercises them identically whichever process fetches.
+/// process shuffle and the multi-process pull client — so a fault plan
+/// exercises them identically whichever process fetches.
 /// Each attempt makes one `shuffle.fetch` check (`faults` may be null): an
 /// error fails the attempt without transferring; otherwise `transfer`
 /// runs, a corruption flips one byte of what it returned, and the records
@@ -61,51 +57,30 @@ std::vector<Record> fetch_verified(
     const std::function<FetchedSlice()>& transfer,
     const std::function<void()>& on_retry);
 
-/// Checksummed shuffle transfer: each map output is copied through
-/// fetch_verified (counting `retry.shuffle_fetch` per re-fetch) and
-/// partitioned. With no injector this is exactly partition_outputs (no
-/// copy, no CRC cost); the result layout is the same for any run that
-/// completes.
-std::vector<std::vector<Record>> fetch_and_partition(
-    const std::vector<std::vector<Record>>& outputs,
-    std::size_t num_partitions, FaultInjector* faults,
-    std::size_t max_attempts, MetricsRegistry* metrics);
+/// Sort-on-seal spool knobs for a shuffle partition — the one place the
+/// budget conventions meet: JobConf's 0 ("never spill") becomes an
+/// unbounded SpoolConfig budget (whose 0 spills every page), and page I/O
+/// gets at least `max_fetch_attempts` attempts. Faults/metrics are unset.
+SpoolConfig shuffle_spool_config(std::size_t spill_budget_bytes,
+                                 const std::string& spill_dir,
+                                 std::size_t max_fetch_attempts);
 
-/// Sort one partition's records by key and group equal keys.
-std::vector<KeyGroup> sort_and_group(std::vector<Record> partition);
-
-/// Out-of-core shuffle state: one sort-on-seal spool buffer per reduce
-/// partition. Sealed (finished) shuffles are const-readable, so reduce
-/// re-attempts and speculative backups can stream the same partition
-/// concurrently.
-struct SpilledShuffle {
-  std::vector<std::unique_ptr<SpoolBuffer>> partitions;
-
-  /// Stream partition `partition`'s records grouped by key, in exactly
-  /// the order sort_and_group produces: keys ascending, values in map
-  /// order within each map task and by task across tasks. The KeyGroup
-  /// reference is valid only inside the callback.
-  void for_each_group(std::size_t partition,
-                      const std::function<void(const KeyGroup&)>& fn) const;
-
-  /// Accounting bytes across all partitions (the shuffle_bytes counter).
-  std::size_t total_record_bytes() const;
-};
-
-/// External-merge variant of fetch_and_partition: identical transfer
-/// semantics, but verified records are appended to per-partition spool
-/// buffers in task order instead of a RAM partition map.
-/// `spool` supplies dir/budget/page knobs; sort_on_seal is forced on and
-/// faults/metrics are overridden with the arguments so page I/O shares
-/// the job's injector and registry. Each partition's grouped stream is
-/// bit-identical to sort_and_group over the RAM path for any budget.
-SpilledShuffle fetch_and_partition_to_spool(
+/// The shuffle: each map output is copied through fetch_verified (counting
+/// `retry.shuffle_fetch` per re-fetch; no copy or CRC without an injector)
+/// and its records are appended, in task order, to one sort-on-seal spool
+/// per partition, returned sealed. `spool` supplies the dir/budget/page
+/// knobs; sort_on_seal is forced on and faults/metrics are overridden with
+/// the arguments. Sealed spools are const-readable, so re-attempts and
+/// speculative backups may stream one partition concurrently, and each
+/// streams the groups sort_and_group would build, for any budget.
+std::vector<std::unique_ptr<SpoolBuffer>> fetch_and_partition(
     const std::vector<std::vector<Record>>& outputs,
     std::size_t num_partitions, FaultInjector* faults,
     std::size_t max_attempts, MetricsRegistry* metrics,
     const SpoolConfig& spool);
 
-/// Total serialized bytes of the records (the shuffle-traffic counter).
-std::size_t shuffle_bytes(const std::vector<std::vector<Record>>& partitions);
+/// Sort one partition's records by key and group equal keys (the
+/// combiner's in-task grouping).
+std::vector<KeyGroup> sort_and_group(std::vector<Record> partition);
 
 }  // namespace dasc::mapreduce

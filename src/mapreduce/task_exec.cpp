@@ -209,22 +209,6 @@ MapTaskResult execute_map_task(
   return result;
 }
 
-ReduceTaskResult execute_reduce_records(
-    const std::function<std::unique_ptr<Reducer>()>& reducer_factory,
-    std::vector<Record> partition) {
-  const std::unique_ptr<Reducer> reducer = reducer_factory();
-  VectorEmitter emitter;
-  ReduceTaskResult result;
-  const std::vector<KeyGroup> groups = sort_and_group(std::move(partition));
-  result.num_groups = groups.size();
-  for (const auto& group : groups) {
-    result.in_records += group.values.size();
-    reducer->reduce(group.key, group.values, emitter);
-  }
-  result.output = std::move(emitter.records());
-  return result;
-}
-
 ReduceTaskResult execute_reduce_spooled(
     const std::function<std::unique_ptr<Reducer>()>& reducer_factory,
     const SpoolBuffer& partition) {
@@ -237,25 +221,22 @@ ReduceTaskResult execute_reduce_spooled(
   // builds from the same records.
   KeyGroup group;
   bool open = false;
+  const auto flush = [&] {
+    ++result.num_groups;
+    result.in_records += group.values.size();
+    reducer->reduce(group.key, group.values, emitter);
+  };
   partition.for_each_sorted(
       [&](std::string_view key, std::string_view value) {
         if (!open || group.key != key) {
-          if (open) {
-            ++result.num_groups;
-            result.in_records += group.values.size();
-            reducer->reduce(group.key, group.values, emitter);
-          }
+          if (open) flush();
           group.key.assign(key);
           group.values.clear();
           open = true;
         }
         group.values.emplace_back(value);
       });
-  if (open) {
-    ++result.num_groups;
-    result.in_records += group.values.size();
-    reducer->reduce(group.key, group.values, emitter);
-  }
+  if (open) flush();
   result.output = std::move(emitter.records());
   return result;
 }

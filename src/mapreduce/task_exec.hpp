@@ -4,7 +4,7 @@
 // Both execution modes run phases through the same run_task_phase — fault
 // injection before each attempt, commit-once idempotence, capped-backoff
 // retries, optional speculative re-execution — and both execute the *work*
-// of a task through the same execute_map_task / execute_reduce_records
+// of a task through the same execute_map_task / execute_reduce_spooled
 // helpers (the in-process mode calls them on the job's thread pool, a
 // worker process calls them inside its serve loop). Sharing the code is
 // what makes the modes' outputs byte-identical by construction rather than
@@ -92,17 +92,11 @@ struct ReduceTaskResult {
   std::uint64_t in_records = 0;
 };
 
-/// Run one reduce task over a raw partition: stable sort/group by key,
-/// then reduce each group in order.
-ReduceTaskResult execute_reduce_records(
-    const std::function<std::unique_ptr<Reducer>()>& reducer_factory,
-    std::vector<Record> partition);
-
-/// Run one reduce task over a finished sort-on-seal SpoolBuffer, streaming
-/// groups off the spool's merged order — which is exactly the stable sort
-/// execute_reduce_records performs — so the worker-to-worker gather's
-/// spooled partition reduces byte-identically to the RAM paths while only
-/// one group is resident at a time.
+/// Run one reduce task over a finished sort-on-seal SpoolBuffer — the
+/// partition every shuffle in both execution modes hands a reducer —
+/// streaming groups off the spool's merged order (a stable sort by key),
+/// so only one group is resident at a time whatever the spill budget. The
+/// spool is only read, so concurrent attempts may share it.
 ReduceTaskResult execute_reduce_spooled(
     const std::function<std::unique_ptr<Reducer>()>& reducer_factory,
     const SpoolBuffer& partition);

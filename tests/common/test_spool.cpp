@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -153,16 +154,38 @@ TEST(SpoolBuffer, SortedMergeIdenticalAcrossBudgets) {
   }
 }
 
-TEST(SpoolBuffer, RecordLargerThanPageIsTypedError) {
-  SpoolConfig config;
-  config.page_bytes = 32;
-  SpoolBuffer spool(config);
-  // Framed size is 8 + key + value; 32-byte pages cannot hold this.
-  EXPECT_THROW(spool.append("key", std::string(64, 'x')), InvalidArgument);
-  // A record that exactly fits is accepted.
-  spool.append("k", std::string(23, 'y'));
-  spool.finish();
-  EXPECT_EQ(spool.records(), 1u);
+TEST(SpoolBuffer, OversizedRecordsRoundTripInEveryMode) {
+  // Every fifth record is larger than a 32-byte page and takes a page of
+  // its own: append-order and sorted, spilled and resident, through a
+  // multi-pass merge.
+  KvList records;
+  Rng rng(13);
+  for (int i = 0; i < 40; ++i) {
+    records.emplace_back("k" + std::to_string(rng() % 4),
+                         std::string(i % 5 == 0 ? 100 + i : i % 7, 'a' + i));
+  }
+  KvList sorted = records;
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
+                   });
+  for (const bool sort_on_seal : {false, true}) {
+    for (const std::size_t budget :
+         {std::size_t{0}, std::numeric_limits<std::size_t>::max()}) {
+      SCOPED_TRACE("budget=" + std::to_string(budget));
+      SpoolConfig config;
+      config.page_bytes = 32;
+      config.budget_bytes = budget;
+      config.sort_on_seal = sort_on_seal;
+      config.fan_in = 2;
+      SpoolBuffer spool(config);
+      for (const auto& [key, value] : records) spool.append(key, value);
+      spool.finish();
+      EXPECT_EQ(spool.records(), records.size());
+      EXPECT_EQ(spool.pages_spilled() > 0, budget == 0);
+      EXPECT_EQ(drain(spool, sort_on_seal), sort_on_seal ? sorted : records);
+    }
+  }
 }
 
 TEST(SpoolBuffer, MisuseIsTypedError) {

@@ -21,7 +21,6 @@
 #include "data/synthetic.hpp"
 #include "mapreduce/dfs.hpp"
 #include "mapreduce/job.hpp"
-#include "mapreduce/shuffle.hpp"
 
 namespace dasc {
 namespace {
@@ -192,6 +191,33 @@ TEST(JobRetry, SpeculationRescuesAStalledStraggler) {
   EXPECT_EQ(faulted.counters.failed_task_attempts, 0u);
 }
 
+TEST(JobRetry, SpeculativeBackupReStreamsAStalledReducePartition) {
+  // The first reduce attempt stalls for 300ms, so the monitor launches a
+  // backup that streams the same sealed partition spool the primary
+  // streams once it wakes; exactly one of them commits.
+  const std::vector<Record> input = word_count_input();
+  JobSpec spec = word_count_spec();
+  spec.conf.physical_threads = 4;
+  spec.conf.enable_speculation = true;
+  spec.conf.speculative_min_ms = 5.0;
+
+  const JobResult clean = run_job(spec, input);
+
+  MetricsRegistry registry;
+  FaultInjector injector(
+      FaultPlan::parse("reduce.task:nth=1:max=1:kind=stall:stall_ms=300"));
+  spec.faults = &injector;
+  spec.metrics = &registry;
+  const JobResult faulted = run_job(spec, input);
+
+  EXPECT_EQ(faulted.output, clean.output);
+  EXPECT_EQ(faulted.counters.reduce_output_records,
+            clean.counters.reduce_output_records);  // no double commit
+  EXPECT_EQ(injector.fired("reduce.task"), 1u);
+  EXPECT_GE(registry.gauge_value("retry.speculative_launches"), 1);
+  EXPECT_EQ(faulted.counters.failed_task_attempts, 0u);
+}
+
 TEST(DfsRetry, CorruptedReadIsCaughtByChecksumAndRetried) {
   mapreduce::DfsConfig clean_config;
   mapreduce::Dfs clean_dfs(clean_config);
@@ -237,28 +263,6 @@ TEST(DfsRetry, ExhaustedReadAttemptsThrowIoError) {
   mapreduce::Dfs dfs(config);
   dfs.write_file("/data/in.txt", {"payload"});
   EXPECT_THROW(dfs.read_file("/data/in.txt"), IoError);
-}
-
-TEST(ShuffleRetry, FetchAndPartitionMatchesPartitionOutputs) {
-  std::vector<std::vector<Record>> outputs = {
-      {{"a", "1"}, {"b", "2"}, {"c", "3"}},
-      {{"b", "4"}, {"d", "5"}},
-      {{"a", "6"}},
-  };
-  const auto clean = mapreduce::partition_outputs(outputs, 3);
-
-  MetricsRegistry registry;
-  FaultInjector injector(
-      FaultPlan::parse("shuffle.fetch:nth=1:max=2:kind=corrupt"));
-  const auto fetched = mapreduce::fetch_and_partition(
-      outputs, 3, &injector, /*max_attempts=*/4, &registry);
-
-  EXPECT_EQ(fetched, clean);
-  EXPECT_EQ(registry.counter_value("retry.shuffle_fetch"), 2);
-
-  // Null injector must take the zero-cost path and agree too.
-  EXPECT_EQ(mapreduce::fetch_and_partition(outputs, 3, nullptr, 4, nullptr),
-            clean);
 }
 
 data::PointSet pipeline_points(std::size_t n) {

@@ -4,12 +4,16 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/metrics.hpp"
 
 namespace dasc::mapreduce {
 namespace {
@@ -179,6 +183,22 @@ TEST(Job, DfsJobReadsBlocksAndWritesParts) {
   const auto part_lines = dfs.read_file(parts[0]);
   EXPECT_EQ(part_lines.size(), result.output.size());
   EXPECT_NE(part_lines[0].find('\t'), std::string::npos);
+}
+
+TEST(Job, ZeroSpillBudgetNeverSpills) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::temp_directory_path() /
+                       ("dasc-nospill-test-" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  MetricsRegistry registry;
+  JobSpec spec = word_count_spec();
+  spec.conf.spill_dir = dir.string();
+  spec.metrics = &registry;
+  run_job(spec, word_count_input());
+  EXPECT_EQ(registry.gauge_value("spill.bytes_written"), 0);
+  EXPECT_EQ(registry.gauge_value("spill.pages"), 0);
+  EXPECT_TRUE(fs::is_empty(dir));  // no dasc-spool-* file
+  fs::remove_all(dir);
 }
 
 TEST(Job, FlakyMapperSucceedsWithRetries) {

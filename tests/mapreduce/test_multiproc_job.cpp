@@ -379,6 +379,66 @@ TEST(MultiprocW2W, ExecModeWorkerBinaryMatchesInProcess) {
 #endif
 }
 
+TEST(MultiprocW2W, SpoolPageIoGetsTheFetchAttemptCap) {
+  // One helper caps the shuffle spool's page I/O attempts in both modes:
+  // four straight page-write failures fit in six attempts, so the job
+  // finishes on its only task attempt and every fire is retried.
+  const JobResult baseline = run_job(word_count_spec(), word_count_input());
+  MetricsRegistry registry;
+  FaultInjector injector(FaultPlan::parse("spill.page_io:nth=1:max=4"),
+                         &registry);
+  JobSpec spec = w2w_spec(2, /*spill_budget=*/1);
+  spec.conf.max_fetch_attempts = 6;
+  spec.conf.max_task_attempts = 1;
+  spec.metrics = &registry;
+  spec.faults = &injector;
+  const JobResult result = run_job(spec, word_count_input());
+  EXPECT_EQ(flatten(result.output), flatten(baseline.output));
+  EXPECT_GT(injector.fired("spill.page_io"), 0u);
+  EXPECT_EQ(static_cast<std::int64_t>(injector.fired("spill.page_io")),
+            registry.counter_value("retry.spill_page_io"));
+}
+
+/// Record "0" carries a value larger than one 256 KiB spool page.
+struct OversizedValueMapper final : Mapper {
+  void map(const std::string& key, const std::string& value,
+           Emitter& out) override {
+    out.emit("k" + std::to_string(std::stoi(key) % 3),
+             key == "0" ? std::string(300 * 1024, 'v') + value : value);
+  }
+};
+
+struct IdentityReducer final : Reducer {
+  void reduce(const std::string& key, const std::vector<std::string>& values,
+              Emitter& out) override {
+    for (const auto& value : values) out.emit(key, value);
+  }
+};
+
+TEST(MultiprocW2W, OversizedValueShufflesLikeInProcess) {
+  for (const std::size_t budget : {0u, 1u}) {
+    SCOPED_TRACE("budget=" + std::to_string(budget));
+    JobSpec in_proc = word_count_spec();
+    in_proc.conf.spill_budget_bytes = budget;
+    in_proc.mapper_factory = [] {
+      return std::make_unique<OversizedValueMapper>();
+    };
+    in_proc.reducer_factory = [] {
+      return std::make_unique<IdentityReducer>();
+    };
+    in_proc.combiner_factory = nullptr;
+    const JobResult baseline = run_job(in_proc, word_count_input());
+    ASSERT_EQ(baseline.output.size(), word_count_input().size());
+
+    JobSpec multi = in_proc;
+    multi.conf.execution_mode = ExecutionMode::kMultiProcess;
+    multi.conf.num_workers = 2;
+    const JobResult result = run_job(multi, word_count_input());
+    EXPECT_EQ(flatten(result.output), flatten(baseline.output));
+    EXPECT_EQ(result.counters.shuffle_bytes, baseline.counters.shuffle_bytes);
+  }
+}
+
 // --- Cross-process speculative execution (DESIGN.md section 15) ---
 
 TEST(MultiprocSpeculation, EveryCellKeepsParityAndCommitsEachTaskOnce) {

@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/fault_injection.hpp"
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
+#include "mapreduce/task_exec.hpp"
 
 namespace dasc::mapreduce {
 namespace {
@@ -28,25 +32,6 @@ TEST(Partitioner, SpreadsKeys) {
     ++counts[partition_for_key("key" + std::to_string(i), 8)];
   }
   for (int c : counts) EXPECT_GT(c, 20);  // no partition starves
-}
-
-TEST(PartitionOutputs, EveryRecordLandsInItsKeyPartition) {
-  std::vector<std::vector<Record>> outputs(3);
-  for (int task = 0; task < 3; ++task) {
-    for (int i = 0; i < 20; ++i) {
-      outputs[task].push_back(
-          {"k" + std::to_string(i % 5), "v" + std::to_string(i)});
-    }
-  }
-  const auto partitions = partition_outputs(outputs, 4);
-  std::size_t total = 0;
-  for (std::size_t p = 0; p < partitions.size(); ++p) {
-    for (const auto& record : partitions[p]) {
-      EXPECT_EQ(partition_for_key(record.key, 4), p);
-      ++total;
-    }
-  }
-  EXPECT_EQ(total, 60u);
 }
 
 TEST(SortAndGroup, GroupsEqualKeys) {
@@ -72,13 +57,6 @@ TEST(SortAndGroup, EmptyInput) {
   EXPECT_TRUE(sort_and_group({}).empty());
 }
 
-TEST(ShuffleBytes, CountsKeyValueAndFraming) {
-  const std::vector<std::vector<Record>> partitions{
-      {{"ab", "cde"}},  // 2 + 3 + 2 framing = 7
-      {}};
-  EXPECT_EQ(shuffle_bytes(partitions), 7u);
-}
-
 std::vector<std::vector<Record>> synthetic_outputs(std::size_t tasks,
                                                    std::size_t per_task) {
   dasc::Rng rng(41);
@@ -95,12 +73,40 @@ std::vector<std::vector<Record>> synthetic_outputs(std::size_t tasks,
   return outputs;
 }
 
-std::vector<KeyGroup> spilled_groups(const SpilledShuffle& shuffle,
-                                     std::size_t partition) {
+/// A reducer that records every group it is handed.
+struct GroupRecorder final : Reducer {
+  explicit GroupRecorder(std::vector<KeyGroup>& out) : groups(out) {}
+  void reduce(const std::string& key, const std::vector<std::string>& values,
+              Emitter& /*out*/) override {
+    groups.push_back({key, values});
+  }
+  std::vector<KeyGroup>& groups;
+};
+
+/// The groups a reduce task streams off one sealed partition spool.
+std::vector<KeyGroup> reduced_groups(const SpoolBuffer& partition) {
   std::vector<KeyGroup> groups;
-  shuffle.for_each_group(partition, [&](const KeyGroup& group) {
-    groups.push_back(group);
-  });
+  detail::execute_reduce_spooled(
+      [&] { return std::make_unique<GroupRecorder>(groups); }, partition);
+  return groups;
+}
+
+/// The reference shuffle: each record into its partition_for_key
+/// partition in task order, then sort_and_group per partition.
+std::vector<std::vector<KeyGroup>> reference_groups(
+    const std::vector<std::vector<Record>>& outputs,
+    std::size_t num_partitions) {
+  std::vector<std::vector<Record>> partitions(num_partitions);
+  for (const auto& output : outputs) {
+    for (const auto& record : output) {
+      partitions[partition_for_key(record.key, num_partitions)].push_back(
+          record);
+    }
+  }
+  std::vector<std::vector<KeyGroup>> groups;
+  for (auto& partition : partitions) {
+    groups.push_back(sort_and_group(std::move(partition)));
+  }
   return groups;
 }
 
@@ -113,26 +119,59 @@ void expect_same_groups(const std::vector<KeyGroup>& a,
   }
 }
 
+TEST(ShuffleRetry, FetchAndPartitionMatchesPartitionOutputs) {
+  const std::vector<std::vector<Record>> outputs = {
+      {{"a", "1"}, {"b", "2"}, {"c", "3"}},
+      {{"b", "4"}, {"d", "5"}},
+      {{"a", "6"}},
+  };
+  const auto reference = reference_groups(outputs, 3);
+  const SpoolConfig spool = shuffle_spool_config(0, "", 4);
+
+  // Corrupt transfers are re-fetched; a null injector takes the no-copy,
+  // no-CRC path. Both shuffles hold the reference partitions.
+  MetricsRegistry registry;
+  FaultInjector injector(
+      FaultPlan::parse("shuffle.fetch:nth=1:max=2:kind=corrupt"));
+  const auto fetched = fetch_and_partition(
+      outputs, 3, &injector, /*max_attempts=*/4, &registry, spool);
+  const auto clean =
+      fetch_and_partition(outputs, 3, nullptr, 4, nullptr, spool);
+  for (std::size_t p = 0; p < 3; ++p) {
+    expect_same_groups(reduced_groups(*fetched[p]), reference[p]);
+    expect_same_groups(reduced_groups(*clean[p]), reference[p]);
+  }
+  EXPECT_EQ(registry.counter_value("retry.shuffle_fetch"), 2);
+}
+
 TEST(SpilledShuffle, GroupsMatchRamPathAcrossBudgetsAndPageSizes) {
   const auto outputs = synthetic_outputs(5, 40);
   const std::size_t num_partitions = 3;
-  const auto ram_partitions = partition_outputs(outputs, num_partitions);
+  const auto reference = reference_groups(outputs, num_partitions);
+  std::size_t reference_bytes = 0;
+  for (const auto& output : outputs) {
+    for (const auto& record : output) {
+      reference_bytes += record.key.size() + record.value.size() + 2;
+    }
+  }
 
-  for (const std::size_t budget : {std::size_t{0}, std::size_t{512},
-                                   std::size_t{1} << 22}) {
+  for (const std::size_t budget :
+       {std::size_t{0}, std::size_t{512}, std::size_t{1} << 22,
+        std::numeric_limits<std::size_t>::max()}) {
     for (const std::size_t page_bytes : {std::size_t{64},
                                          std::size_t{4096}}) {
       SpoolConfig spool;
       spool.budget_bytes = budget;
       spool.page_bytes = page_bytes;
-      const SpilledShuffle shuffle = fetch_and_partition_to_spool(
+      const auto partitions = fetch_and_partition(
           outputs, num_partitions, nullptr, 4, nullptr, spool);
-      EXPECT_EQ(shuffle.total_record_bytes(),
-                shuffle_bytes(ram_partitions));
+      ASSERT_EQ(partitions.size(), num_partitions);
+      std::size_t bytes = 0;
       for (std::size_t p = 0; p < num_partitions; ++p) {
-        expect_same_groups(spilled_groups(shuffle, p),
-                           sort_and_group(ram_partitions[p]));
+        bytes += partitions[p]->record_bytes();
+        expect_same_groups(reduced_groups(*partitions[p]), reference[p]);
       }
+      EXPECT_EQ(bytes, reference_bytes);
     }
   }
 }
@@ -140,7 +179,7 @@ TEST(SpilledShuffle, GroupsMatchRamPathAcrossBudgetsAndPageSizes) {
 TEST(SpilledShuffle, GroupsSurviveFetchAndPageFaults) {
   const auto outputs = synthetic_outputs(4, 30);
   const std::size_t num_partitions = 2;
-  const auto ram_partitions = partition_outputs(outputs, num_partitions);
+  const auto reference = reference_groups(outputs, num_partitions);
 
   MetricsRegistry registry;
   FaultInjector injector(
@@ -149,11 +188,10 @@ TEST(SpilledShuffle, GroupsSurviveFetchAndPageFaults) {
       &registry);
   SpoolConfig spool;
   spool.page_bytes = 128;
-  const SpilledShuffle shuffle = fetch_and_partition_to_spool(
+  const auto partitions = fetch_and_partition(
       outputs, num_partitions, &injector, 6, &registry, spool);
   for (std::size_t p = 0; p < num_partitions; ++p) {
-    expect_same_groups(spilled_groups(shuffle, p),
-                       sort_and_group(ram_partitions[p]));
+    expect_same_groups(reduced_groups(*partitions[p]), reference[p]);
   }
   EXPECT_GT(injector.total_fired(), 0u);
 }
@@ -164,11 +202,11 @@ TEST(SpilledShuffle, GroupsAreRepeatable) {
   const auto outputs = synthetic_outputs(3, 25);
   SpoolConfig spool;
   spool.page_bytes = 96;
-  const SpilledShuffle shuffle =
-      fetch_and_partition_to_spool(outputs, 2, nullptr, 4, nullptr, spool);
-  for (std::size_t p = 0; p < 2; ++p) {
-    const auto first = spilled_groups(shuffle, p);
-    expect_same_groups(spilled_groups(shuffle, p), first);
+  const auto partitions =
+      fetch_and_partition(outputs, 2, nullptr, 4, nullptr, spool);
+  for (const auto& partition : partitions) {
+    const auto first = reduced_groups(*partition);
+    expect_same_groups(reduced_groups(*partition), first);
   }
 }
 
