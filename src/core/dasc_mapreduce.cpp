@@ -1,7 +1,11 @@
 #include "core/dasc_mapreduce.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <charconv>
+#include <cstdint>
 #include <memory>
+#include <string_view>
 #include <unordered_map>
 
 #include "clustering/kernel.hpp"
@@ -16,34 +20,113 @@
 
 namespace dasc::core {
 
+namespace {
+
+// Every record field is a fixed-width little-endian word (DESIGN.md §5,
+// "Record formats"): u64 indices and signatures, raw IEEE-754 doubles.
+constexpr std::size_t kWord = 8;
+static_assert(sizeof(std::size_t) == kWord, "member indices are u64");
+
+void store_u64(char* out, std::uint64_t value) {
+  for (std::size_t b = 0; b < kWord; ++b) {
+    out[b] = static_cast<char>((value >> (8 * b)) & 0xFF);
+  }
+}
+
+std::uint64_t load_u64(const char* in) {
+  std::uint64_t value = 0;
+  for (std::size_t b = 0; b < kWord; ++b) {
+    value |= std::uint64_t{static_cast<unsigned char>(in[b])} << (8 * b);
+  }
+  return value;
+}
+
+std::string u64_bytes(std::uint64_t value) {
+  std::string bytes(kWord, '\0');
+  store_u64(bytes.data(), value);
+  return bytes;
+}
+
+/// Coordinates in a member value (u64 index, then the doubles); throws
+/// InvalidArgument unless the size is 8 + 8 * dim.
+std::size_t member_dim(std::string_view value) {
+  DASC_EXPECT(value.size() >= kWord && (value.size() - kWord) % kWord == 0,
+              "member value: not a u64 index plus whole doubles");
+  return (value.size() - kWord) / kWord;
+}
+
+/// Decode a member's coordinates into `out` (member_dim(value) long) and
+/// return its index.
+std::uint64_t read_member(std::string_view value, std::span<double> out) {
+  for (std::size_t d = 0; d < out.size(); ++d) {
+    out[d] = std::bit_cast<double>(load_u64(value.data() + kWord * (d + 1)));
+  }
+  return load_u64(value.data());
+}
+
+/// A whole decimal u64 field; throws InternalError naming `what` otherwise.
+std::uint64_t parse_u64(std::string_view text, const std::string& what) {
+  std::uint64_t value = 0;
+  const auto [end, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  DASC_ENSURE(ec == std::errc() && end == text.data() + text.size(),
+              "dasc_mapreduce: malformed " + what);
+  return value;
+}
+
+}  // namespace
+
 std::string encode_member(std::size_t index, std::span<const double> point) {
-  return std::to_string(index) + "|" + data::point_to_record(point);
+  std::string value(kWord * (1 + point.size()), '\0');
+  store_u64(value.data(), index);
+  for (std::size_t d = 0; d < point.size(); ++d) {
+    store_u64(value.data() + kWord * (d + 1),
+              std::bit_cast<std::uint64_t>(point[d]));
+  }
+  return value;
 }
 
 std::pair<std::size_t, std::vector<double>> decode_member(
     const std::string& value) {
-  const std::size_t bar = value.find('|');
-  DASC_EXPECT(bar != std::string::npos, "decode_member: missing separator");
-  const std::size_t index = std::stoull(value.substr(0, bar));
-  return {index, data::record_to_point(value.substr(bar + 1))};
+  std::vector<double> point(member_dim(value));
+  const std::size_t index = read_member(value, point);
+  return {index, std::move(point)};
 }
 
 namespace {
 
 /// Algorithm 1: per-record signature generation with broadcast hash
-/// parameters (one hasher copy per map task).
+/// parameters (one hasher copy per map task). Emits (packed signature,
+/// member value), passing the member value through unchanged.
 class SignatureMapper final : public mapreduce::Mapper {
  public:
   explicit SignatureMapper(lsh::RandomProjectionHasher hasher)
       : hasher_(std::move(hasher)) {}
 
+  void map(const std::string& /*key*/, const std::string& value,
+           mapreduce::Emitter& out) override {
+    point_.resize(member_dim(value));
+    read_member(value, point_);
+    out.emit(u64_bytes(hasher_.hash(point_).bits), value);
+  }
+
+ private:
+  lsh::RandomProjectionHasher hasher_;
+  std::vector<double> point_;  ///< reused decode buffer
+};
+
+/// Algorithm 1 over a DFS text file: the key is the global line number and
+/// the value a point_to_record line, parsed once into the member value.
+class TextSignatureMapper final : public mapreduce::Mapper {
+ public:
+  explicit TextSignatureMapper(lsh::RandomProjectionHasher hasher)
+      : hasher_(std::move(hasher)) {}
+
   void map(const std::string& key, const std::string& value,
            mapreduce::Emitter& out) override {
     const std::vector<double> point = data::record_to_point(value);
-    const lsh::Signature sig =
-        hasher_.hash(std::span<const double>(point));
-    out.emit(lsh::to_string(sig, hasher_.bits()),
-             key + "|" + value);  // (signature, index|vector)
+    out.emit(u64_bytes(hasher_.hash(point).bits),
+             encode_member(parse_u64(key, "DFS line number"), point));
   }
 
  private:
@@ -84,15 +167,12 @@ class BucketClusterReducer final : public mapreduce::Reducer {
   void reduce(const std::string& key, const std::vector<std::string>& values,
               mapreduce::Emitter& out) override {
     const std::size_t n = values.size();
-    std::vector<std::size_t> indices(n);
-    data::PointSet group;
+    std::vector<std::uint64_t> indices(n);
+    data::PointSet group(n, member_dim(values.front()));
     for (std::size_t i = 0; i < n; ++i) {
-      auto [index, point] = decode_member(values[i]);
-      if (i == 0) group = data::PointSet(n, point.size());
-      DASC_EXPECT(point.size() == group.dim(),
+      DASC_EXPECT(member_dim(values[i]) == group.dim(),
                   "BucketClusterReducer: ragged bucket records");
-      indices[i] = index;
-      std::copy(point.begin(), point.end(), group.point(i).begin());
+      indices[i] = read_member(values[i], group.point(i));
     }
 
     // One pipeline task over the whole reduce group: build the bucket's
@@ -132,9 +212,19 @@ class BucketClusterReducer final : public mapreduce::Reducer {
                       .fit.labels;
         });
 
+    // (u64 index, u32 bucket ordinal + i32 local label): the ordinal is
+    // the key's "#b" suffix, so the pair names the cluster uniquely.
+    const std::size_t hash_mark = key.rfind('#');
+    DASC_ENSURE(hash_mark != std::string::npos,
+                "BucketClusterReducer: bucket key has no ordinal");
+    const std::uint64_t ordinal = parse_u64(
+        std::string_view(key).substr(hash_mark + 1), "bucket ordinal");
+    DASC_ENSURE(ordinal <= UINT32_MAX,
+                "BucketClusterReducer: bucket ordinal exceeds u32");
     for (std::size_t i = 0; i < n; ++i) {
-      out.emit(std::to_string(indices[i]),
-               key + "/" + std::to_string(local[i]));
+      const auto label = static_cast<std::uint32_t>(local[i]);
+      out.emit(u64_bytes(indices[i]),
+               u64_bytes(ordinal | std::uint64_t{label} << 32));
     }
   }
 
@@ -168,6 +258,9 @@ mapreduce::JobConf with_spill(mapreduce::JobConf conf,
   return conf;
 }
 
+/// Stage 1 with `Mapper` (SignatureMapper over member values, or
+/// TextSignatureMapper over DFS text lines).
+template <typename Mapper>
 mapreduce::JobSpec make_stage1_spec(const MapReduceDascParams& params,
                                     const lsh::RandomProjectionHasher& hasher) {
   mapreduce::JobSpec lsh_spec;
@@ -175,7 +268,7 @@ mapreduce::JobSpec make_stage1_spec(const MapReduceDascParams& params,
   lsh_spec.conf.job_name = "dasc-lsh";
   lsh_spec.conf.enable_combiner = false;
   lsh_spec.mapper_factory = [hasher] {
-    return std::make_unique<SignatureMapper>(hasher);
+    return std::make_unique<Mapper>(hasher);
   };
   lsh_spec.reducer_factory = [] {
     return std::make_unique<IdentityReducer>();
@@ -213,11 +306,10 @@ MapReduceDascResult dasc_cluster_mapreduce(const data::PointSet& points,
   std::vector<mapreduce::Record> input;
   input.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    input.push_back(
-        {std::to_string(i), data::point_to_record(points.point(i))});
+    input.push_back({std::string(), encode_member(i, points.point(i))});
   }
-  result.lsh_job =
-      mapreduce::run_job(make_stage1_spec(params, hasher), input);
+  result.lsh_job = mapreduce::run_job(
+      make_stage1_spec<SignatureMapper>(params, hasher), input);
 
   finish_pipeline(points, params, m, p, sigma, result);
   result.real_seconds = total_clock.seconds();
@@ -259,7 +351,7 @@ MapReduceDascResult dasc_cluster_mapreduce_dfs(
   // ---- Stage 1 over DFS blocks (data-local splits). The DFS job keys
   // records by global line number, which is exactly the point index. ----
   result.lsh_job = mapreduce::run_job_dfs(
-      make_stage1_spec(params, hasher), dfs, input_path,
+      make_stage1_spec<TextSignatureMapper>(params, hasher), dfs, input_path,
       output_path + "/_stage1");
 
   finish_pipeline(points, params, m, p, sigma, result);
@@ -291,12 +383,11 @@ void finish_pipeline(const data::PointSet& points,
   std::vector<lsh::Signature> signatures(n);
   std::vector<std::string> member_payload(n);
   for (auto& record : result.lsh_job.output) {
-    const std::size_t bar = record.value.find('|');
-    DASC_ENSURE(bar != std::string::npos,
-                "dasc_cluster_mapreduce: malformed stage-1 value");
-    const std::size_t index = std::stoull(record.value.substr(0, bar));
+    DASC_ENSURE(record.key.size() == kWord && record.value.size() >= kWord,
+                "dasc_cluster_mapreduce: malformed stage-1 record");
+    const std::uint64_t index = load_u64(record.value.data());
     DASC_ENSURE(index < n, "dasc_cluster_mapreduce: bad stage-1 index");
-    signatures[index] = lsh::from_string(record.key);
+    signatures[index].bits = load_u64(record.key.data());
     member_payload[index] = std::move(record.value);
   }
   const lsh::BucketTable table =
@@ -358,14 +449,16 @@ void finish_pipeline(const data::PointSet& points,
   cluster_spec.faults = params.dasc.faults;
   result.cluster_job = mapreduce::run_job(cluster_spec, stage2_input);
 
-  // ---- Densify cluster keys into labels. ----
+  // ---- Densify (bucket ordinal, local label) pairs into labels. ----
   result.labels.assign(n, 0);
-  std::unordered_map<std::string, int> cluster_ids;
+  std::unordered_map<std::uint64_t, int> cluster_ids;
   for (const auto& record : result.cluster_job.output) {
-    const std::size_t index = std::stoull(record.key);
+    DASC_ENSURE(record.key.size() == kWord && record.value.size() == kWord,
+                "dasc_cluster_mapreduce: malformed stage-2 record");
+    const std::uint64_t index = load_u64(record.key.data());
     DASC_ENSURE(index < n, "dasc_cluster_mapreduce: bad output index");
     auto [it, inserted] = cluster_ids.try_emplace(
-        record.value, static_cast<int>(cluster_ids.size()));
+        load_u64(record.value.data()), static_cast<int>(cluster_ids.size()));
     result.labels[index] = it->second;
   }
   result.num_clusters = cluster_ids.size();

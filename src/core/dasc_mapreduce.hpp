@@ -1,14 +1,18 @@
 // DASC as MapReduce jobs (paper Section 3.3, Algorithms 1 and 2).
 //
-// Stage 1 ("dasc-lsh"): the mapper emits (signature, index|vector) pairs —
+// Stage 1 ("dasc-lsh"): the mapper emits (signature, member) pairs —
 // Algorithm 1 — with the fitted hash parameters broadcast from the driver.
 // Between the stages the driver merges buckets whose signatures share at
 // least P bits, exactly where the paper performs the merge ("before
 // applying the reducer").
 // Stage 2 ("dasc-cluster"): the reducer receives one bucket per key, builds
 // the bucket's Gram matrix (Algorithm 2, Eq. 1) and runs spectral
-// clustering on it, emitting (index, clusterKey) pairs.
-// The driver densifies cluster keys into global labels.
+// clustering on it, emitting (index, bucket + local label) pairs.
+// The driver densifies the (bucket, local label) pairs into global labels.
+//
+// Records are fixed-width little-endian binary, not text (DESIGN.md §5,
+// "Record formats"): a member is a u64 index followed by the raw doubles,
+// a stage-1 key is the packed u64 signature.
 #pragma once
 
 #include <cstddef>
@@ -57,8 +61,11 @@ MapReduceDascResult dasc_cluster_mapreduce_dfs(
     const std::string& output_path, const MapReduceDascParams& params,
     Rng& rng);
 
-/// Serialization helpers shared with tests.
+/// Member value codec shared with tests: u64 LE index, then each
+/// coordinate's IEEE-754 bits as u64 LE (8 + 8 * dim bytes, bit-exact).
 std::string encode_member(std::size_t index, std::span<const double> point);
+/// Inverse of encode_member; throws InvalidArgument unless the value is
+/// 8 + 8 * dim bytes long.
 std::pair<std::size_t, std::vector<double>> decode_member(
     const std::string& value);
 

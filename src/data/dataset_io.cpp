@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "common/error.hpp"
 
@@ -128,16 +129,23 @@ std::string point_to_record(std::span<const double> point) {
 
 std::vector<double> record_to_point(const std::string& record) {
   std::vector<double> values;
-  std::stringstream ss(record);
-  std::string cell;
-  while (std::getline(ss, cell, ',')) {
-    try {
-      values.push_back(std::stod(cell));
-    } catch (const std::exception&) {
-      throw IoError("record_to_point: malformed number '" + cell + "'");
+  if (record.empty()) return values;  // point_to_record of a 0-d point
+  std::string_view rest(record);
+  for (;;) {
+    const std::size_t comma = rest.find(',');
+    const std::string_view cell = rest.substr(0, comma);
+    double value = 0.0;
+    const auto [end, ec] =
+        std::from_chars(cell.data(), cell.data() + cell.size(), value);
+    // The whole cell must be one number: no trailing junk, no empty cell.
+    if (ec != std::errc() || end != cell.data() + cell.size()) {
+      throw IoError("record_to_point: malformed number '" +
+                    std::string(cell) + "'");
     }
+    values.push_back(value);
+    if (comma == std::string_view::npos) return values;
+    rest.remove_prefix(comma + 1);
   }
-  return values;
 }
 
 }  // namespace dasc::data

@@ -23,7 +23,9 @@ PointSet load_binary(const std::string& path);
 /// Serialize one point as "v0,v1,...,vd" for MapReduce text records.
 std::string point_to_record(std::span<const double> point);
 
-/// Parse a record produced by point_to_record.
+/// Parse a record produced by point_to_record. Every comma-separated cell
+/// must be exactly one number (throws IoError on trailing characters or an
+/// empty cell); the empty record is the zero-dimensional point.
 std::vector<double> record_to_point(const std::string& record);
 
 }  // namespace dasc::data

@@ -30,16 +30,4 @@ std::string to_string(Signature sig, std::size_t m) {
   return out;
 }
 
-Signature from_string(const std::string& text) {
-  DASC_EXPECT(!text.empty() && text.size() <= kMaxSignatureBits,
-              "from_string: bad signature length");
-  Signature sig;
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    const char c = text[text.size() - 1 - i];
-    DASC_EXPECT(c == '0' || c == '1', "from_string: non-binary character");
-    if (c == '1') sig.bits |= (1ULL << i);
-  }
-  return sig;
-}
-
 }  // namespace dasc::lsh

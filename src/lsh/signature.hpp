@@ -34,9 +34,6 @@ bool share_at_least(Signature a, Signature b, std::size_t m, std::size_t p);
 /// Binary string "b_{M-1} ... b_0" for logs and MapReduce keys.
 std::string to_string(Signature sig, std::size_t m);
 
-/// Parse a string produced by to_string. Throws on malformed input.
-Signature from_string(const std::string& text);
-
 struct SignatureHash {
   std::size_t operator()(const Signature& s) const noexcept {
     // SplitMix64 finalizer: good avalanche for sequential bit patterns.

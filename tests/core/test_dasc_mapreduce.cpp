@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cstring>
+#include <limits>
+
 #include "clustering/metrics.hpp"
+#include "common/checksum.hpp"
 #include "common/error.hpp"
 #include "core/dasc_clusterer.hpp"
 #include "data/dataset_io.hpp"
@@ -35,6 +40,45 @@ TEST(MemberCodec, RoundTrip) {
 
 TEST(MemberCodec, RejectsMalformedValue) {
   EXPECT_THROW(decode_member("no separator here"), dasc::InvalidArgument);
+}
+
+TEST(MemberCodec, RoundTripIsBitExact) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double subnormal = std::numeric_limits<double>::denorm_min();
+  const std::vector<double> point{-0.0, subnormal, inf, -inf, DBL_MAX, 0.1};
+  const std::size_t max_index = std::numeric_limits<std::uint64_t>::max();
+  const std::string encoded = encode_member(max_index, point);
+  EXPECT_EQ(encoded.size(), 8 + 8 * point.size());
+  const auto [index, decoded] = decode_member(encoded);
+  EXPECT_EQ(index, max_index);
+  ASSERT_EQ(decoded.size(), point.size());
+  EXPECT_EQ(std::memcmp(decoded.data(), point.data(),
+                        point.size() * sizeof(double)),
+            0);
+}
+
+TEST(MemberCodec, ZeroDimensionalPointRoundTrips) {
+  const std::string encoded = encode_member(7, {});
+  EXPECT_EQ(encoded.size(), 8u);
+  const auto [index, decoded] = decode_member(encoded);
+  EXPECT_EQ(index, 7u);
+  EXPECT_TRUE(decoded.empty());
+}
+
+TEST(MemberCodec, RejectsTruncatedOrMisalignedValues) {
+  for (std::size_t size = 0; size < 8; ++size) {
+    EXPECT_THROW(decode_member(std::string(size, '\x01')),
+                 dasc::InvalidArgument)
+        << size << " bytes";
+  }
+  for (std::size_t k = 0; k < 3; ++k) {
+    for (std::size_t r = 1; r < 8; ++r) {
+      const std::size_t size = 8 + 8 * k + r;
+      EXPECT_THROW(decode_member(std::string(size, '\x01')),
+                   dasc::InvalidArgument)
+          << size << " bytes";
+    }
+  }
 }
 
 TEST(MapReduceDasc, ProducesValidLabeling) {
@@ -179,6 +223,87 @@ TEST(MapReduceDasc, DfsVariantRejectsBadInput) {
   EXPECT_THROW(
       dasc_cluster_mapreduce_dfs(dfs, "/ragged", "/out", params, rng),
       dasc::InvalidArgument);
+}
+
+// Golden labels: the CRC-32 of the label vector on one fixed problem, as the
+// decimal text record format produced it. The binary codec moves every
+// coordinate bit-exactly and keeps the stage-2 reduce keys, so the labels
+// must not move on any path.
+constexpr std::uint32_t kGoldenLabelCrc = 0xa2d2e302u;
+
+std::uint32_t label_crc(const std::vector<int>& labels) {
+  return crc32(std::string_view(reinterpret_cast<const char*>(labels.data()),
+                                labels.size() * sizeof(int)));
+}
+
+MapReduceDascParams golden_params() {
+  MapReduceDascParams params;
+  params.dasc.k = 6;
+  params.dasc.max_bucket_points = 48;  // split buckets share a signature
+  params.conf.split_records = 64;
+  params.conf.num_reducers = 3;
+  return params;
+}
+
+TEST(MapReduceDascGolden, InProcessLabelsMatchTextCodecLabels) {
+  const data::PointSet points = blobs(600, 6, 320);
+  dasc::Rng rng(11);
+  const auto result = dasc_cluster_mapreduce(points, golden_params(), rng);
+  EXPECT_EQ(label_crc(result.labels), kGoldenLabelCrc);
+}
+
+TEST(MapReduceDascGolden, SpilledLabelsMatchTextCodecLabels) {
+  const data::PointSet points = blobs(600, 6, 320);
+  MapReduceDascParams params = golden_params();
+  params.dasc.spill_budget_bytes = 4096;
+  dasc::Rng rng(11);
+  const auto result = dasc_cluster_mapreduce(points, params, rng);
+  EXPECT_EQ(label_crc(result.labels), kGoldenLabelCrc);
+}
+
+TEST(MapReduceDascGolden, DfsLabelsMatchTextCodecLabels) {
+  const data::PointSet points = blobs(600, 6, 320);
+  mapreduce::DfsConfig dfs_config;
+  dfs_config.block_size_bytes = 8192;
+  mapreduce::Dfs dfs(dfs_config);
+  std::vector<std::string> lines;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    lines.push_back(data::point_to_record(points.point(i)));
+  }
+  dfs.write_file("/data/points", lines);
+  dasc::Rng rng(11);
+  const auto result = dasc_cluster_mapreduce_dfs(dfs, "/data/points", "/out",
+                                                 golden_params(), rng);
+  EXPECT_GT(result.lsh_job.num_map_tasks, 1u);
+  EXPECT_EQ(label_crc(result.labels), kGoldenLabelCrc);
+}
+
+TEST(MapReduceDascGolden, ShuffleBytesFollowTheRecordFormat) {
+  const data::PointSet points = blobs(600, 6, 320);
+  const MapReduceDascParams params = golden_params();
+  dasc::Rng rng(11);
+  const auto result = dasc_cluster_mapreduce(points, params, rng);
+
+  // Same seed -> same buckets, in the order the driver keys them.
+  dasc::Rng bucket_rng(11);
+  const std::vector<lsh::Bucket> buckets =
+      bucket_points(points, params.dasc, bucket_rng);
+  ASSERT_EQ(buckets.size(), result.stats.merged_buckets);
+
+  // shuffle_bytes counts key + value + 2 per record. A member value is a
+  // u64 index plus dim doubles; the stage-1 key is the u64 signature; the
+  // stage-2 key of bucket b is its m-bit string, '#', then b in decimal.
+  const std::uint64_t n = points.size();
+  const std::uint64_t member = 8 + 8 * points.dim();
+  const std::uint64_t m = result.stats.signature_bits;
+  EXPECT_EQ(result.lsh_job.counters.shuffle_bytes, n * (8 + member + 2));
+  std::uint64_t stage2_key_bytes = 0;
+  for (std::size_t b = 0; b < buckets.size(); ++b) {
+    stage2_key_bytes +=
+        buckets[b].indices.size() * (m + 1 + std::to_string(b).size());
+  }
+  EXPECT_EQ(result.cluster_job.counters.shuffle_bytes,
+            n * (member + 2) + stage2_key_bytes);
 }
 
 TEST(MapReduceDasc, RejectsUnsupportedHashFamily) {

@@ -110,5 +110,20 @@ TEST(RecordSerialization, MalformedRecordThrows) {
   EXPECT_THROW(record_to_point("1.0,abc"), dasc::IoError);
 }
 
+TEST(RecordSerialization, TrailingJunkInCellThrows) {
+  EXPECT_THROW(record_to_point("1.5x,2"), dasc::IoError);
+  EXPECT_THROW(record_to_point("0.25abc"), dasc::IoError);
+}
+
+TEST(RecordSerialization, EmptyCellThrows) {
+  EXPECT_THROW(record_to_point("1,2,"), dasc::IoError);
+  EXPECT_THROW(record_to_point("1,,2"), dasc::IoError);
+  EXPECT_THROW(record_to_point(","), dasc::IoError);
+}
+
+TEST(RecordSerialization, EmptyRecordIsZeroDimensionalPoint) {
+  EXPECT_TRUE(record_to_point(point_to_record({})).empty());
+}
+
 }  // namespace
 }  // namespace dasc::data

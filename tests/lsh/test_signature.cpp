@@ -52,14 +52,10 @@ TEST(Signature, StringRoundTrip) {
   for (int trial = 0; trial < 100; ++trial) {
     const std::size_t m = 1 + rng.uniform_index(63);
     const Signature sig{rng() & ((m == 64) ? ~0ULL : ((1ULL << m) - 1))};
-    EXPECT_EQ(from_string(to_string(sig, m)), sig);
+    const std::string text = to_string(sig, m);
+    ASSERT_EQ(text.size(), m);
+    EXPECT_EQ(std::stoull(text, nullptr, 2), sig.bits);
   }
-}
-
-TEST(Signature, FromStringRejectsBadInput) {
-  EXPECT_THROW(from_string(""), dasc::InvalidArgument);
-  EXPECT_THROW(from_string("10a1"), dasc::InvalidArgument);
-  EXPECT_THROW(from_string(std::string(65, '0')), dasc::InvalidArgument);
 }
 
 TEST(Signature, HashSpreadsSequentialValues) {
