@@ -23,7 +23,9 @@ ctest --preset tsan "$@"
 # connection-pool suite mixes leases with owner kills/restarts across
 # threads; hammer both so a racy ack, shutdown, or give-back path cannot
 # hide behind a lucky interleaving. So must the sealed shuffle spools that
-# a stalled reduce and its speculative backup stream concurrently.
+# a stalled reduce and its speculative backup stream concurrently, and
+# parallel_for's thread-local nested-region flag (set on pool and loop
+# workers, restored on the caller).
 ctest --preset tsan --tests-regex \
-  '^(TransportFuzz|WireFuzz|Stream|ConnPool|SpoolBuffer|SpilledShuffle)\.|^JobRetry\.SpeculativeBackupReStreams' \
+  '^(TransportFuzz|WireFuzz|Stream|ConnPool|SpoolBuffer|SpilledShuffle|ParallelFor)\.|^JobRetry\.SpeculativeBackupReStreams' \
   --repeat until-fail:3

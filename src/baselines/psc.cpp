@@ -83,12 +83,16 @@ PscResult psc_cluster(const data::PointSet& points, const PscParams& params,
   std::vector<double> scratch(n);
   linalg::LinearOperator laplacian;
   laplacian.dim = n;
-  laplacian.apply = [&affinity, &inv_sqrt, &scratch](
-                        std::span<const double> x, std::span<double> y) {
-    const std::size_t dim = x.size();
-    for (std::size_t i = 0; i < dim; ++i) scratch[i] = inv_sqrt[i] * x[i];
-    affinity.matvec(scratch, y);
-    for (std::size_t i = 0; i < dim; ++i) y[i] *= inv_sqrt[i];
+  laplacian.apply = [&affinity, &inv_sqrt, &scratch, n](
+                        std::span<const double> x, std::span<double> y,
+                        std::size_t count) {
+    for (std::size_t c = 0; c < count; ++c) {
+      const auto xc = x.subspan(c * n, n);
+      const auto yc = y.subspan(c * n, n);
+      for (std::size_t i = 0; i < n; ++i) scratch[i] = inv_sqrt[i] * xc[i];
+      affinity.matvec(scratch, yc);
+      for (std::size_t i = 0; i < n; ++i) yc[i] *= inv_sqrt[i];
+    }
   };
 
   // ---- First K eigenvectors via Lanczos (the PARPACK role). ----

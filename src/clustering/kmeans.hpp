@@ -24,7 +24,11 @@ struct KMeansParams {
   std::size_t max_iterations = 100;
   double tolerance = 1e-6;  ///< stop when centroid movement^2 falls below
   KMeansInit init = KMeansInit::kPlusPlus;
-  std::size_t threads = 0;  ///< assignment-step parallelism (0 = auto)
+  /// Assignment-step parallelism (0 = auto). A call made on a ThreadPool
+  /// worker or inside a parallel_for body (per-bucket K-means in the
+  /// bucket pipeline or a MapReduce task) runs inline whatever this says;
+  /// labels do not depend on the thread count.
+  std::size_t threads = 0;
   /// Optional sink for the `kmeans.lloyd` timer and `kmeans.runs` /
   /// `kmeans.iterations` counters (null = off).
   MetricsRegistry* metrics = nullptr;

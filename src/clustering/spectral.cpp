@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "clustering/kernel.hpp"
 #include "common/error.hpp"
@@ -13,9 +14,9 @@
 
 namespace dasc::clustering {
 
-SpectralEmbeddingDetail spectral_embedding_detail(
-    const linalg::DenseMatrix& gram, std::size_t k,
-    std::size_t dense_cutoff) {
+SpectralEmbeddingDetail spectral_embedding_detail(linalg::DenseMatrix gram,
+                                                  std::size_t k,
+                                                  std::size_t dense_cutoff) {
   DASC_EXPECT(gram.rows() == gram.cols(),
               "spectral_embedding: gram must be square");
   const std::size_t n = gram.rows();
@@ -23,8 +24,9 @@ SpectralEmbeddingDetail spectral_embedding_detail(
 
   SpectralEmbeddingDetail detail;
 
-  // A = gram with zero diagonal (NJW); degrees and normalized Laplacian.
-  linalg::DenseMatrix laplacian = gram;
+  // A = gram with zero diagonal (NJW); degrees and normalized Laplacian,
+  // built in the Gram's own storage.
+  linalg::DenseMatrix& laplacian = gram;
   for (std::size_t i = 0; i < n; ++i) laplacian(i, i) = 0.0;
 
   detail.degrees.assign(n, 0.0);
@@ -83,7 +85,7 @@ linalg::DenseMatrix spectral_embedding(const linalg::DenseMatrix& gram,
 }
 
 SpectralGramDetail spectral_cluster_gram_detail(
-    const linalg::DenseMatrix& gram, std::size_t k, Rng& rng,
+    linalg::DenseMatrix gram, std::size_t k, Rng& rng,
     const SpectralParams& params) {
   SpectralGramDetail detail;
   const std::size_t n = gram.rows();
@@ -96,8 +98,8 @@ SpectralGramDetail spectral_cluster_gram_detail(
 
   {
     ScopedTimer eigen_timer(params.metrics, "spectral.eigensolve");
-    detail.spectral =
-        spectral_embedding_detail(gram, effective_k, params.dense_cutoff);
+    detail.spectral = spectral_embedding_detail(std::move(gram), effective_k,
+                                                params.dense_cutoff);
   }
   if (params.metrics != nullptr) {
     params.metrics
@@ -136,14 +138,16 @@ SpectralResult spectral_cluster(const data::PointSet& points,
 
   const double sigma =
       params.sigma > 0.0 ? params.sigma : suggest_bandwidth(points);
-  const linalg::DenseMatrix gram = gaussian_gram(points, sigma);
+  linalg::DenseMatrix gram = gaussian_gram(points, sigma);
 
   SpectralResult result;
   result.k = std::min(params.k, points.size());
   // Eq. 12 accounting at the bytes the Gram actually occupies (doubles).
   result.gram_bytes =
       linalg::gram_entry_bytes(points.size() * points.size());
-  result.labels = spectral_cluster_gram(gram, result.k, rng, params);
+  result.labels =
+      spectral_cluster_gram_detail(std::move(gram), result.k, rng, params)
+          .labels;
   return result;
 }
 

@@ -73,9 +73,11 @@ std::vector<int> spectral_cluster_gram(const linalg::DenseMatrix& gram,
 /// spectral_cluster_gram, additionally returning the fitted state (raw
 /// eigenpairs, degrees, K-means centroids). The labels are bit-identical
 /// to spectral_cluster_gram for the same inputs: the plain entry point is
-/// a wrapper over this one.
+/// a wrapper over this one. Takes the Gram by value and builds the
+/// normalized Laplacian in its storage: a caller done with its block
+/// passes it with std::move, so no second n x n matrix is allocated.
 SpectralGramDetail spectral_cluster_gram_detail(
-    const linalg::DenseMatrix& gram, std::size_t k, Rng& rng,
+    linalg::DenseMatrix gram, std::size_t k, Rng& rng,
     const SpectralParams& params = {});
 
 /// Build the full Gaussian Gram matrix and cluster (the paper's SC
@@ -91,8 +93,10 @@ linalg::DenseMatrix spectral_embedding(const linalg::DenseMatrix& gram,
 
 /// spectral_embedding plus the raw eigenpairs and degrees. The embedding
 /// member is bit-identical to spectral_embedding's return value (the plain
-/// entry point is a wrapper over this one).
-SpectralEmbeddingDetail spectral_embedding_detail(
-    const linalg::DenseMatrix& gram, std::size_t k, std::size_t dense_cutoff);
+/// entry point is a wrapper over this one). The Gram is taken by value and
+/// becomes the Laplacian in place (see spectral_cluster_gram_detail).
+SpectralEmbeddingDetail spectral_embedding_detail(linalg::DenseMatrix gram,
+                                                  std::size_t k,
+                                                  std::size_t dense_cutoff);
 
 }  // namespace dasc::clustering

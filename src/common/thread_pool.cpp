@@ -8,6 +8,32 @@
 
 namespace dasc {
 
+namespace {
+
+/// True while this thread is one level deep in parallelism: a ThreadPool
+/// worker, or a thread running a fanned-out parallel_for's iterations. A
+/// parallel_for started there runs inline (nested parallelism off, as in
+/// OpenMP's default), so per-task loops never multiply the thread count.
+thread_local bool in_parallel_region = false;
+
+/// Marks the calling thread as inside a parallel region for one scope and
+/// restores its previous state on exit, so a later top-level call on the
+/// same thread fans out again.
+class ParallelRegion {
+ public:
+  ParallelRegion() : previous_(in_parallel_region) {
+    in_parallel_region = true;
+  }
+  ~ParallelRegion() { in_parallel_region = previous_; }
+  ParallelRegion(const ParallelRegion&) = delete;
+  ParallelRegion& operator=(const ParallelRegion&) = delete;
+
+ private:
+  bool previous_;
+};
+
+}  // namespace
+
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::thread::hardware_concurrency();
@@ -48,6 +74,7 @@ void ThreadPool::wait_idle() {
 }
 
 void ThreadPool::worker_loop() {
+  const ParallelRegion region;
   for (;;) {
     std::function<void()> task;
     {
@@ -131,7 +158,7 @@ void parallel_for(std::size_t begin, std::size_t end, std::size_t threads,
   const std::size_t n = end - begin;
   if (threads == 0) threads = default_threads();
   if (threads > n) threads = n;
-  if (threads <= 1) {
+  if (threads <= 1 || in_parallel_region) {
     for (std::size_t i = begin; i < end; ++i) body(i);
     return;
   }
@@ -144,6 +171,7 @@ void parallel_for(std::size_t begin, std::size_t end, std::size_t threads,
   const std::size_t chunk = std::max<std::size_t>(1, n / (threads * 8));
 
   auto run = [&] {
+    const ParallelRegion region;
     for (;;) {
       const std::size_t start = next.fetch_add(chunk);
       if (start >= end) return;

@@ -89,7 +89,11 @@ class AdmissionGate {
 
 /// Run body(i) for i in [begin, end) across the given number of threads.
 /// Exceptions from any iteration are rethrown (first one wins).
-/// threads == 1 runs inline with zero overhead.
+/// threads == 1 runs inline with zero overhead. So does a nested call:
+/// one made on a ThreadPool worker or inside another fanned-out
+/// parallel_for body runs inline on the calling thread, so there is one
+/// level of parallelism (a bucket or task per thread) and never threads
+/// spawned per inner loop.
 void parallel_for(std::size_t begin, std::size_t end, std::size_t threads,
                   const std::function<void(std::size_t)>& body);
 

@@ -189,8 +189,8 @@ class DenseEmbedder final : public BucketEmbedder {
     BucketEmbedding out;
     out.backend = GramBackend::kDense;
     out.gram_bytes = dense_bytes(indices.size());
-    out.fit = fit_bucket(block, k_bucket, options_.dense_cutoff, rng,
-                         options_.metrics);
+    out.fit = fit_bucket(std::move(block), k_bucket, options_.dense_cutoff,
+                         rng, options_.metrics);
     return out;
   }
 

@@ -76,6 +76,9 @@ struct BucketPipelineOptions {
   /// when build_blocks is set.
   double sigma = 0.0;
   /// Worker threads (0 = host concurrency). 1 runs inline, pool-free.
+  /// With more than one, each bucket runs on one pool worker, and a
+  /// parallel_for inside its consumer (the K-means assignment step) runs
+  /// inline on that worker: one bucket per thread, no nested fan-out.
   std::size_t threads = 0;
   /// Max Gram blocks resident at once (0 = unlimited).
   std::size_t max_inflight_blocks = 0;

@@ -1,6 +1,7 @@
 #include "core/dasc_clusterer.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "clustering/kernel.hpp"
 #include "clustering/spectral.hpp"
@@ -10,7 +11,7 @@
 
 namespace dasc::core {
 
-clustering::SpectralGramDetail fit_bucket(const linalg::DenseMatrix& block,
+clustering::SpectralGramDetail fit_bucket(linalg::DenseMatrix block,
                                           std::size_t k_bucket,
                                           std::size_t dense_cutoff, Rng& rng,
                                           MetricsRegistry* metrics) {
@@ -26,8 +27,8 @@ clustering::SpectralGramDetail fit_bucket(const linalg::DenseMatrix& block,
   clustering::SpectralParams params;
   params.dense_cutoff = dense_cutoff;
   params.metrics = metrics;
-  return clustering::spectral_cluster_gram_detail(block, std::min(k_bucket, n),
-                                                  rng, params);
+  return clustering::spectral_cluster_gram_detail(
+      std::move(block), std::min(k_bucket, n), rng, params);
 }
 
 std::vector<int> cluster_bucket(const linalg::DenseMatrix& block,

@@ -55,8 +55,10 @@ std::vector<int> cluster_bucket(const linalg::DenseMatrix& block,
 /// persists for out-of-sample assignment. Labels are bit-identical to
 /// cluster_bucket for the same inputs: the plain entry point is a wrapper
 /// over this one. `detail.k == 0` marks the trivial path (k_bucket <= 1 or
-/// <= 2 points): labels are all zero and no spectral state exists.
-clustering::SpectralGramDetail fit_bucket(const linalg::DenseMatrix& block,
+/// <= 2 points): labels are all zero and no spectral state exists. The
+/// block is taken by value and becomes the Laplacian in place; a consumer
+/// done with its block passes it with std::move.
+clustering::SpectralGramDetail fit_bucket(linalg::DenseMatrix block,
                                           std::size_t k_bucket,
                                           std::size_t dense_cutoff, Rng& rng,
                                           MetricsRegistry* metrics = nullptr);

@@ -1,14 +1,48 @@
 #include "data/dataset_io.hpp"
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string_view>
 
 #include "common/error.hpp"
 
 namespace dasc::data {
+
+namespace {
+
+/// The one cell rule for CSV rows and text records: the whole cell must be
+/// exactly one number (std::from_chars: no trailing junk, no empty cell).
+double parse_cell(std::string_view cell, std::string_view context) {
+  double value = 0.0;
+  const auto [end, ec] =
+      std::from_chars(cell.data(), cell.data() + cell.size(), value);
+  if (ec != std::errc() || end != cell.data() + cell.size()) {
+    throw IoError(std::string(context) + ": malformed number '" +
+                  std::string(cell) + "'");
+  }
+  return value;
+}
+
+/// Parse every comma-separated cell of `line` into `out` (cleared first).
+/// The empty line is the zero-dimensional point; a trailing comma is an
+/// empty last cell and throws.
+void parse_cells(std::string_view line, std::string_view context,
+                 std::vector<double>& out) {
+  out.clear();
+  if (line.empty()) return;
+  for (;;) {
+    const std::size_t comma = line.find(',');
+    out.push_back(parse_cell(line.substr(0, comma), context));
+    if (comma == std::string_view::npos) return;
+    line.remove_prefix(comma + 1);
+  }
+}
+
+}  // namespace
 
 void save_csv(const PointSet& points, const std::string& path,
               bool with_labels) {
@@ -31,34 +65,37 @@ PointSet load_csv(const std::string& path, bool labelled) {
   std::ifstream in(path);
   if (!in) throw IoError("load_csv: cannot open " + path);
 
+  const std::string context = "load_csv: " + path;
   std::vector<double> values;
   std::vector<int> labels;
+  std::vector<double> fields;
   std::size_t dim = 0;
   std::size_t n = 0;
   std::string line;
   while (std::getline(in, line)) {
+    if (!line.empty() && line.back() == '\r') line.pop_back();  // CRLF
     if (line.empty()) continue;
-    std::vector<double> fields;
-    std::stringstream ss(line);
-    std::string cell;
-    while (std::getline(ss, cell, ',')) {
-      try {
-        fields.push_back(std::stod(cell));
-      } catch (const std::exception&) {
-        throw IoError("load_csv: malformed number '" + cell + "' in " + path);
-      }
-    }
+    parse_cells(line, context, fields);
     if (labelled) {
       if (fields.size() < 2) {
-        throw IoError("load_csv: labelled row needs >= 2 columns in " + path);
+        throw IoError(context + ": labelled row needs >= 2 columns");
       }
-      labels.push_back(static_cast<int>(fields.back()));
+      // The label must be an integer in int range: no truncation of 2.7,
+      // and no cast of nan or an out-of-range value.
+      const double label = fields.back();
+      if (!(std::trunc(label) == label &&
+            label >= std::numeric_limits<int>::min() &&
+            label <= std::numeric_limits<int>::max())) {
+        throw IoError(context + ": label is not an int in row " +
+                      std::to_string(n + 1));
+      }
+      labels.push_back(static_cast<int>(label));
       fields.pop_back();
     }
     if (dim == 0) {
       dim = fields.size();
     } else if (fields.size() != dim) {
-      throw IoError("load_csv: inconsistent column count in " + path);
+      throw IoError(context + ": inconsistent column count");
     }
     values.insert(values.end(), fields.begin(), fields.end());
     ++n;
@@ -129,23 +166,8 @@ std::string point_to_record(std::span<const double> point) {
 
 std::vector<double> record_to_point(const std::string& record) {
   std::vector<double> values;
-  if (record.empty()) return values;  // point_to_record of a 0-d point
-  std::string_view rest(record);
-  for (;;) {
-    const std::size_t comma = rest.find(',');
-    const std::string_view cell = rest.substr(0, comma);
-    double value = 0.0;
-    const auto [end, ec] =
-        std::from_chars(cell.data(), cell.data() + cell.size(), value);
-    // The whole cell must be one number: no trailing junk, no empty cell.
-    if (ec != std::errc() || end != cell.data() + cell.size()) {
-      throw IoError("record_to_point: malformed number '" +
-                    std::string(cell) + "'");
-    }
-    values.push_back(value);
-    if (comma == std::string_view::npos) return values;
-    rest.remove_prefix(comma + 1);
-  }
+  parse_cells(record, "record_to_point", values);
+  return values;
 }
 
 }  // namespace dasc::data

@@ -13,7 +13,11 @@ void save_csv(const PointSet& points, const std::string& path,
               bool with_labels = true);
 
 /// Load CSV written by save_csv. `labelled` says whether the last column
-/// holds integer labels. Throws IoError on malformed input.
+/// holds integer labels. Cells follow record_to_point's rule (one whole
+/// number per cell); blank lines are skipped and a CRLF line end is
+/// accepted. Throws IoError on malformed input: trailing junk in a cell,
+/// an empty cell (a trailing comma too), ragged rows, or a label that is
+/// not an integer in int range.
 PointSet load_csv(const std::string& path, bool labelled);
 
 /// Compact binary round-trip (header: n, dim, has_labels).

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "linalg/simd_ops.hpp"
 #include "linalg/symmetric_eigen.hpp"
 #include "linalg/vector_ops.hpp"
 
@@ -13,8 +14,18 @@ LinearOperator as_operator(const DenseMatrix& a) {
   DASC_EXPECT(a.rows() == a.cols(), "as_operator: matrix must be square");
   LinearOperator op;
   op.dim = a.rows();
-  op.apply = [&a](std::span<const double> x, std::span<double> y) {
-    a.matvec(x, y);
+  op.apply = [&a](std::span<const double> x, std::span<double> y,
+                  std::size_t count) {
+    const std::size_t n = a.rows();
+    DASC_EXPECT(x.size() == count * n, "as_operator: x length mismatch");
+    DASC_EXPECT(y.size() == count * n, "as_operator: y length mismatch");
+    const SimdKernels& kernels = simd::active();
+    for (std::size_t i = 0; i < n; ++i) {
+      const double* row = a.row(i).data();
+      for (std::size_t c = 0; c < count; ++c) {
+        y[c * n + i] = kernels.dot(row, x.data() + c * n, n);
+      }
+    }
   };
   return op;
 }
@@ -43,7 +54,7 @@ LanczosResult lanczos_pass(const LinearOperator& op, std::size_t k,
   std::size_t steps = 0;
   for (std::size_t j = 0; j < m; ++j) {
     auto vj = basis.row(j);
-    op.apply(vj, w);
+    op.apply(vj, w, 1);
     const double a_j = dot(std::span<const double>(w), vj);
     alpha.push_back(a_j);
     steps = j + 1;
@@ -119,6 +130,34 @@ LanczosResult lanczos_pass(const LinearOperator& op, std::size_t k,
   return result;
 }
 
+/// True when every Ritz pair has ||A v - lambda v|| <= 100 * tolerance *
+/// max|lambda|. The Ritz vectors go back to back through one apply: one
+/// pass over the operator instead of one per vector.
+bool ritz_pairs_converged(const LinearOperator& op,
+                          const LanczosResult& result, double tolerance) {
+  const std::size_t n = op.dim;
+  const std::size_t found = result.eigenvalues.size();
+  double scale = 0.0;
+  for (double v : result.eigenvalues) scale = std::max(scale, std::abs(v));
+  if (scale == 0.0) scale = 1.0;
+
+  std::vector<double> ritz(found * n);
+  for (std::size_t col = 0; col < found; ++col) {
+    for (std::size_t row = 0; row < n; ++row) {
+      ritz[col * n + row] = result.eigenvectors(row, col);
+    }
+  }
+  std::vector<double> residual(found * n);
+  op.apply(ritz, residual, found);
+  for (std::size_t col = 0; col < found; ++col) {
+    const std::span<double> r(residual.data() + col * n, n);
+    axpy(-result.eigenvalues[col],
+         std::span<const double>(ritz.data() + col * n, n), r);
+    if (norm2(r) > 100.0 * tolerance * scale) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 LanczosResult lanczos_largest(const LinearOperator& op, std::size_t k,
@@ -132,29 +171,15 @@ LanczosResult lanczos_largest(const LinearOperator& op, std::size_t k,
   m = std::min(std::max(m, k), n);
 
   // Grow the subspace until every requested Ritz pair has a small residual
-  // ||A v - lambda v|| relative to the spectral scale, or m reaches n
-  // (where the pass is an exact dense solve of the projected problem).
-  std::vector<double> av(n);
+  // relative to the spectral scale, or m reaches n (where the pass is an
+  // exact dense solve of the projected problem).
   for (;;) {
     LanczosResult result = lanczos_pass(op, k, m, options);
     if (m >= n || result.eigenvalues.empty()) return result;
-
-    double scale = 0.0;
-    for (double v : result.eigenvalues) scale = std::max(scale, std::abs(v));
-    if (scale == 0.0) scale = 1.0;
-
-    bool converged = result.eigenvalues.size() >= k;
-    std::vector<double> v(n);
-    for (std::size_t col = 0; converged && col < result.eigenvalues.size();
-         ++col) {
-      for (std::size_t row = 0; row < n; ++row) {
-        v[row] = result.eigenvectors(row, col);
-      }
-      op.apply(v, av);
-      axpy(-result.eigenvalues[col], v, av);
-      if (norm2(av) > 100.0 * options.tolerance * scale) converged = false;
+    if (result.eigenvalues.size() >= k &&
+        ritz_pairs_converged(op, result, options.tolerance)) {
+      return result;
     }
-    if (converged) return result;
     m = std::min(n, 2 * m);
   }
 }

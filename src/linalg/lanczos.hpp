@@ -19,12 +19,21 @@ namespace dasc::linalg {
 /// A symmetric linear operator y = A*x of dimension `dim`.
 struct LinearOperator {
   std::size_t dim = 0;
-  /// Must write A*x into y; x and y have length dim and never alias.
-  std::function<void(std::span<const double> x, std::span<double> y)> apply;
+  /// Applies A to `count` vectors stored back to back: x and y are
+  /// row-major count x dim (vector c occupies [c*dim, (c+1)*dim)), and
+  /// y_c = A*x_c. x and y never alias. The Krylov loop applies one vector
+  /// at a time; the residual check applies every Ritz vector in one call,
+  /// so a dense operator reads its matrix once for all of them.
+  std::function<void(std::span<const double> x, std::span<double> y,
+                     std::size_t count)>
+      apply;
 };
 
 /// Wrap a dense symmetric matrix as a LinearOperator (no copy; the matrix
-/// must outlive the operator).
+/// must outlive the operator). Rows are the outer loop, so one apply reads
+/// the matrix once however many vectors it carries; each y_c[i] is the
+/// same dispatched dot(row_i, x_c) that DenseMatrix::matvec computes, so
+/// the result is bit-identical to count separate matvecs.
 LinearOperator as_operator(const DenseMatrix& a);
 
 struct LanczosOptions {

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "clustering/kernel.hpp"
 #include "clustering/metrics.hpp"
@@ -23,6 +27,53 @@ TEST(SpectralEmbedding, RowsAreUnitNorm) {
   for (std::size_t i = 0; i < 50; ++i) {
     EXPECT_NEAR(linalg::norm2(embedding.row(i)), 1.0, 1e-9);
   }
+}
+
+bool same_bytes(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+bool same_bytes(const linalg::DenseMatrix& a, const linalg::DenseMatrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         same_bytes({a.data(), a.size()}, {b.data(), b.size()});
+}
+
+TEST(SpectralEmbedding, MovedGramMatchesCopiedGram) {
+  // Lanczos path (n > dense_cutoff): the Laplacian is built in the moved
+  // block's storage and must be bit-identical to the copying entry point.
+  dasc::Rng rng(94);
+  data::MixtureParams mix;
+  mix.n = 180;
+  mix.dim = 5;
+  mix.k = 3;
+  mix.cluster_stddev = 0.05;
+  const data::PointSet points = data::make_gaussian_mixture(mix, rng);
+  const linalg::DenseMatrix gram = gaussian_gram(points, 0.3);
+  const linalg::DenseMatrix pristine = gram;
+
+  const SpectralEmbeddingDetail copied =
+      spectral_embedding_detail(gram, 3, 128);
+  EXPECT_TRUE(same_bytes(gram, pristine));  // the lvalue was copied
+  linalg::DenseMatrix owned = gram;
+  const SpectralEmbeddingDetail moved =
+      spectral_embedding_detail(std::move(owned), 3, 128);
+
+  EXPECT_TRUE(same_bytes(moved.embedding, copied.embedding));
+  EXPECT_TRUE(same_bytes(moved.eigenvectors, copied.eigenvectors));
+  EXPECT_TRUE(same_bytes(moved.eigenvalues, copied.eigenvalues));
+  EXPECT_TRUE(same_bytes(moved.degrees, copied.degrees));
+  EXPECT_TRUE(same_bytes(spectral_embedding(gram, 3, 128), moved.embedding));
+
+  // The clustering entry points agree the same way.
+  dasc::Rng copy_rng(5);
+  dasc::Rng move_rng(5);
+  const std::vector<int> copied_labels = spectral_cluster_gram(gram, 3,
+                                                               copy_rng);
+  const SpectralGramDetail moved_fit = spectral_cluster_gram_detail(
+      linalg::DenseMatrix(gram), 3, move_rng);
+  EXPECT_EQ(moved_fit.labels, copied_labels);
+  EXPECT_TRUE(same_bytes(moved_fit.spectral.embedding, moved.embedding));
 }
 
 TEST(SpectralEmbedding, DensePathMatchesLanczosPath) {

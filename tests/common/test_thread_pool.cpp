@@ -5,8 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace dasc {
@@ -96,6 +101,93 @@ TEST(ParallelFor, MoreThreadsThanWorkStillCorrect) {
   std::atomic<int> counter{0};
   parallel_for(0, 3, 16, [&](std::size_t) { ++counter; });
   EXPECT_EQ(counter.load(), 3);
+}
+
+TEST(ParallelFor, NestedInPoolWorkerRunsInline) {
+  ThreadPool pool(2);
+  std::thread::id outer;
+  std::vector<std::thread::id> inner(64);
+  pool.submit([&] {
+        outer = std::this_thread::get_id();
+        parallel_for(0, inner.size(), 4, [&](std::size_t i) {
+          inner[i] = std::this_thread::get_id();
+        });
+      })
+      .get();
+  EXPECT_NE(outer, std::this_thread::get_id());
+  for (const std::thread::id id : inner) EXPECT_EQ(id, outer);
+}
+
+TEST(ParallelFor, NestedInParallelForRunsInline) {
+  constexpr std::size_t kOuter = 4;
+  constexpr std::size_t kInner = 32;
+  std::vector<std::thread::id> outer(kOuter);
+  std::vector<std::vector<std::thread::id>> inner(
+      kOuter, std::vector<std::thread::id>(kInner));
+  parallel_for(0, kOuter, kOuter, [&](std::size_t i) {
+    outer[i] = std::this_thread::get_id();
+    parallel_for(0, kInner, 4, [&](std::size_t j) {
+      inner[i][j] = std::this_thread::get_id();
+    });
+  });
+  for (std::size_t i = 0; i < kOuter; ++i) {
+    for (const std::thread::id id : inner[i]) EXPECT_EQ(id, outer[i]);
+  }
+}
+
+/// Runs a two-iteration, two-thread parallel_for whose body waits (up to
+/// a timeout) until both iterations have entered; returns how many
+/// distinct threads ran them. A call that wrongly runs inline times out
+/// with one thread instead of hanging.
+std::size_t threads_entering_two_way_loop() {
+  std::mutex mutex;
+  std::condition_variable cv;
+  std::set<std::thread::id> entered;
+  parallel_for(0, 2, 2, [&](std::size_t) {
+    std::unique_lock lock(mutex);
+    entered.insert(std::this_thread::get_id());
+    cv.notify_all();
+    cv.wait_for(lock, std::chrono::seconds(10),
+                [&] { return entered.size() >= 2; });
+  });
+  return entered.size();
+}
+
+TEST(ParallelFor, TopLevelCallAfterNestedStillFansOut) {
+  // The calling thread runs a share of the outer loop, so it is inside a
+  // parallel region while its nested call runs inline...
+  parallel_for(0, 4, 4, [](std::size_t) {
+    parallel_for(0, 4, 4, [](std::size_t) {});
+  });
+  // ...and leaves it afterwards, also after a nested exception.
+  EXPECT_THROW(parallel_for(0, 4, 4,
+                            [](std::size_t) {
+                              parallel_for(0, 4, 4, [](std::size_t) {
+                                throw std::runtime_error("inner");
+                              });
+                            }),
+               std::runtime_error);
+  EXPECT_EQ(threads_entering_two_way_loop(), 2u);
+}
+
+TEST(ParallelFor, NestedExceptionPropagates) {
+  EXPECT_THROW(parallel_for(0, 8, 4,
+                            [](std::size_t i) {
+                              parallel_for(0, 16, 4, [i](std::size_t j) {
+                                if (i == 3 && j == 11) {
+                                  throw std::runtime_error("bad inner index");
+                                }
+                              });
+                            }),
+               std::runtime_error);
+
+  ThreadPool pool(2);
+  auto fut = pool.submit([] {
+    parallel_for(0, 16, 4, [](std::size_t j) {
+      if (j == 7) throw std::runtime_error("bad inner index");
+    });
+  });
+  EXPECT_THROW(fut.get(), std::runtime_error);
 }
 
 TEST(AdmissionGate, UnlimitedGateTracksPeaks) {

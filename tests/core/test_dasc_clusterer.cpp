@@ -7,7 +7,9 @@
 
 #include "clustering/metrics.hpp"
 #include "clustering/spectral.hpp"
+#include "common/checksum.hpp"
 #include "common/error.hpp"
+#include "common/metrics.hpp"
 #include "data/synthetic.hpp"
 
 namespace dasc::core {
@@ -160,6 +162,48 @@ TEST(DascCluster, ClusterIdsAreDisjointAcrossBuckets) {
   for (const auto& [label, bucket_set] : buckets_of_label) {
     EXPECT_EQ(bucket_set.size(), 1u) << "label " << label;
   }
+}
+
+// Golden labels for the fused in-process path on a problem whose buckets
+// all exceed dense_cutoff (so the eigensolve is Lanczos) and get at least
+// two clusters (so K-means runs), clustered on the 4-worker pipeline and
+// inline. The CRC-32 of the label vector was recorded before the spectral
+// step took ownership of its block, applied the Lanczos residual check as
+// one blocked pass, and ran nested parallel_for calls inline; each of
+// those keeps the arithmetic bit-exact, so the labels must not move.
+constexpr std::uint32_t kFusedGoldenLabelCrc = 0xab393045u;
+
+std::uint32_t label_crc(const std::vector<int>& labels) {
+  return crc32(std::string_view(reinterpret_cast<const char*>(labels.data()),
+                                labels.size() * sizeof(int)));
+}
+
+void expect_fused_golden(std::size_t threads) {
+  const data::PointSet points = blobs(1600, 8, 230);
+  MetricsRegistry metrics;
+  DascParams params;
+  params.k = 24;
+  params.m = 3;
+  params.p = 3;  // no merging: at most 8 buckets, k_bucket ~ 24 N_i / N
+  params.threads = threads;
+  params.metrics = &metrics;
+  dasc::Rng rng(31);
+  const DascResult result = dasc_cluster(points, params, rng);
+  // The fixture must reach the code the golden guards: every bucket is
+  // solved by Lanczos and clustered by K-means.
+  const std::int64_t lanczos = metrics.counter("eigensolve.lanczos").value();
+  EXPECT_GE(lanczos, 4);
+  EXPECT_EQ(metrics.counter("eigensolve.dense").value(), 0);
+  EXPECT_EQ(metrics.counter("kmeans.runs").value(), lanczos);
+  EXPECT_EQ(label_crc(result.labels), kFusedGoldenLabelCrc);
+}
+
+TEST(DascFusedGolden, FourWorkerLabelsMatchRecordedCrc) {
+  expect_fused_golden(4);
+}
+
+TEST(DascFusedGolden, InlineLabelsMatchRecordedCrc) {
+  expect_fused_golden(1);
 }
 
 TEST(DascCluster, RejectsEmptyDataset) {

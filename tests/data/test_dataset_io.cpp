@@ -91,6 +91,61 @@ TEST_F(DatasetIoTest, InconsistentColumnCountThrows) {
   EXPECT_THROW(load_csv(path("ragged.csv"), false), dasc::IoError);
 }
 
+TEST_F(DatasetIoTest, TrailingJunkInCsvCellThrows) {
+  {
+    std::ofstream out(path("junk.csv"));
+    out << "1.0,2.0\n1.5x,2.0\n";
+  }
+  EXPECT_THROW(load_csv(path("junk.csv"), false), dasc::IoError);
+}
+
+TEST_F(DatasetIoTest, EmptyCsvCellThrows) {
+  {
+    std::ofstream out(path("hole.csv"));
+    out << "1.0,,2.0\n";
+  }
+  EXPECT_THROW(load_csv(path("hole.csv"), false), dasc::IoError);
+}
+
+TEST_F(DatasetIoTest, TrailingCommaInCsvRowThrows) {
+  // The empty last cell used to be dropped silently, turning a 3-column
+  // row into a 2-column one.
+  {
+    std::ofstream out(path("trailing.csv"));
+    out << "1,2,\n3,4,\n";
+  }
+  EXPECT_THROW(load_csv(path("trailing.csv"), false), dasc::IoError);
+}
+
+TEST_F(DatasetIoTest, NonIntegerLabelThrows) {
+  for (const char* label : {"2.7", "nan", "inf", "3e9", "-3e9"}) {
+    {
+      std::ofstream out(path("labels.csv"));
+      out << "0.5,1.5,1\n0.5,1.5," << label << "\n";
+    }
+    EXPECT_THROW(load_csv(path("labels.csv"), true), dasc::IoError) << label;
+  }
+  // Integral values in int range load, however they are spelled.
+  {
+    std::ofstream out(path("labels.csv"));
+    out << "0.5,1.5,-3.0\n0.5,1.5,2147483647\n";
+  }
+  const PointSet loaded = load_csv(path("labels.csv"), true);
+  EXPECT_EQ(loaded.labels(), (std::vector<int>{-3, 2147483647}));
+}
+
+TEST_F(DatasetIoTest, CrlfLineEndsLoad) {
+  {
+    std::ofstream out(path("crlf.csv"), std::ios::binary);
+    out << "1.0,2.0,0\r\n3.0,4.0,1\r\n";
+  }
+  const PointSet loaded = load_csv(path("crlf.csv"), true);
+  ASSERT_EQ(loaded.size(), 2u);
+  EXPECT_EQ(loaded.dim(), 2u);
+  EXPECT_EQ(loaded.at(1, 1), 4.0);
+  EXPECT_EQ(loaded.labels(), (std::vector<int>{0, 1}));
+}
+
 TEST_F(DatasetIoTest, EmptyCsvThrows) {
   { std::ofstream out(path("empty.csv")); }
   EXPECT_THROW(load_csv(path("empty.csv"), false), dasc::IoError);

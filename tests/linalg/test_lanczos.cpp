@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <span>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -71,8 +74,11 @@ TEST(Lanczos, WorksOnSparseOperator) {
   const SparseCsr adj(n, n, std::move(triplets));
   LinearOperator op;
   op.dim = n;
-  op.apply = [&adj](std::span<const double> x, std::span<double> y) {
-    adj.matvec(x, y);
+  op.apply = [&adj, n](std::span<const double> x, std::span<double> y,
+                       std::size_t count) {
+    for (std::size_t c = 0; c < count; ++c) {
+      adj.matvec(x.subspan(c * n, n), y.subspan(c * n, n));
+    }
   };
   const auto lan = lanczos_largest(op, 1);
   // Largest eigenvalue of a path graph adjacency: 2 cos(pi / (n+1)).
@@ -125,6 +131,52 @@ TEST(Lanczos, DeterministicForFixedSeed) {
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_DOUBLE_EQ(r1.eigenvalues[i], r2.eigenvalues[i]);
   }
+}
+
+bool same_bytes(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(Lanczos, BlockedResidualMatchesSingleVectorApply) {
+  Rng rng(73);
+  const std::size_t n = 90;
+  const DenseMatrix a = random_symmetric(n, rng);
+  // The operator as it was before the blocked apply: one DenseMatrix::
+  // matvec per vector.
+  LinearOperator single;
+  single.dim = n;
+  single.apply = [&a, n](std::span<const double> x, std::span<double> y,
+                         std::size_t count) {
+    for (std::size_t c = 0; c < count; ++c) {
+      a.matvec(x.subspan(c * n, n), y.subspan(c * n, n));
+    }
+  };
+  const LinearOperator blocked = as_operator(a);
+
+  // One apply over five vectors equals five single applies, bit for bit.
+  const std::size_t count = 5;
+  std::vector<double> x(count * n);
+  for (double& v : x) v = rng.normal();
+  std::vector<double> y_blocked(count * n);
+  std::vector<double> y_single(count * n);
+  blocked.apply(x, y_blocked, count);
+  single.apply(x, y_single, count);
+  EXPECT_TRUE(same_bytes(y_blocked, y_single));
+
+  // A subspace too small for the first pass makes the residual check fail
+  // and the solver regrow, so both the failing and the passing check run.
+  LanczosOptions options;
+  options.max_subspace = 8;
+  const std::size_t k = 6;
+  const auto from_blocked = lanczos_largest(blocked, k, options);
+  const auto from_single = lanczos_largest(single, k, options);
+  EXPECT_GT(from_blocked.iterations, options.max_subspace);
+  EXPECT_EQ(from_blocked.iterations, from_single.iterations);
+  EXPECT_TRUE(same_bytes(from_blocked.eigenvalues, from_single.eigenvalues));
+  const DenseMatrix& va = from_blocked.eigenvectors;
+  const DenseMatrix& vb = from_single.eigenvectors;
+  EXPECT_TRUE(same_bytes({va.data(), va.size()}, {vb.data(), vb.size()}));
 }
 
 }  // namespace
