@@ -2,21 +2,19 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "clustering/kernel.hpp"
-#include "clustering/kmeans.hpp"
+#include "clustering/spectral.hpp"
 #include "common/error.hpp"
-#include "linalg/jacobi_eigen.hpp"
-#include "linalg/vector_ops.hpp"
 
 namespace dasc::baselines {
 
 std::size_t nystrom_auto_landmarks(std::size_t n) {
   DASC_EXPECT(n >= 1, "nystrom_auto_landmarks: n must be positive");
-  const auto m = static_cast<std::size_t>(
-      std::clamp(4.0 * std::sqrt(static_cast<double>(n)), 16.0,
-                 static_cast<double>(n)));
-  return m;
+  const auto rule =
+      static_cast<std::size_t>(4.0 * std::sqrt(static_cast<double>(n)));
+  return std::min(n, std::max<std::size_t>(16, rule));
 }
 
 NystromResult nystrom_cluster(const data::PointSet& points,
@@ -36,115 +34,16 @@ NystromResult nystrom_cluster(const data::PointSet& points,
                            ? params.sigma
                            : clustering::suggest_bandwidth(points);
 
-  // ---- Landmark sample (without replacement, partial Fisher-Yates). ----
-  std::vector<std::size_t> order(n);
-  for (std::size_t i = 0; i < n; ++i) order[i] = i;
-  for (std::size_t i = 0; i < m; ++i) {
-    std::swap(order[i], order[i + rng.uniform_index(n - i)]);
-  }
-  const std::vector<std::size_t> landmarks(order.begin(),
-                                           order.begin() +
-                                               static_cast<std::ptrdiff_t>(m));
-
-  // ---- Kernel slabs C (N x m) and W (m x m). ----
-  linalg::DenseMatrix c(n, m, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < m; ++j) {
-      c(i, j) = clustering::gaussian_kernel(points.point(i),
-                                            points.point(landmarks[j]),
-                                            sigma);
-    }
-  }
-  linalg::DenseMatrix w(m, m, 0.0);
-  for (std::size_t a = 0; a < m; ++a) {
-    for (std::size_t b = 0; b < m; ++b) {
-      w(a, b) = c(landmarks[a], b);
-    }
-  }
+  std::vector<std::size_t> all(n);
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  const clustering::NystromFactorization factor =
+      clustering::nystrom_factor(points, all, m, sigma, rng);
   result.kernel_bytes = linalg::gram_entry_bytes(n * m + m * m);
 
-  // ---- W^{-1/2} via eigendecomposition with a rank floor. ----
-  const linalg::SymmetricEigenResult we = linalg::jacobi_eigen(w);
-  const double floor =
-      params.rank_tolerance * std::max(1e-300, we.eigenvalues.back());
-  linalg::DenseMatrix w_inv_sqrt(m, m, 0.0);
-  linalg::DenseMatrix w_pinv(m, m, 0.0);
-  for (std::size_t a = 0; a < m; ++a) {
-    for (std::size_t b = 0; b < m; ++b) {
-      double acc_half = 0.0;
-      double acc_pinv = 0.0;
-      for (std::size_t e = 0; e < m; ++e) {
-        const double lambda = we.eigenvalues[e];
-        if (lambda <= floor) continue;
-        const double uv = we.eigenvectors(a, e) * we.eigenvectors(b, e);
-        acc_half += uv / std::sqrt(lambda);
-        acc_pinv += uv / lambda;
-      }
-      w_inv_sqrt(a, b) = acc_half;
-      w_pinv(a, b) = acc_pinv;
-    }
-  }
-
-  // ---- Approximate degrees d = C W^+ (C^T 1). ----
-  std::vector<double> col_sums(m, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < m; ++j) col_sums[j] += c(i, j);
-  }
-  std::vector<double> tmp(m, 0.0);
-  w_pinv.matvec(col_sums, tmp);
-  std::vector<double> degree(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    degree[i] = linalg::dot(c.row(i), std::span<const double>(tmp));
-  }
-
-  // ---- F = D^{-1/2} C W^{-1/2}; eigen of F^T F (m x m). ----
-  linalg::DenseMatrix f(n, m, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double scale =
-        degree[i] > 0.0 ? 1.0 / std::sqrt(degree[i]) : 0.0;
-    for (std::size_t j = 0; j < m; ++j) {
-      double acc = 0.0;
-      for (std::size_t e = 0; e < m; ++e) {
-        acc += c(i, e) * w_inv_sqrt(e, j);
-      }
-      f(i, j) = scale * acc;
-    }
-  }
-  linalg::DenseMatrix ftf(m, m, 0.0);
-  for (std::size_t a = 0; a < m; ++a) {
-    for (std::size_t b = a; b < m; ++b) {
-      double acc = 0.0;
-      for (std::size_t i = 0; i < n; ++i) acc += f(i, a) * f(i, b);
-      ftf(a, b) = acc;
-      ftf(b, a) = acc;
-    }
-  }
-  const linalg::SymmetricEigenResult fe = linalg::jacobi_eigen(ftf);
-
-  // Top-k eigenvectors of F F^T are F v / sqrt(lambda).
-  const std::size_t k = result.k;
-  if (k <= 1) {
-    result.labels.assign(n, 0);
-    return result;
-  }
-  data::PointSet embedding(n, k);
-  for (std::size_t col = 0; col < k; ++col) {
-    const std::size_t src = m - 1 - col;  // eigenvalues ascend
-    const double lambda = std::max(fe.eigenvalues[src], floor);
-    const double inv = lambda > 0.0 ? 1.0 / std::sqrt(lambda) : 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      double acc = 0.0;
-      for (std::size_t e = 0; e < m; ++e) {
-        acc += f(i, e) * fe.eigenvectors(e, src);
-      }
-      embedding.at(i, col) = acc * inv;
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i) linalg::normalize(embedding.point(i));
-
-  clustering::KMeansParams km;
-  km.k = k;
-  result.labels = clustering::kmeans(embedding, km, rng).labels;
+  result.labels =
+      clustering::factored_spectral(factor.c.multiply(factor.p), result.k,
+                                    rng)
+          .fit.labels;
   return result;
 }
 

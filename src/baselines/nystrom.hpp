@@ -1,10 +1,13 @@
 // Nystrom-extension spectral clustering baseline (the paper's "NYST"
 // comparator; Schuetter & Shi 2011 / Fowlkes et al. lineage).
 //
-// m landmark points are sampled; the N x m kernel slab C and the m x m
-// landmark kernel W are formed; approximate degrees come from
-// d = C W^+ (C^T 1), and the top-K eigenvectors of the normalized affinity
-// are recovered from the m x m problem F^T F with F = D^{-1/2} C W^{-1/2}.
+// m landmark points are sampled and factored by clustering::nystrom_factor
+// (the N x m kernel slab C, the m x m landmark kernel W, and
+// P = U_kept Lambda_kept^{-1/2} of W, so F = C P has F F^T = C W^+ C^T).
+// clustering::factored_spectral then takes degrees d = F (F^T 1) and
+// recovers the top-K eigenvectors of the normalized affinity from the
+// r x r problem G^T G with G = D^{-1/2} F, r <= m — the same factored path
+// as the DASC Nystrom bucket backend.
 // Cost: O(N m^2 + m^3) time and O(N m) memory.
 #pragma once
 
@@ -20,8 +23,6 @@ struct NystromParams {
   std::size_t k = 2;       ///< clusters
   std::size_t landmarks = 0;  ///< sample size m; 0 = auto
   double sigma = 0.0;      ///< Gaussian bandwidth; 0 = auto
-  /// Eigenvalue floor for pseudo-inverting W (relative to its largest).
-  double rank_tolerance = 1e-10;
 };
 
 struct NystromResult {
@@ -32,7 +33,7 @@ struct NystromResult {
   std::size_t kernel_bytes = 0;
 };
 
-/// Auto landmark count: m = clamp(4 sqrt(N), 16, N).
+/// Auto landmark count: m = min(N, max(16, floor(4 sqrt(N)))).
 std::size_t nystrom_auto_landmarks(std::size_t n);
 
 /// Run Nystrom spectral clustering on a dataset.

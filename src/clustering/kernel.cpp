@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "linalg/jacobi_eigen.hpp"
 #include "linalg/simd_ops.hpp"
 #include "linalg/vector_ops.hpp"
 
@@ -169,6 +171,55 @@ linalg::DenseMatrix gaussian_gram_subset(
   mirror_upper(gram);
   record_panel_metrics(metrics, n, tile);
   return gram;
+}
+
+NystromFactorization nystrom_factor(const data::PointSet& points,
+                                    std::span<const std::size_t> indices,
+                                    std::size_t m, double sigma, Rng& rng) {
+  const std::size_t n = indices.size();
+  DASC_EXPECT(m >= 1 && m <= n,
+              "nystrom_factor: landmarks must be in [1, |indices|]");
+
+  std::vector<std::size_t> order(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  for (std::size_t i = 0; i < m; ++i) {
+    std::swap(order[i], order[i + rng.uniform_index(n - i)]);
+  }
+  NystromFactorization out;
+  out.landmarks.resize(m);
+  for (std::size_t j = 0; j < m; ++j) out.landmarks[j] = indices[order[j]];
+
+  out.c = linalg::DenseMatrix(n, m, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto x = points.point(indices[i]);
+    for (std::size_t j = 0; j < m; ++j) {
+      out.c(i, j) =
+          gaussian_kernel(x, points.point(out.landmarks[j]), sigma);
+    }
+  }
+  linalg::DenseMatrix w(m, m, 0.0);
+  for (std::size_t a = 0; a < m; ++a) {
+    for (std::size_t b = 0; b < m; ++b) w(a, b) = out.c(order[a], b);
+  }
+
+  const linalg::SymmetricEigenResult eigen = linalg::jacobi_eigen(w);
+  const double floor =
+      kFactorEigenFloor * std::max(eigen.eigenvalues.back(), 1e-300);
+  std::vector<std::size_t> kept;
+  for (std::size_t e = 0; e < m; ++e) {
+    if (eigen.eigenvalues[e] > floor) kept.push_back(e);
+  }
+  DASC_ENSURE(!kept.empty(), "nystrom_factor: landmark block numerically zero");
+
+  out.p = linalg::DenseMatrix(m, kept.size(), 0.0);
+  for (std::size_t a = 0; a < m; ++a) {
+    for (std::size_t col = 0; col < kept.size(); ++col) {
+      const std::size_t e = kept[col];
+      out.p(a, col) =
+          eigen.eigenvectors(a, e) / std::sqrt(eigen.eigenvalues[e]);
+    }
+  }
+  return out;
 }
 
 }  // namespace dasc::clustering

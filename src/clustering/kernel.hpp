@@ -11,7 +11,9 @@
 
 #include <cstddef>
 #include <span>
+#include <vector>
 
+#include "common/rng.hpp"
 #include "data/point_set.hpp"
 #include "linalg/dense_matrix.hpp"
 
@@ -48,5 +50,28 @@ linalg::DenseMatrix gaussian_gram(const data::PointSet& points, double sigma,
 linalg::DenseMatrix gaussian_gram_subset(
     const data::PointSet& points, std::span<const std::size_t> indices,
     double sigma, MetricsRegistry* metrics = nullptr);
+
+/// Relative spectral floor of every factored eigenproblem (the landmark
+/// block here, the r x r core in factored_spectral): components with
+/// lambda <= kFactorEigenFloor * lambda_max carry no mass and are dropped.
+inline constexpr double kFactorEigenFloor = 1e-12;
+
+/// One Nystrom landmark factorization (Williams & Seeger) of the Gram
+/// matrix over the rows `indices`: F = C P with F F^T = C W^+ C^T.
+struct NystromFactorization {
+  std::vector<std::size_t> landmarks;  ///< m point indices, in draw order
+  linalg::DenseMatrix c;  ///< n x m kernel between rows and landmarks
+  linalg::DenseMatrix p;  ///< m x r, P = U_kept Lambda_kept^{-1/2} of W
+};
+
+/// Draw m landmarks uniformly without replacement from `indices` (a
+/// partial Fisher-Yates over the positions of `indices`; `rng`'s first
+/// consumer, so the draw is part of every caller's determinism contract),
+/// form C and the landmark block W, and keep the eigenpairs of W above
+/// kFactorEigenFloor * lambda_max (r <= m of them). `sigma` must already
+/// be resolved. Throws InvalidArgument unless 1 <= m <= indices.size().
+NystromFactorization nystrom_factor(const data::PointSet& points,
+                                    std::span<const std::size_t> indices,
+                                    std::size_t m, double sigma, Rng& rng);
 
 }  // namespace dasc::clustering

@@ -99,4 +99,28 @@ SpectralEmbeddingDetail spectral_embedding_detail(linalg::DenseMatrix gram,
                                                   std::size_t k,
                                                   std::size_t dense_cutoff);
 
+/// What factored_spectral hands back beyond the fitted state: the
+/// ingredients of a serving factor. With representation F (n x r),
+/// s = F^T 1, and embed_map = V_topk Lambda^{-1/2} of the r x r problem,
+/// a new row f maps to embedding u = (f . embed_map) / sqrt(f . s).
+struct FactoredSolve {
+  SpectralGramDetail fit;
+  std::vector<double> s;          ///< column sums F^T 1 (degree weights)
+  linalg::DenseMatrix embed_map;  ///< r x k_eff; empty unless want_factor
+};
+
+/// Spectral clustering on a factored Gram K ~= F F^T, shared by the
+/// Nystrom and random-binning bucket backends and the NYST baseline:
+/// degrees d = F (F^T 1), normalized rows G = D^{-1/2} F, top-k eigenpairs
+/// of G G^T recovered from the r x r problem G^T G (eigenpairs at or below
+/// kFactorEigenFloor * lambda_max are dropped), row-normalize, K-means.
+/// O(n r^2) time, O(n r) space — never materializes an n x n matrix.
+/// Unlike the NJW dense path the Gram diagonal stays in the degrees.
+/// Effective k is min(k, n, kept eigenpairs); at <= 1 the result is the
+/// trivial fit (k == 0, all labels zero). `metrics` receives the
+/// `spectral.eigensolve` timer and `eigensolve.factored` counter.
+FactoredSolve factored_spectral(const linalg::DenseMatrix& f, std::size_t k,
+                                Rng& rng, MetricsRegistry* metrics = nullptr,
+                                bool want_factor = false);
+
 }  // namespace dasc::clustering

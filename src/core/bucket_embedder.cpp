@@ -6,20 +6,13 @@
 #include <utility>
 
 #include "clustering/kernel.hpp"
-#include "clustering/kmeans.hpp"
+#include "clustering/spectral.hpp"
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "core/dasc_clusterer.hpp"
-#include "linalg/jacobi_eigen.hpp"
-#include "linalg/vector_ops.hpp"
 
 namespace dasc::core {
 namespace {
-
-/// Relative spectral floor of the factored r x r eigenproblem: components
-/// with lambda <= floor * lambda_max carry no affinity mass and are
-/// dropped (mirrors nystrom_approximate_kernel's landmark-block floor).
-constexpr double kFactorEigenFloor = 1e-12;
 
 /// FNV-1a 64-bit absorb, the binning grid's cell -> column hash. Chosen
 /// for the same reason the artifact layer fixes CRC32: stable bytes on
@@ -32,116 +25,6 @@ std::uint64_t fnv1a64(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
-
-/// What the factored spectral solve hands back beyond the fitted state:
-/// the ingredients of the serving factor. With representation F (n x r),
-/// s = F^T 1, and embed_map = V_topk Lambda^{-1/2} of the r x r problem,
-/// a new row f maps to embedding u = (f . embed_map) / sqrt(f . s).
-struct FactoredSolve {
-  clustering::SpectralGramDetail fit;
-  std::vector<double> s;          ///< column sums F^T 1 (degree weights)
-  linalg::DenseMatrix embed_map;  ///< r x k_eff
-};
-
-/// Shared spectral path of both factored backends: degrees, normalized
-/// rows G = D^{-1/2} F, top-k eigenpairs of G G^T recovered from the
-/// r x r problem G^T G, row-normalize, K-means. O(n r^2) time, O(n r)
-/// space — never materializes an n x n matrix.
-FactoredSolve factored_spectral(const linalg::DenseMatrix& f,
-                                std::size_t k_bucket, Rng& rng,
-                                MetricsRegistry* metrics, bool want_factor) {
-  const std::size_t n = f.rows();
-  const std::size_t r = f.cols();
-  FactoredSolve out;
-
-  linalg::DenseMatrix u;  // raw eigenvectors U = G V Lambda^{-1/2}
-  std::size_t k_eff = 0;
-  {
-    ScopedTimer eigen_timer(metrics, "spectral.eigensolve");
-
-    // Degrees via the factorization: d = F (F^T 1). Unlike the dense NJW
-    // path the Gram diagonal stays in the sum — removing it would break
-    // K ~= F F^T (see the header's documented deviation).
-    out.s.assign(r, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto row = f.row(i);
-      for (std::size_t c = 0; c < r; ++c) out.s[c] += row[c];
-    }
-    std::vector<double> inv_sqrt_degree(n, 0.0);
-    linalg::DenseMatrix g = f;  // G = D^{-1/2} F
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto row = f.row(i);
-      double degree = 0.0;
-      for (std::size_t c = 0; c < r; ++c) degree += row[c] * out.s[c];
-      out.fit.spectral.degrees.push_back(degree);
-      inv_sqrt_degree[i] = degree > 0.0 ? 1.0 / std::sqrt(degree) : 0.0;
-      auto grow = g.row(i);
-      for (std::size_t c = 0; c < r; ++c) grow[c] *= inv_sqrt_degree[i];
-    }
-
-    // The r x r core B = G^T G shares its nonzero spectrum with the
-    // normalized affinity G G^T.
-    linalg::DenseMatrix b(r, r, 0.0);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto row = g.row(i);
-      for (std::size_t a = 0; a < r; ++a) {
-        for (std::size_t c = a; c < r; ++c) b(a, c) += row[a] * row[c];
-      }
-    }
-    for (std::size_t a = 0; a < r; ++a) {
-      for (std::size_t c = 0; c < a; ++c) b(a, c) = b(c, a);
-    }
-
-    const linalg::SymmetricEigenResult eigen = linalg::jacobi_eigen(b);
-    const double floor =
-        kFactorEigenFloor * std::max(eigen.eigenvalues.back(), 1e-300);
-    std::vector<std::size_t> kept;  // descending eigenvalue order
-    for (std::size_t e = r; e-- > 0;) {
-      if (eigen.eigenvalues[e] > floor) kept.push_back(e);
-    }
-    k_eff = std::min(std::min(k_bucket, n), kept.size());
-    if (k_eff <= 1) {
-      // Numerically collapsed representation: same contract as the
-      // trivial path (k == 0, all labels zero, no spectral state).
-      out.fit.labels.assign(n, 0);
-      out.fit.spectral = clustering::SpectralEmbeddingDetail{};
-      return out;
-    }
-
-    out.embed_map = linalg::DenseMatrix(r, k_eff, 0.0);
-    out.fit.spectral.eigenvalues.assign(k_eff, 0.0);
-    for (std::size_t col = 0; col < k_eff; ++col) {
-      const std::size_t e = kept[col];
-      const double lambda = eigen.eigenvalues[e];
-      out.fit.spectral.eigenvalues[col] = lambda;
-      const double inv_sqrt_lambda = 1.0 / std::sqrt(lambda);
-      for (std::size_t a = 0; a < r; ++a) {
-        out.embed_map(a, col) = eigen.eigenvectors(a, e) * inv_sqrt_lambda;
-      }
-    }
-    u = g.multiply(out.embed_map);
-  }
-  if (metrics != nullptr) metrics->counter("eigensolve.factored").add(1);
-
-  out.fit.spectral.eigenvectors = u;
-  for (std::size_t row = 0; row < n; ++row) linalg::normalize(u.row(row));
-  out.fit.spectral.embedding = u;
-
-  data::PointSet rows(n, k_eff);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto src = u.row(i);
-    std::copy(src.begin(), src.end(), rows.point(i).begin());
-  }
-  clustering::KMeansParams km;
-  km.k = k_eff;
-  km.metrics = metrics;
-  clustering::KMeansResult clusters = clustering::kmeans(rows, km, rng);
-  out.fit.labels = std::move(clusters.labels);
-  out.fit.centroids = std::move(clusters.centroids);
-  out.fit.k = k_eff;
-  if (!want_factor) out.embed_map = linalg::DenseMatrix();
-  return out;
-}
 
 /// True for the bucket sizes the historical code labels trivial (all-zero
 /// labels, no spectral state); every backend must agree on this so backend
@@ -199,7 +82,8 @@ class DenseEmbedder final : public BucketEmbedder {
 };
 
 // ---------------------------------------------------------------------------
-// nystrom — landmark factorization F = C W^{-1/2} inside the bucket.
+// nystrom — landmark factorization F = C P (clustering::nystrom_factor)
+// inside the bucket.
 
 class NystromEmbedder final : public BucketEmbedder {
  public:
@@ -236,62 +120,23 @@ class NystromEmbedder final : public BucketEmbedder {
     out.backend = GramBackend::kNystrom;
     out.gram_bytes = factor_bytes(n, m);
 
-    linalg::DenseMatrix c(n, m, 0.0);  // C: bucket points x landmarks
-    linalg::DenseMatrix p;             // P = U_kept Lambda_kept^{-1/2}
+    clustering::NystromFactorization factor;
     {
       ScopedTimer gram_timer(options_.metrics, "pipeline.gram_build");
-
-      // Uniform landmark sample without replacement over bucket-local
-      // rows (first RNG consumer — the draw order is part of the
-      // determinism contract).
-      std::vector<std::size_t> order(n);
-      for (std::size_t i = 0; i < n; ++i) order[i] = i;
-      for (std::size_t i = 0; i < m; ++i) {
-        std::swap(order[i], order[i + rng.uniform_index(n - i)]);
-      }
-
-      for (std::size_t i = 0; i < n; ++i) {
-        const auto x = points.point(indices[i]);
-        for (std::size_t j = 0; j < m; ++j) {
-          c(i, j) = clustering::gaussian_kernel(
-              x, points.point(indices[order[j]]), options_.sigma);
-        }
-      }
-      linalg::DenseMatrix w(m, m, 0.0);
-      for (std::size_t a = 0; a < m; ++a) {
-        for (std::size_t b = 0; b < m; ++b) w(a, b) = c(order[a], b);
-      }
-
-      const linalg::SymmetricEigenResult eigen = linalg::jacobi_eigen(w);
-      const double floor =
-          kFactorEigenFloor * std::max(eigen.eigenvalues.back(), 1e-300);
-      std::vector<std::size_t> kept;
-      for (std::size_t e = 0; e < m; ++e) {
-        if (eigen.eigenvalues[e] > floor) kept.push_back(e);
-      }
-      DASC_ENSURE(!kept.empty(),
-                  "nystrom backend: landmark block numerically zero");
-
-      p = linalg::DenseMatrix(m, kept.size(), 0.0);
-      for (std::size_t a = 0; a < m; ++a) {
-        for (std::size_t col = 0; col < kept.size(); ++col) {
-          const std::size_t e = kept[col];
-          p(a, col) =
-              eigen.eigenvectors(a, e) / std::sqrt(eigen.eigenvalues[e]);
-        }
-      }
-
+      factor = clustering::nystrom_factor(points, indices, m, options_.sigma,
+                                          rng);
       if (want_factor) {
         out.nystrom.anchors = linalg::DenseMatrix(m, points.dim(), 0.0);
         for (std::size_t j = 0; j < m; ++j) {
-          const auto x = points.point(indices[order[j]]);
+          const auto x = points.point(factor.landmarks[j]);
           std::copy(x.begin(), x.end(), out.nystrom.anchors.row(j).begin());
         }
       }
     }
 
-    FactoredSolve solve = factored_spectral(
-        c.multiply(p), k_bucket, rng, options_.metrics, want_factor);
+    const linalg::DenseMatrix& p = factor.p;
+    clustering::FactoredSolve solve = clustering::factored_spectral(
+        factor.c.multiply(p), k_bucket, rng, options_.metrics, want_factor);
     out.fit = std::move(solve.fit);
     if (want_factor && out.fit.k > 0) {
       // Serving map over kernel rows: u_q = (c_q . P embed_map) / sqrt(d_q)
@@ -385,8 +230,8 @@ class BinningEmbedder final : public BucketEmbedder {
       }
     }
 
-    FactoredSolve solve =
-        factored_spectral(z, k_bucket, rng, options_.metrics, want_factor);
+    clustering::FactoredSolve solve = clustering::factored_spectral(
+        z, k_bucket, rng, options_.metrics, want_factor);
     out.fit = std::move(solve.fit);
     if (want_factor && out.fit.k > 0) {
       out.binning.map = std::move(solve.embed_map);

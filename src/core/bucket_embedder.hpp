@@ -8,21 +8,24 @@
 //
 //   dense        exact dense Gram block + the Jacobi/Lanczos eigensolve —
 //                byte-for-byte the historical code path;
-//   nystrom      landmark factorization K ~= F F^T with F = C W^{-1/2}
-//                (Williams & Seeger; the repo's lowrank_approximator math
-//                applied inside a bucket), eigensolve on the m x m F^T F;
+//   nystrom      landmark factorization K ~= F F^T with F = C P,
+//                P = U_kept Lambda_kept^{-1/2} of the landmark block W
+//                (Williams & Seeger; clustering::nystrom_factor, the one
+//                factorization the low-rank comparator and the NYST
+//                baseline also use);
 //   rbf_binning  random binning feature map (Rahimi & Recht; Wu et al.,
 //                "Scalable Spectral Clustering Using Random Binning
 //                Features"): K ~= Z Z^T for a sparse one-hot-per-grid
 //                feature matrix Z hashed into D columns.
 //
-// Both factored backends share one spectral path: with representation F
-// (n x r), degrees d = F (F^T 1), G = D^{-1/2} F, the top-k eigenvectors
-// of the normalized affinity G G^T are recovered from the r x r
-// eigenproblem G^T G = V L V^T as U = G V L^{-1/2} — O(n r) space instead
-// of O(n^2). (Factored backends keep the Gram diagonal in the degrees; the
-// dense path zeroes it per NJW. The deviation vanishes as buckets grow and
-// is covered by the accuracy harness.)
+// Both factored backends share one spectral path with the NYST baseline,
+// clustering::factored_spectral: with representation F (n x r), degrees
+// d = F (F^T 1), G = D^{-1/2} F, the top-k eigenvectors of the normalized
+// affinity G G^T are recovered from the r x r eigenproblem
+// G^T G = V L V^T as U = G V L^{-1/2} — O(n r) space instead of O(n^2).
+// (Factored backends keep the Gram diagonal in the degrees; the dense path
+// zeroes it per NJW. The deviation vanishes as buckets grow and is covered
+// by the accuracy harness.)
 //
 // Backend selection is a per-bucket policy (DascParams::gram_backend +
 // backend_threshold, resolved by EmbedderSet); every backend reports the

@@ -35,7 +35,7 @@ enum class HashFamily {
 /// Values are persisted in model artifacts — never renumber.
 enum class GramBackend : std::uint8_t {
   kDense = 0,       ///< exact dense block + Jacobi/Lanczos eigensolve
-  kNystrom = 1,     ///< landmark factorization F = C W^{-1/2}, m x m solve
+  kNystrom = 1,     ///< landmark factorization F = C P, r x r solve
   kRbfBinning = 2,  ///< random binning feature map, feature-space solve
 };
 

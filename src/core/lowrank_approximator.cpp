@@ -1,12 +1,12 @@
 #include "core/lowrank_approximator.hpp"
 
-#include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <vector>
 
 #include "clustering/kernel.hpp"
 #include "common/error.hpp"
 #include "core/bucket_embedder.hpp"
-#include "linalg/jacobi_eigen.hpp"
 
 namespace dasc::core {
 
@@ -52,64 +52,16 @@ linalg::DenseMatrix LowRankGram::to_dense() const {
 
 LowRankGram nystrom_approximate_kernel(const data::PointSet& points,
                                        std::size_t landmarks, double sigma,
-                                       Rng& rng, double tolerance) {
+                                       Rng& rng) {
   const std::size_t n = points.size();
   DASC_EXPECT(n >= 1, "nystrom_approximate_kernel: empty dataset");
-  DASC_EXPECT(landmarks >= 1 && landmarks <= n,
-              "nystrom_approximate_kernel: landmarks must be in [1, N]");
-  DASC_EXPECT(tolerance >= 0.0,
-              "nystrom_approximate_kernel: tolerance must be >= 0");
   const double bandwidth =
       sigma > 0.0 ? sigma : clustering::suggest_bandwidth(points);
-
-  // Uniform landmark sample without replacement.
-  std::vector<std::size_t> order(n);
-  for (std::size_t i = 0; i < n; ++i) order[i] = i;
-  for (std::size_t i = 0; i < landmarks; ++i) {
-    std::swap(order[i], order[i + rng.uniform_index(n - i)]);
-  }
-
-  // C (N x m) and the landmark block W (m x m).
-  linalg::DenseMatrix c(n, landmarks, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < landmarks; ++j) {
-      c(i, j) = clustering::gaussian_kernel(points.point(i),
-                                            points.point(order[j]),
-                                            bandwidth);
-    }
-  }
-  linalg::DenseMatrix w(landmarks, landmarks, 0.0);
-  for (std::size_t a = 0; a < landmarks; ++a) {
-    for (std::size_t b = 0; b < landmarks; ++b) {
-      w(a, b) = c(order[a], b);
-    }
-  }
-
-  // W^{-1/2} via eigendecomposition with a spectral floor; components
-  // below the floor are dropped, shrinking the factor's rank.
-  const linalg::SymmetricEigenResult eigen = linalg::jacobi_eigen(w);
-  const double floor =
-      tolerance * std::max(eigen.eigenvalues.back(), 1e-300);
-  std::vector<std::size_t> kept;
-  for (std::size_t e = 0; e < landmarks; ++e) {
-    if (eigen.eigenvalues[e] > floor) kept.push_back(e);
-  }
-  DASC_ENSURE(!kept.empty(),
-              "nystrom_approximate_kernel: landmark block numerically zero");
-
-  // F = C * U_kept * diag(lambda^{-1/2}); K~ = F F^T = C W^+ C^T.
-  linalg::DenseMatrix factor(n, kept.size(), 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t out = 0; out < kept.size(); ++out) {
-      const std::size_t e = kept[out];
-      double acc = 0.0;
-      for (std::size_t a = 0; a < landmarks; ++a) {
-        acc += c(i, a) * eigen.eigenvectors(a, e);
-      }
-      factor(i, out) = acc / std::sqrt(eigen.eigenvalues[e]);
-    }
-  }
-  return LowRankGram(std::move(factor), landmarks);
+  std::vector<std::size_t> all(n);
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  const clustering::NystromFactorization factor =
+      clustering::nystrom_factor(points, all, landmarks, bandwidth, rng);
+  return LowRankGram(factor.c.multiply(factor.p), landmarks);
 }
 
 }  // namespace dasc::core

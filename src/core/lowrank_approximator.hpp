@@ -4,8 +4,9 @@
 // categories"). Provided so the two strategies can be compared head to
 // head under equal memory budgets (bench_ablation_approx).
 //
-// K ~= C W^+ C^T is stored in factored form F = C W^{-1/2} (valid for the
-// PSD Gaussian kernel), so the footprint is N*m entries instead of N^2.
+// K ~= C W^+ C^T is stored in factored form F = C P with P = U Lambda^{-1/2}
+// of the landmark block W (valid for the PSD Gaussian kernel), so the
+// footprint is N*r entries (r <= m) instead of N^2.
 #pragma once
 
 #include <cstddef>
@@ -47,12 +48,13 @@ class LowRankGram {
 };
 
 /// Build a Nystrom approximation of the Gaussian Gram matrix from
-/// `landmarks` uniformly sampled points. sigma 0 = median heuristic;
-/// eigenvalues of the landmark block below tolerance * largest are
-/// dropped (rank() reports what survived).
+/// `landmarks` uniformly sampled points (clustering::nystrom_factor over
+/// every point; F = C P). sigma 0 = median heuristic; landmark-block
+/// eigenvalues at or below kFactorEigenFloor * largest are dropped (rank()
+/// reports what survived). Throws InvalidArgument unless 1 <= landmarks
+/// <= N.
 LowRankGram nystrom_approximate_kernel(const data::PointSet& points,
                                        std::size_t landmarks, double sigma,
-                                       Rng& rng,
-                                       double tolerance = 1e-10);
+                                       Rng& rng);
 
 }  // namespace dasc::core

@@ -1,8 +1,8 @@
 // Core key/value types of the MapReduce runtime.
 //
 // Keys and values are byte strings, as in Hadoop streaming; algorithm
-// layers serialize their records (binary in core/dasc_mapreduce, text via
-// data/dataset_io.hpp point_to_record in core/mapreduce_kmeans). The
+// layers serialize their records (binary in core/dasc_mapreduce; the DFS
+// input files hold data/dataset_io.hpp point_to_record text lines). The
 // runtime executes for real on the host machine while a virtual cluster
 // (virtual_cluster.hpp) accounts slots and simulated time — see DESIGN.md.
 #pragma once

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string_view>
+
 #include "clustering/metrics.hpp"
+#include "common/checksum.hpp"
 #include "common/error.hpp"
 #include "data/synthetic.hpp"
 #include "linalg/dense_matrix.hpp"
@@ -14,6 +18,12 @@ TEST(NystromAutoLandmarks, RuleAndClamping) {
   EXPECT_EQ(nystrom_auto_landmarks(10000), 400u);  // 4 * 100
   EXPECT_EQ(nystrom_auto_landmarks(4), 4u);        // capped at n
   EXPECT_EQ(nystrom_auto_landmarks(25), 20u);
+  // Below the floor of 16 the rule is capped at n, and at 16 <= n the
+  // floor of 16 wins until 4 sqrt(n) passes it.
+  EXPECT_EQ(nystrom_auto_landmarks(1), 1u);
+  EXPECT_EQ(nystrom_auto_landmarks(15), 15u);
+  EXPECT_EQ(nystrom_auto_landmarks(16), 16u);
+  EXPECT_EQ(nystrom_auto_landmarks(17), 16u);
 }
 
 TEST(Nystrom, RecoversSeparatedBlobs) {
@@ -118,6 +128,40 @@ TEST(Nystrom, FullLandmarksApproachesExactSpectral) {
   const NystromResult result = nystrom_cluster(points, params, rng);
   EXPECT_GT(clustering::clustering_accuracy(result.labels, points.labels()),
             0.97);
+}
+
+// Golden NYST labels on a small Gaussian mixture, with the auto landmark
+// rule and with m = 20. The CRCs were recorded while the baseline still
+// formed W^{-1/2} and W^+ and solved its own m x m eigenproblem; it now
+// shares the landmark factorization and the factored r x r solve of the
+// Nystrom backend, and the labels must not move.
+constexpr std::uint32_t kNystAutoGoldenLabelCrc = 0x0031913bu;
+constexpr std::uint32_t kNystM20GoldenLabelCrc = 0x00f5dbc0u;
+
+std::uint32_t nyst_golden_label_crc(std::size_t landmarks) {
+  dasc::Rng data_rng(531);
+  data::MixtureParams mix;
+  mix.n = 300;
+  mix.dim = 8;
+  mix.k = 4;
+  mix.cluster_stddev = 0.05;
+  const data::PointSet points = data::make_gaussian_mixture(mix, data_rng);
+  NystromParams params;
+  params.k = 4;
+  params.landmarks = landmarks;
+  dasc::Rng rng(532);
+  const NystromResult result = nystrom_cluster(points, params, rng);
+  return crc32(std::string_view(
+      reinterpret_cast<const char*>(result.labels.data()),
+      result.labels.size() * sizeof(int)));
+}
+
+TEST(NystromGolden, AutoLandmarkLabelsMatchRecordedCrc) {
+  EXPECT_EQ(nyst_golden_label_crc(0), kNystAutoGoldenLabelCrc);
+}
+
+TEST(NystromGolden, TwentyLandmarkLabelsMatchRecordedCrc) {
+  EXPECT_EQ(nyst_golden_label_crc(20), kNystM20GoldenLabelCrc);
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <numeric>
+#include <utility>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -146,6 +149,90 @@ TEST(GaussianGramSubset, RejectsOutOfRangeIndex) {
   const std::vector<std::size_t> bad{0, 5};
   EXPECT_THROW(gaussian_gram_subset(points, bad, 0.5),
                dasc::InvalidArgument);
+}
+
+TEST(NystromFactor, LandmarksArePartialFisherYatesPrefixOfIndices) {
+  dasc::Rng data_rng(47);
+  const data::PointSet points = data::make_uniform(40, 3, data_rng);
+  // A bucket-local subset: the draw runs over positions of `indices`.
+  const std::vector<std::size_t> indices{2,  5,  7,  11, 13, 17,
+                                         19, 23, 29, 31, 37, 39};
+  const std::size_t m = 5;
+  dasc::Rng rng(48);
+  const NystromFactorization factor =
+      nystrom_factor(points, indices, m, 0.7, rng);
+
+  dasc::Rng ref(48);
+  std::vector<std::size_t> order(indices.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  for (std::size_t i = 0; i < m; ++i) {
+    std::swap(order[i], order[i + ref.uniform_index(indices.size() - i)]);
+  }
+  ASSERT_EQ(factor.landmarks.size(), m);
+  for (std::size_t j = 0; j < m; ++j) {
+    EXPECT_EQ(factor.landmarks[j], indices[order[j]]) << "landmark " << j;
+  }
+  // The draw is the factorization's only use of the RNG.
+  EXPECT_EQ(rng(), ref());
+
+  ASSERT_EQ(factor.c.rows(), indices.size());
+  ASSERT_EQ(factor.c.cols(), m);
+  for (std::size_t i = 0; i < indices.size(); ++i) {
+    for (std::size_t j = 0; j < m; ++j) {
+      EXPECT_EQ(factor.c(i, j),
+                gaussian_kernel(points.point(indices[i]),
+                                points.point(factor.landmarks[j]), 0.7));
+    }
+  }
+
+  // Distinct landmarks keep full rank, and F = C P reproduces the kernel
+  // exactly on the landmarks (F F^T = C W^+ C^T, W^+ W = I there).
+  ASSERT_EQ(factor.p.rows(), m);
+  ASSERT_EQ(factor.p.cols(), m);
+  const linalg::DenseMatrix f = factor.c.multiply(factor.p);
+  for (std::size_t a = 0; a < m; ++a) {
+    for (std::size_t b = 0; b < m; ++b) {
+      double approx = 0.0;
+      for (std::size_t c = 0; c < f.cols(); ++c) {
+        approx += f(order[a], c) * f(order[b], c);
+      }
+      EXPECT_NEAR(approx,
+                  gaussian_kernel(points.point(factor.landmarks[a]),
+                                  points.point(factor.landmarks[b]), 0.7),
+                  1e-8);
+    }
+  }
+}
+
+TEST(NystromFactor, FloorDropsRankOnDuplicatedPoints) {
+  // Three distinct points, each present four times: the 12 x 12 landmark
+  // block has rank 3, and the floor drops the other nine components.
+  data::PointSet points(12, 2);
+  const double distinct[3][2] = {{0.0, 0.0}, {1.0, 0.5}, {-0.5, 1.5}};
+  for (std::size_t i = 0; i < 12; ++i) {
+    points.at(i, 0) = distinct[i % 3][0];
+    points.at(i, 1) = distinct[i % 3][1];
+  }
+  std::vector<std::size_t> indices(12);
+  std::iota(indices.begin(), indices.end(), std::size_t{0});
+  dasc::Rng rng(49);
+  const NystromFactorization factor =
+      nystrom_factor(points, indices, 12, 1.0, rng);
+  EXPECT_EQ(factor.c.cols(), 12u);
+  EXPECT_EQ(factor.p.rows(), 12u);
+  EXPECT_EQ(factor.p.cols(), 3u);
+}
+
+TEST(NystromFactor, RejectsLandmarkCountOutsideIndices) {
+  dasc::Rng data_rng(50);
+  const data::PointSet points = data::make_uniform(10, 2, data_rng);
+  const std::vector<std::size_t> indices{1, 4, 6};
+  dasc::Rng rng(51);
+  EXPECT_THROW(nystrom_factor(points, indices, 0, 0.5, rng),
+               dasc::InvalidArgument);
+  EXPECT_THROW(nystrom_factor(points, indices, 4, 0.5, rng),
+               dasc::InvalidArgument);
+  EXPECT_NO_THROW(nystrom_factor(points, indices, 3, 0.5, rng));
 }
 
 }  // namespace

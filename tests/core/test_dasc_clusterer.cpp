@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <set>
+#include <string>
 
 #include "clustering/metrics.hpp"
 #include "clustering/spectral.hpp"
@@ -11,6 +15,7 @@
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "data/synthetic.hpp"
+#include "serving/model_artifact.hpp"
 
 namespace dasc::core {
 namespace {
@@ -204,6 +209,69 @@ TEST(DascFusedGolden, FourWorkerLabelsMatchRecordedCrc) {
 
 TEST(DascFusedGolden, InlineLabelsMatchRecordedCrc) {
   expect_fused_golden(1);
+}
+
+// Golden labels and artifact bytes for the factored backends: the fused
+// golden's fixture with every bucket forced onto the Nystrom or the
+// random-binning backend. The CRCs were recorded while each backend still
+// carried its own copy of the landmark factorization and of the factored
+// spectral solve; both now come from clustering/, and must not move a bit.
+constexpr std::uint32_t kNystromGoldenLabelCrc = 0xc028030au;
+constexpr std::uint32_t kBinningGoldenLabelCrc = 0xc7a6793bu;
+constexpr std::uint32_t kNystromGoldenArtifactCrc = 0xda1e2f68u;
+
+data::PointSet factored_golden_points() { return blobs(1600, 8, 230); }
+
+DascParams factored_golden_params(GramBackendPolicy backend,
+                                  MetricsRegistry* metrics) {
+  DascParams params;
+  params.k = 24;
+  params.m = 3;
+  params.p = 3;
+  params.threads = 2;
+  params.gram_backend = backend;
+  params.metrics = metrics;
+  return params;
+}
+
+std::uint32_t factored_golden_label_crc(GramBackendPolicy backend) {
+  MetricsRegistry metrics;
+  dasc::Rng rng(31);
+  const DascResult result = dasc_cluster(
+      factored_golden_points(), factored_golden_params(backend, &metrics),
+      rng);
+  // Every bucket takes the factored r x r solve and runs K-means.
+  const std::int64_t factored =
+      metrics.counter("eigensolve.factored").value();
+  EXPECT_GE(factored, 4);
+  EXPECT_EQ(metrics.counter("kmeans.runs").value(), factored);
+  return label_crc(result.labels);
+}
+
+TEST(DascFactoredGolden, NystromLabelsMatchRecordedCrc) {
+  EXPECT_EQ(factored_golden_label_crc(GramBackendPolicy::kNystrom),
+            kNystromGoldenLabelCrc);
+}
+
+TEST(DascFactoredGolden, BinningLabelsMatchRecordedCrc) {
+  EXPECT_EQ(factored_golden_label_crc(GramBackendPolicy::kRbfBinning),
+            kBinningGoldenLabelCrc);
+}
+
+TEST(DascFactoredGolden, NystromArtifactBytesMatchRecordedCrc) {
+  dasc::Rng rng(31);
+  const serving::FitResult fit = serving::fit_model(
+      factored_golden_points(),
+      factored_golden_params(GramBackendPolicy::kNystrom, nullptr), rng);
+  const std::string path =
+      testing::TempDir() + "dasc_factored_golden_artifact.bin";
+  serving::save_model(fit.model, path, /*format_version=*/2);
+  std::ifstream in(path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << path;
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  std::remove(path.c_str());
+  EXPECT_EQ(crc32(bytes), kNystromGoldenArtifactCrc);
 }
 
 TEST(DascCluster, RejectsEmptyDataset) {
