@@ -11,8 +11,9 @@
 //      degrade into the in-process path.
 //
 // Emits BENCH_multiproc.json with per-worker-count wall times, the
-// w=4-over-w=1 speedup in ppm, and the w=4 leg's data-plane dials per
-// pull (shuffle.conns_opened_per_pull_ppm).
+// w=4-over-w=1 speedup in ppm, and the w=4 leg's data-plane dials and
+// kFetchPart requests per pull (shuffle.conns_opened_per_pull_ppm,
+// shuffle.fetch_requests_per_pull_ppm).
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -133,11 +134,20 @@ int main() {
     // gate).
     const double pulls =
         static_cast<double>(leg_registry.gauge_value("shuffle.pulls"));
+    // Requests: a reducer asks each remote owner once for every map output
+    // it holds, so the w=4 leg sends at most 4 reducers x 3 remote owners
+    // = 12 requests for its 128 pulls (93'750 ppm). CI gates this at
+    // <= 100'000 ppm; a regression to one request per remote slice would
+    // sit near 750'000.
     if (workers == 4 && pulls > 0.0) {
       const double conns = static_cast<double>(
           leg_registry.gauge_value("shuffle.conns_opened"));
       bench::set_ppm(registry, "shuffle.conns_opened_per_pull_ppm",
                      conns / pulls);
+      const double requests = static_cast<double>(
+          leg_registry.gauge_value("shuffle.fetch_requests"));
+      bench::set_ppm(registry, "shuffle.fetch_requests_per_pull_ppm",
+                     requests / pulls);
     }
   }
   std::printf("all multi-process legs byte-identical to in-process\n");

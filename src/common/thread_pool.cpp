@@ -11,28 +11,19 @@ namespace dasc {
 namespace {
 
 /// True while this thread is one level deep in parallelism: a ThreadPool
-/// worker, or a thread running a fanned-out parallel_for's iterations. A
-/// parallel_for started there runs inline (nested parallelism off, as in
-/// OpenMP's default), so per-task loops never multiply the thread count.
+/// worker, a thread running a fanned-out parallel_for's iterations, or any
+/// scope holding a ParallelRegion. A parallel_for started there runs inline
+/// (nested parallelism off, as in OpenMP's default), so per-task loops
+/// never multiply the thread count.
 thread_local bool in_parallel_region = false;
 
-/// Marks the calling thread as inside a parallel region for one scope and
-/// restores its previous state on exit, so a later top-level call on the
-/// same thread fans out again.
-class ParallelRegion {
- public:
-  ParallelRegion() : previous_(in_parallel_region) {
-    in_parallel_region = true;
-  }
-  ~ParallelRegion() { in_parallel_region = previous_; }
-  ParallelRegion(const ParallelRegion&) = delete;
-  ParallelRegion& operator=(const ParallelRegion&) = delete;
-
- private:
-  bool previous_;
-};
-
 }  // namespace
+
+ParallelRegion::ParallelRegion() : previous_(in_parallel_region) {
+  in_parallel_region = true;
+}
+
+ParallelRegion::~ParallelRegion() { in_parallel_region = previous_; }
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {

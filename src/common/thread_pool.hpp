@@ -87,13 +87,30 @@ class AdmissionGate {
   std::size_t queued_ = 0;
 };
 
+/// Marks the calling thread as one level deep in parallelism for one
+/// scope, so a parallel_for started there runs inline, and restores its
+/// previous state on exit, so a later top-level call on the same thread
+/// fans out again. ThreadPool workers and fanned-out parallel_for
+/// iterations hold one; so does any other thread that runs one task of
+/// many, such as a worker process's task body.
+class ParallelRegion {
+ public:
+  ParallelRegion();
+  ~ParallelRegion();
+  ParallelRegion(const ParallelRegion&) = delete;
+  ParallelRegion& operator=(const ParallelRegion&) = delete;
+
+ private:
+  bool previous_;
+};
+
 /// Run body(i) for i in [begin, end) across the given number of threads.
 /// Exceptions from any iteration are rethrown (first one wins).
 /// threads == 1 runs inline with zero overhead. So does a nested call:
-/// one made on a ThreadPool worker or inside another fanned-out
-/// parallel_for body runs inline on the calling thread, so there is one
-/// level of parallelism (a bucket or task per thread) and never threads
-/// spawned per inner loop.
+/// one made on a ThreadPool worker, inside another fanned-out
+/// parallel_for body, or in a ParallelRegion's scope runs inline on the
+/// calling thread, so there is one level of parallelism (a bucket or task
+/// per thread) and never threads spawned per inner loop.
 void parallel_for(std::size_t begin, std::size_t end, std::size_t threads,
                   const std::function<void(std::size_t)>& body);
 

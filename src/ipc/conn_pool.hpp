@@ -5,7 +5,7 @@
 // it after one kFetchPart/kFetchData exchange. A reducer pulling M map
 // outputs from W owners paid M dials for what is W conversations; the pool
 // collapses that to one persistent connection per owner, reused across
-// pulls, pipelined requests, reduce tasks, and re-attempts.
+// requests, reduce tasks, and re-attempts.
 //
 // Usage is lease-based:
 //
@@ -15,13 +15,14 @@
 //
 // A connection goes back to the pool only when the conversation on it
 // finished cleanly. Any failure that can leave bytes in flight — EOF
-// mid-reply, a CRC error, an unconsumed pipelined response — must call
-// lease.invalidate() so the destructor closes the socket instead: a pooled
-// connection is a protocol-state invariant ("idle at a message boundary"),
-// and a stale or desynchronized one must never serve another pull. The
-// same applies pool-wide via invalidate(slot) when the supervisor reports
-// an owner dead (kPullFailed): the owner's next incarnation listens on a
-// fresh accept queue, so the pooled socket is garbage by definition.
+// mid-reply, a CRC error, a request whose replies were not all read —
+// must call lease.invalidate() so the destructor closes the socket
+// instead: a pooled connection is a protocol-state invariant ("idle at a
+// message boundary"), and a stale or desynchronized one must never serve
+// another pull. The same applies pool-wide via invalidate(slot) when the
+// supervisor reports an owner dead (kPullFailed): the owner's next
+// incarnation listens on a fresh accept queue, so the pooled socket is
+// garbage by definition.
 //
 // Thread safety: all public methods are mutex-serialized. Concurrent
 // lease() calls on one slot do not block each other — the second caller

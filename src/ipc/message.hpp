@@ -36,13 +36,15 @@ enum class MessageType : std::uint32_t {
   kJobSetup,       ///< supervisor -> exec worker: registered-job setup
   kMapAssign,      ///< supervisor -> worker: map task + input records
   kMapDone,        ///< worker -> supervisor: map task counters
-  kFetchData,      ///< owner -> reducer: CRC + one partition's records
+  kFetchData,      ///< owner -> reducer: one listed map task's CRC +
+                   ///< partition records {map_task, crc, count, records}
   kTaskError,      ///< worker -> supervisor: task failed (message text)
   kHeartbeat,      ///< worker -> supervisor: liveness while busy
   kShutdown,       ///< supervisor -> worker: exit the serve loop
   // Worker-to-worker shuffle (DESIGN.md section 14):
-  kFetchPart,      ///< reducer -> mapper data plane: one partition of one
-                   ///< map output {map_task, partition, num_partitions}
+  kFetchPart,      ///< reducer -> mapper data plane: one partition of a
+                   ///< list of map outputs {partition, num_partitions,
+                   ///< count, map_task...}; one reply per task, in order
   kReducePull,     ///< supervisor -> reducer: pull-based reduce assignment
                    ///< (partition map of owner slots + data-plane paths)
   kReducePullDone, ///< reducer -> supervisor: reduce output + spill/fault

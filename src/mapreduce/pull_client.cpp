@@ -1,9 +1,14 @@
 // The reducer side of the worker-to-worker shuffle (DESIGN.md sections
-// 14-15) and the kReducePull / kReducePullDone codecs. Pull order fixes the
+// 14-15) and the kReducePull / kFetchPart / kReducePullDone codecs. A
+// reducer asks each remote owner once for its partition of every map
+// output that owner holds and reads the replies as it walks the map tasks
+// in order; a retry or a broken stream restarts that owner's request at
+// the task being pulled. Pull order fixes the
 // partition's record sequence to exactly what the in-process
 // fetch_and_partition appends, and both spool it under the same
 // shuffle_spool_config, so the reduce is byte-identical in either mode.
-#include <deque>
+#include <algorithm>
+#include <cstddef>
 #include <map>
 #include <optional>
 #include <string>
@@ -46,7 +51,8 @@ ReducePull ReducePull::decode(const Message& message) {
   ReducePull request;
   request.task = reader.u64();
   request.num_partitions = reader.u64();
-  request.owners.resize(static_cast<std::size_t>(reader.u64()));
+  // An owner is at least a u64 slot and a u32 path length.
+  request.owners.resize(read_count(reader, 12));
   request.spill_budget = reader.u64();
   request.spill_dir = std::string(reader.bytes());
   request.max_fetch_attempts = reader.u64();
@@ -54,6 +60,25 @@ ReducePull ReducePull::decode(const Message& message) {
     owner.slot = static_cast<std::size_t>(reader.u64());
     owner.path = std::string(reader.bytes());
   }
+  return request;
+}
+
+Message FetchPart::encode() const {
+  WireWriter writer;
+  writer.u64(partition);
+  writer.u64(num_partitions);
+  writer.u64(map_tasks.size());
+  for (const std::uint64_t map_task : map_tasks) writer.u64(map_task);
+  return {MessageType::kFetchPart, writer.take()};
+}
+
+FetchPart FetchPart::decode(const Message& message) {
+  WireReader reader(message.payload);
+  FetchPart request;
+  request.partition = reader.u64();
+  request.num_partitions = reader.u64();
+  request.map_tasks.resize(read_count(reader, 8));
+  for (std::uint64_t& map_task : request.map_tasks) map_task = reader.u64();
   return request;
 }
 
@@ -65,7 +90,8 @@ Message PullReport::encode() const {
   writer.u64(reduced.output.size());
   for (const std::uint64_t field :
        {record_bytes, spill_bytes_written, spill_bytes_read, spill_pages,
-        fetch_fires, fetch_retries, spill_retries, conns_opened, pulls}) {
+        fetch_fires, fetch_retries, spill_retries, conns_opened, pulls,
+        fetch_requests}) {
     writer.u64(field);
   }
   append_records(writer, reduced.output);
@@ -83,7 +109,7 @@ PullReport PullReport::decode(const Message& message) {
        {&report.record_bytes, &report.spill_bytes_written,
         &report.spill_bytes_read, &report.spill_pages, &report.fetch_fires,
         &report.fetch_retries, &report.spill_retries,
-        &report.conns_opened, &report.pulls}) {
+        &report.conns_opened, &report.pulls, &report.fetch_requests}) {
     *field = reader.u64();
   }
   report.reduced.output = read_records(reader);
@@ -94,24 +120,12 @@ PullReport PullReport::decode(const Message& message) {
 
 namespace {
 
-/// kFetchPart requests a reducer keeps in flight per owner connection.
-constexpr std::size_t kPipelineDepth = 4;
-
 /// Thrown inside a pull when the owner's data plane is unreachable: the
 /// reducer reports kPullFailed so the supervisor re-homes the map output,
 /// rather than burning fetch attempts on a peer that cannot answer.
 struct OwnerUnreachable {
   std::string reason;
 };
-
-void request_part(ipc::Transport& peer, const ReducePull& request,
-                  std::uint64_t map_task) {
-  WireWriter writer;
-  writer.u64(map_task);
-  writer.u64(request.task);
-  writer.u64(request.num_partitions);
-  peer.send({MessageType::kFetchPart, writer.take()});
-}
 
 /// Parses the owner's kFetchData reply for `map_task`; a kTaskError reply
 /// (the output is not resident there) is rethrown typed.
@@ -130,113 +144,31 @@ FetchedSlice decode_fetch_data(const Message& reply, std::uint64_t map_task) {
   return slice;
 }
 
-/// Pipelined prefetch over pooled connections (DESIGN.md section 15): a
-/// window of kFetchPart requests stays in flight per remote owner, and
-/// replies are consumed strictly in request order, which keeps a pooled
-/// connection at a message boundary. Any wobble — an error, a mismatched
-/// reply, out-of-order consumption — breaks the owner's pipeline: the lease
-/// is invalidated and the affected pulls fall back to one-shot pulls, which
-/// reproduce the owner's typed error or unreachability.
-class OwnerPipelines {
- public:
-  OwnerPipelines(ipc::ConnPool& pool, const ReducePull& request,
-                 std::size_t self, const ipc::StreamConfig& stream)
-      : request_(request), stream_(stream) {
-    for (std::uint64_t m = 0; m < request.owners.size(); ++m) {
-      const OwnerRef& owner = request.owners[m];
-      // An owner without a data-plane address (kNoOwner) surfaces as
-      // unreachable in the one-shot pull.
-      if (owner.slot == self || owner.path.empty()) continue;
-      Pipe& pipe = pipes_[owner.slot];
-      pipe.path = owner.path;
-      pipe.tasks.push_back(m);
-    }
-    for (auto& [slot, pipe] : pipes_) {
-      try {
-        pipe.lease.emplace(pool.lease(slot, pipe.path));
-      } catch (const IoError&) {
-        pipe.broken = true;  // dead owner: surfaces as unreachable later
-        continue;
-      }
-      top_up(pipe);
-    }
-  }
-  OwnerPipelines(const OwnerPipelines&) = delete;
-  OwnerPipelines& operator=(const OwnerPipelines&) = delete;
+/// The reply stream from one remote owner (DESIGN.md section 15): one
+/// kFetchPart on a pooled connection names tasks[next..), and the owner
+/// answers one reply per task, in that order.
+struct OwnerStream {
+  std::string path;
+  std::vector<std::uint64_t> tasks;  ///< the owner's map tasks, pull order
+  std::optional<ipc::ConnPool::Lease> lease;
+  std::size_t next = 0;  ///< tasks[next] is the next unread reply
 
-  /// Consumes the pipelined reply for `map_task`, if one is in flight.
-  /// Called exactly once per map task, in task order, before its attempt
-  /// loop; nullopt means the pull falls back to a one-shot pull.
-  std::optional<FetchedSlice> take(std::uint64_t map_task) {
-    const auto it = pipes_.find(request_.owners[map_task].slot);
-    if (it == pipes_.end()) return std::nullopt;
-    Pipe& pipe = it->second;
-    if (pipe.broken || !pipe.lease.has_value()) return std::nullopt;
-    if (pipe.pending.empty() || pipe.pending.front() != map_task) {
-      break_pipe(pipe);  // out of order would desynchronize the connection
-      return std::nullopt;
-    }
-    try {
-      std::optional<Message> reply = ipc::recv_message(**pipe.lease, stream_);
-      if (!reply.has_value()) {
-        break_pipe(pipe);
-        return std::nullopt;
-      }
-      pipe.pending.pop_front();
-      top_up(pipe);
-      // A kTaskError leaves the connection clean (the serve loop answers
-      // errors in-band); the fallback pull surfaces the same typed error.
-      if (reply->type == MessageType::kTaskError) return std::nullopt;
-      return decode_fetch_data(*reply, map_task);
-    } catch (const std::exception&) {
-      break_pipe(pipe);
-      return std::nullopt;
-    }
+  /// A fully read stream pools its connection; one with replies still
+  /// unread (a failed reduce task) is mid-conversation and is closed.
+  ~OwnerStream() {
+    if (next < tasks.size()) drop();
   }
 
-  /// Unconsumed pipelined replies (a failed reduce task) leave a
-  /// connection mid-conversation: close it instead of pooling it.
-  ~OwnerPipelines() {
-    for (auto& entry : pipes_) {
-      if (!entry.second.pending.empty()) break_pipe(entry.second);
-    }
+  bool positioned_at(std::uint64_t map_task) const {
+    return lease.has_value() && next < tasks.size() &&
+           tasks[next] == map_task;
   }
-
- private:
-  struct Pipe {
-    std::string path;
-    std::optional<ipc::ConnPool::Lease> lease;
-    std::vector<std::uint64_t> tasks;   ///< owner's map tasks, pull order
-    std::size_t next_request = 0;       ///< tasks[next_request..) unsent
-    std::deque<std::uint64_t> pending;  ///< requested, reply unread
-    bool broken = false;
-  };
-
-  void break_pipe(Pipe& pipe) {
-    pipe.broken = true;
-    if (pipe.lease.has_value()) {
-      pipe.lease->invalidate();
-      pipe.lease.reset();
-    }
+  /// Closes the connection instead of pooling it.
+  void drop() {
+    if (!lease.has_value()) return;
+    lease->invalidate();
+    lease.reset();
   }
-
-  void top_up(Pipe& pipe) {
-    if (pipe.broken || !pipe.lease.has_value()) return;
-    try {
-      while (pipe.pending.size() < kPipelineDepth &&
-             pipe.next_request < pipe.tasks.size()) {
-        request_part(**pipe.lease, request_, pipe.tasks[pipe.next_request]);
-        pipe.pending.push_back(pipe.tasks[pipe.next_request]);
-        ++pipe.next_request;
-      }
-    } catch (const IoError&) {
-      break_pipe(pipe);
-    }
-  }
-
-  const ReducePull& request_;
-  const ipc::StreamConfig& stream_;
-  std::map<std::size_t, Pipe> pipes_;
 };
 
 /// One kReducePull attempt on this worker.
@@ -247,7 +179,17 @@ class PullClient {
              ReducePull request)
       : control_(control), job_(job), options_(options), state_(state),
         request_(std::move(request)),
-        stream_(ipc::adaptive_stream_config()) {}
+        stream_(ipc::adaptive_stream_config()) {
+    for (std::uint64_t m = 0; m < request_.owners.size(); ++m) {
+      const OwnerRef& owner = request_.owners[m];
+      // An owner without a data-plane address (kNoOwner) surfaces as
+      // unreachable in pull_once.
+      if (owner.slot == options_.ordinal || owner.path.empty()) continue;
+      OwnerStream& stream = owners_[owner.slot];
+      stream.path = owner.path;
+      stream.tasks.push_back(m);
+    }
+  }
 
   PullReport run() {
     FaultInjector* faults = options_.faults;
@@ -265,15 +207,11 @@ class PullClient {
     spool_config.metrics = &task_metrics;
     SpoolBuffer spool(spool_config);
 
-    {
-      OwnerPipelines pipes(state_.pool(), request_, options_.ordinal,
-                           stream_);
-      for (std::uint64_t m = 0; m < request_.owners.size(); ++m) {
-        for (const auto& record : pull(m, pipes)) {
-          spool.append(record.key, record.value);
-        }
-        ++report_.pulls;
+    for (std::uint64_t m = 0; m < request_.owners.size(); ++m) {
+      for (const auto& record : pull(m)) {
+        spool.append(record.key, record.value);
       }
+      ++report_.pulls;
     }
     spool.finish();
 
@@ -297,23 +235,16 @@ class PullClient {
   }
 
  private:
-  /// One map task's verified slice. The pipelined reply, if any, serves
-  /// the first attempt that actually transfers; a retry always re-pulls
-  /// fresh, because a corrupt transfer must not be reused.
-  std::vector<Record> pull(std::uint64_t map_task, OwnerPipelines& pipes) {
-    std::optional<FetchedSlice> prefetched = pipes.take(map_task);
-    const auto transfer = [&]() -> FetchedSlice {
-      if (!prefetched.has_value()) return pull_once(map_task);
-      FetchedSlice slice = *std::move(prefetched);
-      prefetched.reset();
-      return slice;
-    };
+  /// One map task's verified slice: one `shuffle.fetch` check and one
+  /// transfer per attempt, in task order.
+  std::vector<Record> pull(std::uint64_t map_task) {
     // Two rounds suffice: a failed pull re-homes the output onto this
     // worker, and a local pull cannot lose its owner.
     for (std::size_t round = 0;; ++round) {
       try {
         return fetch_verified(map_task, options_.faults,
-                              request_.max_fetch_attempts, transfer,
+                              request_.max_fetch_attempts,
+                              [&] { return pull_once(map_task); },
                               [this] { ++report_.fetch_retries; });
       } catch (const OwnerUnreachable& unreachable) {
         if (round >= 1) {
@@ -340,33 +271,51 @@ class PullClient {
     if (owner.path.empty()) {
       throw OwnerUnreachable{"owner has no data-plane address"};
     }
-    return pull_remote(owner, map_task);
+    return decode_fetch_data(read_reply(owners_.at(owner.slot), map_task),
+                             map_task);
   }
 
-  FetchedSlice pull_remote(const OwnerRef& owner, std::uint64_t map_task) {
-    // Any transport failure here — a dead process's stale socket, EOF
-    // mid-reply — is the owner being gone, not a verification failure, so
-    // it routes to recovery. The lease is invalidated so a desynchronized
-    // socket is closed, never pooled.
-    std::optional<Message> reply;
-    try {
-      ipc::ConnPool::Lease lease =
-          state_.pool().lease(owner.slot, owner.path);
+  /// Takes `map_task`'s reply off its owner's stream: the next unread one
+  /// if it is that task's, else the stream restarts at `map_task` (an
+  /// injected error transferred nothing, so the reply is still next; a
+  /// corrupt transfer consumed it). A stream that breaks restarts once
+  /// more; a second transport failure — a dead process's stale socket,
+  /// EOF mid-reply, a refused dial — is the owner being gone, not a
+  /// verification failure, so it routes to recovery.
+  Message read_reply(OwnerStream& owner, std::uint64_t map_task) {
+    for (std::size_t round = 0;; ++round) {
       try {
-        request_part(*lease, request_, map_task);
-        reply = ipc::recv_message(*lease, stream_);
-      } catch (...) {
-        lease.invalidate();
-        throw;
+        if (!owner.positioned_at(map_task)) restart(owner, map_task);
+        std::optional<Message> reply = ipc::recv_message(**owner.lease,
+                                                         stream_);
+        if (!reply.has_value()) {
+          throw IoError("owner closed the data plane mid-pull");
+        }
+        ++owner.next;
+        return *std::move(reply);
+      } catch (const IoError& error) {
+        owner.drop();  // a desynchronized socket is closed, never pooled
+        if (round >= 1) throw OwnerUnreachable{error.what()};
       }
-      if (!reply.has_value()) lease.invalidate();
-    } catch (const IoError& error) {
-      throw OwnerUnreachable{error.what()};
     }
-    if (!reply.has_value()) {
-      throw OwnerUnreachable{"owner closed the data plane mid-pull"};
-    }
-    return decode_fetch_data(*reply, map_task);
+  }
+
+  /// Drops the owner's stream and asks again, on a fresh lease, for
+  /// `map_task` and every later task that owner holds.
+  void restart(OwnerStream& owner, std::uint64_t map_task) {
+    owner.drop();
+    owner.next = static_cast<std::size_t>(
+        std::lower_bound(owner.tasks.begin(), owner.tasks.end(), map_task) -
+        owner.tasks.begin());
+    const std::size_t slot = request_.owners[map_task].slot;
+    owner.lease.emplace(state_.pool().lease(slot, owner.path));
+    const FetchPart request{
+        request_.task, request_.num_partitions,
+        std::vector<std::uint64_t>(
+            owner.tasks.begin() + static_cast<std::ptrdiff_t>(owner.next),
+            owner.tasks.end())};
+    ipc::send_message(**owner.lease, request.encode(), stream_);
+    ++report_.fetch_requests;
   }
 
   /// Dead-owner recovery (state machine in DESIGN.md section 14): report
@@ -419,6 +368,7 @@ class PullClient {
   WorkerState& state_;
   ReducePull request_;  ///< its owners re-homed by recovery
   const ipc::StreamConfig stream_;
+  std::map<std::size_t, OwnerStream> owners_;  ///< by remote owner slot
   PullReport report_;
 };
 

@@ -43,6 +43,19 @@ inline std::vector<Record> read_records(ipc::WireReader& reader) {
   return records;
 }
 
+/// Reads a wire-decoded entry count and rejects one that the bytes left
+/// in the payload cannot hold at `min_entry_bytes` per entry, so a forged
+/// count is a typed IoError rather than a huge allocation.
+inline std::size_t read_count(ipc::WireReader& reader,
+                              std::size_t min_entry_bytes) {
+  const std::uint64_t count = reader.u64();
+  if (count > reader.remaining() / min_entry_bytes) {
+    throw IoError("ipc: entry count " + std::to_string(count) +
+                  " exceeds the payload");
+  }
+  return static_cast<std::size_t>(count);
+}
+
 /// The kTaskError reply reporting that `task` failed with `what`.
 inline ipc::Message task_error(std::uint64_t task, const std::string& what) {
   ipc::WireWriter writer;
@@ -78,6 +91,18 @@ struct ReducePull {
   static ReducePull decode(const ipc::Message& message);
 };
 
+/// kFetchPart: one reducer's request to one owner for `partition` of each
+/// listed map output. The owner answers one reply per listed task, in list
+/// order: kFetchData, or kTaskError when that output is not resident.
+struct FetchPart {
+  std::uint64_t partition = 0;
+  std::uint64_t num_partitions = 1;
+  std::vector<std::uint64_t> map_tasks;
+
+  ipc::Message encode() const;
+  static FetchPart decode(const ipc::Message& message);
+};
+
 /// kReducePullDone: the reduce result plus the pulled byte volume and the
 /// spill, fault, and connection work the supervisor absorbs into its own
 /// registry and injector when the attempt commits.
@@ -97,6 +122,7 @@ struct PullReport {
   std::uint64_t spill_retries = 0;
   std::uint64_t conns_opened = 0;  ///< data-plane dials this task paid
   std::uint64_t pulls = 0;         ///< map-output slices gathered
+  std::uint64_t fetch_requests = 0;  ///< kFetchPart sent, restarts included
 
   ipc::Message encode() const;
   static PullReport decode(const ipc::Message& message);

@@ -505,12 +505,14 @@ class MultiprocRun {
     MetricsRegistry* metrics = spec_.metrics;
     // Connection economics are scheduling-shaped (how many distinct owners a
     // reducer pulls from, pool reuse across its tasks), so they are gauges
-    // like the spill volumes; bench_multiproc gates the dials-per-pull ratio.
+    // like the spill volumes; bench_multiproc gates the dials and the
+    // kFetchPart requests per pull.
     add_gauge(metrics, "spill.bytes_written", report.spill_bytes_written);
     add_gauge(metrics, "spill.bytes_read", report.spill_bytes_read);
     add_gauge(metrics, "spill.pages", report.spill_pages);
     add_gauge(metrics, "shuffle.conns_opened", report.conns_opened);
     add_gauge(metrics, "shuffle.pulls", report.pulls);
+    add_gauge(metrics, "shuffle.fetch_requests", report.fetch_requests);
     if (metrics != nullptr) {
       for (const auto& [name, retries] :
            {std::pair{"retry.shuffle_fetch", report.fetch_retries},

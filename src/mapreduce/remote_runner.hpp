@@ -20,9 +20,11 @@
 //   map:     kMapAssign{task, records}        -> kMapDone{counters}
 //   reduce:  kReducePull{task, partition map} -> kReducePullDone{records,
 //                                                spill/fault accounting}
-//   pull:    kFetchPart{map_task, partition}  -> kFetchData{crc, records}
-//            (reducer -> owner's data plane, pooled and pipelined per
-//            owner — DESIGN.md section 15)
+//   pull:    kFetchPart{partition, map tasks} -> one kFetchData{map_task,
+//                                                crc, records} per task
+//            (reducer -> owner's data plane: one pooled request per
+//            owner, restarted at the task a retry needs — DESIGN.md
+//            section 15)
 //
 // Pulled records stream into one sort-on-seal SpoolBuffer per reduce task,
 // so JobConf::spill_budget_bytes bounds reducer residency. A map-output

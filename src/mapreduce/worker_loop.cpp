@@ -7,7 +7,6 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -18,6 +17,7 @@
 
 #include "common/error.hpp"
 #include "common/log.hpp"
+#include "common/thread_pool.hpp"
 #include "ipc/stream.hpp"
 #include "ipc/transport.hpp"
 #include "ipc/worker_supervisor.hpp"
@@ -116,50 +116,45 @@ std::mutex& job_registry_mutex() {
   return mutex;
 }
 
-/// Serve one data-plane connection: kFetchPart requests until the peer
-/// closes. Each request is a self-contained transaction, so pullers can
-/// hold a pooled connection open across many pulls and a dead puller costs
-/// nothing but this loop's EOF. Pullers pipeline several requests before
-/// reading replies; those that arrive while a streamed reply awaits its
-/// chunk credit are queued and answered in order.
+/// The reply to one map task a kFetchPart lists: its slice of the
+/// requested partition, or kTaskError when the output is not resident.
+Message fetch_reply(WorkerState& state, const remote::FetchPart& fetch,
+                    std::uint64_t map_task) {
+  const std::optional<FetchedSlice> slice =
+      state.slice(map_task, fetch.partition, fetch.num_partitions);
+  if (!slice.has_value()) {
+    return remote::task_error(
+        map_task, "fetch_part: map output not resident on this worker");
+  }
+  WireWriter writer;
+  writer.u64(map_task);
+  writer.u32(slice->crc);
+  writer.u64(slice->records.size());
+  remote::append_records(writer, slice->records);
+  return {MessageType::kFetchData, writer.take()};
+}
+
+/// Serve one data-plane connection until the puller closes it. A
+/// kFetchPart names one partition and a list of map tasks; the answer is
+/// one reply per task, in list order: kFetchData, or kTaskError when that
+/// output is not resident here. Pullers hold a pooled connection across
+/// many requests and keep at most one outstanding on it, so a frame that
+/// arrives while a streamed reply awaits chunk credit is an IoError, and a
+/// dead puller costs nothing but this loop's EOF.
 void serve_data_peer(ipc::Transport& peer, WorkerState& state) {
   const ipc::StreamConfig stream = ipc::adaptive_stream_config();
-  std::deque<Message> queued;
-  const auto queue = [&queued](const Message& frame) {
-    queued.push_back(frame);
-  };
   while (true) {
-    std::optional<Message> request;
-    if (queued.empty()) {
-      request = ipc::recv_message(peer, stream);
-      if (!request.has_value()) return;  // puller closed cleanly
-    } else {
-      request = std::move(queued.front());
-      queued.pop_front();
-    }
+    const std::optional<Message> request = ipc::recv_message(peer, stream);
+    if (!request.has_value()) return;  // puller closed cleanly
     if (request->type != MessageType::kFetchPart) {
       throw IoError("data plane: unexpected message type " +
                     std::to_string(
                         static_cast<std::uint32_t>(request->type)));
     }
-    WireReader reader(request->payload);
-    const std::uint64_t map_task = reader.u64();
-    const std::uint64_t partition = reader.u64();
-    const std::uint64_t num_partitions = reader.u64();
-    std::optional<FetchedSlice> slice =
-        state.slice(map_task, partition, num_partitions);
-    if (!slice.has_value()) {
-      peer.send(remote::task_error(
-          map_task, "fetch_part: map output not resident on this worker"));
-      continue;
+    const remote::FetchPart fetch = remote::FetchPart::decode(*request);
+    for (const std::uint64_t map_task : fetch.map_tasks) {
+      ipc::send_message(peer, fetch_reply(state, fetch, map_task), stream);
     }
-    WireWriter writer;
-    writer.u64(map_task);
-    writer.u32(slice->crc);
-    writer.u64(slice->records.size());
-    remote::append_records(writer, slice->records);
-    ipc::send_message(peer, {MessageType::kFetchData, writer.take()}, stream,
-                      queue);
   }
 }
 
@@ -336,20 +331,29 @@ void serve_worker_loop(ipc::Transport& transport, const WorkerJob& job,
   const ipc::StreamConfig stream = ipc::adaptive_stream_config();
 
   // Runs one task with heartbeats on and replies with its result, or with
-  // a kTaskError naming `where` when it throws; the loop keeps serving.
-  const auto run_task = [&](std::uint64_t task, const char* where,
-                            const std::function<Message()>& body) {
-    heartbeat.set_busy(true);
-    Message reply;
-    try {
-      reply = body();
-    } catch (const std::exception& error) {
-      reply = remote::task_error(task, std::string(where) + ": " +
-                                           error.what());
-    }
-    ipc::send_message(transport, reply, stream);
-    heartbeat.set_busy(false);
-  };
+  // a kTaskError naming `where` when it throws; the loop keeps serving. The
+  // body decodes its assignment (task id first) inside the try, so a
+  // malformed one fails that task, not the worker. It runs as a parallel
+  // region: a parallel_for inside it (per-bucket K-means) runs inline, as
+  // it would on an in-process executor's pool thread.
+  const auto run_task =
+      [&](const Message& assignment, const char* where,
+          const std::function<Message(std::uint64_t, WireReader&)>& body) {
+        heartbeat.set_busy(true);
+        std::uint64_t task = 0;
+        Message reply;
+        try {
+          const ParallelRegion region;
+          WireReader reader(assignment.payload);
+          task = reader.u64();
+          reply = body(task, reader);
+        } catch (const std::exception& error) {
+          reply = remote::task_error(task, std::string(where) + ": " +
+                                               error.what());
+        }
+        ipc::send_message(transport, reply, stream);
+        heartbeat.set_busy(false);
+      };
 
   while (true) {
     const std::optional<Message> message =
@@ -359,24 +363,20 @@ void serve_worker_loop(ipc::Transport& transport, const WorkerJob& job,
       return;
     }
     switch (message->type) {
-      case MessageType::kMapAssign: {
-        WireReader reader(message->payload);
-        const std::uint64_t task = reader.u64();
-        run_task(task, "map", [&] {
+      case MessageType::kMapAssign:
+        run_task(*message, "map", [&](std::uint64_t task,
+                                      WireReader& reader) {
           return remote::run_map_assign(job, state, task, reader);
         });
         break;
-      }
-      case MessageType::kReducePull: {
-        remote::ReducePull request = remote::ReducePull::decode(*message);
-        const std::uint64_t task = request.task;
-        run_task(task, "reduce_pull", [&] {
-          return remote::run_reduce_pull(transport, job, options, state,
-                                         std::move(request))
+      case MessageType::kReducePull:
+        run_task(*message, "reduce_pull", [&](std::uint64_t, WireReader&) {
+          return remote::run_reduce_pull(
+                     transport, job, options, state,
+                     remote::ReducePull::decode(*message))
               .encode();
         });
         break;
-      }
       case MessageType::kTaskCancel:
         transport.send(cancel_task(state, *message));
         break;

@@ -11,10 +11,13 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -23,6 +26,7 @@
 #include "common/error.hpp"
 #include "common/fault_injection.hpp"
 #include "common/metrics.hpp"
+#include "common/thread_pool.hpp"
 #include "ipc/message.hpp"
 #include "ipc/transport.hpp"
 #include "mapreduce/job.hpp"
@@ -235,6 +239,41 @@ TEST(MultiprocJob, EmptyInputStillRuns) {
   EXPECT_EQ(result.num_map_tasks, 1u);
 }
 
+/// Emits, per key, whether a 4-thread parallel_for inside reduce ran every
+/// iteration on the calling thread. Each iteration sleeps, so a fanned-out
+/// loop's spawned threads always get some of them.
+class InlineProbeReducer final : public Reducer {
+ public:
+  void reduce(const std::string& key, const std::vector<std::string>&,
+              Emitter& out) override {
+    const std::thread::id caller = std::this_thread::get_id();
+    std::atomic<bool> on_caller{true};
+    parallel_for(0, 64, 4, [&](std::size_t) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      if (std::this_thread::get_id() != caller) on_caller = false;
+    });
+    out.emit(key, on_caller ? "inline" : "fanned");
+  }
+};
+
+TEST(MultiprocJob, ReduceTaskBodyIsAParallelRegion) {
+  // A worker runs each task body on its serve-loop thread. Like a task on
+  // the in-process executor's pool, the body is one level of parallelism
+  // already, so a parallel_for inside it must not fan out threads.
+  for (const std::size_t workers : {1u, 4u}) {
+    SCOPED_TRACE("workers=" + std::to_string(workers));
+    JobSpec spec = multiproc_spec(workers);
+    spec.reducer_factory = [] {
+      return std::make_unique<InlineProbeReducer>();
+    };
+    const JobResult result = run_job(spec, word_count_input());
+    ASSERT_FALSE(result.output.empty());
+    for (const auto& record : result.output) {
+      EXPECT_EQ(record.value, "inline") << record.key;
+    }
+  }
+}
+
 TEST(MultiprocJob, ExecModeWorkerBinaryMatchesInProcess) {
 #ifndef DASC_WORKER_BIN
   GTEST_SKIP() << "dasc_worker binary path not configured";
@@ -439,6 +478,193 @@ TEST(MultiprocW2W, OversizedValueShufflesLikeInProcess) {
   }
 }
 
+TEST(MultiprocW2W, OneFetchRequestPerRemoteOwnerAndCorruptRestart) {
+  // A reducer asks each remote owner once for every map output it holds.
+  // A corrupt transfer consumed its reply, so the retry restarts that
+  // owner's request: at most one extra request per fire, and every fire
+  // is retried exactly once.
+  constexpr std::size_t kWorkers = 4;
+  const JobResult baseline = run_job(word_count_spec(), word_count_input());
+
+  MetricsRegistry clean_registry;
+  JobSpec clean = w2w_spec(kWorkers, /*spill_budget=*/0);
+  clean.metrics = &clean_registry;
+  const JobResult clean_result = run_job(clean, word_count_input());
+  EXPECT_EQ(flatten(clean_result.output), flatten(baseline.output));
+  const std::int64_t clean_requests =
+      clean_registry.gauge_value("shuffle.fetch_requests");
+  EXPECT_GE(clean_requests, 1);
+  EXPECT_LE(clean_requests,
+            static_cast<std::int64_t>(clean.conf.num_reducers *
+                                      (kWorkers - 1)));
+  EXPECT_EQ(clean_registry.gauge_value("shuffle.pulls"),
+            static_cast<std::int64_t>(clean_result.num_map_tasks *
+                                      clean.conf.num_reducers));
+
+  MetricsRegistry registry;
+  FaultInjector injector(
+      FaultPlan::parse("seed=27;shuffle.fetch:nth=2:max=3:kind=corrupt"),
+      &registry);
+  JobSpec spec = w2w_spec(kWorkers, /*spill_budget=*/0);
+  spec.metrics = &registry;
+  spec.faults = &injector;
+  const JobResult result = run_job(spec, word_count_input());
+  EXPECT_EQ(flatten(result.output), flatten(baseline.output));
+  const std::int64_t fired =
+      static_cast<std::int64_t>(injector.fired("shuffle.fetch"));
+  EXPECT_GE(fired, 1);
+  EXPECT_EQ(registry.counter_value("fault.injected.shuffle.fetch"), fired);
+  EXPECT_EQ(registry.counter_value("retry.shuffle_fetch"), fired);
+  EXPECT_LE(registry.gauge_value("shuffle.fetch_requests"),
+            clean_requests + fired);
+}
+
+// --- One worker driven directly over a socketpair ---
+
+/// Runs serve_worker_loop on a thread over a socketpair, with its data
+/// plane bound in a private temp dir. The test plays the supervisor on
+/// the control plane and the pulling reducers on the data plane.
+class DirectWorker {
+ public:
+  explicit DirectWorker(const std::string& tag)
+      : dir_(std::filesystem::temp_directory_path() /
+             ("dasc-" + tag + "-" + std::to_string(::getpid()))) {
+    std::filesystem::create_directories(dir_);
+    const auto [sup_fd, worker_fd] = ipc::make_socketpair();
+    supervisor_ = std::make_unique<ipc::Transport>(sup_fd);
+    worker_end_ = std::make_unique<ipc::Transport>(worker_fd);
+    job_.mapper_factory = [] { return std::make_unique<WordCountMapper>(); };
+    job_.reducer_factory = [] { return std::make_unique<SumReducer>(); };
+    options_.data_socket_path = (dir_ / "data.sock").string();
+    thread_ = std::thread(
+        [this] { serve_worker_loop(*worker_end_, job_, options_); });
+  }
+  DirectWorker(const DirectWorker&) = delete;
+  DirectWorker& operator=(const DirectWorker&) = delete;
+  ~DirectWorker() {
+    try {
+      supervisor_->send({ipc::MessageType::kShutdown, {}});
+    } catch (const IoError&) {
+      // The serve loop already exited; joining is all that is left.
+    }
+    thread_.join();
+    std::filesystem::remove_all(dir_);
+  }
+
+  const std::filesystem::path& dir() const { return dir_; }
+
+  /// Sends `message` on the control plane and returns the worker's reply.
+  std::optional<ipc::Message> ask(const ipc::Message& message) {
+    supervisor_->send(message);
+    return supervisor_->recv();
+  }
+
+  /// Runs map task `task` over one input line; a committed map output
+  /// stays resident for pulls. Returns the reply type.
+  ipc::MessageType map(std::uint64_t task, const std::string& line) {
+    ipc::WireWriter writer;
+    writer.u64(task);
+    writer.record("r" + std::to_string(task), line);
+    const auto reply = ask({ipc::MessageType::kMapAssign, writer.take()});
+    return reply.has_value() ? reply->type : ipc::MessageType::kHello;
+  }
+
+  /// A fresh data-plane connection, as a pulling reducer dials one.
+  std::unique_ptr<ipc::Transport> dial() const {
+    return ipc::Transport::connect(options_.data_socket_path);
+  }
+
+ private:
+  std::filesystem::path dir_;
+  std::unique_ptr<ipc::Transport> supervisor_;
+  std::unique_ptr<ipc::Transport> worker_end_;
+  WorkerJob job_;
+  WorkerOptions options_;  // no heartbeat
+  std::thread thread_;
+};
+
+/// A kFetchPart for partition 0 of 1 of each of `map_tasks`, in the wire
+/// layout {u64 partition, u64 num_partitions, u64 count, count x u64}.
+ipc::Message fetch_part(const std::vector<std::uint64_t>& map_tasks) {
+  ipc::WireWriter writer;
+  writer.u64(0);
+  writer.u64(1);
+  writer.u64(map_tasks.size());
+  for (const std::uint64_t task : map_tasks) writer.u64(task);
+  return {ipc::MessageType::kFetchPart, writer.take()};
+}
+
+/// The map task a kFetchData or kTaskError reply names.
+std::uint64_t reply_task(const ipc::Message& reply) {
+  ipc::WireReader reader(reply.payload);
+  return reader.u64();
+}
+
+TEST(MultiprocW2W, FetchPartAnswersEveryListedTaskInListOrder) {
+  DirectWorker worker("fetch-list-test");
+  ASSERT_EQ(worker.map(0, "alpha beta"), ipc::MessageType::kMapDone);
+  ASSERT_EQ(worker.map(2, "gamma"), ipc::MessageType::kMapDone);
+
+  // Task 1 is not resident: its reply is a typed error in its place, and
+  // the owner goes on to task 2.
+  const std::unique_ptr<ipc::Transport> puller = worker.dial();
+  puller->send(fetch_part({0, 1, 2}));
+  const ipc::MessageType expected[] = {ipc::MessageType::kFetchData,
+                                       ipc::MessageType::kTaskError,
+                                       ipc::MessageType::kFetchData};
+  for (std::uint64_t task = 0; task < 3; ++task) {
+    const auto reply = puller->recv();
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(reply->type, expected[task]);
+    EXPECT_EQ(reply_task(*reply), task);
+  }
+
+  // The connection is back at a message boundary: a second request on it
+  // is served.
+  puller->send(fetch_part({2}));
+  const auto again = puller->recv();
+  ASSERT_TRUE(again.has_value());
+  EXPECT_EQ(again->type, ipc::MessageType::kFetchData);
+  EXPECT_EQ(reply_task(*again), 2u);
+}
+
+TEST(MultiprocW2W, ForgedReducePullCountFailsTheTaskNotTheWorker) {
+  DirectWorker worker("forged-pull-test");
+  // An owner count of 2^40 with nothing behind it: a typed kTaskError,
+  // not an allocation failure that kills the worker.
+  ipc::WireWriter forged;
+  forged.u64(7);                     // task
+  forged.u64(1);                     // num_partitions
+  forged.u64(std::uint64_t{1} << 40);  // owners
+  const auto reply = worker.ask({ipc::MessageType::kReducePull,
+                                 forged.take()});
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->type, ipc::MessageType::kTaskError);
+  EXPECT_EQ(reply_task(*reply), 7u);
+
+  // The worker keeps serving.
+  EXPECT_EQ(worker.map(0, "alpha"), ipc::MessageType::kMapDone);
+}
+
+TEST(MultiprocW2W, ForgedFetchPartCountClosesOnlyItsConnection) {
+  DirectWorker worker("forged-fetch-test");
+  ASSERT_EQ(worker.map(0, "alpha"), ipc::MessageType::kMapDone);
+
+  const std::unique_ptr<ipc::Transport> forger = worker.dial();
+  ipc::WireWriter forged;
+  forged.u64(0);                       // partition
+  forged.u64(1);                       // num_partitions
+  forged.u64(std::uint64_t{1} << 40);  // map tasks
+  forger->send({ipc::MessageType::kFetchPart, forged.take()});
+  EXPECT_FALSE(forger->recv().has_value());  // closed, no reply
+
+  const std::unique_ptr<ipc::Transport> puller = worker.dial();
+  puller->send(fetch_part({0}));
+  const auto reply = puller->recv();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->type, ipc::MessageType::kFetchData);
+}
+
 // --- Cross-process speculative execution (DESIGN.md section 15) ---
 
 TEST(MultiprocSpeculation, EveryCellKeepsParityAndCommitsEachTaskOnce) {
@@ -513,33 +739,12 @@ TEST(MultiprocSpeculation, TaskCancelDropsOutputAndSweepsOnlyOwnSpools) {
   // winner's (a different pid's) spool files in the same spill dir
   // survive — the sweep must key on the cancelled worker's own pid.
   namespace fs = std::filesystem;
-  const auto [sup_fd, worker_fd] = ipc::make_socketpair();
-  ipc::Transport supervisor(sup_fd);
-  ipc::Transport worker_end(worker_fd);
+  DirectWorker worker("cancel-test");
+  const fs::path& dir = worker.dir();
 
-  const fs::path dir =
-      fs::temp_directory_path() /
-      ("dasc-cancel-test-" + std::to_string(::getpid()));
-  fs::create_directories(dir);
-
-  WorkerJob job;
-  job.mapper_factory = [] { return std::make_unique<WordCountMapper>(); };
-  job.reducer_factory = [] { return std::make_unique<SumReducer>(); };
-  WorkerOptions options;  // no heartbeat
-  // The data plane is where a dropped output must become unreachable.
-  options.data_socket_path = (dir / "data.sock").string();
-  std::thread worker([&] { serve_worker_loop(worker_end, job, options); });
-
-  // A committed map task retains its output for reducers' pulls.
-  {
-    ipc::WireWriter writer;
-    writer.u64(0);
-    writer.record("r0", "alpha beta");
-    supervisor.send({ipc::MessageType::kMapAssign, writer.take()});
-    const auto reply = supervisor.recv();
-    ASSERT_TRUE(reply.has_value());
-    ASSERT_EQ(reply->type, ipc::MessageType::kMapDone);
-  }
+  // A committed map task retains its output for reducers' pulls; the data
+  // plane is where a dropped output must become unreachable.
+  ASSERT_EQ(worker.map(0, "alpha beta"), ipc::MessageType::kMapDone);
 
   // Plant spool files: the serve loop runs in this process, so files named
   // with our pid are the losing worker's; the winner is "another worker",
@@ -559,8 +764,8 @@ TEST(MultiprocSpeculation, TaskCancelDropsOutputAndSweepsOnlyOwnSpools) {
     writer.u64(0);  // kind: map
     writer.u64(0);  // task
     writer.bytes(dir.string());
-    supervisor.send({ipc::MessageType::kTaskCancel, writer.take()});
-    const auto reply = supervisor.recv();
+    const auto reply =
+        worker.ask({ipc::MessageType::kTaskCancel, writer.take()});
     ASSERT_TRUE(reply.has_value());
     ASSERT_EQ(reply->type, ipc::MessageType::kTaskCancelled);
     ipc::WireReader reader(reply->payload);
@@ -571,13 +776,8 @@ TEST(MultiprocSpeculation, TaskCancelDropsOutputAndSweepsOnlyOwnSpools) {
 
   // A reducer's pull of map task 0's only partition over the data plane.
   const auto pull_reply_type = [&] {
-    const std::unique_ptr<ipc::Transport> puller =
-        ipc::Transport::connect(options.data_socket_path);
-    ipc::WireWriter writer;
-    writer.u64(0);  // map task
-    writer.u64(0);  // partition
-    writer.u64(1);  // num_partitions
-    puller->send({ipc::MessageType::kFetchPart, writer.take()});
+    const std::unique_ptr<ipc::Transport> puller = worker.dial();
+    puller->send(fetch_part({0}));
     const auto reply = puller->recv();
     return reply.has_value() ? reply->type : ipc::MessageType::kHello;
   };
@@ -593,10 +793,6 @@ TEST(MultiprocSpeculation, TaskCancelDropsOutputAndSweepsOnlyOwnSpools) {
 
   // Cancel is idempotent: nothing left to drop or sweep.
   cancel(/*expect_dropped=*/0, /*expect_swept=*/0);
-
-  supervisor.send({ipc::MessageType::kShutdown, {}});
-  worker.join();
-  fs::remove_all(dir);
 }
 
 }  // namespace
