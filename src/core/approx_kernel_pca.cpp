@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "clustering/kernel.hpp"
 #include "clustering/kernel_pca.hpp"
 #include "common/error.hpp"
 #include "core/bucket_pipeline.hpp"
@@ -18,9 +17,6 @@ ApproxKpcaResult approx_kernel_pca(const data::PointSet& points,
   ApproxKpcaResult result;
   const std::vector<lsh::Bucket> buckets =
       bucket_points(points, params, rng, &result.stats);
-  const double sigma = params.sigma > 0.0
-                           ? params.sigma
-                           : clustering::suggest_bandwidth(points);
 
   result.embedding = linalg::DenseMatrix(points.size(), p, 0.0);
   result.bucket_of_point.assign(points.size(), 0);
@@ -30,16 +26,8 @@ ApproxKpcaResult approx_kernel_pca(const data::PointSet& points,
   // instead of being materialized all at once.
   const std::vector<BucketJob> jobs =
       plan_bucket_jobs(buckets, 0, points.size(), rng);
-  BucketPipelineOptions options;
-  options.sigma = sigma;
-  options.threads = params.threads;
-  options.max_inflight_blocks = params.max_inflight_blocks;
-  options.max_inflight_bytes = params.max_inflight_bytes;
-  options.spill_budget_bytes = params.spill_budget_bytes;
-  options.spill_dir = params.spill_dir;
-  options.metrics = params.metrics;
-  options.faults = params.faults;
-  options.max_bucket_attempts = params.max_bucket_attempts;
+  const BucketPipelineOptions options =
+      pipeline_options(params, resolve_bandwidth(params, points));
   const BucketPipelineStats pipeline = run_bucket_pipeline(
       points, buckets, jobs, options,
       [&](linalg::DenseMatrix&& block, const lsh::Bucket& bucket,

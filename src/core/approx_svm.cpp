@@ -5,7 +5,6 @@
 
 #include "common/error.hpp"
 #include "core/bucket_pipeline.hpp"
-#include "lsh/bucket_table.hpp"
 
 namespace dasc::core {
 
@@ -17,32 +16,10 @@ ApproxSvm ApproxSvm::train(const data::PointSet& points,
               "ApproxSvm: only random projection supports query routing");
 
   ApproxSvm model;
-  const std::size_t m = resolve_signature_bits(params.dasc, points.size());
-  model.hasher_ = std::make_unique<lsh::RandomProjectionHasher>(
-      lsh::RandomProjectionHasher::fit(points, m, params.dasc.selection,
-                                       rng));
-
-  // Bucket with the already-fitted hasher so routing uses the exact same
-  // signatures (bucket_points would refit with fresh randomness).
-  const lsh::BucketTable table =
-      lsh::BucketTable::build(points, *model.hasher_, params.dasc.metrics);
-  const std::size_t p = resolve_merge_bits(params.dasc, m);
-  const lsh::MergeStrategy strategy =
-      p == m ? lsh::MergeStrategy::kNone : params.dasc.merge;
-  std::vector<lsh::Bucket> buckets =
-      table.merged_buckets(p, strategy, params.dasc.metrics);
-  if (params.dasc.max_bucket_points > 0) {
-    buckets = balance_buckets(
-        points, std::move(buckets),
-        std::max<std::size_t>(params.dasc.max_bucket_points, 2));
-  }
-
-  model.stats_.signature_bits = m;
-  model.stats_.merge_bits = p;
-  model.stats_.raw_buckets = table.raw_bucket_count();
-  model.stats_.merged_buckets = buckets.size();
-  model.stats_.full_gram_bytes =
-      linalg::gram_entry_bytes(points.size() * points.size());
+  // Keep the fitted hasher so query routing uses the exact signatures the
+  // buckets were formed from.
+  const std::vector<lsh::Bucket> buckets = bucket_points(
+      points, params.dasc, rng, &model.stats_, &model.hasher_);
 
   // Per-bucket training rides the shared bucket pipeline: seeds are drawn
   // up front (so training is deterministic at any thread count), each
@@ -52,14 +29,9 @@ ApproxSvm ApproxSvm::train(const data::PointSet& points,
       plan_bucket_jobs(buckets, 0, points.size(), rng);
   model.buckets_.resize(buckets.size());
 
-  BucketPipelineOptions options;
-  options.threads = params.dasc.threads;
-  options.max_inflight_blocks = params.dasc.max_inflight_blocks;
-  options.max_inflight_bytes = params.dasc.max_inflight_bytes;
+  // No blocks are built, so no bandwidth is needed.
+  BucketPipelineOptions options = pipeline_options(params.dasc, 0.0);
   options.build_blocks = false;
-  options.metrics = params.dasc.metrics;
-  options.faults = params.dasc.faults;
-  options.max_bucket_attempts = params.dasc.max_bucket_attempts;
   const BucketPipelineStats pipeline = run_bucket_pipeline(
       points, buckets, jobs, options,
       [&](linalg::DenseMatrix&& /*block*/, const lsh::Bucket& bucket,
@@ -117,8 +89,6 @@ ApproxSvm ApproxSvm::train(const data::PointSet& points,
 
   std::size_t entries = 0;
   for (const auto& local : model.buckets_) {
-    model.stats_.largest_bucket =
-        std::max(model.stats_.largest_bucket, local.size);
     if (local.classifier.has_value()) entries += local.size * local.size;
   }
   model.stats_.gram_bytes = linalg::gram_entry_bytes(entries);

@@ -65,7 +65,7 @@ class ApproxSvm {
   std::size_t route(lsh::Signature sig,
                     std::span<const double> point) const;
 
-  std::unique_ptr<lsh::RandomProjectionHasher> hasher_;
+  std::unique_ptr<lsh::LshHasher> hasher_;
   std::vector<LocalModel> buckets_;
   ApproximatorStats stats_;
 };

@@ -119,6 +119,21 @@ std::size_t total_label_count(const std::vector<BucketJob>& jobs) {
   return total;
 }
 
+BucketPipelineOptions pipeline_options(const DascParams& params,
+                                       double sigma) {
+  BucketPipelineOptions options;
+  options.sigma = sigma;
+  options.threads = params.threads;
+  options.max_inflight_blocks = params.max_inflight_blocks;
+  options.max_inflight_bytes = params.max_inflight_bytes;
+  options.spill_budget_bytes = params.spill_budget_bytes;
+  options.spill_dir = params.spill_dir;
+  options.metrics = params.metrics;
+  options.faults = params.faults;
+  options.max_bucket_attempts = params.max_bucket_attempts;
+  return options;
+}
+
 BucketPipelineStats run_bucket_pipeline(const data::PointSet& points,
                                         const std::vector<lsh::Bucket>& buckets,
                                         const std::vector<BucketJob>& jobs,
@@ -258,26 +273,12 @@ BucketPipelineStats run_bucket_pipeline(const data::PointSet& points,
         }
         return;
       } catch (...) {
-        if (attempt < options.max_bucket_attempts) {
-          if (options.metrics != nullptr) {
-            options.metrics->counter("retry.bucket_attempts").add();
-          }
-          DASC_LOG(kWarn) << "bucket pipeline: bucket " << b << " attempt "
-                          << attempt << " failed; retrying";
-          continue;
-        }
-        if (!options.degrade_on_failure) throw;
-        // Graceful degradation: record the bucket as failed (reported to
-        // the caller and counted) instead of poisoning the whole run.
+        if (attempt >= options.max_bucket_attempts) throw;
         if (options.metrics != nullptr) {
-          options.metrics->counter("fault.buckets_failed").add();
+          options.metrics->counter("retry.bucket_attempts").add();
         }
-        DASC_LOG(kWarn) << "bucket pipeline: bucket " << b
-                        << " failed after " << options.max_bucket_attempts
-                        << " attempts; degrading";
-        std::lock_guard lock(timing_mutex);
-        stats.failed_buckets.push_back(b);
-        return;
+        DASC_LOG(kWarn) << "bucket pipeline: bucket " << b << " attempt "
+                        << attempt << " failed; retrying";
       }
     }
   };
@@ -308,8 +309,6 @@ BucketPipelineStats run_bucket_pipeline(const data::PointSet& points,
 
   stats.peak_inflight_bytes = gate.peak_bytes();
   stats.wall_seconds = wall_clock.seconds();
-  // Completion order is scheduling-dependent; report failures sorted.
-  std::sort(stats.failed_buckets.begin(), stats.failed_buckets.end());
 
   if (options.metrics != nullptr) {
     MetricsRegistry& registry = *options.metrics;

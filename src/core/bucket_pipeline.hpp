@@ -1,7 +1,8 @@
 // Fused, bounded-memory executor for per-bucket kernel work — the single
-// orchestration path every DASC consumer rides on (batch spectral
-// clustering, the streaming driver, approximate kernel PCA, approximate
-// SVM training, and the MapReduce reduce stage).
+// orchestration path every DASC consumer rides on (spectral clustering
+// through core::cluster_buckets — the in-process driver, the serving fit
+// and the MapReduce reducer — approximate kernel PCA, approximate SVM
+// training, and approximate_kernel's block materialization).
 //
 // The paper's cost claim (Eqs. 11-12) is that LSH bucketing cuts kernel
 // cost from O(N^2) to O(sum Ni^2) in time AND memory — but a driver that
@@ -9,8 +10,9 @@
 // sum in peak memory. This executor fuses `build Gram block -> consume ->
 // discard` per bucket and gates block construction behind an in-flight
 // admission budget, so peak Gram memory is O(inflight * max Ni^2):
-// unlimited in-flight reproduces the old batch behaviour, a one-block
-// budget reproduces the streaming driver's bound — with the same labels.
+// unlimited in-flight materializes as a batch would, a one-block budget
+// processes the buckets one at a time (the paper's "incrementally
+// processed, split by split", Section 5.1) — with the same labels.
 //
 // Determinism contract: per-bucket seeds, cluster-count shares, and
 // disjoint global label ranges are fixed by plan_bucket_jobs BEFORE any
@@ -119,18 +121,12 @@ struct BucketPipelineOptions {
   /// Optional fault source (site `alloc.gram_block`, checked before each
   /// bucket attempt). Null = off.
   FaultInjector* faults = nullptr;
-  /// Attempts per bucket before it counts as failed (1 = fail fast). Each
-  /// re-attempt rebuilds the Gram block and re-runs the consumer; the
+  /// Attempts per bucket before its error fails the run (1 = fail fast).
+  /// Each re-attempt rebuilds the Gram block and re-runs the consumer; the
   /// consumer's commit must therefore be idempotent per bucket, which the
   /// disjoint-label-slot contract already guarantees. Counts
   /// `retry.bucket_attempts` per re-attempt.
   std::size_t max_bucket_attempts = 1;
-  /// When true, a bucket that exhausts its attempts is recorded in
-  /// BucketPipelineStats::failed_buckets (and `fault.buckets_failed`)
-  /// instead of failing the whole run — graceful degradation: the caller
-  /// decides whether partial labels are acceptable. When false the first
-  /// exhausted bucket's error is rethrown.
-  bool degrade_on_failure = false;
 };
 
 /// Byte/timing observations from one pipeline run.
@@ -144,10 +140,14 @@ struct BucketPipelineStats {
   double build_seconds = 0.0;           ///< summed per-bucket Gram time
   double consume_seconds = 0.0;         ///< summed per-bucket consumer time
   double wall_seconds = 0.0;            ///< end-to-end run time
-  /// Buckets that exhausted max_bucket_attempts under degrade_on_failure,
-  /// in ascending index order — reported, never silently dropped.
-  std::vector<std::size_t> failed_buckets;
 };
+
+/// The one DascParams -> BucketPipelineOptions mapping: Gram bandwidth
+/// `sigma`, threads, in-flight and spill budgets, metrics and fault sinks,
+/// and bucket attempts. Callers add what is theirs alone (the embedder
+/// plan, build_blocks).
+BucketPipelineOptions pipeline_options(const DascParams& params,
+                                       double sigma);
 
 /// Per-bucket consumer. The block is handed over by value (rvalue): the
 /// consumer may inspect it and let it die (streaming working set) or move
@@ -161,8 +161,8 @@ using BucketConsumer =
 /// bucket.indices at options.sigma) -> consume -> discard`, on a worker
 /// pool gated by the in-flight budget. Tasks may complete in any order;
 /// the determinism contract above makes results order-independent.
-/// Consumer exceptions are rethrown (first one wins) after all tasks
-/// settle.
+/// A bucket that exhausts its attempts fails the run: its error is
+/// rethrown (first one wins) after all tasks settle.
 BucketPipelineStats run_bucket_pipeline(const data::PointSet& points,
                                         const std::vector<lsh::Bucket>& buckets,
                                         const std::vector<BucketJob>& jobs,

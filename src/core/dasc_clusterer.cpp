@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "clustering/kernel.hpp"
 #include "clustering/spectral.hpp"
 #include "common/error.hpp"
 #include "common/stopwatch.hpp"
@@ -16,7 +15,7 @@ clustering::SpectralGramDetail fit_bucket(linalg::DenseMatrix block,
                                           std::size_t dense_cutoff, Rng& rng,
                                           MetricsRegistry* metrics) {
   const std::size_t n = block.rows();
-  DASC_EXPECT(block.cols() == n, "cluster_bucket: block must be square");
+  DASC_EXPECT(block.cols() == n, "fit_bucket: block must be square");
   clustering::SpectralGramDetail fit;
   if (n == 0) return fit;
   if (k_bucket <= 1 || n <= 2) {
@@ -31,10 +30,42 @@ clustering::SpectralGramDetail fit_bucket(linalg::DenseMatrix block,
       std::move(block), std::min(k_bucket, n), rng, params);
 }
 
-std::vector<int> cluster_bucket(const linalg::DenseMatrix& block,
-                                std::size_t k_bucket, std::size_t dense_cutoff,
-                                Rng& rng, MetricsRegistry* metrics) {
-  return fit_bucket(block, k_bucket, dense_cutoff, rng, metrics).labels;
+std::vector<int> cluster_buckets(const data::PointSet& points,
+                                 const std::vector<lsh::Bucket>& buckets,
+                                 const std::vector<BucketJob>& jobs,
+                                 const DascParams& params, double sigma,
+                                 ApproximatorStats& stats,
+                                 const BucketKeep& keep) {
+  // Per-bucket backend plan (dense for every bucket under the defaults);
+  // the Eq. 12 stat reflects what the chosen backends actually store.
+  const EmbedderSet embedder_set(params, sigma);
+  stats.gram_bytes = embedder_set.total_gram_bytes(buckets, points.dim());
+
+  // Steps 3-4 fused per bucket on the shared executor. Each consumer
+  // writes only its own bucket's (disjoint) label slots, so any execution
+  // order produces the same labels.
+  BucketPipelineOptions options = pipeline_options(params, sigma);
+  options.embedders = embedder_set.plan(buckets);
+  const bool want_factor = static_cast<bool>(keep);
+  std::vector<int> labels(points.size(), 0);
+  const BucketPipelineStats pipeline = run_bucket_pipeline(
+      points, buckets, jobs, options,
+      [&](linalg::DenseMatrix&& block, const lsh::Bucket& bucket,
+          const BucketJob& job) {
+        Rng bucket_rng(job.seed);
+        BucketEmbedding embedding =
+            options.embedders[job.index]->fit_with_block(
+                points, bucket.indices, job.k_bucket, bucket_rng,
+                want_factor, std::move(block));
+        const auto& indices = bucket.indices;
+        for (std::size_t i = 0; i < indices.size(); ++i) {
+          labels[indices[i]] =
+              static_cast<int>(job.label_offset) + embedding.fit.labels[i];
+        }
+        if (keep) keep(job, std::move(embedding));
+      });
+  fold_pipeline_stats(pipeline, stats);
+  return labels;
 }
 
 DascResult dasc_cluster(const data::PointSet& points, const DascParams& params,
@@ -50,52 +81,14 @@ DascResult dasc_cluster(const data::PointSet& points, const DascParams& params,
   // the full sum-Ni^2 up front.
   const std::vector<lsh::Bucket> buckets =
       bucket_points(points, params, rng, &result.stats);
-  const double sigma = params.sigma > 0.0
-                           ? params.sigma
-                           : clustering::suggest_bandwidth(points);
-
   const std::vector<BucketJob> jobs =
       plan_bucket_jobs(buckets, result.requested_k, points.size(), rng);
   result.num_clusters = total_label_count(jobs);
-  result.labels.assign(points.size(), 0);
 
-  // Per-bucket backend plan (dense for every bucket under the defaults);
-  // the Eq. 12 stat reflects what the chosen backends actually store.
-  const EmbedderSet embedder_set(params, sigma);
-  result.stats.gram_bytes = embedder_set.total_gram_bytes(buckets, points.dim());
-
-  // Steps 3-4 fused per bucket on the shared executor. Each consumer
-  // writes only its own bucket's (disjoint) label slots, so any execution
-  // order produces the same labels.
   Stopwatch cluster_clock;
-  BucketPipelineOptions options;
-  options.sigma = sigma;
-  options.threads = params.threads;
-  options.max_inflight_blocks = params.max_inflight_blocks;
-  options.max_inflight_bytes = params.max_inflight_bytes;
-  options.spill_budget_bytes = params.spill_budget_bytes;
-  options.spill_dir = params.spill_dir;
-  options.metrics = params.metrics;
-  options.faults = params.faults;
-  options.max_bucket_attempts = params.max_bucket_attempts;
-  options.embedders = embedder_set.plan(buckets);
-  const BucketPipelineStats pipeline = run_bucket_pipeline(
-      points, buckets, jobs, options,
-      [&](linalg::DenseMatrix&& block, const lsh::Bucket& bucket,
-          const BucketJob& job) {
-        Rng bucket_rng(job.seed);
-        const BucketEmbedding embedding =
-            options.embedders[job.index]->fit_with_block(
-                points, bucket.indices, job.k_bucket, bucket_rng,
-                /*want_factor=*/false, std::move(block));
-        const auto& indices = bucket.indices;
-        for (std::size_t i = 0; i < indices.size(); ++i) {
-          result.labels[indices[i]] =
-              static_cast<int>(job.label_offset) + embedding.fit.labels[i];
-        }
-      });
-  fold_pipeline_stats(pipeline, result.stats);
-
+  result.labels = cluster_buckets(points, buckets, jobs, params,
+                                  resolve_bandwidth(params, points),
+                                  result.stats);
   result.cluster_seconds = cluster_clock.seconds();
   result.total_seconds = total_clock.seconds();
   return result;

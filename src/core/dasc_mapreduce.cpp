@@ -8,12 +8,9 @@
 #include <string_view>
 #include <unordered_map>
 
-#include "clustering/kernel.hpp"
 #include "common/error.hpp"
-#include "common/metrics.hpp"
 #include "common/stopwatch.hpp"
 #include "core/bucket_embedder.hpp"
-#include "core/bucket_pipeline.hpp"
 #include "core/dasc_clusterer.hpp"
 #include "data/dataset_io.hpp"
 #include "lsh/bucket_table.hpp"
@@ -151,10 +148,10 @@ class IdentityMapper final : public mapreduce::Mapper {
   }
 };
 
-/// Algorithm 2 plus the spectral step: one bucket per reduce group. The
-/// Gram build + cluster + discard runs through the shared bucket pipeline
-/// (one task, one-block budget), so the reduce stage exercises the exact
-/// orchestration path of the in-process drivers.
+/// Algorithm 2 plus the spectral step: one bucket per reduce group,
+/// clustered by core::cluster_buckets — the in-process driver's own step
+/// 4 — so the reduce stage runs the exact per-bucket path of the other
+/// drivers.
 class BucketClusterReducer final : public mapreduce::Reducer {
  public:
   BucketClusterReducer(DascParams dasc, double sigma, std::size_t global_k,
@@ -175,42 +172,19 @@ class BucketClusterReducer final : public mapreduce::Reducer {
       indices[i] = read_member(values[i], group.point(i));
     }
 
-    // One pipeline task over the whole reduce group: build the bucket's
-    // sub-similarity matrix (Algorithm 2, Eq. 1), cluster, discard. Seed
-    // derived from the bucket key so results are independent of which
-    // reduce task processes the bucket.
+    // The whole reduce group is one bucket: build its sub-similarity
+    // matrix (Algorithm 2, Eq. 1), cluster, discard. Seed derived from the
+    // bucket key so results are independent of which reduce task
+    // processes the bucket; label offset 0 leaves the local labels.
     std::vector<lsh::Bucket> buckets(1);
     buckets[0].indices.resize(n);
     for (std::size_t i = 0; i < n; ++i) buckets[0].indices[i] = i;
     BucketJob job;
-    job.index = 0;
     job.seed = dasc_.seed ^ std::hash<std::string>{}(key);
     job.k_bucket = bucket_cluster_count(global_k_, n, total_points_);
-    job.label_offset = 0;
-
-    const EmbedderSet embedder_set(dasc_, sigma_);
-    BucketPipelineOptions options;
-    options.sigma = sigma_;
-    options.threads = 1;  // the reducer is already one parallel task
-    options.max_inflight_blocks = 1;
-    options.spill_budget_bytes = dasc_.spill_budget_bytes;
-    options.spill_dir = dasc_.spill_dir;
-    options.metrics = dasc_.metrics;
-    options.faults = dasc_.faults;
-    options.max_bucket_attempts = dasc_.max_bucket_attempts;
-    options.embedders = embedder_set.plan(buckets);
-    std::vector<int> local;
-    run_bucket_pipeline(
-        group, buckets, {job}, options,
-        [&](linalg::DenseMatrix&& block, const lsh::Bucket& task_bucket,
-            const BucketJob& task) {
-          Rng rng(task.seed);
-          local = options.embedders[0]
-                      ->fit_with_block(group, task_bucket.indices,
-                                       task.k_bucket, rng,
-                                       /*want_factor=*/false, std::move(block))
-                      .fit.labels;
-        });
+    ApproximatorStats stats;
+    const std::vector<int> local =
+        cluster_buckets(group, buckets, {job}, dasc_, sigma_, stats);
 
     // (u64 index, u32 bucket ordinal + i32 local label): the ordinal is
     // the key's "#b" suffix, so the pair names the cluster uniquely.
@@ -239,12 +213,34 @@ class BucketClusterReducer final : public mapreduce::Reducer {
 
 namespace {
 
+/// Driver-side setup shared by both entry points: resolved M and sigma,
+/// and the hash parameters fitted over the dataset (the paper computes
+/// spans and thresholds, then broadcasts them to mappers).
+struct DriverSetup {
+  std::size_t m = 0;
+  double sigma = 0.0;
+  lsh::RandomProjectionHasher hasher;
+};
+
+/// Resolve M, K (into `result`) and sigma, then fit the hasher — the one
+/// RNG draw before stage 1.
+DriverSetup driver_setup(const data::PointSet& points,
+                         const MapReduceDascParams& params, Rng& rng,
+                         MapReduceDascResult& result) {
+  DASC_EXPECT(params.dasc.family == HashFamily::kRandomProjection,
+              "dasc_cluster_mapreduce: only random projection is supported");
+  const std::size_t m = resolve_signature_bits(params.dasc, points.size());
+  result.requested_k = resolve_cluster_count(params.dasc, points.size());
+  return {m, resolve_bandwidth(params.dasc, points),
+          lsh::RandomProjectionHasher::fit(points, m, params.dasc.selection,
+                                           rng)};
+}
+
 /// Everything after stage 1: bucket merge, balancing, stage 2, densify.
 /// `result` arrives with lsh_job populated.
 void finish_pipeline(const data::PointSet& points,
-                     const MapReduceDascParams& params, std::size_t m,
-                     std::size_t p, double sigma,
-                     MapReduceDascResult& result);
+                     const MapReduceDascParams& params,
+                     const DriverSetup& setup, MapReduceDascResult& result);
 
 /// The DascParams spill knob covers the whole MapReduce run: when the job
 /// conf leaves spilling unset, inherit the pipeline's budget so the
@@ -284,23 +280,11 @@ MapReduceDascResult dasc_cluster_mapreduce(const data::PointSet& points,
                                            const MapReduceDascParams& params,
                                            Rng& rng) {
   DASC_EXPECT(!points.empty(), "dasc_cluster_mapreduce: empty dataset");
-  DASC_EXPECT(params.dasc.family == HashFamily::kRandomProjection,
-              "dasc_cluster_mapreduce: only random projection is supported");
   Stopwatch total_clock;
 
   MapReduceDascResult result;
   const std::size_t n = points.size();
-  const std::size_t m = resolve_signature_bits(params.dasc, n);
-  const std::size_t p = resolve_merge_bits(params.dasc, m);
-  result.requested_k = resolve_cluster_count(params.dasc, n);
-  const double sigma = params.dasc.sigma > 0.0
-                           ? params.dasc.sigma
-                           : clustering::suggest_bandwidth(points);
-
-  // Driver-side fit of the hash parameters (the paper computes spans and
-  // thresholds over the dataset, then broadcasts them to mappers).
-  const lsh::RandomProjectionHasher hasher = lsh::RandomProjectionHasher::fit(
-      points, m, params.dasc.selection, rng);
+  const DriverSetup setup = driver_setup(points, params, rng, result);
 
   // ---- Stage 1: LSH signatures (Algorithm 1). ----
   std::vector<mapreduce::Record> input;
@@ -309,9 +293,9 @@ MapReduceDascResult dasc_cluster_mapreduce(const data::PointSet& points,
     input.push_back({std::string(), encode_member(i, points.point(i))});
   }
   result.lsh_job = mapreduce::run_job(
-      make_stage1_spec<SignatureMapper>(params, hasher), input);
+      make_stage1_spec<SignatureMapper>(params, setup.hasher), input);
 
-  finish_pipeline(points, params, m, p, sigma, result);
+  finish_pipeline(points, params, setup, result);
   result.real_seconds = total_clock.seconds();
   return result;
 }
@@ -320,8 +304,6 @@ MapReduceDascResult dasc_cluster_mapreduce_dfs(
     mapreduce::Dfs& dfs, const std::string& input_path,
     const std::string& output_path, const MapReduceDascParams& params,
     Rng& rng) {
-  DASC_EXPECT(params.dasc.family == HashFamily::kRandomProjection,
-              "dasc_cluster_mapreduce_dfs: only random projection supported");
   Stopwatch total_clock;
 
   // Driver-side analysis pass over the DFS dataset (spans + thresholds,
@@ -339,22 +321,15 @@ MapReduceDascResult dasc_cluster_mapreduce_dfs(
 
   MapReduceDascResult result;
   const std::size_t n = points.size();
-  const std::size_t m = resolve_signature_bits(params.dasc, n);
-  const std::size_t p = resolve_merge_bits(params.dasc, m);
-  result.requested_k = resolve_cluster_count(params.dasc, n);
-  const double sigma = params.dasc.sigma > 0.0
-                           ? params.dasc.sigma
-                           : clustering::suggest_bandwidth(points);
-  const lsh::RandomProjectionHasher hasher = lsh::RandomProjectionHasher::fit(
-      points, m, params.dasc.selection, rng);
+  const DriverSetup setup = driver_setup(points, params, rng, result);
 
   // ---- Stage 1 over DFS blocks (data-local splits). The DFS job keys
   // records by global line number, which is exactly the point index. ----
   result.lsh_job = mapreduce::run_job_dfs(
-      make_stage1_spec<TextSignatureMapper>(params, hasher), dfs, input_path,
-      output_path + "/_stage1");
+      make_stage1_spec<TextSignatureMapper>(params, setup.hasher), dfs,
+      input_path, output_path + "/_stage1");
 
-  finish_pipeline(points, params, m, p, sigma, result);
+  finish_pipeline(points, params, setup, result);
   result.real_seconds = total_clock.seconds();
 
   // Persist the final assignment.
@@ -371,10 +346,11 @@ MapReduceDascResult dasc_cluster_mapreduce_dfs(
 namespace {
 
 void finish_pipeline(const data::PointSet& points,
-                     const MapReduceDascParams& params, std::size_t m,
-                     std::size_t p, double sigma,
-                     MapReduceDascResult& result) {
+                     const MapReduceDascParams& params,
+                     const DriverSetup& setup, MapReduceDascResult& result) {
   const std::size_t n = points.size();
+  const std::size_t m = setup.m;
+  const double sigma = setup.sigma;
 
   // ---- Bucket merge between stages (Eq. 6 / star merge). ----
   // Reassemble the per-point signatures from stage 1's output, rebuild the
@@ -392,24 +368,11 @@ void finish_pipeline(const data::PointSet& points,
   }
   const lsh::BucketTable table =
       lsh::BucketTable::from_signatures(signatures, m, params.dasc.metrics);
-  const lsh::MergeStrategy strategy =
-      p == m ? lsh::MergeStrategy::kNone : params.dasc.merge;
-  std::vector<lsh::Bucket> merged =
-      table.merged_buckets(p, strategy, params.dasc.metrics);
-  if (params.dasc.max_bucket_points > 0) {
-    ScopedTimer balance_timer(params.dasc.metrics, "lsh.bucketing");
-    merged = balance_buckets(
-        points, std::move(merged),
-        std::max<std::size_t>(params.dasc.max_bucket_points, 2));
-  }
+  const std::vector<lsh::Bucket> merged =
+      merge_buckets(points, table, params.dasc, &result.stats);
 
   std::vector<mapreduce::Record> stage2_input;
   stage2_input.reserve(n);
-  std::size_t gram_entries = 0;
-  result.stats.signature_bits = m;
-  result.stats.merge_bits = p;
-  result.stats.raw_buckets = table.raw_bucket_count();
-  result.stats.merged_buckets = merged.size();
   for (std::size_t b = 0; b < merged.size(); ++b) {
     const auto& bucket = merged[b];
     // Balanced-split children share the parent signature, so the reduce
@@ -420,17 +383,11 @@ void finish_pipeline(const data::PointSet& points,
       stage2_input.push_back(
           {merged_key, std::move(member_payload[point_index])});
     }
-    gram_entries += bucket.indices.size() * bucket.indices.size();
-    result.stats.largest_bucket =
-        std::max(result.stats.largest_bucket, bucket.indices.size());
   }
   // Eq. 12 bytes under the run's backend policy (identical to the dense
   // sum-Ni^2 accounting when every bucket selects the dense backend).
   result.stats.gram_bytes =
       EmbedderSet(params.dasc, sigma).total_gram_bytes(merged, points.dim());
-  result.stats.full_gram_bytes = linalg::gram_entry_bytes(n * n);
-  result.stats.fill_ratio = static_cast<double>(gram_entries) /
-                            (static_cast<double>(n) * static_cast<double>(n));
 
   // ---- Stage 2: per-bucket similarity + spectral clustering. ----
   mapreduce::JobSpec cluster_spec;

@@ -153,6 +153,11 @@ std::size_t resolve_merge_bits(const DascParams& params, std::size_t m);
 /// Resolve the global cluster count for a dataset of size n.
 std::size_t resolve_cluster_count(const DascParams& params, std::size_t n);
 
+/// Resolve the Gaussian bandwidth: params.sigma, or the median-distance
+/// heuristic over `points` when it is 0.
+double resolve_bandwidth(const DascParams& params,
+                         const data::PointSet& points);
+
 /// Parse a backend-policy name ("auto", "dense", "nystrom", "rbf_binning")
 /// as accepted by the dasc_tool / serve_tool backend= flag; nullopt on an
 /// unknown name.

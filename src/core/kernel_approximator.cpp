@@ -43,6 +43,12 @@ std::size_t resolve_cluster_count(const DascParams& params, std::size_t n) {
   return std::min(std::max<std::size_t>(k, 2), n);
 }
 
+double resolve_bandwidth(const DascParams& params,
+                         const data::PointSet& points) {
+  return params.sigma > 0.0 ? params.sigma
+                            : clustering::suggest_bandwidth(points);
+}
+
 void apply_simd_level(const DascParams& params) {
   linalg::simd::set_level(params.simd_level);
   if (params.metrics != nullptr) {
@@ -203,22 +209,12 @@ std::vector<lsh::Bucket> balance_buckets(const data::PointSet& points,
   return out;
 }
 
-std::vector<lsh::Bucket> bucket_points(
-    const data::PointSet& points, const DascParams& params, Rng& rng,
-    ApproximatorStats* stats, std::unique_ptr<lsh::LshHasher>* hasher_out) {
-  DASC_EXPECT(!points.empty(), "bucket_points: empty dataset");
-  // Every DASC consumer funnels through here before touching the linalg
-  // hot paths, so this is where the SIMD knob takes effect.
-  apply_simd_level(params);
-  Stopwatch clock;
-
-  const std::size_t m = resolve_signature_bits(params, points.size());
+std::vector<lsh::Bucket> merge_buckets(const data::PointSet& points,
+                                       const lsh::BucketTable& table,
+                                       const DascParams& params,
+                                       ApproximatorStats* stats) {
+  const std::size_t m = table.signature_bits();
   const std::size_t p = resolve_merge_bits(params, m);
-  std::unique_ptr<lsh::LshHasher> hasher =
-      make_hasher(points, params, m, rng);
-
-  const lsh::BucketTable table =
-      lsh::BucketTable::build(points, *hasher, params.metrics);
   const lsh::MergeStrategy strategy =
       p == m ? lsh::MergeStrategy::kNone : params.merge;
   std::vector<lsh::Bucket> buckets =
@@ -237,7 +233,6 @@ std::vector<lsh::Bucket> bucket_points(
     stats->merged_buckets = buckets.size();
     stats->largest_bucket =
         buckets.empty() ? 0 : buckets.front().indices.size();
-    stats->hash_seconds = clock.seconds();
     // Dense-backend Gram storage is fully determined by the bucket sizes,
     // so report it here too (consumers that stream blocks never materialize
     // them; backend-aware callers overwrite this with the EmbedderSet
@@ -255,6 +250,26 @@ std::vector<lsh::Bucket> bucket_points(
                         (static_cast<double>(points.size()) *
                          static_cast<double>(points.size()));
   }
+  return buckets;
+}
+
+std::vector<lsh::Bucket> bucket_points(
+    const data::PointSet& points, const DascParams& params, Rng& rng,
+    ApproximatorStats* stats, std::unique_ptr<lsh::LshHasher>* hasher_out) {
+  DASC_EXPECT(!points.empty(), "bucket_points: empty dataset");
+  // Every DASC consumer funnels through here before touching the linalg
+  // hot paths, so this is where the SIMD knob takes effect.
+  apply_simd_level(params);
+  Stopwatch clock;
+
+  const std::size_t m = resolve_signature_bits(params, points.size());
+  std::unique_ptr<lsh::LshHasher> hasher =
+      make_hasher(points, params, m, rng);
+  const lsh::BucketTable table =
+      lsh::BucketTable::build(points, *hasher, params.metrics);
+  std::vector<lsh::Bucket> buckets =
+      merge_buckets(points, table, params, stats);
+  if (stats != nullptr) stats->hash_seconds = clock.seconds();
   if (hasher_out != nullptr) *hasher_out = std::move(hasher);
   return buckets;
 }
@@ -265,16 +280,12 @@ BlockGram approximate_kernel(const data::PointSet& points,
   std::vector<lsh::Bucket> buckets = bucket_points(points, params, rng, stats);
 
   Stopwatch clock;
-  const double sigma = params.sigma > 0.0
-                           ? params.sigma
-                           : clustering::suggest_bandwidth(points);
-
   // Materializing every block is the point of this API (Fnorm analysis,
   // BlockGram consumers), so the in-flight budget is left unlimited; the
   // bucket pipeline still supplies the build loop.
   std::vector<linalg::DenseMatrix> blocks(buckets.size());
   BucketPipelineOptions options;
-  options.sigma = sigma;
+  options.sigma = resolve_bandwidth(params, points);
   options.threads = params.threads;
   options.metrics = params.metrics;
   const std::vector<BucketJob> jobs =

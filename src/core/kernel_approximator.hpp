@@ -87,12 +87,23 @@ BlockGram approximate_kernel(const data::PointSet& points,
 /// Useful for consumers that stream blocks (and for Fig. 5's bucket sweep).
 /// Applies the params.max_bucket_points balancing cap when set. With
 /// `hasher_out`, the fitted LSH hasher is handed to the caller (the serving
-/// subsystem persists its parameters to re-hash unseen query points); the
-/// RNG stream is identical either way.
+/// subsystem persists its parameters and the approximate SVM routes with
+/// it, both to re-hash unseen query points); the RNG stream is identical
+/// either way.
 std::vector<lsh::Bucket> bucket_points(
     const data::PointSet& points, const DascParams& params, Rng& rng,
     ApproximatorStats* stats = nullptr,
     std::unique_ptr<lsh::LshHasher>* hasher_out = nullptr);
+
+/// Step 2 over an already-hashed table: merge buckets sharing >= P bits
+/// (P resolved against the table's M), apply the params.max_bucket_points
+/// balancing cap, and record the bucketing stats (dense Eq. 12 bytes;
+/// hash_seconds is left to the caller). The one definition behind
+/// bucket_points and the MapReduce driver's between-stage merge.
+std::vector<lsh::Bucket> merge_buckets(const data::PointSet& points,
+                                       const lsh::BucketTable& table,
+                                       const DascParams& params,
+                                       ApproximatorStats* stats = nullptr);
 
 /// Data-dependent rebalancing (paper Section 5.1): recursively split every
 /// bucket larger than `max_points` at the median of its widest dimension.

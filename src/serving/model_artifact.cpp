@@ -8,7 +8,6 @@
 #include <span>
 #include <utility>
 
-#include "clustering/kernel.hpp"
 #include "common/checksum.hpp"
 #include "common/error.hpp"
 #include "common/stopwatch.hpp"
@@ -568,13 +567,10 @@ FitResult fit_model(const data::PointSet& points,
   std::unique_ptr<lsh::LshHasher> hasher;
   const std::vector<lsh::Bucket> buckets =
       core::bucket_points(points, params, rng, &result.stats, &hasher);
-  const double sigma = params.sigma > 0.0
-                           ? params.sigma
-                           : clustering::suggest_bandwidth(points);
+  const double sigma = core::resolve_bandwidth(params, points);
   const std::vector<core::BucketJob> jobs =
       core::plan_bucket_jobs(buckets, result.requested_k, points.size(), rng);
   result.num_clusters = core::total_label_count(jobs);
-  result.labels.assign(points.size(), 0);
 
   const auto* projection =
       dynamic_cast<const lsh::RandomProjectionHasher*>(hasher.get());
@@ -595,37 +591,14 @@ FitResult fit_model(const data::PointSet& points,
   model.hash_thresholds = projection->thresholds();
   model.buckets.resize(buckets.size());
 
-  const core::EmbedderSet embedder_set(params, sigma);
-  result.stats.gram_bytes = embedder_set.total_gram_bytes(buckets, points.dim());
-
   Stopwatch cluster_clock;
-  core::BucketPipelineOptions pipeline_options;
-  pipeline_options.sigma = sigma;
-  pipeline_options.threads = params.threads;
-  pipeline_options.max_inflight_blocks = params.max_inflight_blocks;
-  pipeline_options.max_inflight_bytes = params.max_inflight_bytes;
-  pipeline_options.metrics = params.metrics;
-  pipeline_options.faults = params.faults;
-  pipeline_options.max_bucket_attempts = params.max_bucket_attempts;
-  pipeline_options.embedders = embedder_set.plan(buckets);
-  const core::BucketPipelineStats pipeline = core::run_bucket_pipeline(
-      points, buckets, jobs, pipeline_options,
-      [&](linalg::DenseMatrix&& block, const lsh::Bucket& bucket,
-          const core::BucketJob& job) {
-        Rng bucket_rng(job.seed);
-        core::BucketEmbedding embedding =
-            pipeline_options.embedders[job.index]->fit_with_block(
-                points, bucket.indices, job.k_bucket, bucket_rng,
-                /*want_factor=*/true, std::move(block));
-        const auto& indices = bucket.indices;
-        for (std::size_t i = 0; i < indices.size(); ++i) {
-          result.labels[indices[i]] =
-              static_cast<int>(job.label_offset) + embedding.fit.labels[i];
-        }
-        model.buckets[job.index] = build_bucket_model(
-            points, bucket, job, std::move(embedding), options.max_landmarks);
+  result.labels = core::cluster_buckets(
+      points, buckets, jobs, params, sigma, result.stats,
+      [&](const core::BucketJob& job, core::BucketEmbedding&& embedding) {
+        model.buckets[job.index] =
+            build_bucket_model(points, buckets[job.index], job,
+                               std::move(embedding), options.max_landmarks);
       });
-  core::fold_pipeline_stats(pipeline, result.stats);
   result.cluster_seconds = cluster_clock.seconds();
 
   // Raw-signature routing table: every signature observed at fit time maps

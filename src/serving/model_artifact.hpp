@@ -131,8 +131,9 @@ struct FitResult {
   ModelArtifact model;
   /// The offline clustering this model was fitted from. Labels are
   /// bit-identical to dasc_cluster(points, params, rng) with the same
-  /// inputs (fit_model rides the same planned bucket pipeline), and
-  /// therefore also to dasc_cluster_streaming.
+  /// inputs at any thread count, in-flight budget or spill budget:
+  /// fit_model runs the same core::cluster_buckets step, with a hook that
+  /// keeps each bucket's serving state.
   core::DascResult offline;
 };
 

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "core/dasc_clusterer.hpp"
-#include "core/dasc_streaming.hpp"
 #include "data/synthetic.hpp"
 
 namespace dasc::core {
@@ -179,9 +178,9 @@ TEST(DascDeterminism, ThreadedBatchMatchesStreaming) {
 
   dasc::Rng r1(79);
   const DascResult batch = dasc_cluster(points, params, r1);
+  params.max_inflight_blocks = 1;  // streaming: one Gram block at a time
   dasc::Rng r2(79);
-  const StreamingDascResult streaming =
-      dasc_cluster_streaming(points, params, r2);
+  const DascResult streaming = dasc_cluster(points, params, r2);
 
   EXPECT_EQ(batch.labels, streaming.labels);
   EXPECT_EQ(batch.num_clusters, streaming.num_clusters);

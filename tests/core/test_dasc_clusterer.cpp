@@ -47,12 +47,13 @@ TEST(BucketClusterCount, RejectsBadInputs) {
 
 TEST(ClusterBucket, TrivialCases) {
   dasc::Rng rng(1);
-  EXPECT_TRUE(cluster_bucket(linalg::DenseMatrix(0, 0), 2, 64, rng).empty());
-  const auto single = cluster_bucket(linalg::DenseMatrix(1, 1, 1.0), 1, 64,
-                                     rng);
+  EXPECT_TRUE(
+      fit_bucket(linalg::DenseMatrix(0, 0), 2, 64, rng).labels.empty());
+  const auto single =
+      fit_bucket(linalg::DenseMatrix(1, 1, 1.0), 1, 64, rng).labels;
   EXPECT_EQ(single, std::vector<int>{0});
   const auto pair =
-      cluster_bucket(linalg::DenseMatrix(2, 2, 1.0), 2, 64, rng);
+      fit_bucket(linalg::DenseMatrix(2, 2, 1.0), 2, 64, rng).labels;
   EXPECT_EQ(pair, (std::vector<int>{0, 0}));  // n <= 2 collapses to one
 }
 
@@ -258,20 +259,43 @@ TEST(DascFactoredGolden, BinningLabelsMatchRecordedCrc) {
             kBinningGoldenLabelCrc);
 }
 
-TEST(DascFactoredGolden, NystromArtifactBytesMatchRecordedCrc) {
+std::uint32_t golden_artifact_crc(const DascParams& params) {
   dasc::Rng rng(31);
-  const serving::FitResult fit = serving::fit_model(
-      factored_golden_points(),
-      factored_golden_params(GramBackendPolicy::kNystrom, nullptr), rng);
-  const std::string path =
-      testing::TempDir() + "dasc_factored_golden_artifact.bin";
+  const serving::FitResult fit =
+      serving::fit_model(factored_golden_points(), params, rng);
+  const std::string path = testing::TempDir() + "dasc_golden_artifact.bin";
   serving::save_model(fit.model, path, /*format_version=*/2);
   std::ifstream in(path, std::ios::binary);
-  ASSERT_TRUE(in.good()) << path;
+  EXPECT_TRUE(in.good()) << path;
   const std::string bytes((std::istreambuf_iterator<char>(in)),
                           std::istreambuf_iterator<char>());
   std::remove(path.c_str());
-  EXPECT_EQ(crc32(bytes), kNystromGoldenArtifactCrc);
+  return crc32(bytes);
+}
+
+TEST(DascFactoredGolden, NystromArtifactBytesMatchRecordedCrc) {
+  EXPECT_EQ(golden_artifact_crc(
+                factored_golden_params(GramBackendPolicy::kNystrom, nullptr)),
+            kNystromGoldenArtifactCrc);
+}
+
+// The dense-backend artifact of the same fixture, recorded while the
+// serving fit still carried its own copy of the bucket-pipeline setup.
+constexpr std::uint32_t kDenseGoldenArtifactCrc = 0x2dd61978u;
+
+void expect_dense_artifact_golden(std::size_t threads) {
+  DascParams params = factored_golden_params(GramBackendPolicy::kDense,
+                                             nullptr);
+  params.threads = threads;
+  EXPECT_EQ(golden_artifact_crc(params), kDenseGoldenArtifactCrc);
+}
+
+TEST(DascFactoredGolden, DenseArtifactBytesMatchRecordedCrcInline) {
+  expect_dense_artifact_golden(1);
+}
+
+TEST(DascFactoredGolden, DenseArtifactBytesMatchRecordedCrcFourWorkers) {
+  expect_dense_artifact_golden(4);
 }
 
 TEST(DascCluster, RejectsEmptyDataset) {

@@ -1,10 +1,14 @@
-#include "core/dasc_streaming.hpp"
-
+// Streaming DASC: dasc_cluster at a one-block in-flight budget — the
+// paper's "incrementally processed, split by split" (Section 5.1). Each
+// bucket's Gram block is built, clustered and discarded before the next
+// is admitted, so peak tracked matrix memory is O(max_i Ni^2) instead of
+// O(sum_i Ni^2), with labels identical to the unbounded run.
 #include <gtest/gtest.h>
 
 #include "clustering/metrics.hpp"
 #include "common/error.hpp"
 #include "common/memory_tracker.hpp"
+#include "core/dasc_clusterer.hpp"
 #include "data/synthetic.hpp"
 
 namespace dasc::core {
@@ -20,6 +24,12 @@ data::PointSet blobs(std::size_t n, std::size_t k, std::uint64_t seed) {
   return data::make_gaussian_mixture(params, rng);
 }
 
+DascResult one_block_dasc(const data::PointSet& points, DascParams params,
+                          dasc::Rng& rng) {
+  params.max_inflight_blocks = 1;
+  return dasc_cluster(points, params, rng);
+}
+
 TEST(StreamingDasc, MatchesBatchDriverExactly) {
   const data::PointSet points = blobs(300, 4, 1011);
   DascParams params;
@@ -29,8 +39,7 @@ TEST(StreamingDasc, MatchesBatchDriverExactly) {
   dasc::Rng r1(9);
   const DascResult batch = dasc_cluster(points, params, r1);
   dasc::Rng r2(9);
-  const StreamingDascResult streaming =
-      dasc_cluster_streaming(points, params, r2);
+  const DascResult streaming = one_block_dasc(points, params, r2);
 
   EXPECT_EQ(streaming.labels, batch.labels);
   EXPECT_EQ(streaming.num_clusters, batch.num_clusters);
@@ -38,7 +47,7 @@ TEST(StreamingDasc, MatchesBatchDriverExactly) {
 }
 
 TEST(StreamingDasc, PeakMatrixMemoryIsBoundedByLargestBlock) {
-  // The point of the streaming driver: the tracked high-water mark for
+  // The point of the one-block budget: the tracked high-water mark for
   // matrix memory stays near ONE block, not the sum of all blocks.
   const data::PointSet points = blobs(600, 6, 1012);
   DascParams params;
@@ -48,8 +57,7 @@ TEST(StreamingDasc, PeakMatrixMemoryIsBoundedByLargestBlock) {
   dasc::Rng rng(10);
   MemoryTracker::reset_peak();
   const std::size_t before = MemoryTracker::current();
-  const StreamingDascResult result =
-      dasc_cluster_streaming(points, params, rng);
+  const DascResult result = one_block_dasc(points, params, rng);
   const std::size_t peak_delta = MemoryTracker::peak() - before;
 
   // Tracked peak must stay well under the total approximated Gram
@@ -58,7 +66,7 @@ TEST(StreamingDasc, PeakMatrixMemoryIsBoundedByLargestBlock) {
   ASSERT_GT(result.stats.merged_buckets, 2u);
   EXPECT_LT(peak_delta, result.stats.gram_bytes);
   // And it must be at least the largest single block.
-  EXPECT_GE(peak_delta, result.peak_block_bytes);
+  EXPECT_GE(peak_delta, result.stats.peak_block_bytes);
 }
 
 TEST(StreamingDasc, PeakBlockBytesReported) {
@@ -66,9 +74,8 @@ TEST(StreamingDasc, PeakBlockBytesReported) {
   DascParams params;
   params.k = 4;
   dasc::Rng rng(11);
-  const StreamingDascResult result =
-      dasc_cluster_streaming(points, params, rng);
-  EXPECT_EQ(result.peak_block_bytes,
+  const DascResult result = one_block_dasc(points, params, rng);
+  EXPECT_EQ(result.stats.peak_block_bytes,
             linalg::gram_entry_bytes(result.stats.largest_bucket *
                                      result.stats.largest_bucket));
 }
@@ -80,9 +87,9 @@ TEST(StreamingDasc, WorksWithBalancingCap) {
   params.m = 4;
   params.max_bucket_points = 64;
   dasc::Rng rng(12);
-  const StreamingDascResult result =
-      dasc_cluster_streaming(points, params, rng);
-  EXPECT_LE(result.peak_block_bytes, linalg::gram_entry_bytes(64u * 64u));
+  const DascResult result = one_block_dasc(points, params, rng);
+  EXPECT_LE(result.stats.peak_block_bytes,
+            linalg::gram_entry_bytes(64u * 64u));
   EXPECT_GT(clustering::clustering_purity(result.labels, points.labels()),
             0.9);
 }
@@ -90,7 +97,7 @@ TEST(StreamingDasc, WorksWithBalancingCap) {
 TEST(StreamingDasc, RejectsEmptyDataset) {
   DascParams params;
   dasc::Rng rng(13);
-  EXPECT_THROW(dasc_cluster_streaming(data::PointSet(), params, rng),
+  EXPECT_THROW(one_block_dasc(data::PointSet(), params, rng),
                dasc::InvalidArgument);
 }
 

@@ -5,14 +5,17 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "common/metrics.hpp"
 #include "core/dasc_clusterer.hpp"
 #include "core/dasc_mapreduce.hpp"
-#include "core/dasc_streaming.hpp"
 #include "data/synthetic.hpp"
+#include "serving/model_artifact.hpp"
 
 namespace dasc {
 namespace {
@@ -95,16 +98,45 @@ TEST(SpillParity, BlocksSpilledCounterIsThreadCountInvariant) {
 TEST(SpillParity, StreamingLabelsIdenticalUnderTinyBudget) {
   const data::PointSet points = parity_points();
   const auto run = [&](std::size_t budget, MetricsRegistry* metrics) {
-    Rng rng(77);
-    return core::dasc_cluster_streaming(
-               points,
-               parity_params(budget, 1, core::GramBackendPolicy::kAuto,
-                             metrics),
-               rng)
-        .labels;
+    core::DascParams params =
+        parity_params(budget, 1, core::GramBackendPolicy::kAuto, metrics);
+    params.max_inflight_blocks = 1;  // one Gram block at a time
+    return run_batch(points, params);
   };
   MetricsRegistry registry;
   EXPECT_EQ(run(1, &registry), run(0, nullptr));
+  EXPECT_GT(registry.counter_value("pipeline.blocks_spilled"), 0);
+}
+
+TEST(SpillParity, ServingFitLabelsAndArtifactIdenticalUnderTinyBudget) {
+  const data::PointSet points = parity_points();
+  const auto fit = [&](std::size_t budget, MetricsRegistry* metrics,
+                       std::vector<int>& labels) {
+    Rng rng(77);
+    const serving::FitResult result = serving::fit_model(
+        points,
+        parity_params(budget, 1, core::GramBackendPolicy::kDense, metrics),
+        rng);
+    labels = result.offline.labels;
+    const std::string path = testing::TempDir() + "dasc_spill_parity_" +
+                             std::to_string(budget) + ".bin";
+    serving::save_model(result.model, path);
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in.good()) << path;
+    std::string bytes((std::istreambuf_iterator<char>(in)),
+                      std::istreambuf_iterator<char>());
+    std::remove(path.c_str());
+    return bytes;
+  };
+  std::vector<int> ram_labels;
+  const std::string ram_model = fit(0, nullptr, ram_labels);
+  MetricsRegistry registry;
+  std::vector<int> spilled_labels;
+  const std::string spilled_model = fit(1, &registry, spilled_labels);
+  EXPECT_EQ(spilled_labels, ram_labels);
+  EXPECT_FALSE(ram_model.empty());
+  EXPECT_TRUE(spilled_model == ram_model) << "artifact bytes differ";
+  // The serving fit honors the spill budget like every other driver.
   EXPECT_GT(registry.counter_value("pipeline.blocks_spilled"), 0);
 }
 

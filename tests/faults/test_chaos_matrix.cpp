@@ -17,7 +17,6 @@
 #include "common/metrics.hpp"
 #include "core/dasc_clusterer.hpp"
 #include "core/dasc_mapreduce.hpp"
-#include "core/dasc_streaming.hpp"
 #include "data/dataset_io.hpp"
 #include "data/synthetic.hpp"
 #include "mapreduce/dfs.hpp"
@@ -29,7 +28,7 @@ namespace {
 
 enum class Consumer {
   kBatch,         ///< core::dasc_cluster
-  kStreaming,     ///< core::dasc_cluster_streaming
+  kStreaming,     ///< core::dasc_cluster at a one-block budget
   kServingFit,    ///< serving::fit_model (offline labels)
   kMapReduce,     ///< core::dasc_cluster_mapreduce
   kMapReduceDfs,  ///< DFS-backed MapReduce driver (exercises dfs.read)
@@ -132,6 +131,9 @@ const ChaosCase kCases[] = {
      core::GramBackendPolicy::kAuto, 1},
     {"StreamingSpillPageIoErrorNth", Consumer::kStreaming, "spill.page_io",
      "retry.spill_page_io", "seed=13;spill.page_io:nth=2:max=3",
+     core::GramBackendPolicy::kAuto, 1},
+    {"ServingFitSpillPageIoErrorNth", Consumer::kServingFit, "spill.page_io",
+     "retry.spill_page_io", "seed=27;spill.page_io:nth=2:max=3",
      core::GramBackendPolicy::kAuto, 1},
     {"MapReduceSpillPageIoCorruptNth", Consumer::kMapReduce, "spill.page_io",
      "retry.spill_page_io", "seed=14;spill.page_io:nth=3:max=6:kind=corrupt",
@@ -260,8 +262,11 @@ std::vector<int> run_consumer(Consumer consumer, const data::PointSet& points,
   switch (consumer) {
     case Consumer::kBatch:
       return core::dasc_cluster(points, params, rng).labels;
-    case Consumer::kStreaming:
-      return core::dasc_cluster_streaming(points, params, rng).labels;
+    case Consumer::kStreaming: {
+      core::DascParams one_block = params;
+      one_block.max_inflight_blocks = 1;
+      return core::dasc_cluster(points, one_block, rng).labels;
+    }
     case Consumer::kServingFit:
       return serving::fit_model(points, params, rng).offline.labels;
     case Consumer::kMapReduce:
