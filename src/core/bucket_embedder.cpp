@@ -26,13 +26,6 @@ std::uint64_t fnv1a64(std::uint64_t h, std::uint64_t v) {
 }
 constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
 
-/// True for the bucket sizes the historical code labels trivial (all-zero
-/// labels, no spectral state); every backend must agree on this so backend
-/// choice never changes which buckets produce spectral state.
-bool trivial_bucket(std::size_t n, std::size_t k_bucket) {
-  return n == 0 || k_bucket <= 1 || n <= 2;
-}
-
 BucketEmbedding trivial_embedding(GramBackend backend, std::size_t n) {
   BucketEmbedding out;
   out.backend = backend;
@@ -69,11 +62,15 @@ class DenseEmbedder final : public BucketEmbedder {
                                  std::size_t k_bucket, Rng& rng,
                                  bool /*want_factor*/,
                                  linalg::DenseMatrix&& block) const override {
-    BucketEmbedding out;
-    out.backend = GramBackend::kDense;
-    out.gram_bytes = dense_bytes(indices.size());
-    out.fit = fit_bucket(std::move(block), k_bucket, options_.dense_cutoff,
-                         rng, options_.metrics);
+    // Triviality follows the bucket, not the block: the pipeline hands a
+    // trivial bucket an empty block.
+    const std::size_t n = indices.size();
+    BucketEmbedding out = trivial_embedding(GramBackend::kDense, n);
+    out.gram_bytes = dense_bytes(n);
+    if (!trivial_bucket(n, k_bucket)) {
+      out.fit = fit_bucket(std::move(block), k_bucket, options_.dense_cutoff,
+                           rng, options_.metrics);
+    }
     return out;
   }
 

@@ -124,7 +124,8 @@ class BucketEmbedder {
   /// fit() variant for pipeline consumers: when the pipeline pre-built the
   /// bucket's dense Gram block, the dense backend consumes it (preserving
   /// the historical build/consume split byte-for-byte); factored backends
-  /// ignore `block` — it arrives empty for them.
+  /// ignore `block` — it arrives empty for them, as it does for a
+  /// trivial_bucket on any backend.
   virtual BucketEmbedding fit_with_block(const data::PointSet& points,
                                          std::span<const std::size_t> indices,
                                          std::size_t k_bucket, Rng& rng,
@@ -144,6 +145,15 @@ class BucketEmbedder {
     return linalg::gram_entry_bytes(n * rank);
   }
 };
+
+/// True for the buckets every backend labels trivially: all-zero labels,
+/// no spectral state, no Gram representation read. The one rule behind
+/// the bucket pipeline's block skip and all three backends, so neither
+/// backend choice nor the skip changes which buckets produce spectral
+/// state.
+inline bool trivial_bucket(std::size_t n, std::size_t k_bucket) {
+  return n == 0 || k_bucket <= 1 || n <= 2;
+}
 
 /// Construct a backend. kDense reproduces the historical per-bucket path
 /// exactly; see the class comment for the factored backends.

@@ -156,6 +156,14 @@ BucketPipelineStats run_bucket_pipeline(const data::PointSet& points,
   stats.buckets = buckets.size();
   if (buckets.empty()) return stats;
 
+  // A consumer with an embedder plan reads no representation of a
+  // trivial_bucket (its labels are all zero), so such a bucket takes no
+  // block, no admission ticket, no fault site and no spill. Without a plan
+  // (KPCA, SVM, approximate_kernel) every bucket is read.
+  auto skipped = [&](std::size_t b) {
+    return !options.embedders.empty() &&
+           trivial_bucket(buckets[b].indices.size(), jobs[b].k_bucket);
+  };
   // Whether bucket b's dense Gram block is pre-built here (the historical
   // path) or the bucket's embedder builds its own factored representation
   // inside the consumer. Either way the admission charge covers the bytes
@@ -169,6 +177,10 @@ BucketPipelineStats run_bucket_pipeline(const data::PointSet& points,
   for (std::size_t b = 0; b < buckets.size(); ++b) {
     DASC_EXPECT(jobs[b].index == b,
                 "run_bucket_pipeline: jobs must parallel the bucket vector");
+    if (skipped(b)) {
+      stats.skipped_blocks += 1;
+      continue;
+    }
     if (options.build_blocks) {
       const std::size_t n = buckets[b].indices.size();
       block_bytes[b] = options.embedders.empty()
@@ -198,7 +210,28 @@ BucketPipelineStats run_bucket_pipeline(const data::PointSet& points,
            block_bytes[b] > options.spill_budget_bytes;
   };
 
+  // One timed consumer call; returns its seconds.
+  auto consume_timed = [&](linalg::DenseMatrix&& block, std::size_t b) {
+    Stopwatch consume_clock;
+    {
+      ScopedTimer consume_timer(options.metrics, "pipeline.consume");
+      consume(std::move(block), buckets[b], jobs[b]);
+    }
+    // Force the block free (if the consumer didn't move it out) before the
+    // admission ticket is returned, so the budget matches live memory.
+    block = linalg::DenseMatrix();
+    return consume_clock.seconds();
+  };
+
   auto run_one = [&](std::size_t b) {
+    // A skipped bucket's consumer still runs, with an empty block, so its
+    // labels and keep hook are those of the block-reading path.
+    if (skipped(b)) {
+      const double consume_s = consume_timed(linalg::DenseMatrix(), b);
+      std::lock_guard lock(timing_mutex);
+      stats.consume_seconds += consume_s;
+      return;
+    }
     gate.acquire(block_bytes[b]);
     // The ticket is released manually around the spill window (the bytes
     // really are off the heap while the block sits on disk); the guard
@@ -250,16 +283,7 @@ BucketPipelineStats run_bucket_pipeline(const data::PointSet& points,
           block_was_spilled = true;
         }
 
-        Stopwatch consume_clock;
-        {
-          ScopedTimer consume_timer(options.metrics, "pipeline.consume");
-          consume(std::move(block), buckets[b], jobs[b]);
-        }
-        // Force the block free (if the consumer didn't move it out) before
-        // the admission ticket is returned, so the budget matches live
-        // memory.
-        block = linalg::DenseMatrix();
-        const double consume_s = consume_clock.seconds();
+        const double consume_s = consume_timed(std::move(block), b);
 
         if (block_was_spilled && options.metrics != nullptr) {
           options.metrics->counter("pipeline.blocks_spilled").add();
@@ -318,6 +342,8 @@ BucketPipelineStats run_bucket_pipeline(const data::PointSet& points,
         .add(static_cast<std::int64_t>(gate.admitted()));
     registry.counter("pipeline.gram_bytes_built")
         .add(static_cast<std::int64_t>(stats.total_block_bytes));
+    registry.counter("pipeline.gram_blocks_skipped")
+        .add(static_cast<std::int64_t>(stats.skipped_blocks));
     // How often the admission budget actually blocked a task. This varies
     // with scheduling, so it is a gauge, not a regression-gated counter.
     registry.gauge("pipeline.blocks_queued")

@@ -95,8 +95,8 @@ struct BucketPipelineOptions {
   /// consumed. Raw double pages round-trip bit-exactly and the spill
   /// decision is a pure function of the bucket's block size, so labels
   /// are bit-identical with spilling on or off at any thread count.
-  /// Factored (Nystrom / binning) buckets never pre-build a dense block
-  /// and therefore never spill.
+  /// Factored (Nystrom / binning) and trivial buckets never pre-build a
+  /// dense block and therefore never spill.
   std::size_t spill_budget_bytes = 0;
   /// Directory for spill files ("" = the system temp directory).
   std::string spill_dir;
@@ -112,7 +112,11 @@ struct BucketPipelineOptions {
   /// pre-built only for buckets on the dense backend; factored buckets
   /// receive an empty matrix and build their representation inside the
   /// consumer (still under the admission ticket and the alloc.gram_block
-  /// fault site). Empty = the historical all-dense behaviour.
+  /// fault site). A plan also marks the trivial buckets (trivial_bucket:
+  /// all-zero labels, no representation read): they take no block, no
+  /// admission ticket, no fault site and no spill, and their consumer runs
+  /// with an empty matrix. Empty = the historical all-dense behaviour,
+  /// every block built.
   std::vector<const BucketEmbedder*> embedders;
   /// Optional metrics sink: the run reports `pipeline.gram_build` /
   /// `pipeline.consume` / `pipeline.wall` timers, bucket and AdmissionGate
@@ -132,6 +136,7 @@ struct BucketPipelineOptions {
 /// Byte/timing observations from one pipeline run.
 struct BucketPipelineStats {
   std::size_t buckets = 0;              ///< tasks executed
+  std::size_t skipped_blocks = 0;       ///< trivial buckets given no block
   std::size_t peak_block_bytes = 0;     ///< largest single block built
   std::size_t peak_inflight_bytes = 0;  ///< high-water of resident blocks
   std::size_t total_block_bytes = 0;    ///< sum over all blocks built

@@ -17,8 +17,7 @@ clustering::SpectralGramDetail fit_bucket(linalg::DenseMatrix block,
   const std::size_t n = block.rows();
   DASC_EXPECT(block.cols() == n, "fit_bucket: block must be square");
   clustering::SpectralGramDetail fit;
-  if (n == 0) return fit;
-  if (k_bucket <= 1 || n <= 2) {
+  if (trivial_bucket(n, k_bucket)) {
     fit.labels.assign(n, 0);
     return fit;
   }

@@ -75,13 +75,13 @@ std::vector<int> cluster_buckets(const data::PointSet& points,
 /// local labels in [0, k_bucket) and the fitted per-bucket state (raw
 /// eigenpairs, degrees, K-means centroids) that the serving subsystem
 /// persists for out-of-sample assignment. `detail.k == 0` marks the
-/// trivial path (k_bucket <= 1 or <= 2 points): labels are all zero and no
-/// spectral state exists. The block is taken by value and becomes the
-/// Laplacian in place; a consumer done with its block passes it with
-/// std::move. (The allocation rule bucket_cluster_count lives in
-/// bucket_pipeline.hpp, re-exported through the include above.) With
-/// `metrics`, the eigensolve and K-means stages report their
-/// timers/counters into it.
+/// trivial path (trivial_bucket in bucket_embedder.hpp: k_bucket <= 1 or
+/// <= 2 points): labels are all zero and no spectral state exists. The
+/// block is taken by value and becomes the Laplacian in place; a consumer
+/// done with its block passes it with std::move. (The allocation rule
+/// bucket_cluster_count lives in bucket_pipeline.hpp, re-exported through
+/// the include above.) With `metrics`, the eigensolve and K-means stages
+/// report their timers/counters into it.
 clustering::SpectralGramDetail fit_bucket(linalg::DenseMatrix block,
                                           std::size_t k_bucket,
                                           std::size_t dense_cutoff, Rng& rng,

@@ -82,6 +82,23 @@ FetchPart FetchPart::decode(const Message& message) {
   return request;
 }
 
+Message PullFailed::encode() const {
+  WireWriter writer;
+  writer.u64(reduce_task);
+  writer.u64(map_task);
+  writer.u64(owner);
+  return {MessageType::kPullFailed, writer.take()};
+}
+
+PullFailed PullFailed::decode(const Message& message) {
+  WireReader reader(message.payload);
+  PullFailed failed;
+  failed.reduce_task = reader.u64();
+  failed.map_task = reader.u64();
+  failed.owner = reader.u64();
+  return failed;
+}
+
 Message PullReport::encode() const {
   WireWriter writer;
   writer.u64(task);
@@ -333,10 +350,7 @@ class PullClient {
     if (dead_slot != kNoOwner && dead_slot != options_.ordinal) {
       state_.pool().invalidate(dead_slot);
     }
-    WireWriter failed;
-    failed.u64(request_.task);
-    failed.u64(map_task);
-    control_.send({MessageType::kPullFailed, failed.take()});
+    control_.send(PullFailed{request_.task, map_task, dead_slot}.encode());
     while (true) {
       std::optional<Message> frame = ipc::recv_message(control_, stream_);
       if (!frame.has_value()) {

@@ -103,6 +103,31 @@ struct FetchPart {
   static FetchPart decode(const ipc::Message& message);
 };
 
+/// kPullFailed: the reducer running `reduce_task` could not reach `owner`,
+/// the worker its partition map names for `map_task`'s output.
+struct PullFailed {
+  std::uint64_t reduce_task = 0;
+  std::uint64_t map_task = 0;
+  std::uint64_t owner = kNoOwner;
+
+  ipc::Message encode() const;
+  static PullFailed decode(const ipc::Message& message);
+};
+
+/// The worker a kPullFailed lets the supervisor retire, or kNoOwner: the
+/// owner the reducer failed to reach, and only while `current_owner` says
+/// it still holds the output. Once another reducer's recovery has re-homed
+/// the output, a frame naming the old owner is stale, and the current
+/// owner is a healthy worker that must not be killed for it.
+inline std::size_t owner_to_retire(const PullFailed& failed,
+                                   std::size_t current_owner,
+                                   std::size_t reducer_slot) {
+  if (failed.owner != current_owner || current_owner == reducer_slot) {
+    return kNoOwner;
+  }
+  return current_owner;
+}
+
 /// kReducePullDone: the reduce result plus the pulled byte volume and the
 /// spill, fault, and connection work the supervisor absorbs into its own
 /// registry and injector when the attempt commits.

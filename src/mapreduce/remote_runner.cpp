@@ -437,24 +437,24 @@ class MultiprocRun {
   }
 
   /// Dead-owner recovery (DESIGN.md section 14): retire the owner a
-  /// reducer could not reach (even if its control socket lingers),
-  /// re-execute the map task inline on that reducer over its own
-  /// conversation — no second exchange, so this cannot deadlock even at
-  /// one worker — and hand the pull back with the output re-homed.
+  /// reducer could not reach (even if its control socket lingers) unless
+  /// the output has been re-homed since, re-execute the map task inline on
+  /// that reducer over its own conversation — no second exchange, so this
+  /// cannot deadlock even at one worker — and hand the pull back with the
+  /// output re-homed.
   void handle_pull_failed(std::size_t reducer_slot, const Message& frame) {
-    WireReader reader(frame.payload);
-    const std::uint64_t reduce_task = reader.u64();
-    const std::uint64_t map_task = reader.u64();
+    const remote::PullFailed failed = remote::PullFailed::decode(frame);
+    const std::uint64_t reduce_task = failed.reduce_task;
+    const std::uint64_t map_task = failed.map_task;
     DASC_ENSURE(map_task < splits_.size(),
                 "ipc: kPullFailed map task out of range");
     std::size_t owner = kNoOwner;
     {
       std::lock_guard lock(owner_mutex_);
-      owner = map_owner_[map_task];
+      owner = remote::owner_to_retire(failed, map_owner_[map_task],
+                                      reducer_slot);
     }
-    if (owner != kNoOwner && owner != reducer_slot) {
-      supervisor_.kill_worker(owner);
-    }
+    if (owner != kNoOwner) supervisor_.kill_worker(owner);
     DASC_LOG(kWarn) << conf_.job_name << ": re-executing map task " << map_task
                     << " on reducer worker " << reducer_slot
                     << " (owner unreachable during pull for reduce task "

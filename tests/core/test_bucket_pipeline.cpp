@@ -6,8 +6,13 @@
 #include <cstdint>
 #include <mutex>
 #include <stdexcept>
+#include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/checksum.hpp"
+#include "common/metrics.hpp"
+#include "core/bucket_embedder.hpp"
 #include "core/dasc_clusterer.hpp"
 #include "data/synthetic.hpp"
 
@@ -189,7 +194,7 @@ TEST(DascDeterminism, ThreadedBatchMatchesStreaming) {
 TEST(DascDeterminism, OneBlockBudgetBoundsPeakGramBytes) {
   const data::PointSet points = blobs(400, 4, 507);
   DascParams params;
-  params.k = 4;
+  params.k = 8;  // k_bucket >= 2 for the largest bucket: it builds a block
   params.m = 8;
   params.threads = 8;
   params.max_inflight_blocks = 1;
@@ -206,6 +211,119 @@ TEST(DascDeterminism, OneBlockBudgetBoundsPeakGramBytes) {
   for (int label : result.labels) {
     EXPECT_GE(label, 0);
     EXPECT_LT(label, static_cast<int>(result.num_clusters));
+  }
+}
+
+// --- Trivial buckets take no Gram block ---
+
+TEST(TrivialBucketSkip, PlanSkipsTrivialBlocksAndNoPlanBuildsAll) {
+  const data::PointSet points = blobs(40, 2, 509);
+  // k_bucket = ceil(8 * n / 40): 1 for the 4- and 2-point buckets (and the
+  // 2-point one is trivial at any k), 2 and 3 for the others.
+  const auto buckets = toy_buckets({10, 4, 12, 2, 12});
+  const auto jobs = plan_bucket_jobs(buckets, 8, 40);
+  DascParams params;
+  const EmbedderSet embedders(params, 0.5);
+
+  for (const bool with_plan : {true, false}) {
+    SCOPED_TRACE(with_plan ? "embedder plan" : "no plan");
+    MetricsRegistry metrics;
+    BucketPipelineOptions options;
+    options.sigma = 0.5;
+    options.threads = 2;
+    options.max_inflight_blocks = 1;
+    options.metrics = &metrics;
+    if (with_plan) options.embedders = embedders.plan(buckets);
+    std::mutex mutex;
+    std::vector<std::size_t> rows(buckets.size(), 99);
+    const BucketPipelineStats stats = run_bucket_pipeline(
+        points, buckets, jobs, options,
+        [&](linalg::DenseMatrix&& block, const lsh::Bucket&,
+            const BucketJob& job) {
+          std::lock_guard lock(mutex);
+          rows[job.index] = block.rows();
+        });
+
+    // Every consumer ran; a planned trivial bucket saw an empty block.
+    const std::vector<std::size_t> expected_rows =
+        with_plan ? std::vector<std::size_t>{10, 0, 12, 0, 12}
+                  : std::vector<std::size_t>{10, 4, 12, 2, 12};
+    EXPECT_EQ(rows, expected_rows);
+    const std::size_t skipped = with_plan ? 2 : 0;
+    std::size_t built = 0;
+    for (const std::size_t n : expected_rows) {
+      built += linalg::gram_entry_bytes(n * n);
+    }
+    EXPECT_EQ(stats.skipped_blocks, skipped);
+    EXPECT_EQ(stats.total_block_bytes, built);
+    EXPECT_EQ(stats.peak_block_bytes, linalg::gram_entry_bytes(12u * 12u));
+    EXPECT_EQ(metrics.counter_value("pipeline.gram_blocks_skipped"),
+              static_cast<std::int64_t>(skipped));
+    EXPECT_EQ(metrics.counter_value("pipeline.blocks_admitted"),
+              static_cast<std::int64_t>(buckets.size() - skipped));
+    EXPECT_EQ(metrics.timer_count("pipeline.gram_build"),
+              static_cast<std::int64_t>(buckets.size() - skipped));
+    EXPECT_EQ(metrics.timer_count("pipeline.consume"),
+              static_cast<std::int64_t>(buckets.size()));
+  }
+}
+
+// Golden labels for a dasc_cluster run that mixes trivial (k_bucket = 1)
+// and non-trivial buckets. The CRC-32 of the label vector was recorded
+// while every bucket still built its Gram block; skipping the blocks no
+// one reads must not move a label at any thread count or in-flight budget.
+constexpr std::uint32_t kMixedTrivialLabelCrc = 0xe060c53du;
+
+TEST(TrivialBucketSkip, MixedRunLabelsMatchRecordedCrcAndBuildOnlyNonTrivial) {
+  // Uniform points spread over buckets of uneven size, so k_bucket =
+  // ceil(24 n / 600) is 1 for some buckets and at least 2 for others.
+  dasc::Rng data_rng(508);
+  const data::PointSet points = data::make_uniform(600, 8, data_rng);
+  DascParams base;
+  base.k = 24;
+  base.m = 6;
+  base.max_bucket_points = 128;
+
+  // The buckets and jobs dasc_cluster plans for this seed.
+  dasc::Rng plan_rng(81);
+  const std::vector<lsh::Bucket> buckets =
+      bucket_points(points, base, plan_rng);
+  const std::vector<BucketJob> jobs = plan_bucket_jobs(
+      buckets, resolve_cluster_count(base, points.size()), points.size(),
+      plan_rng);
+  std::int64_t trivial = 0;
+  std::size_t non_trivial_bytes = 0;
+  for (std::size_t b = 0; b < buckets.size(); ++b) {
+    const std::size_t n = buckets[b].indices.size();
+    if (trivial_bucket(n, jobs[b].k_bucket)) {
+      ++trivial;
+    } else {
+      non_trivial_bytes += BucketEmbedder::dense_bytes(n);
+    }
+  }
+  ASSERT_GT(trivial, 0);
+  ASSERT_LT(trivial, static_cast<std::int64_t>(buckets.size()));
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    for (const std::size_t inflight : {std::size_t{0}, std::size_t{1}}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " max_inflight_blocks=" + std::to_string(inflight));
+      MetricsRegistry metrics;
+      DascParams params = base;
+      params.threads = threads;
+      params.max_inflight_blocks = inflight;
+      params.metrics = &metrics;
+      dasc::Rng rng(81);
+      const DascResult result = dasc_cluster(points, params, rng);
+      const std::uint32_t crc = crc32(std::string_view(
+          reinterpret_cast<const char*>(result.labels.data()),
+          result.labels.size() * sizeof(int)));
+      EXPECT_EQ(crc, kMixedTrivialLabelCrc);
+      EXPECT_EQ(metrics.counter_value("pipeline.gram_bytes_built"),
+                static_cast<std::int64_t>(non_trivial_bytes));
+      EXPECT_EQ(metrics.counter_value("pipeline.gram_blocks_skipped"),
+                trivial);
+    }
   }
 }
 

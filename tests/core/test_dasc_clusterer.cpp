@@ -263,7 +263,10 @@ std::uint32_t golden_artifact_crc(const DascParams& params) {
   dasc::Rng rng(31);
   const serving::FitResult fit =
       serving::fit_model(factored_golden_points(), params, rng);
-  const std::string path = testing::TempDir() + "dasc_golden_artifact.bin";
+  // One file per test: ctest runs the golden tests as parallel processes.
+  const std::string path =
+      testing::TempDir() + "dasc_golden_artifact_" +
+      testing::UnitTest::GetInstance()->current_test_info()->name() + ".bin";
   serving::save_model(fit.model, path, /*format_version=*/2);
   std::ifstream in(path, std::ios::binary);
   EXPECT_TRUE(in.good()) << path;

@@ -9,6 +9,8 @@
 #include "clustering/metrics.hpp"
 #include "common/checksum.hpp"
 #include "common/error.hpp"
+#include "common/fault_injection.hpp"
+#include "common/metrics.hpp"
 #include "core/dasc_clusterer.hpp"
 #include "data/dataset_io.hpp"
 #include "mapreduce/virtual_cluster.hpp"
@@ -304,6 +306,31 @@ TEST(MapReduceDascGolden, ShuffleBytesFollowTheRecordFormat) {
   }
   EXPECT_EQ(result.cluster_job.counters.shuffle_bytes,
             n * (member + 2) + stage2_key_bytes);
+}
+
+TEST(MapReduceDascGolden, AllTrivialBucketsBuildNoGramBlock) {
+  // The golden fixture caps buckets at 48 of 600 points, so every bucket
+  // gets k_bucket = ceil(6 * n / 600) = 1: no reducer reads a Gram block,
+  // so none is built, admitted, faulted or timed.
+  const data::PointSet points = blobs(600, 6, 320);
+  MetricsRegistry metrics;
+  FaultInjector faults(FaultPlan::parse("seed=1;alloc.gram_block:nth=1"),
+                       &metrics);
+  MapReduceDascParams params = golden_params();
+  params.dasc.metrics = &metrics;
+  params.dasc.faults = &faults;
+  dasc::Rng rng(11);
+  const auto result = dasc_cluster_mapreduce(points, params, rng);
+
+  EXPECT_EQ(label_crc(result.labels), kGoldenLabelCrc);
+  const auto buckets = static_cast<std::int64_t>(result.stats.merged_buckets);
+  ASSERT_GT(buckets, 1);
+  EXPECT_EQ(metrics.counter_value("pipeline.buckets"), buckets);
+  EXPECT_EQ(metrics.counter_value("pipeline.gram_blocks_skipped"), buckets);
+  EXPECT_EQ(metrics.counter_value("pipeline.blocks_admitted"), 0);
+  EXPECT_EQ(metrics.counter_value("pipeline.gram_bytes_built"), 0);
+  EXPECT_EQ(metrics.timer_count("pipeline.gram_build"), 0);
+  EXPECT_EQ(faults.fired("alloc.gram_block"), 0u);
 }
 
 TEST(MapReduceDasc, RejectsUnsupportedHashFamily) {

@@ -34,7 +34,9 @@ core::DascParams parity_params(std::size_t spill_budget, std::size_t threads,
                                core::GramBackendPolicy backend,
                                MetricsRegistry* metrics) {
   core::DascParams params;
-  params.k = 4;
+  // K = 16 gives the larger buckets k_bucket >= 2, so they build (and
+  // spill) a dense block; trivial buckets build none.
+  params.k = 16;
   params.m = 6;
   params.threads = threads;
   params.spill_budget_bytes = spill_budget;

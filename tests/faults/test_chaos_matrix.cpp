@@ -237,7 +237,10 @@ core::DascParams chaos_params(FaultInjector* faults, MetricsRegistry* metrics,
                               core::GramBackendPolicy backend,
                               std::size_t spill_budget) {
   core::DascParams params;
-  params.k = 4;
+  // K = 16 gives the larger buckets k_bucket >= 2: a trivial bucket
+  // (k_bucket = 1) builds no Gram block, so it never reaches the
+  // alloc.gram_block site or the Gram spill these cases fault.
+  params.k = 16;
   params.m = 6;
   params.threads = 1;  // deterministic call order for probability triggers
   params.max_bucket_attempts = 10;  // headroom: every bucket must succeed

@@ -30,6 +30,7 @@
 #include "ipc/message.hpp"
 #include "ipc/transport.hpp"
 #include "mapreduce/job.hpp"
+#include "mapreduce/remote_protocol.hpp"
 #include "mapreduce/virtual_cluster.hpp"
 
 namespace dasc::mapreduce {
@@ -626,6 +627,51 @@ TEST(MultiprocW2W, FetchPartAnswersEveryListedTaskInListOrder) {
   ASSERT_TRUE(again.has_value());
   EXPECT_EQ(again->type, ipc::MessageType::kFetchData);
   EXPECT_EQ(reply_task(*again), 2u);
+}
+
+TEST(MultiprocW2W, PullFailedNamesTheUnreachableOwner) {
+  DirectWorker worker("pull-failed-test");
+  // Map 0's output is said to live on slot 3, whose data plane is gone.
+  remote::ReducePull pull;
+  pull.task = 0;
+  pull.owners = {{3, (worker.dir() / "gone.sock").string()}};
+  const auto frame = worker.ask(pull.encode());
+  ASSERT_TRUE(frame.has_value());
+  ASSERT_EQ(frame->type, ipc::MessageType::kPullFailed);
+  const remote::PullFailed failed = remote::PullFailed::decode(*frame);
+  EXPECT_EQ(failed.reduce_task, 0u);
+  EXPECT_EQ(failed.map_task, 0u);
+  EXPECT_EQ(failed.owner, 3u);
+
+  // The supervisor's answer: re-execute map 0 on the reducer, then resume.
+  ASSERT_EQ(worker.map(0, "alpha beta"), ipc::MessageType::kMapDone);
+  ipc::WireWriter resume;
+  resume.u64(0);
+  const auto done = worker.ask({ipc::MessageType::kPullResume, resume.take()});
+  ASSERT_TRUE(done.has_value());
+  EXPECT_EQ(done->type, ipc::MessageType::kReducePullDone);
+}
+
+TEST(MultiprocW2W, StalePullFailedRetiresNoHealthyWorker) {
+  // Worker 1 died holding map 5. The first reducer to report it retires
+  // worker 1; its recovery re-homes map 5 onto itself, worker 0.
+  const remote::PullFailed report{/*reduce_task=*/1, /*map_task=*/5,
+                                  /*owner=*/1};
+  EXPECT_EQ(remote::owner_to_retire(report, /*current_owner=*/1,
+                                    /*reducer_slot=*/0),
+            1u);
+  // A second reducer, on worker 2, pulled with the same stale partition
+  // map; its report arrives after the re-home and must not kill worker 0.
+  const remote::PullFailed stale{/*reduce_task=*/2, /*map_task=*/5,
+                                 /*owner=*/1};
+  EXPECT_EQ(remote::owner_to_retire(stale, /*current_owner=*/0,
+                                    /*reducer_slot=*/2),
+            remote::kNoOwner);
+  // A reducer never retires itself, and an ownerless output retires no one.
+  EXPECT_EQ(remote::owner_to_retire({2, 5, 2}, 2, 2), remote::kNoOwner);
+  EXPECT_EQ(remote::owner_to_retire({2, 5, remote::kNoOwner},
+                                    remote::kNoOwner, 2),
+            remote::kNoOwner);
 }
 
 TEST(MultiprocW2W, ForgedReducePullCountFailsTheTaskNotTheWorker) {
