@@ -25,7 +25,9 @@ ctest --preset tsan "$@"
 # hide behind a lucky interleaving. So must the sealed shuffle spools that
 # a stalled reduce and its speculative backup stream concurrently, and
 # parallel_for's thread-local nested-region flag (set on pool and loop
-# workers, restored on the caller).
+# workers, restored on the caller), the bucket balance that splits buckets
+# on parallel_for threads, and the MapReduce driver whose stage 2 maps
+# stage 1's output on worker threads and processes.
 ctest --preset tsan --tests-regex \
-  '^(TransportFuzz|WireFuzz|Stream|ConnPool|SpoolBuffer|SpilledShuffle|ParallelFor)\.|^JobRetry\.SpeculativeBackupReStreams' \
+  '^(TransportFuzz|WireFuzz|Stream|ConnPool|SpoolBuffer|SpilledShuffle|ParallelFor|BalanceBuckets)\.|^JobRetry\.SpeculativeBackupReStreams|^MapReduceDascGolden\.MemberOrderIgnoresSplitsReducersAndMode' \
   --repeat until-fail:3

@@ -10,6 +10,7 @@
 
 #include "common/error.hpp"
 #include "common/stopwatch.hpp"
+#include "common/thread_pool.hpp"
 #include "core/bucket_embedder.hpp"
 #include "core/dasc_clusterer.hpp"
 #include "data/dataset_io.hpp"
@@ -139,13 +140,33 @@ class IdentityReducer final : public mapreduce::Reducer {
   }
 };
 
-/// Identity mapper for stage 2 (buckets were already formed).
-class IdentityMapper final : public mapreduce::Mapper {
+/// What the driver broadcasts to stage 2's mappers: each point's bucket
+/// ordinal and each bucket's reduce key.
+struct BucketKeys {
+  std::vector<std::uint32_t> ordinal;  ///< point index -> bucket ordinal
+  std::vector<std::string> key;        ///< bucket ordinal -> reduce key
+};
+
+/// Stage 2's mapper over stage 1's output: re-keys each member from its
+/// signature to its merged, balanced bucket's key, passing the member
+/// value through unchanged.
+class BucketKeyMapper final : public mapreduce::Mapper {
  public:
-  void map(const std::string& key, const std::string& value,
+  explicit BucketKeyMapper(std::shared_ptr<const BucketKeys> keys)
+      : keys_(std::move(keys)) {}
+
+  void map(const std::string& /*key*/, const std::string& value,
            mapreduce::Emitter& out) override {
-    out.emit(key, value);
+    DASC_ENSURE(value.size() >= kWord,
+                "BucketKeyMapper: member value has no index");
+    const std::uint64_t index = load_u64(value.data());
+    DASC_ENSURE(index < keys_->ordinal.size(),
+                "BucketKeyMapper: bad member index");
+    out.emit(keys_->key[keys_->ordinal[index]], value);
   }
+
+ private:
+  std::shared_ptr<const BucketKeys> keys_;
 };
 
 /// Algorithm 2 plus the spectral step: one bucket per reduce group,
@@ -163,13 +184,23 @@ class BucketClusterReducer final : public mapreduce::Reducer {
 
   void reduce(const std::string& key, const std::vector<std::string>& values,
               mapreduce::Emitter& out) override {
+    // Members in point-index order, the order of the driver's bucket lists
+    // (merged buckets hold sorted indices and balancing keeps their order),
+    // whatever order the shuffle delivered them in: the clustering of a
+    // bucket depends on its member order.
     const std::size_t n = values.size();
-    std::vector<std::uint64_t> indices(n);
-    data::PointSet group(n, member_dim(values.front()));
+    const std::size_t dim = member_dim(values.front());
+    std::vector<std::pair<std::uint64_t, std::size_t>> order(n);
     for (std::size_t i = 0; i < n; ++i) {
-      DASC_EXPECT(member_dim(values[i]) == group.dim(),
+      DASC_EXPECT(member_dim(values[i]) == dim,
                   "BucketClusterReducer: ragged bucket records");
-      indices[i] = read_member(values[i], group.point(i));
+      order[i] = {load_u64(values[i].data()), i};
+    }
+    std::sort(order.begin(), order.end());
+    std::vector<std::uint64_t> indices(n);
+    data::PointSet group(n, dim);
+    for (std::size_t i = 0; i < n; ++i) {
+      indices[i] = read_member(values[order[i].second], group.point(i));
     }
 
     // The whole reduce group is one bucket: build its sub-similarity
@@ -287,13 +318,13 @@ MapReduceDascResult dasc_cluster_mapreduce(const data::PointSet& points,
   const DriverSetup setup = driver_setup(points, params, rng, result);
 
   // ---- Stage 1: LSH signatures (Algorithm 1). ----
-  std::vector<mapreduce::Record> input;
-  input.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    input.push_back({std::string(), encode_member(i, points.point(i))});
-  }
+  std::vector<mapreduce::Record> input(n);
+  parallel_for(0, n, params.dasc.threads, [&](std::size_t i) {
+    input[i].value = encode_member(i, points.point(i));
+  });
   result.lsh_job = mapreduce::run_job(
-      make_stage1_spec<SignatureMapper>(params, setup.hasher), input);
+      make_stage1_spec<SignatureMapper>(params, setup.hasher),
+      std::move(input));
 
   finish_pipeline(points, params, setup, result);
   result.real_seconds = total_clock.seconds();
@@ -353,35 +384,38 @@ void finish_pipeline(const data::PointSet& points,
   const double sigma = setup.sigma;
 
   // ---- Bucket merge between stages (Eq. 6 / star merge). ----
-  // Reassemble the per-point signatures from stage 1's output, rebuild the
-  // bucket table over them (identical to the in-process path, since points
-  // are revisited in index order), and merge near-duplicate buckets.
+  // Read the per-point signatures from stage 1's output, rebuild the bucket
+  // table over them (identical to the in-process path, since points are
+  // revisited in index order), and merge near-duplicate buckets. The member
+  // values stay in the output, which becomes stage 2's input.
+  std::vector<mapreduce::Record>& members = result.lsh_job.output;
+  DASC_ENSURE(members.size() == n,
+              "dasc_cluster_mapreduce: stage 1 lost or duplicated points");
   std::vector<lsh::Signature> signatures(n);
-  std::vector<std::string> member_payload(n);
-  for (auto& record : result.lsh_job.output) {
+  for (const auto& record : members) {
     DASC_ENSURE(record.key.size() == kWord && record.value.size() >= kWord,
                 "dasc_cluster_mapreduce: malformed stage-1 record");
     const std::uint64_t index = load_u64(record.value.data());
     DASC_ENSURE(index < n, "dasc_cluster_mapreduce: bad stage-1 index");
     signatures[index].bits = load_u64(record.key.data());
-    member_payload[index] = std::move(record.value);
   }
   const lsh::BucketTable table =
       lsh::BucketTable::from_signatures(signatures, m, params.dasc.metrics);
   const std::vector<lsh::Bucket> merged =
       merge_buckets(points, table, params.dasc, &result.stats);
 
-  std::vector<mapreduce::Record> stage2_input;
-  stage2_input.reserve(n);
+  // Balanced-split children share the parent signature, so the reduce key
+  // carries the bucket ordinal to keep the groups distinct.
+  DASC_ENSURE(merged.size() <= UINT32_MAX,
+              "dasc_cluster_mapreduce: bucket ordinal exceeds u32");
+  BucketKeys keys;
+  keys.ordinal.resize(n);
+  keys.key.reserve(merged.size());
   for (std::size_t b = 0; b < merged.size(); ++b) {
-    const auto& bucket = merged[b];
-    // Balanced-split children share the parent signature, so the reduce
-    // key carries the bucket ordinal to keep the groups distinct.
-    const std::string merged_key =
-        lsh::to_string(bucket.signature, m) + "#" + std::to_string(b);
-    for (std::size_t point_index : bucket.indices) {
-      stage2_input.push_back(
-          {merged_key, std::move(member_payload[point_index])});
+    keys.key.push_back(lsh::to_string(merged[b].signature, m) + "#" +
+                       std::to_string(b));
+    for (std::size_t point_index : merged[b].indices) {
+      keys.ordinal[point_index] = static_cast<std::uint32_t>(b);
     }
   }
   // Eq. 12 bytes under the run's backend policy (identical to the dense
@@ -394,9 +428,10 @@ void finish_pipeline(const data::PointSet& points,
   cluster_spec.conf = with_spill(params.conf, params.dasc);
   cluster_spec.conf.job_name = "dasc-cluster";
   cluster_spec.conf.enable_combiner = false;
-  cluster_spec.mapper_factory = [] {
-    return std::make_unique<IdentityMapper>();
-  };
+  cluster_spec.mapper_factory =
+      [keys = std::make_shared<const BucketKeys>(std::move(keys))] {
+        return std::make_unique<BucketKeyMapper>(keys);
+      };
   const std::size_t global_k = result.requested_k;
   const DascParams dasc = params.dasc;
   cluster_spec.reducer_factory = [=] {
@@ -404,7 +439,7 @@ void finish_pipeline(const data::PointSet& points,
   };
   cluster_spec.metrics = params.dasc.metrics;
   cluster_spec.faults = params.dasc.faults;
-  result.cluster_job = mapreduce::run_job(cluster_spec, stage2_input);
+  result.cluster_job = mapreduce::run_job(cluster_spec, std::move(members));
 
   // ---- Densify (bucket ordinal, local label) pairs into labels. ----
   result.labels.assign(n, 0);

@@ -2,12 +2,14 @@
 //
 // Stage 1 ("dasc-lsh"): the mapper emits (signature, member) pairs —
 // Algorithm 1 — with the fitted hash parameters broadcast from the driver.
-// Between the stages the driver merges buckets whose signatures share at
-// least P bits, exactly where the paper performs the merge ("before
-// applying the reducer").
-// Stage 2 ("dasc-cluster"): the reducer receives one bucket per key, builds
-// the bucket's Gram matrix (Algorithm 2, Eq. 1) and runs spectral
-// clustering on it, emitting (index, bucket + local label) pairs.
+// Between the stages the driver reads only the signatures from stage 1's
+// output and merges buckets whose signatures share at least P bits, exactly
+// where the paper performs the merge ("before applying the reducer").
+// Stage 2 ("dasc-cluster") consumes stage 1's output: its mapper re-keys
+// each member to its merged bucket from a broadcast point -> bucket table,
+// and the reducer receives one bucket per key, builds the bucket's Gram
+// matrix (Algorithm 2, Eq. 1) and runs spectral clustering on it, emitting
+// (index, bucket + local label) pairs.
 // The driver densifies the (bucket, local label) pairs into global labels.
 //
 // Records are fixed-width little-endian binary, not text (DESIGN.md §5,
@@ -39,7 +41,8 @@ struct MapReduceDascResult {
   /// Bucketing statistics (resolved M/P, bucket counts, Gram bytes).
   ApproximatorStats stats;
 
-  mapreduce::JobResult lsh_job;      ///< stage 1 accounting
+  /// Stage 1 accounting. Its output is stage 2's input, so it is empty.
+  mapreduce::JobResult lsh_job;
   mapreduce::JobResult cluster_job;  ///< stage 2 accounting
   double simulated_seconds = 0.0;    ///< both stages on the virtual cluster
   double real_seconds = 0.0;

@@ -8,6 +8,7 @@
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "common/stopwatch.hpp"
+#include "common/thread_pool.hpp"
 #include "core/bucket_embedder.hpp"
 #include "core/bucket_pipeline.hpp"
 #include "data/wiki_corpus.hpp"
@@ -142,64 +143,104 @@ std::unique_ptr<lsh::LshHasher> make_hasher(const data::PointSet& points,
   DASC_ENSURE(false, "make_hasher: unknown hash family");
 }
 
-}  // namespace
-
-std::vector<lsh::Bucket> balance_buckets(const data::PointSet& points,
-                                         std::vector<lsh::Bucket> buckets,
-                                         std::size_t max_points) {
-  DASC_EXPECT(max_points >= 2, "balance_buckets: cap must be >= 2");
-
-  std::vector<lsh::Bucket> out;
-  std::vector<lsh::Bucket> work = std::move(buckets);
+/// The leaves of one bucket's median-split tree: a bucket within the cap is
+/// its own leaf, an over-cap one splits at the median of its widest
+/// dimension until every part fits. Leaves come out in the order a
+/// depth-first walk that visits the right child first reaches them.
+std::vector<lsh::Bucket> split_bucket(const data::PointSet& points,
+                                      lsh::Bucket root,
+                                      std::size_t max_points) {
+  const std::size_t d = points.dim();
+  std::vector<lsh::Bucket> leaves;
+  std::vector<lsh::Bucket> work;
+  work.push_back(std::move(root));
+  std::vector<double> lo(d);
+  std::vector<double> hi(d);
   std::vector<double> column;
+  std::vector<double> selection;
   while (!work.empty()) {
     lsh::Bucket bucket = std::move(work.back());
     work.pop_back();
-    if (bucket.indices.size() <= max_points) {
-      out.push_back(std::move(bucket));
+    const std::vector<std::size_t>& indices = bucket.indices;
+    if (indices.size() <= max_points) {
+      leaves.push_back(std::move(bucket));
       continue;
     }
 
-    // Widest dimension of the bucket's members, split at its median.
-    const std::size_t d = points.dim();
+    // Every dimension's span in one pass over the members' rows.
+    const auto first = points.point(indices[0]);
+    std::copy(first.begin(), first.end(), lo.begin());
+    std::copy(first.begin(), first.end(), hi.begin());
+    for (std::size_t idx : indices) {
+      const auto row = points.point(idx);
+      for (std::size_t dim = 0; dim < d; ++dim) {
+        lo[dim] = std::min(lo[dim], row[dim]);
+        hi[dim] = std::max(hi[dim], row[dim]);
+      }
+    }
     std::size_t best_dim = 0;
     double best_span = -1.0;
     for (std::size_t dim = 0; dim < d; ++dim) {
-      double lo = points.at(bucket.indices[0], dim);
-      double hi = lo;
-      for (std::size_t idx : bucket.indices) {
-        lo = std::min(lo, points.at(idx, dim));
-        hi = std::max(hi, points.at(idx, dim));
-      }
-      if (hi - lo > best_span) {
-        best_span = hi - lo;
+      if (hi[dim] - lo[dim] > best_span) {
+        best_span = hi[dim] - lo[dim];
         best_dim = dim;
       }
     }
 
-    column.resize(bucket.indices.size());
-    for (std::size_t i = 0; i < bucket.indices.size(); ++i) {
-      column[i] = points.at(bucket.indices[i], best_dim);
+    // Split the widest dimension at its median.
+    column.resize(indices.size());
+    for (std::size_t i = 0; i < indices.size(); ++i) {
+      column[i] = points.point(indices[i])[best_dim];
     }
-    auto mid = column.begin() + static_cast<std::ptrdiff_t>(column.size() / 2);
-    std::nth_element(column.begin(), mid, column.end());
+    selection.assign(column.begin(), column.end());
+    auto mid =
+        selection.begin() + static_cast<std::ptrdiff_t>(selection.size() / 2);
+    std::nth_element(selection.begin(), mid, selection.end());
     const double median = *mid;
+    // When at least half the members tie at the minimum, nothing lies
+    // below the median; the tied members then form the left side.
+    const bool inclusive = median == lo[best_dim];
 
     lsh::Bucket left;
     lsh::Bucket right;
     left.signature = bucket.signature;
     right.signature = bucket.signature;
-    for (std::size_t idx : bucket.indices) {
-      (points.at(idx, best_dim) < median ? left : right)
-          .indices.push_back(idx);
+    for (std::size_t i = 0; i < indices.size(); ++i) {
+      const bool goes_left =
+          inclusive ? column[i] <= median : column[i] < median;
+      (goes_left ? left : right).indices.push_back(indices[i]);
     }
     if (left.indices.empty() || right.indices.empty()) {
-      // All members coincide on every dimension; a cap cannot apply.
-      out.push_back(std::move(bucket));
+      // Every dimension has zero span: no split separates the members, so
+      // a cap cannot apply.
+      leaves.push_back(std::move(bucket));
       continue;
     }
     work.push_back(std::move(left));
     work.push_back(std::move(right));
+  }
+  return leaves;
+}
+
+}  // namespace
+
+std::vector<lsh::Bucket> balance_buckets(const data::PointSet& points,
+                                         std::vector<lsh::Bucket> buckets,
+                                         std::size_t max_points,
+                                         std::size_t threads) {
+  DASC_EXPECT(max_points >= 2, "balance_buckets: cap must be >= 2");
+
+  // Each bucket splits on its own. Concatenating the leaves last bucket
+  // first gives the order of one LIFO walk over the whole list, so the
+  // output does not depend on the thread count.
+  std::vector<std::vector<lsh::Bucket>> leaves(buckets.size());
+  parallel_for(0, buckets.size(), threads, [&](std::size_t b) {
+    leaves[b] = split_bucket(points, std::move(buckets[b]), max_points);
+  });
+  std::vector<lsh::Bucket> out;
+  for (auto it = leaves.rbegin(); it != leaves.rend(); ++it) {
+    out.insert(out.end(), std::make_move_iterator(it->begin()),
+               std::make_move_iterator(it->end()));
   }
 
   std::stable_sort(out.begin(), out.end(),
@@ -221,9 +262,9 @@ std::vector<lsh::Bucket> merge_buckets(const data::PointSet& points,
       table.merged_buckets(p, strategy, params.metrics);
   if (params.max_bucket_points > 0) {
     ScopedTimer balance_timer(params.metrics, "lsh.bucketing");
-    buckets = balance_buckets(points, std::move(buckets),
-                              std::max<std::size_t>(params.max_bucket_points,
-                                                    2));
+    buckets = balance_buckets(
+        points, std::move(buckets),
+        std::max<std::size_t>(params.max_bucket_points, 2), params.threads);
   }
 
   if (stats != nullptr) {

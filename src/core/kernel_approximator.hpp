@@ -106,10 +106,15 @@ std::vector<lsh::Bucket> merge_buckets(const data::PointSet& points,
                                        ApproximatorStats* stats = nullptr);
 
 /// Data-dependent rebalancing (paper Section 5.1): recursively split every
-/// bucket larger than `max_points` at the median of its widest dimension.
-/// Children inherit the parent's signature. Preserves the partition.
+/// bucket larger than `max_points` at the median of its widest dimension
+/// (members tied at a minimum median go left), keeping a bucket whole only
+/// when its members coincide on every dimension. Children inherit the
+/// parent's signature. Preserves the partition. Buckets split in parallel
+/// on `threads` (0 = host concurrency); the output, largest first with
+/// ties in a fixed order, is the same for every thread count.
 std::vector<lsh::Bucket> balance_buckets(const data::PointSet& points,
                                          std::vector<lsh::Bucket> buckets,
-                                         std::size_t max_points);
+                                         std::size_t max_points,
+                                         std::size_t threads = 0);
 
 }  // namespace dasc::core

@@ -91,6 +91,9 @@ JobResult execute(const JobSpec& spec,
                 nullptr};
       });
 
+  // Every map attempt has finished, so no split is read again.
+  std::vector<std::vector<Record>>().swap(splits);
+
   result.counters.map_input_records = map_in.load();
   result.counters.map_output_records = map_out.load();
   result.counters.combine_input_records = combine_in.load();
@@ -162,17 +165,21 @@ JobResult execute(const JobSpec& spec,
 
 }  // namespace
 
-JobResult run_job(const JobSpec& spec, const std::vector<Record>& input) {
+JobResult run_job(const JobSpec& spec, std::vector<Record> input) {
   spec.conf.validate();
   std::vector<std::vector<Record>> splits;
+  const auto at = [&input](std::size_t pos) {
+    return std::make_move_iterator(input.begin() +
+                                   static_cast<std::ptrdiff_t>(pos));
+  };
   for (std::size_t start = 0; start < input.size();
        start += spec.conf.split_records) {
     const std::size_t end =
         std::min(input.size(), start + spec.conf.split_records);
-    splits.emplace_back(input.begin() + static_cast<std::ptrdiff_t>(start),
-                        input.begin() + static_cast<std::ptrdiff_t>(end));
+    splits.emplace_back(at(start), at(end));
   }
   if (splits.empty()) splits.emplace_back();  // empty job still runs
+  std::vector<Record>().swap(input);  // moved-from husks: free them now
   return execute(spec, std::move(splits));
 }
 

@@ -72,7 +72,9 @@ struct JobResult {
 };
 
 /// Run a job over in-memory input records (split every conf.split_records).
-JobResult run_job(const JobSpec& spec, const std::vector<Record>& input);
+/// The records move into the splits, so a caller that passes an rvalue
+/// (such as the previous job's output) hands them over without a copy.
+JobResult run_job(const JobSpec& spec, std::vector<Record> input);
 
 /// Run a job over a DFS file: one map task per block (data-local splits),
 /// writing reduce outputs to `<output_path>/part-r-NNNNN` files of

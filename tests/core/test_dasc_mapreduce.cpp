@@ -280,6 +280,45 @@ TEST(MapReduceDascGolden, DfsLabelsMatchTextCodecLabels) {
   EXPECT_EQ(label_crc(result.labels), kGoldenLabelCrc);
 }
 
+TEST(MapReduceDascGolden, MemberOrderIgnoresSplitsReducersAndMode) {
+  // Stage 2 maps stage 1's output, so the order in which a bucket's members
+  // reach its reducer follows stage 1's partitions and stage 2's splits.
+  // The reducer orders them by point index, so the labels depend on none
+  // of these. The driver numbers clusters in stage 2's output order, which
+  // follows the partitions, so each reducer count has its own CRC; all were
+  // recorded before stage 2 read stage 1's output. K = 6 is the golden
+  // fixture, where every bucket is trivial; at K = 24 some buckets run the
+  // spectral step, whose result depends on the member order.
+  struct Case {
+    std::size_t k;
+    std::size_t reducers;
+    std::uint32_t crc;
+  };
+  const Case cases[] = {
+      {6, 1, 0x7422b776u},  {6, 3, kGoldenLabelCrc}, {6, 64, 0x51ca7c07u},
+      {24, 1, 0xba202c1du}, {24, 3, 0xc6c8616bu},   {24, 64, 0x1da36245u},
+  };
+  const data::PointSet points = blobs(600, 6, 320);
+  for (const auto mode : {mapreduce::ExecutionMode::kInProcess,
+                          mapreduce::ExecutionMode::kMultiProcess}) {
+    for (const Case& c : cases) {
+      for (const std::size_t split : {1, 7, 1024}) {
+        MapReduceDascParams params = golden_params();
+        params.dasc.k = c.k;
+        params.conf.execution_mode = mode;
+        params.conf.num_workers = 2;
+        params.conf.num_reducers = c.reducers;
+        params.conf.split_records = split;
+        dasc::Rng rng(11);
+        const auto result = dasc_cluster_mapreduce(points, params, rng);
+        EXPECT_EQ(label_crc(result.labels), c.crc)
+            << "K " << c.k << ", " << c.reducers << " reducers, split "
+            << split << ", mode " << static_cast<int>(mode);
+      }
+    }
+  }
+}
+
 TEST(MapReduceDascGolden, ShuffleBytesFollowTheRecordFormat) {
   const data::PointSet points = blobs(600, 6, 320);
   const MapReduceDascParams params = golden_params();

@@ -249,6 +249,126 @@ TEST(BalanceBuckets, OutputIsLargestFirstAndStable) {
   }
 }
 
+TEST(BalanceBuckets, MembersTiedAtTheMinimumStillSplit) {
+  // 200 points at x = 0 and 100 at x = 1: the median is 0, so nothing lies
+  // below it; the tied members must form one side instead of the bucket
+  // staying whole above the cap.
+  data::PointSet points(300, 1);
+  for (std::size_t i = 200; i < 300; ++i) points.at(i, 0) = 1.0;
+  std::vector<lsh::Bucket> buckets(1);
+  for (std::size_t i = 0; i < 300; ++i) buckets[0].indices.push_back(i);
+  const auto balanced = balance_buckets(points, std::move(buckets), 256);
+  ASSERT_EQ(balanced.size(), 2u);
+  ASSERT_EQ(balanced[0].indices.size(), 200u);
+  ASSERT_EQ(balanced[1].indices.size(), 100u);
+  EXPECT_EQ(balanced[0].indices.front(), 0u);
+  EXPECT_EQ(balanced[1].indices.front(), 200u);
+
+  // Sparse rows: the tied side is itself over the cap and splits again
+  // along the dimension where it still has a span.
+  data::PointSet sparse(400, 2);
+  for (std::size_t i = 0; i < 300; ++i) {
+    sparse.at(i, 1) = static_cast<double>(i) / 1000.0;
+  }
+  for (std::size_t i = 300; i < 400; ++i) sparse.at(i, 0) = 1.0;
+  std::vector<lsh::Bucket> whole(1);
+  for (std::size_t i = 0; i < 400; ++i) whole[0].indices.push_back(i);
+  const auto split = balance_buckets(sparse, std::move(whole), 256);
+  std::set<std::size_t> seen;
+  for (const auto& bucket : split) {
+    EXPECT_LE(bucket.indices.size(), 256u);
+    for (std::size_t idx : bucket.indices) {
+      EXPECT_TRUE(seen.insert(idx).second);
+    }
+  }
+  EXPECT_EQ(split.size(), 3u);
+  EXPECT_EQ(seen.size(), 400u);
+}
+
+/// The serial walk balance_buckets parallelizes: one LIFO stack over every
+/// bucket, the right child pushed last so it is split first. It predates
+/// the rule for members tied at a minimum median, which the continuous
+/// data it is compared on never triggers.
+std::vector<lsh::Bucket> serial_balance(const data::PointSet& points,
+                                        std::vector<lsh::Bucket> work,
+                                        std::size_t max_points) {
+  std::vector<lsh::Bucket> out;
+  while (!work.empty()) {
+    lsh::Bucket bucket = std::move(work.back());
+    work.pop_back();
+    if (bucket.indices.size() <= max_points) {
+      out.push_back(std::move(bucket));
+      continue;
+    }
+    std::size_t best_dim = 0;
+    double best_span = -1.0;
+    for (std::size_t dim = 0; dim < points.dim(); ++dim) {
+      double lo = points.at(bucket.indices[0], dim);
+      double hi = lo;
+      for (std::size_t idx : bucket.indices) {
+        lo = std::min(lo, points.at(idx, dim));
+        hi = std::max(hi, points.at(idx, dim));
+      }
+      if (hi - lo > best_span) {
+        best_span = hi - lo;
+        best_dim = dim;
+      }
+    }
+    std::vector<double> column;
+    for (std::size_t idx : bucket.indices) {
+      column.push_back(points.at(idx, best_dim));
+    }
+    auto mid = column.begin() + static_cast<std::ptrdiff_t>(column.size() / 2);
+    std::nth_element(column.begin(), mid, column.end());
+    const double median = *mid;
+    lsh::Bucket left{bucket.signature, {}};
+    lsh::Bucket right{bucket.signature, {}};
+    for (std::size_t idx : bucket.indices) {
+      (points.at(idx, best_dim) < median ? left : right)
+          .indices.push_back(idx);
+    }
+    if (left.indices.empty()) {
+      out.push_back(std::move(bucket));
+      continue;
+    }
+    work.push_back(std::move(left));
+    work.push_back(std::move(right));
+  }
+  std::stable_sort(out.begin(), out.end(),
+                   [](const lsh::Bucket& x, const lsh::Bucket& y) {
+                     return x.indices.size() > y.indices.size();
+                   });
+  return out;
+}
+
+TEST(BalanceBuckets, ParallelSplitMatchesTheSerialWalk) {
+  // A coarse hash leaves a few buckets of ~500 points; a cap of 12 splits
+  // each about six levels deep, into many equal-sized leaves whose order
+  // is fixed only by the walk.
+  const data::PointSet points = blobs(2000, 5, 122);
+  DascParams params;
+  params.m = 2;
+  params.p = 2;
+  dasc::Rng rng(11);
+  const std::vector<lsh::Bucket> buckets = bucket_points(points, params, rng);
+  ASSERT_GE(buckets.size(), 2u);
+  const std::vector<lsh::Bucket> expected =
+      serial_balance(points, buckets, 12);
+  ASSERT_GE(expected.size(), 128u);
+
+  for (const std::size_t threads : {1, 2, 4}) {
+    const std::vector<lsh::Bucket> got =
+        balance_buckets(points, buckets, 12, threads);
+    ASSERT_EQ(got.size(), expected.size()) << threads << " threads";
+    for (std::size_t b = 0; b < got.size(); ++b) {
+      EXPECT_EQ(got[b].signature.bits, expected[b].signature.bits)
+          << threads << " threads, bucket " << b;
+      EXPECT_EQ(got[b].indices, expected[b].indices)
+          << threads << " threads, bucket " << b;
+    }
+  }
+}
+
 TEST(BalanceBuckets, RejectsTinyCap) {
   const data::PointSet points = blobs(20, 2, 120);
   EXPECT_THROW(balance_buckets(points, {}, 1), dasc::InvalidArgument);

@@ -122,6 +122,31 @@ TEST(MultiprocJob, OutputIsByteIdenticalToInProcess) {
   }
 }
 
+TEST(MultiprocJob, MovedInputMatchesCopiedInput) {
+  // run_job moves its input records into the splits; a caller's lvalue is
+  // copied first and left as it was.
+  for (const JobSpec& spec : {word_count_spec(), multiproc_spec(2)}) {
+    const std::vector<Record> input = word_count_input();
+    const JobResult copied = run_job(spec, input);
+    EXPECT_EQ(input, word_count_input());
+    std::vector<Record> handed_over = word_count_input();
+    const JobResult moved = run_job(spec, std::move(handed_over));
+    EXPECT_EQ(flatten(moved.output), flatten(copied.output));
+    const Counters& a = moved.counters;
+    const Counters& b = copied.counters;
+    EXPECT_EQ(a.map_input_records, b.map_input_records);
+    EXPECT_EQ(a.map_output_records, b.map_output_records);
+    EXPECT_EQ(a.combine_input_records, b.combine_input_records);
+    EXPECT_EQ(a.combine_output_records, b.combine_output_records);
+    EXPECT_EQ(a.shuffle_bytes, b.shuffle_bytes);
+    EXPECT_EQ(a.reduce_input_groups, b.reduce_input_groups);
+    EXPECT_EQ(a.reduce_input_records, b.reduce_input_records);
+    EXPECT_EQ(a.reduce_output_records, b.reduce_output_records);
+    EXPECT_EQ(a.failed_task_attempts, b.failed_task_attempts);
+    EXPECT_EQ(a.map_input_records, input.size());
+  }
+}
+
 TEST(MultiprocJob, NoCombinerParityHolds) {
   JobSpec in_proc = word_count_spec();
   in_proc.conf.enable_combiner = false;
