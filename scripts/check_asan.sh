@@ -17,12 +17,12 @@ ctest --preset asan "$@"
 # must hold on every run, so hammer it until-fail under the sanitizers.
 ctest --preset asan --tests-regex 'SimdDifferential' --repeat until-fail:3
 
-# The transport fuzz/property, stream, and connection-pool suites drive
+# The transport, transport fuzz/property and connection-pool suites drive
 # the framing layer with malformed, truncated, and bit-flipped input and
 # the data-plane pool through kill/restart/invalidation churn; every
 # rejection and teardown path must be allocation-clean under ASan, so
 # hammer them too, with the spool and shuffle suites.
 ctest --preset asan --tests-regex \
-  '^(TransportFuzz|WireFuzz|Stream|ConnPool|SpoolBuffer|SpilledShuffle)\.|^JobRetry\.SpeculativeBackupReStreams' \
+  '^(TransportFuzz|WireFuzz|Transport|ConnPool|SpoolBuffer|SpilledShuffle)\.|^JobRetry\.SpeculativeBackupReStreams' \
   --repeat until-fail:3
 

@@ -18,16 +18,16 @@ cmake --preset tsan
 cmake --build --preset tsan -j "$(nproc)"
 ctest --preset tsan "$@"
 
-# The stream suite runs concurrent sender/receiver threads over one
-# transport pair (flow-control credit, mid-stream death), and the
-# connection-pool suite mixes leases with owner kills/restarts across
-# threads; hammer both so a racy ack, shutdown, or give-back path cannot
-# hide behind a lucky interleaving. So must the sealed shuffle spools that
+# The transport suite runs concurrent sender/receiver threads over one
+# transport pair (a frame larger than the socket buffer, death mid-frame),
+# and the connection-pool suite mixes leases with owner kills/restarts
+# across threads; hammer both so a racy write, shutdown, or give-back path
+# cannot hide behind a lucky interleaving. So must the sealed shuffle spools that
 # a stalled reduce and its speculative backup stream concurrently, and
 # parallel_for's thread-local nested-region flag (set on pool and loop
 # workers, restored on the caller), the bucket balance that splits buckets
 # on parallel_for threads, and the MapReduce driver whose stage 2 maps
 # stage 1's output on worker threads and processes.
 ctest --preset tsan --tests-regex \
-  '^(TransportFuzz|WireFuzz|Stream|ConnPool|SpoolBuffer|SpilledShuffle|ParallelFor|BalanceBuckets)\.|^JobRetry\.SpeculativeBackupReStreams|^MapReduceDascGolden\.MemberOrderIgnoresSplitsReducersAndMode' \
+  '^(TransportFuzz|WireFuzz|Transport|ConnPool|SpoolBuffer|SpilledShuffle|ParallelFor|BalanceBuckets)\.|^JobRetry\.SpeculativeBackupReStreams|^MapReduceDascGolden\.MemberOrderIgnoresSplitsReducersAndMode' \
   --repeat until-fail:3

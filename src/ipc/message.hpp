@@ -10,9 +10,10 @@
 //
 // followed by the payload. Integers are host-endian: the transport never
 // leaves the machine (AF_UNIX sockets between a supervisor and its worker
-// processes). A frame that is truncated, carries an unknown magic, declares
-// more than kMaxPayloadBytes, or fails its CRC is a typed dasc::IoError at
-// the receiver.
+// processes). Every protocol message is exactly one frame, so its payload
+// is checked once, by that frame's CRC. A frame that is truncated, carries
+// an unknown magic, declares more than kMaxPayloadBytes, or fails its CRC is
+// a typed dasc::IoError at the receiver.
 //
 // Payloads are built with WireWriter and walked with WireReader; key/value
 // records reuse the spool record framing (u32 key length, u32 value
@@ -28,9 +29,9 @@
 namespace dasc::ipc {
 
 /// Protocol message types. kHello..kShutdown are the supervisor/worker
-/// vocabulary (DESIGN.md section 13); kFetchPart..kChunkAck are the
-/// worker-to-worker shuffle and chunked-streaming extensions (section 14);
-/// unknown types are receiver errors.
+/// vocabulary (DESIGN.md section 13); kFetchPart..kPullResume are the
+/// worker-to-worker shuffle extensions (section 14); unknown types are
+/// receiver errors.
 enum class MessageType : std::uint32_t {
   kHello = 1,      ///< worker -> supervisor: u64 pid (handshake)
   kJobSetup,       ///< supervisor -> exec worker: registered-job setup
@@ -53,10 +54,6 @@ enum class MessageType : std::uint32_t {
                    ///< mid-pull {reduce_task, map_task}
   kPullResume,     ///< supervisor -> reducer: map_task re-executed locally,
                    ///< resume pulling {map_task}
-  // Chunked streaming for large payloads (ipc/stream.hpp):
-  kDataChunk,      ///< one chunk of a streamed logical message
-  kDataEnd,        ///< stream trailer: chunk count + whole-payload CRC
-  kChunkAck,       ///< receiver -> sender: flow-control window credit
   // Speculative execution (DESIGN.md section 15):
   kTaskCancel,     ///< supervisor -> worker: a retained attempt lost the
                    ///< commit race {kind, task, spill_dir} — drop the map
@@ -72,9 +69,10 @@ struct Message {
 
 constexpr std::size_t kFrameHeaderBytes = 16;
 constexpr std::string_view kFrameMagic = "DIPC";
-/// Hard cap on a single frame's payload. Large enough for any shuffle
-/// chunk the runtime ships, small enough that a corrupted length field
-/// cannot drive a multi-gigabyte allocation.
+/// Hard cap on a frame's payload, and so on any one message. Large enough
+/// for any assignment, fetch reply or reduce output the runtime ships,
+/// small enough that a corrupted length field cannot drive a multi-gigabyte
+/// allocation.
 constexpr std::size_t kMaxPayloadBytes = std::size_t{1} << 30;
 
 /// Parsed and validated frame header.

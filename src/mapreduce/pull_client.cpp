@@ -20,7 +20,6 @@
 #include "common/log.hpp"
 #include "common/metrics.hpp"
 #include "common/spool.hpp"
-#include "ipc/stream.hpp"
 #include "ipc/transport.hpp"
 #include "mapreduce/remote_protocol.hpp"
 
@@ -195,8 +194,7 @@ class PullClient {
              const WorkerOptions& options, WorkerState& state,
              ReducePull request)
       : control_(control), job_(job), options_(options), state_(state),
-        request_(std::move(request)),
-        stream_(ipc::adaptive_stream_config()) {
+        request_(std::move(request)) {
     for (std::uint64_t m = 0; m < request_.owners.size(); ++m) {
       const OwnerRef& owner = request_.owners[m];
       // An owner without a data-plane address (kNoOwner) surfaces as
@@ -303,8 +301,7 @@ class PullClient {
     for (std::size_t round = 0;; ++round) {
       try {
         if (!owner.positioned_at(map_task)) restart(owner, map_task);
-        std::optional<Message> reply = ipc::recv_message(**owner.lease,
-                                                         stream_);
+        std::optional<Message> reply = (*owner.lease)->recv();
         if (!reply.has_value()) {
           throw IoError("owner closed the data plane mid-pull");
         }
@@ -331,7 +328,7 @@ class PullClient {
         std::vector<std::uint64_t>(
             owner.tasks.begin() + static_cast<std::ptrdiff_t>(owner.next),
             owner.tasks.end())};
-    ipc::send_message(**owner.lease, request.encode(), stream_);
+    (*owner.lease)->send(request.encode());
     ++report_.fetch_requests;
   }
 
@@ -352,7 +349,7 @@ class PullClient {
     }
     control_.send(PullFailed{request_.task, map_task, dead_slot}.encode());
     while (true) {
-      std::optional<Message> frame = ipc::recv_message(control_, stream_);
+      std::optional<Message> frame = control_.recv();
       if (!frame.has_value()) {
         throw IoError("pull: supervisor vanished during owner recovery");
       }
@@ -381,7 +378,6 @@ class PullClient {
   const WorkerOptions& options_;
   WorkerState& state_;
   ReducePull request_;  ///< its owners re-homed by recovery
-  const ipc::StreamConfig stream_;
   std::map<std::size_t, OwnerStream> owners_;  ///< by remote owner slot
   PullReport report_;
 };

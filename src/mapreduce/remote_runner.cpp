@@ -21,7 +21,6 @@
 #include "common/log.hpp"
 #include "common/metrics.hpp"
 #include "common/stopwatch.hpp"
-#include "ipc/stream.hpp"
 #include "ipc/transport.hpp"
 #include "ipc/worker_supervisor.hpp"
 #include "mapreduce/remote_protocol.hpp"
@@ -58,18 +57,7 @@ void add_gauge(MetricsRegistry* metrics, const char* name,
 class WorkerExchange {
  public:
   WorkerExchange(ipc::WorkerSupervisor& supervisor, MetricsRegistry* metrics)
-      : supervisor_(supervisor), metrics_(metrics),
-        stream_config_(ipc::adaptive_stream_config()) {
-    interloper_ = [this](const Message& frame) {
-      if (frame.type == MessageType::kHeartbeat) {
-        note_heartbeat();
-        return;
-      }
-      throw IoError("ipc: unexpected frame type " +
-                    std::to_string(static_cast<std::uint32_t>(frame.type)) +
-                    " during a streamed exchange");
-    };
-  }
+      : supervisor_(supervisor), metrics_(metrics) {}
   WorkerExchange(const WorkerExchange&) = delete;
   WorkerExchange& operator=(const WorkerExchange&) = delete;
 
@@ -97,8 +85,7 @@ class WorkerExchange {
     while (true) {
       std::optional<Message> reply;
       try {
-        reply = ipc::recv_message(supervisor_.transport(slot),
-                                  stream_config_, interloper_);
+        reply = supervisor_.transport(slot).recv();
       } catch (const IoError&) {
         supervisor_.mark_dead(slot);
         throw;
@@ -120,8 +107,7 @@ class WorkerExchange {
   /// mutex. Transport failure marks the slot dead and throws IoError.
   void send_locked(std::size_t slot, const Message& message) {
     try {
-      ipc::send_message(supervisor_.transport(slot), message, stream_config_,
-                        interloper_);
+      supervisor_.transport(slot).send(message);
     } catch (const std::exception&) {
       supervisor_.mark_dead(slot);
       throw IoError("ipc: worker " + std::to_string(slot) +
@@ -136,8 +122,6 @@ class WorkerExchange {
 
   ipc::WorkerSupervisor& supervisor_;
   MetricsRegistry* metrics_ = nullptr;
-  ipc::StreamConfig stream_config_;
-  std::function<void(const Message&)> interloper_;
 };
 
 /// One phase's placement bookkeeping, shared by its primary, retry, and

@@ -8,9 +8,10 @@
 // the supervisor — the process that called run_job — forks (or execs) the
 // workers before spawning any job threads, drives both phases through the
 // same detail::run_task_phase as the in-process executor, and moves data
-// as CRC-framed messages. Payloads larger than one stream chunk ship as
-// bounded kDataChunk/kDataEnd streams (ipc/stream.hpp), so a big map input
-// or reduce output never buffers whole in a socket.
+// as CRC-framed messages: each message, however large, is one
+// ipc::Transport frame checked by one CRC-32, and a blocking socket write
+// is the only flow control. A message above ipc::kMaxPayloadBytes (1 GiB)
+// fails its attempt with a typed error.
 //
 // The shuffle is worker-to-worker (DESIGN.md section 14), as Hadoop
 // reducers fetch map output straight from the mappers: each worker binds a

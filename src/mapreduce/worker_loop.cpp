@@ -18,7 +18,6 @@
 #include "common/error.hpp"
 #include "common/log.hpp"
 #include "common/thread_pool.hpp"
-#include "ipc/stream.hpp"
 #include "ipc/transport.hpp"
 #include "ipc/worker_supervisor.hpp"
 #include "mapreduce/remote_protocol.hpp"
@@ -138,13 +137,11 @@ Message fetch_reply(WorkerState& state, const remote::FetchPart& fetch,
 /// kFetchPart names one partition and a list of map tasks; the answer is
 /// one reply per task, in list order: kFetchData, or kTaskError when that
 /// output is not resident here. Pullers hold a pooled connection across
-/// many requests and keep at most one outstanding on it, so a frame that
-/// arrives while a streamed reply awaits chunk credit is an IoError, and a
-/// dead puller costs nothing but this loop's EOF.
+/// many requests and keep at most one outstanding on it; a dead puller
+/// costs nothing but this loop's EOF, or a failed send of its replies.
 void serve_data_peer(ipc::Transport& peer, WorkerState& state) {
-  const ipc::StreamConfig stream = ipc::adaptive_stream_config();
   while (true) {
-    const std::optional<Message> request = ipc::recv_message(peer, stream);
+    const std::optional<Message> request = peer.recv();
     if (!request.has_value()) return;  // puller closed cleanly
     if (request->type != MessageType::kFetchPart) {
       throw IoError("data plane: unexpected message type " +
@@ -153,7 +150,7 @@ void serve_data_peer(ipc::Transport& peer, WorkerState& state) {
     }
     const remote::FetchPart fetch = remote::FetchPart::decode(*request);
     for (const std::uint64_t map_task : fetch.map_tasks) {
-      ipc::send_message(peer, fetch_reply(state, fetch, map_task), stream);
+      peer.send(fetch_reply(state, fetch, map_task));
     }
   }
 }
@@ -328,7 +325,6 @@ void serve_worker_loop(ipc::Transport& transport, const WorkerJob& job,
   WorkerState state;
   DataPlane data_plane(options, state);
   Heartbeat heartbeat(transport, options.heartbeat_ms);
-  const ipc::StreamConfig stream = ipc::adaptive_stream_config();
 
   // Runs one task with heartbeats on and replies with its result, or with
   // a kTaskError naming `where` when it throws; the loop keeps serving. The
@@ -351,13 +347,12 @@ void serve_worker_loop(ipc::Transport& transport, const WorkerJob& job,
           reply = remote::task_error(task, std::string(where) + ": " +
                                                error.what());
         }
-        ipc::send_message(transport, reply, stream);
+        transport.send(reply);
         heartbeat.set_busy(false);
       };
 
   while (true) {
-    const std::optional<Message> message =
-        ipc::recv_message(transport, stream);
+    const std::optional<Message> message = transport.recv();
     // EOF: the supervisor closed or died.
     if (!message.has_value() || message->type == MessageType::kShutdown) {
       return;

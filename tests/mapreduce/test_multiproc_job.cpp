@@ -3,7 +3,8 @@
 // count-invariant shuffle and spill volumes, placement determinism across
 // modes and seeds, worker.kill recovery mid-map and mid-reduce (including
 // the reducers' dead-owner pull recovery), worker-side task failures
-// surfacing as typed errors, the exec-mode worker binary (DESIGN.md
+// surfacing as typed errors, heartbeats drained around a reply larger than
+// the socket buffer, the exec-mode worker binary (DESIGN.md
 // sections 13-14), and cross-process speculative execution with
 // supervisor-arbitrated commit and kTaskCancel cleanup (section 15).
 #include "mapreduce/remote_runner.hpp"
@@ -263,6 +264,49 @@ TEST(MultiprocJob, EmptyInputStillRuns) {
   const JobResult result = run_job(multiproc_spec(2), {});
   EXPECT_TRUE(result.output.empty());
   EXPECT_EQ(result.num_map_tasks, 1u);
+}
+
+/// Sleeps per group and pads each sum to 192 KiB, so one reduce task over
+/// word_count_input's 9 groups runs for tens of milliseconds and replies
+/// with about 1.7 MB, in one frame.
+class SlowPaddedSumReducer final : public Reducer {
+ public:
+  void reduce(const std::string& key, const std::vector<std::string>& values,
+              Emitter& out) override {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    long total = 0;
+    for (const auto& v : values) total += std::stol(v);
+    std::string value = std::to_string(total);
+    value.resize(192 * 1024, key.front());
+    out.emit(key, value);
+  }
+};
+
+TEST(MultiprocJob, HeartbeatsDrainAroundALargeReduceReply) {
+  // Heartbeats every millisecond while the one reduce task sleeps: the
+  // supervisor drains them before (and, in the next conversation, after)
+  // the reducer's kReducePullDone, which arrives intact.
+  JobSpec in_proc = word_count_spec();
+  in_proc.conf.num_reducers = 1;
+  in_proc.reducer_factory = [] {
+    return std::make_unique<SlowPaddedSumReducer>();
+  };
+  const JobResult baseline = run_job(in_proc, word_count_input());
+  std::size_t output_bytes = 0;
+  for (const auto& record : baseline.output) {
+    output_bytes += record.key.size() + record.value.size();
+  }
+  ASSERT_GT(output_bytes, std::size_t{1} << 20);
+
+  MetricsRegistry registry;
+  JobSpec multi = in_proc;
+  multi.conf.execution_mode = ExecutionMode::kMultiProcess;
+  multi.conf.num_workers = 2;
+  multi.conf.heartbeat_interval_ms = 1;
+  multi.metrics = &registry;
+  const JobResult result = run_job(multi, word_count_input());
+  EXPECT_TRUE(flatten(result.output) == flatten(baseline.output));
+  EXPECT_GE(registry.gauge_value("worker.heartbeats"), 1);
 }
 
 /// Emits, per key, whether a 4-thread parallel_for inside reduce ran every
