@@ -21,8 +21,9 @@ ctest --preset asan --tests-regex 'SimdDifferential' --repeat until-fail:3
 # the framing layer with malformed, truncated, and bit-flipped input and
 # the data-plane pool through kill/restart/invalidation churn; every
 # rejection and teardown path must be allocation-clean under ASan, so
-# hammer them too, with the spool and shuffle suites.
+# hammer them too, with the spool and shuffle suites, the checksum's
+# unaligned and split inputs, and a worker's partition-grouped map outputs.
 ctest --preset asan --tests-regex \
-  '^(TransportFuzz|WireFuzz|Transport|ConnPool|SpoolBuffer|SpilledShuffle)\.|^JobRetry\.SpeculativeBackupReStreams' \
+  '^(TransportFuzz|WireFuzz|Transport|ConnPool|SpoolBuffer|SpilledShuffle|Checksum)\.|^JobRetry\.SpeculativeBackupReStreams|^MultiprocW2W\.OwnerServesEachPartitionOfItsOutputInOutputOrder' \
   --repeat until-fail:3
 

@@ -1,9 +1,15 @@
-// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), table-driven.
+// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320; check value
+// 0xcbf43926 over "123456789").
 //
 // One shared implementation guards every integrity check in the system:
-// model-artifact sections (serving/model_artifact), DFS block reads, and
-// shuffle fetch transfers (the fault-tolerance layer re-reads a replica /
-// re-fetches a segment when verification fails).
+// model-artifact sections (serving/model_artifact), DFS block reads,
+// spool pages, worker transport frames, and shuffle fetch transfers (the
+// fault-tolerance layer re-reads a replica / re-fetches a segment when
+// verification fails). It is slicing-by-8: eight 256-entry tables fold
+// eight input bytes per step, and a bytewise loop takes the tail. The
+// values are those of the plain bytewise table loop for every input and
+// any split of it across update() calls, so every stored checksum keeps
+// its value.
 #pragma once
 
 #include <cstdint>

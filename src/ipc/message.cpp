@@ -35,15 +35,26 @@ std::uint64_t get_u64(const char* bytes) {
 
 }  // namespace
 
-std::string encode_frame(const Message& message) {
+std::array<char, kFrameHeaderBytes> encode_frame_header(
+    const Message& message) {
   DASC_EXPECT(message.payload.size() <= kMaxPayloadBytes,
               "ipc: message payload exceeds kMaxPayloadBytes");
+  const std::uint32_t fields[3] = {
+      static_cast<std::uint32_t>(message.type),
+      static_cast<std::uint32_t>(message.payload.size()),
+      crc32(message.payload)};
+  std::array<char, kFrameHeaderBytes> header{};
+  std::memcpy(header.data(), kFrameMagic.data(), kFrameMagic.size());
+  std::memcpy(header.data() + kFrameMagic.size(), fields, sizeof(fields));
+  return header;
+}
+
+std::string encode_frame(const Message& message) {
+  const std::array<char, kFrameHeaderBytes> header =
+      encode_frame_header(message);
   std::string frame;
-  frame.reserve(kFrameHeaderBytes + message.payload.size());
-  frame.append(kFrameMagic);
-  put_u32(frame, static_cast<std::uint32_t>(message.type));
-  put_u32(frame, static_cast<std::uint32_t>(message.payload.size()));
-  put_u32(frame, crc32(message.payload));
+  frame.reserve(header.size() + message.payload.size());
+  frame.append(header.data(), header.size());
   frame.append(message.payload);
   return frame;
 }

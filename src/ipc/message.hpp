@@ -21,6 +21,8 @@
 // same byte layout as a shuffle chunk in a spool page.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -82,7 +84,13 @@ struct FrameHeader {
   std::uint32_t crc = 0;
 };
 
-/// Serialize header + payload. Throws InvalidArgument on oversized payload.
+/// The 16-byte header that frames `message`'s payload. Throws
+/// InvalidArgument on oversized payload.
+std::array<char, kFrameHeaderBytes> encode_frame_header(const Message& message);
+
+/// Serialize header + payload: the frame's wire bytes in one string.
+/// Transport::send writes the same bytes without building it. Throws
+/// InvalidArgument on oversized payload.
 std::string encode_frame(const Message& message);
 
 /// Parse a 16-byte header. Throws IoError on bad magic or oversized

@@ -2,11 +2,13 @@
 
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
+#include <string_view>
 
 #include "common/error.hpp"
 #include "common/metrics.hpp"
@@ -19,17 +21,38 @@ std::string errno_text(const std::string& what) {
   return what + ": " + std::strerror(errno);
 }
 
-/// Write the whole buffer, riding out EINTR and partial writes. MSG_NOSIGNAL
-/// turns a dead peer into EPIPE instead of a process-killing SIGPIPE.
-void send_all(int fd, const char* data, std::size_t size) {
-  std::size_t sent = 0;
-  while (sent < size) {
-    const ssize_t n = ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
+/// Write `head` then `body` whole with gathered sendmsg calls, riding out
+/// EINTR and partial writes. MSG_NOSIGNAL turns a dead peer into EPIPE
+/// instead of a process-killing SIGPIPE.
+void send_all(int fd, std::string_view head, std::string_view body) {
+  iovec iov[2] = {{const_cast<char*>(head.data()), head.size()},
+                  {const_cast<char*>(body.data()), body.size()}};
+  iovec* next = iov;
+  std::size_t count = 2;
+  while (count > 0) {
+    if (next->iov_len == 0) {
+      ++next;
+      --count;
+      continue;
+    }
+    msghdr message{};
+    message.msg_iov = next;
+    message.msg_iovlen = count;
+    const ssize_t n = ::sendmsg(fd, &message, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       throw IoError(errno_text("ipc: send failed"));
     }
-    sent += static_cast<std::size_t>(n);
+    auto sent = static_cast<std::size_t>(n);
+    while (count > 0 && sent >= next->iov_len) {
+      sent -= next->iov_len;
+      ++next;
+      --count;
+    }
+    if (count > 0) {
+      next->iov_base = static_cast<char*>(next->iov_base) + sent;
+      next->iov_len -= sent;
+    }
   }
 }
 
@@ -104,16 +127,19 @@ std::unique_ptr<Transport> Transport::connect(const std::string& path,
 }
 
 void Transport::send(const Message& message) {
-  const std::string frame = encode_frame(message);
+  const std::array<char, kFrameHeaderBytes> header =
+      encode_frame_header(message);
   {
     std::lock_guard lock(send_mutex_);
     if (fd_ < 0) throw IoError("ipc: send on closed transport");
-    send_all(fd_, frame.data(), frame.size());
+    send_all(fd_, std::string_view(header.data(), header.size()),
+             message.payload);
   }
   if (metrics_ != nullptr) {
     metrics_->counter("ipc.messages_sent").add();
     metrics_->gauge("ipc.bytes_sent")
-        .add(static_cast<std::int64_t>(frame.size()));
+        .add(static_cast<std::int64_t>(header.size() +
+                                       message.payload.size()));
   }
 }
 

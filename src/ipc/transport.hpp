@@ -3,10 +3,12 @@
 // A Transport owns one connected socket fd and moves whole frames
 // (ipc/message.hpp) across it:
 //
-//   send()  -- frames and writes the message. Serialized by an internal
-//              mutex so a worker's serve loop and its heartbeat thread can
-//              share one transport. SIGPIPE is suppressed (MSG_NOSIGNAL);
-//              a peer that vanished mid-write is a typed IoError.
+//   send()  -- writes the frame header and the payload in place with
+//              gathered sendmsg calls (no frame copy). Serialized by an
+//              internal mutex so a worker's serve loop and its heartbeat
+//              thread can share one transport. SIGPIPE is suppressed
+//              (MSG_NOSIGNAL); a peer that vanished mid-write is a typed
+//              IoError.
 //   recv()  -- blocks for the next frame. Clean EOF *at a frame boundary*
 //              returns nullopt (the peer closed deliberately or died
 //              idle); EOF mid-header or mid-payload, bad magic, an

@@ -161,7 +161,10 @@ class WorkerState {
  public:
   void store(std::uint64_t map_task, std::vector<Record> output) {
     std::lock_guard lock(mutex_);
-    outputs_[map_task] = std::move(output);
+    StoredOutput& stored = outputs_[map_task];
+    stored.records = std::move(output);
+    stored.grouped_for.reset();  // the old grouping indexes the old records
+    stored.index.clear();
   }
   /// Drops a retained output; returns how many were dropped (0 or 1).
   std::uint64_t drop(std::uint64_t map_task) {
@@ -172,7 +175,9 @@ class WorkerState {
   /// output order, with their CRC — or nullopt when the output is not
   /// resident here. Order preservation is what makes a reducer pulling
   /// its slice of every map output in task order see exactly the record
-  /// sequence fetch_and_partition builds for that partition.
+  /// sequence fetch_and_partition builds for that partition. The first
+  /// slice for a `num_partitions` groups the output by partition (one
+  /// key hash per record); every later one copies a contiguous range.
   std::optional<FetchedSlice> slice(std::uint64_t map_task,
                                     std::uint64_t partition,
                                     std::uint64_t num_partitions);
@@ -181,8 +186,19 @@ class WorkerState {
   ipc::ConnPool& pool() { return pool_; }
 
  private:
+  /// One retained map output. Once grouped for `grouped_for` partitions,
+  /// `records` is stably sorted by partition and index[i] holds record i's
+  /// {partition, position in the output}; until then `records` is in
+  /// output order and `index` is empty.
+  struct StoredOutput {
+    std::vector<Record> records;
+    std::optional<std::uint64_t> grouped_for;
+    std::vector<std::pair<std::size_t, std::size_t>> index;
+  };
+  static void group(StoredOutput& stored, std::uint64_t num_partitions);
+
   std::mutex mutex_;
-  std::map<std::uint64_t, std::vector<Record>> outputs_;
+  std::map<std::uint64_t, StoredOutput> outputs_;
   ipc::ConnPool pool_;
 };
 

@@ -26,6 +26,37 @@ namespace dasc::mapreduce {
 
 namespace remote {
 
+void WorkerState::group(StoredOutput& stored, std::uint64_t num_partitions) {
+  std::vector<Record>& records = stored.records;
+  const std::size_t n = records.size();
+  if (stored.grouped_for.has_value()) {  // back to output order first
+    std::vector<Record> ordered(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ordered[stored.index[i].second] = std::move(records[i]);
+    }
+    records.swap(ordered);
+    stored.grouped_for.reset();
+    stored.index.clear();
+  }
+  // Hashes before moving anything, so a P of 0 throws with the output
+  // intact. Sorting {partition, output position} pairs is a stable sort
+  // by partition, and needs no allocation proportional to P.
+  std::vector<std::pair<std::size_t, std::size_t>> index(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    index[i] = {partition_for_key(records[i].key,
+                                  static_cast<std::size_t>(num_partitions)),
+                i};
+  }
+  std::sort(index.begin(), index.end());
+  std::vector<Record> grouped(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    grouped[i] = std::move(records[index[i].second]);
+  }
+  records.swap(grouped);
+  stored.grouped_for = num_partitions;
+  stored.index = std::move(index);
+}
+
 std::optional<FetchedSlice> WorkerState::slice(std::uint64_t map_task,
                                                std::uint64_t partition,
                                                std::uint64_t num_partitions) {
@@ -34,13 +65,15 @@ std::optional<FetchedSlice> WorkerState::slice(std::uint64_t map_task,
     std::lock_guard lock(mutex_);
     const auto it = outputs_.find(map_task);
     if (it == outputs_.end()) return std::nullopt;
-    for (const auto& record : it->second) {
-      if (partition_for_key(record.key,
-                            static_cast<std::size_t>(num_partitions)) ==
-          partition) {
-        slice.records.push_back(record);
-      }
-    }
+    StoredOutput& stored = it->second;
+    if (stored.grouped_for != num_partitions) group(stored, num_partitions);
+    const auto [first, last] = std::equal_range(
+        stored.index.begin(), stored.index.end(),
+        std::pair<std::size_t, std::size_t>{partition, 0},
+        [](const auto& a, const auto& b) { return a.first < b.first; });
+    const auto begin = stored.records.begin();
+    slice.records.assign(begin + (first - stored.index.begin()),
+                         begin + (last - stored.index.begin()));
   }
   slice.crc = records_crc(slice.records);
   return slice;

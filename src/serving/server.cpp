@@ -115,6 +115,7 @@ void Server::serve_batch(std::vector<Request>& batch) {
               break;
             case AssignPath::kNystrom:
             case AssignPath::kNearestLandmark:
+            case AssignPath::kFactor:
               metrics->counter("serving.nystrom_assigns").add();
               break;
           }

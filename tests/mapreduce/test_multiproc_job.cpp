@@ -32,6 +32,8 @@
 #include "ipc/transport.hpp"
 #include "mapreduce/job.hpp"
 #include "mapreduce/remote_protocol.hpp"
+#include "mapreduce/shuffle.hpp"
+#include "mapreduce/task_exec.hpp"
 #include "mapreduce/virtual_cluster.hpp"
 
 namespace dasc::mapreduce {
@@ -778,6 +780,134 @@ TEST(MultiprocW2W, ForgedFetchPartCountClosesOnlyItsConnection) {
   const auto reply = puller->recv();
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->type, ipc::MessageType::kFetchData);
+}
+
+/// `count` distinct words "<prefix>0 <prefix>1 ...": one wordcount map
+/// output record per word.
+std::string word_line(const std::string& prefix, std::size_t count) {
+  std::string line;
+  for (std::size_t i = 0; i < count; ++i) {
+    line += prefix + std::to_string(i) + " ";
+  }
+  return line;
+}
+
+/// The records of the in-process map output of `line` that hash to
+/// `partition` of `num_partitions`, in output order: what an owner must
+/// serve for that partition.
+std::vector<Record> expected_slice(const std::string& line,
+                                   std::uint64_t partition,
+                                   std::uint64_t num_partitions) {
+  const detail::MapTaskResult mapped = detail::execute_map_task(
+      [] { return std::make_unique<WordCountMapper>(); }, nullptr, false,
+      {{"r", line}});
+  std::vector<Record> slice;
+  for (const Record& record : mapped.output) {
+    if (partition_for_key(record.key, num_partitions) == partition) {
+      slice.push_back(record);
+    }
+  }
+  return slice;
+}
+
+/// Fetches `partition` of `num_partitions` of `map_task` on `puller` and
+/// decodes the kFetchData reply, or returns nullopt on any other reply.
+std::optional<FetchedSlice> fetch_slice(ipc::Transport& puller,
+                                        std::uint64_t map_task,
+                                        std::uint64_t partition,
+                                        std::uint64_t num_partitions) {
+  puller.send(remote::FetchPart{partition, num_partitions, {map_task}}
+                  .encode());
+  const auto reply = puller.recv();
+  if (!reply.has_value() || reply->type != ipc::MessageType::kFetchData) {
+    return std::nullopt;
+  }
+  ipc::WireReader reader(reply->payload);
+  if (reader.u64() != map_task) return std::nullopt;
+  FetchedSlice slice;
+  slice.crc = reader.u32();
+  reader.u64();  // count
+  slice.records = remote::read_records(reader);
+  return slice;
+}
+
+/// Whether every partition of `num_partitions` (and one past the last,
+/// which must be empty) that `puller` fetches of `map_task` is the
+/// in-process output of `line` filtered to that partition, in order,
+/// with the records' CRC.
+bool serves_partitions_of(ipc::Transport& puller, std::uint64_t map_task,
+                          const std::string& line,
+                          std::uint64_t num_partitions) {
+  for (std::uint64_t p = 0; p <= num_partitions; ++p) {
+    const std::optional<FetchedSlice> slice =
+        fetch_slice(puller, map_task, p, num_partitions);
+    if (!slice.has_value() ||
+        slice->records != expected_slice(line, p, num_partitions) ||
+        slice->crc != records_crc(slice->records)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+TEST(MultiprocW2W, OwnerServesEachPartitionOfItsOutputInOutputOrder) {
+  // An owner groups a map output by partition on its first slice; every
+  // slice after that, for any partition count and after any re-store,
+  // must still be the in-process output filtered by partition_for_key.
+  DirectWorker worker("slice-test");
+  const std::string first = word_line("w", 40);
+  const std::string second = word_line("x", 25);
+  std::size_t spanned = 0;
+  for (std::uint64_t p = 0; p < 7; ++p) {
+    spanned += expected_slice(first, p, 7).empty() ? 0 : 1;
+  }
+  ASSERT_GE(spanned, 4u);
+  ASSERT_EQ(worker.map(0, first), ipc::MessageType::kMapDone);
+  ASSERT_EQ(worker.map(1, second), ipc::MessageType::kMapDone);
+
+  // Several data-plane threads take both outputs' first slices at once.
+  std::atomic<int> failures{0};
+  std::vector<std::thread> pullers;
+  for (int i = 0; i < 4; ++i) {
+    pullers.emplace_back([&] {
+      const std::unique_ptr<ipc::Transport> puller = worker.dial();
+      if (!serves_partitions_of(*puller, 0, first, 7) ||
+          !serves_partitions_of(*puller, 1, second, 7)) {
+        ++failures;
+      }
+    });
+  }
+  for (std::thread& thread : pullers) thread.join();
+  EXPECT_EQ(failures.load(), 0);
+
+  // Another partition count regroups from output order, and back again.
+  const std::unique_ptr<ipc::Transport> puller = worker.dial();
+  EXPECT_TRUE(serves_partitions_of(*puller, 0, first, 3));
+  EXPECT_TRUE(serves_partitions_of(*puller, 0, first, 7));
+  EXPECT_TRUE(serves_partitions_of(*puller, 1, second, 1));
+
+  // A re-map over a resident output replaces its grouping too; the new
+  // output has as many records as the old, so a stale grouping would
+  // serve the new records under the old partition boundaries.
+  const std::string remapped = word_line("y", 40);
+  ASSERT_EQ(worker.map(0, remapped), ipc::MessageType::kMapDone);
+  EXPECT_TRUE(serves_partitions_of(*puller, 0, remapped, 7));
+
+  // A cancelled output is gone; re-mapped with other input, the new
+  // records are served.
+  ipc::WireWriter cancel;
+  cancel.u64(0);  // kind: map
+  cancel.u64(0);  // task
+  cancel.bytes(worker.dir().string());
+  const auto cancelled =
+      worker.ask({ipc::MessageType::kTaskCancel, cancel.take()});
+  ASSERT_TRUE(cancelled.has_value());
+  ASSERT_EQ(cancelled->type, ipc::MessageType::kTaskCancelled);
+  EXPECT_FALSE(fetch_slice(*puller, 0, 0, 7).has_value());
+  const std::string after_cancel = word_line("z", 33);
+  ASSERT_EQ(worker.map(0, after_cancel), ipc::MessageType::kMapDone);
+  EXPECT_TRUE(serves_partitions_of(*puller, 0, after_cancel, 7));
+  EXPECT_TRUE(serves_partitions_of(*puller, 1, second, 7));
 }
 
 // --- Cross-process speculative execution (DESIGN.md section 15) ---

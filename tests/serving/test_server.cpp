@@ -98,6 +98,44 @@ TEST(ServerTest, CountersAreDeterministicAcrossConfigurations) {
   EXPECT_EQ(run(2, 7), base);
 }
 
+TEST(ServerTest, EveryRequestIsCountedOnOnePathForEveryBackend) {
+  // Perturbed training points miss the exact-landmark path, so the
+  // approximate backends embed them through their persisted factor.
+  const data::PointSet points = demo_points();
+  data::PointSet queries(points.size(), points.dim());
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    for (std::size_t d = 0; d < points.dim(); ++d) {
+      queries.point(i)[d] = points.point(i)[d] + 1e-7;
+    }
+  }
+  for (const core::GramBackendPolicy backend :
+       {core::GramBackendPolicy::kDense, core::GramBackendPolicy::kNystrom,
+        core::GramBackendPolicy::kRbfBinning}) {
+    SCOPED_TRACE(static_cast<int>(backend));
+    core::DascParams params;
+    params.k = 4;
+    params.threads = 1;
+    params.gram_backend = backend;
+    Rng rng(7);
+    const Assigner assigner(fit_model(points, params, rng).model);
+    MetricsRegistry registry;
+    ServerOptions options;
+    options.metrics = &registry;
+    {
+      Server server(assigner, options);
+      server.assign_all(points);
+      server.assign_all(queries);
+      server.shutdown();
+    }
+    const std::int64_t requests = registry.counter_value("serving.requests");
+    EXPECT_EQ(requests, static_cast<std::int64_t>(2 * points.size()));
+    EXPECT_EQ(registry.counter_value("serving.exact_hits") +
+                  registry.counter_value("serving.nystrom_assigns"),
+              requests);
+    EXPECT_GT(registry.counter_value("serving.nystrom_assigns"), 0);
+  }
+}
+
 TEST(ServerTest, MetricsGaugesAndTimersPopulated) {
   const data::PointSet points = demo_points();
   const FitResult fit = demo_fit(points);
