@@ -148,6 +148,46 @@ BENCHMARK(BM_GramPanel<dasc::linalg::SimdLevel::kAvx2>)
     ->Name("BM_GramPanelSimd")->Arg(512)->Arg(4096)
     ->Unit(benchmark::kMillisecond);
 
+template <bool kPanel>
+void BM_RowVersusColumns(benchmark::State& state) {
+  // One row against a 256-column tile at the active level: 256 per-pair
+  // calls over row-major columns, or one panel call over the same columns
+  // held dimension-major. Where the two cross is linalg::kPanelMaxDim.
+  constexpr std::size_t kCols = 256;
+  const auto dim = static_cast<std::size_t>(state.range(0));
+  const AlignedVector rows = random_vector(kCols * dim, 24);
+  const AlignedVector x = random_vector(dim, 25);
+  AlignedVector panel(dim * kCols);
+  for (std::size_t j = 0; j < kCols; ++j) {
+    for (std::size_t e = 0; e < dim; ++e) {
+      panel[e * kCols + j] = rows[j * dim + e];
+    }
+  }
+  std::vector<double> out(kCols);
+  const linalg::SimdKernels& kernels = linalg::simd::active();
+  for (auto _ : state) {
+    if constexpr (kPanel) {
+      kernels.squared_distance_panel(x.data(), panel.data(), kCols, dim,
+                                     kCols, out.data());
+    } else {
+      for (std::size_t j = 0; j < kCols; ++j) {
+        out[j] = kernels.squared_distance(x.data(), rows.data() + j * dim,
+                                          dim);
+      }
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kCols));
+}
+BENCHMARK(BM_RowVersusColumns<false>)
+    ->Name("BM_PairDistance")->Arg(11)->Arg(16)->Arg(32)->Arg(64)->Arg(128)
+    ->Arg(256)->Arg(512);
+BENCHMARK(BM_RowVersusColumns<true>)
+    ->Name("BM_PanelDistance")->Arg(11)->Arg(16)->Arg(32)->Arg(64)->Arg(128)
+    ->Arg(256)->Arg(512);
+
 /// Median of per-pass scalar/simd wall-time ratios, in parts-per-million.
 /// Each pass times the two sides back to back, so they share frequency and
 /// thermal state and the per-pass ratio is stable even when absolute times

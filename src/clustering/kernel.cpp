@@ -5,10 +5,12 @@
 #include <numeric>
 #include <vector>
 
+#include "common/aligned_allocator.hpp"
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
+#include "linalg/distance_panel.hpp"
 #include "linalg/jacobi_eigen.hpp"
 #include "linalg/simd_ops.hpp"
 #include "linalg/vector_ops.hpp"
@@ -78,25 +80,20 @@ std::size_t panel_rows(std::size_t dim) {
 
 /// Fill the strict upper triangle of rows [i0, i1) of `gram` with Gaussian
 /// weights, tiling columns so each j-panel stays cache-resident across the
-/// panel's rows. Squared distances land directly in the Gram row, then the
-/// whole segment is exponentiated in place through the shared batch.
-template <typename RowAt>
-void fill_upper_panels(linalg::DenseMatrix& gram, const RowAt& row_at,
-                       std::size_t i0, std::size_t i1, std::size_t n,
-                       double denom, std::size_t tile) {
-  const auto& kernels = linalg::simd::active();
+/// panel's rows. Squared distances of each row segment land directly in
+/// the Gram row through one panel call, then the segment is exponentiated
+/// in place through the shared batch.
+void fill_upper(linalg::DenseMatrix& gram, const linalg::DistancePanel& cols,
+                std::size_t i0, std::size_t i1, double denom,
+                std::size_t tile) {
+  const std::size_t n = cols.size();
   for (std::size_t jt = i0; jt < n; jt += tile) {
     const std::size_t jt_end = std::min(jt + tile, n);
     for (std::size_t i = i0; i < i1; ++i) {
       const std::size_t j0 = std::max(i + 1, jt);
       if (j0 >= jt_end) continue;
-      const std::span<const double> xi = row_at(i);
-      double* out = &gram(i, j0);
-      for (std::size_t j = j0; j < jt_end; ++j) {
-        const std::span<const double> xj = row_at(j);
-        out[j - j0] =
-            kernels.squared_distance(xi.data(), xj.data(), xi.size());
-      }
+      double* out = gram.data() + i * n + j0;
+      cols.distances(cols.row(i), j0, jt_end, out);
       const std::span<double> seg(out, jt_end - j0);
       linalg::simd::gaussian_from_d2(seg, denom, seg);
     }
@@ -104,7 +101,7 @@ void fill_upper_panels(linalg::DenseMatrix& gram, const RowAt& row_at,
 }
 
 /// Deterministic panel-pair count for the metrics counter (must match what
-/// fill_upper_panels visits, independent of threading).
+/// fill_upper visits, independent of threading).
 std::size_t count_panels(std::size_t n, std::size_t tile) {
   const std::size_t tiles = (n + tile - 1) / tile;
   // i-tile t spans column tiles t..tiles-1.
@@ -119,12 +116,44 @@ void record_panel_metrics(MetricsRegistry* metrics, std::size_t n,
   metrics->gauge("gram.panel_rows").set_max(static_cast<std::int64_t>(tile));
 }
 
+/// Unit diagonal, and the strict lower triangle copied from the upper one
+/// in square blocks, so reads and writes both stay within a few pages.
 void mirror_upper(linalg::DenseMatrix& gram) {
+  constexpr std::size_t kBlock = 32;
   const std::size_t n = gram.rows();
-  for (std::size_t i = 0; i < n; ++i) {
-    gram(i, i) = 1.0;
-    for (std::size_t j = i + 1; j < n; ++j) gram(j, i) = gram(i, j);
+  double* g = gram.data();
+  for (std::size_t ib = 0; ib < n; ib += kBlock) {
+    const std::size_t ie = std::min(ib + kBlock, n);
+    for (std::size_t jb = ib; jb < n; jb += kBlock) {
+      const std::size_t je = std::min(jb + kBlock, n);
+      for (std::size_t i = ib; i < ie; ++i) {
+        for (std::size_t j = std::max(jb, i + 1); j < je; ++j) {
+          g[j * n + i] = g[i * n + j];
+        }
+      }
+    }
+    for (std::size_t i = ib; i < ie; ++i) g[i * n + i] = 1.0;
   }
+}
+
+/// The one Gram build: `rows` is the row-major n x dim block, transposed
+/// once into the column panel; i-tiles run in parallel (`threads`).
+linalg::DenseMatrix gram_from_rows(const double* rows, std::size_t n,
+                                   std::size_t dim, double sigma,
+                                   std::size_t threads,
+                                   MetricsRegistry* metrics) {
+  const double denom = gaussian_denom(sigma);
+  const std::size_t tile = panel_rows(dim);
+  const linalg::DistancePanel cols(rows, n, dim);
+  linalg::DenseMatrix gram(n, n, 0.0);
+  const std::size_t tiles = (n + tile - 1) / tile;
+  parallel_for(0, tiles, threads, [&](std::size_t ti) {
+    const std::size_t i0 = ti * tile;
+    fill_upper(gram, cols, i0, std::min(i0 + tile, n), denom, tile);
+  });
+  mirror_upper(gram);
+  record_panel_metrics(metrics, n, tile);
+  return gram;
 }
 
 }  // namespace
@@ -133,22 +162,8 @@ linalg::DenseMatrix gaussian_gram(const data::PointSet& points, double sigma,
                                   std::size_t threads,
                                   MetricsRegistry* metrics) {
   DASC_EXPECT(sigma > 0.0, "gaussian_gram: sigma must be positive");
-  const std::size_t n = points.size();
-  const double denom = gaussian_denom(sigma);
-  const std::size_t tile = panel_rows(points.dim());
-  linalg::DenseMatrix gram(n, n, 0.0);
-
-  const std::size_t tiles = (n + tile - 1) / tile;
-  parallel_for(0, tiles, threads, [&](std::size_t ti) {
-    const std::size_t i0 = ti * tile;
-    const std::size_t i1 = std::min(i0 + tile, n);
-    fill_upper_panels(
-        gram, [&](std::size_t i) { return points.point(i); }, i0, i1, n,
-        denom, tile);
-  });
-  mirror_upper(gram);
-  record_panel_metrics(metrics, n, tile);
-  return gram;
+  return gram_from_rows(points.values().data(), points.size(), points.dim(),
+                        sigma, threads, metrics);
 }
 
 linalg::DenseMatrix gaussian_gram_subset(
@@ -156,21 +171,16 @@ linalg::DenseMatrix gaussian_gram_subset(
     double sigma, MetricsRegistry* metrics) {
   DASC_EXPECT(sigma > 0.0, "gaussian_gram_subset: sigma must be positive");
   const std::size_t n = indices.size();
+  const std::size_t dim = points.dim();
+  AlignedVector rows(n * dim);
   for (std::size_t a = 0; a < n; ++a) {
     DASC_EXPECT(indices[a] < points.size(),
                 "gaussian_gram_subset: index out of range");
+    const auto p = points.point(indices[a]);
+    std::copy(p.begin(), p.end(), rows.data() + a * dim);
   }
-  const double denom = gaussian_denom(sigma);
-  const std::size_t tile = panel_rows(points.dim());
-  linalg::DenseMatrix gram(n, n, 0.0);
-  for (std::size_t i0 = 0; i0 < n; i0 += tile) {
-    fill_upper_panels(
-        gram, [&](std::size_t a) { return points.point(indices[a]); }, i0,
-        std::min(i0 + tile, n), n, denom, tile);
-  }
-  mirror_upper(gram);
-  record_panel_metrics(metrics, n, tile);
-  return gram;
+  // One thread: a bucket's Gram is built on the bucket's own worker.
+  return gram_from_rows(rows.data(), n, dim, sigma, 1, metrics);
 }
 
 NystromFactorization nystrom_factor(const data::PointSet& points,

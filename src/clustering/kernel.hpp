@@ -2,11 +2,13 @@
 //   S_lm = exp(-||X_l - X_m||^2 / (2 sigma^2)).
 //
 // Gram construction is panelized: points are tiled into L2-sized row
-// panels, only the upper triangle is evaluated (then mirrored), squared
-// distances run on the runtime-dispatched SIMD kernels, and the exponents
-// of each panel row are batched through one shared std::exp loop
-// (linalg::simd::gaussian_from_d2). Every entry is bit-identical to a
-// pointwise gaussian_kernel() call and across dispatch levels.
+// panels, only the upper triangle is evaluated (then mirrored), the rows
+// are held once more dimension-major so each row segment's squared
+// distances are one call of the dispatched row-versus-panel kernel
+// (linalg::DistancePanel), and the exponents of each segment are batched
+// through one shared std::exp loop (linalg::simd::gaussian_from_d2).
+// Every entry is bit-identical to a pointwise gaussian_kernel() call and
+// across dispatch levels.
 #pragma once
 
 #include <cstddef>
@@ -39,8 +41,10 @@ double suggest_bandwidth(const data::PointSet& points);
 
 /// Full N x N Gram matrix (the paper's exact baseline). The diagonal is 1.
 /// `threads` parallelizes panel construction (0 = hardware default).
-/// `metrics` (optional) receives the `gram.panels` counter and
-/// `gram.panel_rows` gauge.
+/// `metrics` (optional) receives the `gram.panels` counter (tile pairs
+/// of the upper triangle, T(T+1)/2 for T row tiles) and the
+/// `gram.panel_rows` gauge (rows per tile, clamp(8192 / dim, 8, 256));
+/// neither depends on the dispatch level or the thread count.
 linalg::DenseMatrix gaussian_gram(const data::PointSet& points, double sigma,
                                   std::size_t threads = 0,
                                   MetricsRegistry* metrics = nullptr);

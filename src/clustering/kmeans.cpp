@@ -5,9 +5,11 @@
 #include <cmath>
 #include <limits>
 
+#include "common/aligned_allocator.hpp"
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "common/thread_pool.hpp"
+#include "linalg/distance_panel.hpp"
 #include "linalg/vector_ops.hpp"
 
 namespace dasc::clustering {
@@ -85,24 +87,22 @@ KMeansResult kmeans(const data::PointSet& points, const KMeansParams& params,
 
   std::vector<std::vector<double>> sums(k, std::vector<double>(d, 0.0));
   std::vector<std::size_t> counts(k, 0);
+  AlignedVector centroid_rows(k * d);
 
   for (std::size_t iter = 0; iter < params.max_iterations; ++iter) {
     result.iterations = iter + 1;
 
-    // Assignment step (parallel; labels are disjoint per point).
+    // Assignment step (parallel; labels are disjoint per point): one panel
+    // over this iteration's centroids, the first strictly nearest wins.
+    for (std::size_t c = 0; c < k; ++c) {
+      std::copy(result.centroids[c].begin(), result.centroids[c].end(),
+                centroid_rows.data() + c * d);
+    }
+    const linalg::DistancePanel centroid_panel(centroid_rows.data(), k, d);
     std::atomic<bool> any_changed{false};
     parallel_for(0, n, params.threads, [&](std::size_t i) {
-      const auto p = points.point(i);
-      double best = std::numeric_limits<double>::infinity();
-      int best_c = 0;
-      for (std::size_t c = 0; c < k; ++c) {
-        const double dist = linalg::squared_distance(
-            p, std::span<const double>(result.centroids[c]));
-        if (dist < best) {
-          best = dist;
-          best_c = static_cast<int>(c);
-        }
-      }
+      const int best_c =
+          static_cast<int>(centroid_panel.nearest(points.point(i).data()));
       if (result.labels[i] != best_c) {
         result.labels[i] = best_c;
         any_changed.store(true, std::memory_order_relaxed);

@@ -135,7 +135,10 @@ void Transport::send(const Message& message) {
     send_all(fd_, std::string_view(header.data(), header.size()),
              message.payload);
   }
-  if (metrics_ != nullptr) {
+  // Heartbeats are liveness, not traffic: their number depends on how
+  // long tasks run, so they stay out of the byte and message counts
+  // (the supervisor counts them as worker.heartbeats).
+  if (metrics_ != nullptr && message.type != MessageType::kHeartbeat) {
     metrics_->counter("ipc.messages_sent").add();
     metrics_->gauge("ipc.bytes_sent")
         .add(static_cast<std::int64_t>(header.size() +
@@ -169,7 +172,7 @@ std::optional<Message> Transport::recv() {
     }
   }
   verify_frame_payload(parsed, message.payload);
-  if (metrics_ != nullptr) {
+  if (metrics_ != nullptr && message.type != MessageType::kHeartbeat) {
     metrics_->counter("ipc.messages_received").add();
     metrics_->gauge("ipc.bytes_received")
         .add(static_cast<std::int64_t>(kFrameHeaderBytes +

@@ -24,7 +24,9 @@
 // Metrics (null-safe): counters `ipc.messages_sent` /
 // `ipc.messages_received`, gauges `ipc.bytes_sent` / `ipc.bytes_received`
 // (byte traffic accumulates like the spill gauges), timer `ipc.recv_wait`
-// (time blocked waiting for a frame).
+// (time blocked waiting for a frame). kHeartbeat frames count in none of
+// the four: how many a job sends depends on how long its tasks run, not on
+// the job (the supervisor's `worker.heartbeats` counts them).
 #pragma once
 
 #include <cstddef>

@@ -88,11 +88,20 @@ void neg_div_scalar(const double* x, double denom, double* out,
   for (std::size_t i = 0; i < n; ++i) out[i] = -(x[i] / denom);
 }
 
+void squared_distance_panel_scalar(const double* x, const double* panel,
+                                   std::size_t stride, std::size_t d,
+                                   std::size_t width, double* out) {
+  for (std::size_t j = 0; j < width; ++j) {
+    out[j] = simd_detail::panel_column(x, panel + j, stride, d);
+  }
+}
+
 constexpr SimdKernels kScalarKernels{
     dot_scalar,        squared_distance_scalar,
     reduce_add_scalar, axpy_scalar,
     scale_scalar,      diag_scale_scalar,
     rotate_rows_scalar, neg_div_scalar,
+    squared_distance_panel_scalar,
 };
 
 // ---- dispatch state ----

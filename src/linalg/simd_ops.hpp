@@ -49,6 +49,15 @@ struct SimdKernels {
   /// out[i] = -(x[i] / denom): the Gaussian exponent batch, exp applied
   /// afterwards by gaussian_from_d2 (identical libm calls at every level).
   void (*neg_div)(const double* x, double denom, double* out, std::size_t n);
+  /// Row-versus-panel squared distances: out[j] = ||x - column j||^2 for
+  /// j < width, where column j of the dimension-major panel is
+  /// panel[e * stride + j] for e < d. Each column is reduced in the
+  /// canonical 16-lane order, so out[j] is bit-identical to
+  /// squared_distance(x, column j) at every level; the vector levels
+  /// carry 4 (AVX2) or 2 (SSE2) columns per register.
+  void (*squared_distance_panel)(const double* x, const double* panel,
+                                 std::size_t stride, std::size_t d,
+                                 std::size_t width, double* out);
 };
 
 namespace simd {

@@ -133,11 +133,54 @@ void neg_div_avx2(const double* x, double denom, double* out,
   for (; i < n; ++i) out[i] = -(x[i] / denom);
 }
 
+/// Lane `lane` of four adjacent panel columns: the sum over e ≡ lane
+/// (mod 16), in increasing e, of (x[e] - col[e * stride])^2.
+inline __m256d panel_lane(const double* x, const double* col,
+                          std::size_t stride, std::size_t d,
+                          std::size_t lane) {
+  __m256d acc = _mm256_setzero_pd();
+  for (std::size_t e = lane; e < d; e += 16) {
+    const __m256d diff = _mm256_sub_pd(_mm256_set1_pd(x[e]),
+                                       _mm256_loadu_pd(col + e * stride));
+    acc = _mm256_add_pd(acc, _mm256_mul_pd(diff, diff));
+  }
+  return acc;
+}
+
+/// Four columns per register. Each lane is summed on its own (lanes are
+/// independent chains, so their order does not matter) and folded at once
+/// in the combine16 tree, with the same operand order as the scalar fold.
+void squared_distance_panel_avx2(const double* x, const double* panel,
+                                 std::size_t stride, std::size_t d,
+                                 std::size_t width, double* out) {
+  std::size_t j = 0;
+  for (; j + 4 <= width; j += 4) {
+    const double* col = panel + j;
+    const auto lane = [&](std::size_t l) {
+      return panel_lane(x, col, stride, d, l);
+    };
+    const auto pair = [&](std::size_t l) {
+      return _mm256_add_pd(_mm256_add_pd(lane(l), lane(l + 8)),
+                           _mm256_add_pd(lane(l + 4), lane(l + 12)));
+    };
+    const __m256d v0 = pair(0);
+    const __m256d v1 = pair(1);
+    const __m256d v2 = pair(2);
+    const __m256d v3 = pair(3);
+    _mm256_storeu_pd(out + j, _mm256_add_pd(_mm256_add_pd(v0, v2),
+                                            _mm256_add_pd(v1, v3)));
+  }
+  for (; j < width; ++j) {
+    out[j] = simd_detail::panel_column(x, panel + j, stride, d);
+  }
+}
+
 constexpr SimdKernels kAvx2Kernels{
     dot_avx2,        squared_distance_avx2,
     reduce_add_avx2, axpy_avx2,
     scale_avx2,      diag_scale_avx2,
     rotate_rows_avx2, neg_div_avx2,
+    squared_distance_panel_avx2,
 };
 
 }  // namespace

@@ -28,4 +28,21 @@ inline double combine16(const double* l) {
   return (v0 + v2) + (v1 + v3);
 }
 
+/// One column of the row-versus-panel kernel in the canonical order: lane
+/// e & 15 accumulates (x[e] - col[e * stride])^2 in increasing e, then the
+/// combine16 fold -- the per-pair squared_distance expression term for
+/// term. The scalar level runs it for every column, the vector levels for
+/// their leftover columns. `static` so every translation unit keeps its
+/// own copy, compiled for its own ISA (an inline definition could be
+/// merged with the -mavx2 copy).
+static inline double panel_column(const double* x, const double* col,
+                                  std::size_t stride, std::size_t d) {
+  double lanes[16] = {};
+  for (std::size_t e = 0; e < d; ++e) {
+    const double diff = x[e] - col[e * stride];
+    lanes[e & 15] += diff * diff;
+  }
+  return combine16(lanes);
+}
+
 }  // namespace dasc::linalg::simd_detail

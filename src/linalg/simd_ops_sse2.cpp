@@ -127,11 +127,53 @@ void neg_div_sse2(const double* x, double denom, double* out,
   for (; i < n; ++i) out[i] = -(x[i] / denom);
 }
 
+/// Lane `lane` of two adjacent panel columns: the sum over e ≡ lane
+/// (mod 16), in increasing e, of (x[e] - col[e * stride])^2.
+inline __m128d panel_lane(const double* x, const double* col,
+                          std::size_t stride, std::size_t d,
+                          std::size_t lane) {
+  __m128d acc = _mm_setzero_pd();
+  for (std::size_t e = lane; e < d; e += 16) {
+    const __m128d diff =
+        _mm_sub_pd(_mm_set1_pd(x[e]), _mm_loadu_pd(col + e * stride));
+    acc = _mm_add_pd(acc, _mm_mul_pd(diff, diff));
+  }
+  return acc;
+}
+
+/// Two columns per register, folded in the combine16 tree (see the AVX2
+/// kernel).
+void squared_distance_panel_sse2(const double* x, const double* panel,
+                                 std::size_t stride, std::size_t d,
+                                 std::size_t width, double* out) {
+  std::size_t j = 0;
+  for (; j + 2 <= width; j += 2) {
+    const double* col = panel + j;
+    const auto lane = [&](std::size_t l) {
+      return panel_lane(x, col, stride, d, l);
+    };
+    const auto pair = [&](std::size_t l) {
+      return _mm_add_pd(_mm_add_pd(lane(l), lane(l + 8)),
+                        _mm_add_pd(lane(l + 4), lane(l + 12)));
+    };
+    const __m128d v0 = pair(0);
+    const __m128d v1 = pair(1);
+    const __m128d v2 = pair(2);
+    const __m128d v3 = pair(3);
+    _mm_storeu_pd(out + j,
+                  _mm_add_pd(_mm_add_pd(v0, v2), _mm_add_pd(v1, v3)));
+  }
+  for (; j < width; ++j) {
+    out[j] = simd_detail::panel_column(x, panel + j, stride, d);
+  }
+}
+
 constexpr SimdKernels kSse2Kernels{
     dot_sse2,        squared_distance_sse2,
     reduce_add_sse2, axpy_sse2,
     scale_sse2,      diag_scale_sse2,
     rotate_rows_sse2, neg_div_sse2,
+    squared_distance_panel_sse2,
 };
 
 }  // namespace

@@ -19,23 +19,6 @@ namespace {
 // extension rather than divided through.
 constexpr double kEigenvalueFloor = 1e-12;
 
-/// Nearest centroid of a bucket to an embedding-space point, scanned in
-/// ascending order so ties resolve deterministically.
-std::size_t nearest_centroid(const BucketModel& bucket,
-                             std::span<const double> embedding) {
-  std::size_t best = 0;
-  double best_dist = std::numeric_limits<double>::infinity();
-  for (std::size_t c = 0; c < bucket.centroids.rows(); ++c) {
-    const double dist =
-        linalg::squared_distance(embedding, bucket.centroids.row(c));
-    if (dist < best_dist) {
-      best_dist = dist;
-      best = c;
-    }
-  }
-  return best;
-}
-
 /// Out-of-sample embedding through a bucket's persisted backend factor:
 /// build the query's representation row f (kernel row against the anchors,
 /// or the binning feature vector), then u = (f . map) / sqrt(f . dvec) —
@@ -101,6 +84,22 @@ Assigner::Assigner(ModelArtifact model)
     DASC_EXPECT(route.bucket < model_.buckets.size(),
                 "Assigner: route entry points past the bucket table");
   }
+  centroid_panels_.reserve(model_.buckets.size());
+  for (const BucketModel& bucket : model_.buckets) {
+    centroid_panels_.emplace_back(bucket.centroids.data(),
+                                  bucket.centroids.rows(),
+                                  bucket.centroids.cols());
+  }
+}
+
+std::size_t Assigner::nearest_centroid(
+    std::uint32_t b, std::span<const double> embedding) const {
+  // Centroids are scanned in ascending order with a strict improvement
+  // test, so ties resolve to the lowest centroid deterministically.
+  const linalg::DistancePanel& panel = centroid_panels_[b];
+  DASC_EXPECT(panel.size() == 0 || embedding.size() == panel.dim(),
+              "Assigner: embedding and centroid dimensionality differ");
+  return panel.nearest(embedding.data());
 }
 
 std::vector<std::uint32_t> Assigner::candidate_buckets(std::uint64_t signature,
@@ -211,7 +210,7 @@ AssignOutcome Assigner::assign_detailed(std::span<const double> query) const {
     }
     out.path = AssignPath::kFactor;
     out.label = static_cast<int>(bucket.label_offset +
-                                 nearest_centroid(bucket, embedding));
+                                 nearest_centroid(best_bucket, embedding));
     return out;
   }
 
@@ -258,7 +257,7 @@ AssignOutcome Assigner::assign_detailed(std::span<const double> query) const {
 
   out.path = AssignPath::kNystrom;
   out.label = static_cast<int>(bucket.label_offset +
-                               nearest_centroid(bucket, embedding));
+                               nearest_centroid(best_bucket, embedding));
   return out;
 }
 

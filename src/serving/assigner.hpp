@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "data/point_set.hpp"
+#include "linalg/distance_panel.hpp"
 #include "lsh/random_projection.hpp"
 #include "serving/model_artifact.hpp"
 
@@ -58,6 +59,9 @@ struct AssignOutcome {
 class Assigner {
  public:
   explicit Assigner(ModelArtifact model);
+  // centroid_panels_ borrows the centroid rows of model_.
+  Assigner(const Assigner&) = delete;
+  Assigner& operator=(const Assigner&) = delete;
 
   const ModelArtifact& model() const { return model_; }
   std::size_t dim() const { return model_.dim; }
@@ -78,9 +82,15 @@ class Assigner {
   std::vector<std::uint32_t> candidate_buckets(std::uint64_t signature,
                                                RoutePath* route) const;
 
+  /// Nearest centroid of bucket `b` to an embedding-space point.
+  std::size_t nearest_centroid(std::uint32_t b,
+                               std::span<const double> embedding) const;
+
   ModelArtifact model_;
   lsh::RandomProjectionHasher hasher_;
   // Sorted routes are searched by (signature) range; kept from the model.
+  /// Per bucket, its centroids held dimension-major for the panel kernel.
+  std::vector<linalg::DistancePanel> centroid_panels_;
 };
 
 }  // namespace dasc::serving

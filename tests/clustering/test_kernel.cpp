@@ -3,13 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "data/synthetic.hpp"
+#include "linalg/simd_ops.hpp"
 
 namespace dasc::clustering {
 namespace {
@@ -139,6 +142,79 @@ TEST(GaussianGramSubset, MatchesFullGramOnIndices) {
   for (std::size_t a = 0; a < indices.size(); ++a) {
     for (std::size_t b = 0; b < indices.size(); ++b) {
       EXPECT_NEAR(sub(a, b), full(indices[a], indices[b]), 1e-15);
+    }
+  }
+}
+
+/// Per-pair reference Gram over `indices`: unit diagonal, one pointwise
+/// gaussian_kernel() call per upper-triangle entry, mirrored.
+linalg::DenseMatrix reference_gram(const data::PointSet& points,
+                                   const std::vector<std::size_t>& indices,
+                                   double sigma) {
+  const std::size_t n = indices.size();
+  linalg::DenseMatrix gram(n, n, 0.0);
+  for (std::size_t a = 0; a < n; ++a) {
+    gram(a, a) = 1.0;
+    for (std::size_t b = a + 1; b < n; ++b) {
+      gram(a, b) = gaussian_kernel(points.point(indices[a]),
+                                   points.point(indices[b]), sigma);
+      gram(b, a) = gram(a, b);
+    }
+  }
+  return gram;
+}
+
+bool same_bytes(const linalg::DenseMatrix& a, const linalg::DenseMatrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+TEST(GaussianGram, SubsetMatchesPerPairKernelByteForByte) {
+  // Bucket sizes from empty to several column tiles, and dimensions on
+  // both sides of the 16-lane width and of the panel/per-pair crossover
+  // (linalg::kPanelMaxDim = 64). Indices are a scattered permutation, so
+  // the row gather is exercised too. Every level this host supports up to
+  // 257 points; the largest bucket at the active level.
+  constexpr std::size_t kPoints = 1031;  // prime: a * 37 % kPoints permutes
+  const linalg::SimdLevel before = linalg::simd::active_level();
+  std::vector<linalg::SimdLevel> levels{linalg::SimdLevel::kScalar};
+  for (linalg::SimdLevel level :
+       {linalg::SimdLevel::kSse2, linalg::SimdLevel::kAvx2}) {
+    if (linalg::simd::level_supported(level)) levels.push_back(level);
+  }
+  for (std::size_t d : {1, 11, 16, 17, 64, 65}) {
+    dasc::Rng rng(700 + d);
+    const data::PointSet points = data::make_uniform(kPoints, d, rng);
+    const double sigma = 0.5 * std::sqrt(static_cast<double>(d));
+    for (std::size_t n : {0, 1, 2, 3, 5, 17, 257, 1025}) {
+      std::vector<std::size_t> indices(n);
+      for (std::size_t a = 0; a < n; ++a) indices[a] = a * 37 % kPoints;
+      for (linalg::SimdLevel level : levels) {
+        if (n > 257 && level != before) continue;
+        linalg::simd::set_level(level);
+        SCOPED_TRACE("d=" + std::to_string(d) + " n=" + std::to_string(n) +
+                     " " + linalg::simd::level_name(level));
+        EXPECT_TRUE(same_bytes(gaussian_gram_subset(points, indices, sigma),
+                               reference_gram(points, indices, sigma)));
+      }
+      linalg::simd::set_level(before);
+    }
+  }
+}
+
+TEST(GaussianGram, FullGramEqualsSubsetOverIdentity) {
+  for (std::size_t d : {3, 11, 65}) {
+    for (std::size_t n : {1, 2, 7, 300}) {
+      dasc::Rng rng(800 + d + n);
+      const data::PointSet points = data::make_uniform(n, d, rng);
+      std::vector<std::size_t> identity(n);
+      std::iota(identity.begin(), identity.end(), std::size_t{0});
+      SCOPED_TRACE("d=" + std::to_string(d) + " n=" + std::to_string(n));
+      const linalg::DenseMatrix subset =
+          gaussian_gram_subset(points, identity, 0.8);
+      EXPECT_TRUE(same_bytes(gaussian_gram(points, 0.8, 1), subset));
+      EXPECT_TRUE(same_bytes(gaussian_gram(points, 0.8, 4), subset));
     }
   }
 }

@@ -207,6 +207,19 @@ TEST(Transport, CountsTrafficInMetrics) {
             static_cast<std::int64_t>(kFrameHeaderBytes + 7));
   EXPECT_EQ(registry.gauge_value("ipc.bytes_received"),
             static_cast<std::int64_t>(kFrameHeaderBytes + 7));
+
+  // A heartbeat sent and received leaves all four values unchanged: how
+  // many a job sends depends on task duration, not on the job.
+  left.send({MessageType::kHeartbeat, ""});
+  const auto beat = right.recv();
+  ASSERT_TRUE(beat.has_value());
+  EXPECT_EQ(beat->type, MessageType::kHeartbeat);
+  EXPECT_EQ(registry.counter_value("ipc.messages_sent"), 1);
+  EXPECT_EQ(registry.counter_value("ipc.messages_received"), 1);
+  EXPECT_EQ(registry.gauge_value("ipc.bytes_sent"),
+            static_cast<std::int64_t>(kFrameHeaderBytes + 7));
+  EXPECT_EQ(registry.gauge_value("ipc.bytes_received"),
+            static_cast<std::int64_t>(kFrameHeaderBytes + 7));
 }
 
 TEST(Listener, AcceptsAConnection) {

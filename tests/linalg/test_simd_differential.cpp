@@ -18,6 +18,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <optional>
 #include <span>
@@ -25,11 +26,13 @@
 #include <utility>
 #include <vector>
 
+#include "common/aligned_allocator.hpp"
 #include "common/fault_injection.hpp"
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
 #include "core/dasc_clusterer.hpp"
 #include "data/synthetic.hpp"
+#include "linalg/distance_panel.hpp"
 
 namespace dasc::linalg {
 namespace {
@@ -199,6 +202,144 @@ TEST(SimdDifferentialReduce, SquaredDistanceBitIdenticalAcrossLevels) {
                    ref.squared_distance(x.data(), y.data(), x.size()))
           << simd::level_name(level);
     });
+  }
+}
+
+/// A dimension-major panel of `width` columns of `d` values each, stored
+/// at `offset` doubles past an aligned base with row stride `stride`, plus
+/// each column as its own contiguous row for the per-pair reference.
+struct TestPanel {
+  std::vector<double> storage;
+  std::size_t offset = 0;
+  std::size_t stride = 0;
+  std::vector<std::vector<double>> columns;
+
+  const double* data() const { return storage.data() + offset; }
+};
+
+TestPanel make_test_panel(const InputFamily& family, Rng& rng, std::size_t d,
+                          std::size_t width, std::size_t offset,
+                          std::size_t stride) {
+  TestPanel panel;
+  panel.offset = offset;
+  panel.stride = stride;
+  panel.storage.assign(offset + d * stride + 1, 0.0);
+  for (std::size_t j = 0; j < width; ++j) {
+    std::vector<double> column(d);
+    family.fill(column, rng);
+    for (std::size_t e = 0; e < d; ++e) {
+      panel.storage[offset + e * stride + j] = column[e];
+    }
+    panel.columns.push_back(std::move(column));
+  }
+  return panel;
+}
+
+/// One quiet NaN for every NaN. Which of two NaN operands an add returns
+/// depends on operand order, and the compiler may commute a scalar add, so
+/// no level promises a NaN's sign or payload -- only that it is a NaN.
+void canonicalize_nans(std::vector<double>& v) {
+  for (double& x : v) {
+    if (std::isnan(x)) x = kNaN;
+  }
+}
+
+TEST(SimdDifferentialPanel, SquaredDistancePanelMatchesPerPairAtEveryLevel) {
+  // out[j] must be the per-pair kernel's bytes (memcmp, NaNs canonicalized)
+  // at the same level, and bit-equal to the scalar reference:
+  // every d in 0..67, widths 1..13 (whole registers and leftovers), x and
+  // panel one double off alignment, and a stride wider than the width.
+  const SimdKernels& ref = simd::kernels(SimdLevel::kScalar);
+  for (const InputFamily& family : kFamilies) {
+    Rng rng(0x9A7E + static_cast<std::uint64_t>(family.name[0]));
+    for (std::size_t d = 0; d <= kMaxLen; ++d) {
+      for (std::size_t width = 1; width <= 13; ++width) {
+        for (std::size_t unaligned = 0; unaligned < 2; ++unaligned) {
+          std::vector<double> xbuf(d + 1, 0.0);
+          std::vector<double> xs(d);
+          family.fill(xs, rng);
+          std::copy(xs.begin(), xs.end(), xbuf.begin() + unaligned);
+          const double* x = xbuf.data() + unaligned;
+          const TestPanel panel = make_test_panel(
+              family, rng, d, width, unaligned, width + 3 * unaligned);
+          SCOPED_TRACE(std::string(family.name) + " d=" + std::to_string(d) +
+                       " width=" + std::to_string(width) +
+                       (unaligned ? " unaligned" : " aligned"));
+          for (SimdLevel level : supported_levels()) {
+            const SimdKernels& k = simd::kernels(level);
+            std::vector<double> got(width, 42.0);
+            std::vector<double> pair(width);
+            std::vector<double> scalar(width);
+            k.squared_distance_panel(x, panel.data(), panel.stride, d, width,
+                                     got.data());
+            for (std::size_t j = 0; j < width; ++j) {
+              pair[j] = k.squared_distance(x, panel.columns[j].data(), d);
+              scalar[j] = ref.squared_distance(x, panel.columns[j].data(), d);
+            }
+            canonicalize_nans(got);
+            canonicalize_nans(pair);
+            EXPECT_EQ(std::memcmp(got.data(), pair.data(),
+                                  width * sizeof(double)),
+                      0)
+                << simd::level_name(level);
+            EXPECT_TRUE(bit_equal_vec(got, scalar)) << simd::level_name(level);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdDifferentialPanel, DistancePanelMatchesPerPairAcrossCrossover) {
+  // DistancePanel switches from the transposed panel to the per-pair sweep
+  // above kPanelMaxDim; both sides of the switch, any row count (k > 64
+  // chunks nearest()), any sub-range, and nearest()'s first-wins argmin.
+  ScopedSimdLevel guard(simd::active_level());
+  Rng rng(0xD157);
+  for (SimdLevel level : supported_levels()) {
+    simd::set_level(level);
+    for (std::size_t d : {std::size_t{1}, std::size_t{11}, std::size_t{16},
+                          std::size_t{17}, kPanelMaxDim, kPanelMaxDim + 1,
+                          std::size_t{130}}) {
+      for (std::size_t count : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                                std::size_t{5}, std::size_t{13},
+                                std::size_t{64}, std::size_t{65},
+                                std::size_t{70}}) {
+        SCOPED_TRACE(std::string(simd::level_name(level)) + " d=" +
+                     std::to_string(d) + " count=" + std::to_string(count));
+        AlignedVector rows(count * d);
+        // A coarse grid, so exact ties between rows are common; tenths, so
+        // the sums still round and a wrong lane order shows.
+        for (double& v : rows) {
+          v = 0.1 * static_cast<double>(rng.uniform_index(3));
+        }
+        const DistancePanel panel(rows.data(), count, d);
+        ASSERT_EQ(panel.size(), count);
+        for (int query = 0; query < 4; ++query) {
+          std::vector<double> x(d);
+          for (double& v : x) {
+            v = 0.1 * static_cast<double>(rng.uniform_index(3));
+          }
+          std::vector<double> want(count);
+          std::size_t want_nearest = 0;
+          double best = std::numeric_limits<double>::infinity();
+          for (std::size_t j = 0; j < count; ++j) {
+            want[j] = simd::active().squared_distance(x.data(), panel.row(j),
+                                                      d);
+            if (want[j] < best) {
+              best = want[j];
+              want_nearest = j;
+            }
+          }
+          const std::size_t begin = count / 3;
+          std::vector<double> got(count - begin);
+          panel.distances(x.data(), begin, count, got.data());
+          EXPECT_TRUE(bit_equal_vec(
+              got, std::vector<double>(want.begin() + begin, want.end())));
+          EXPECT_EQ(panel.nearest(x.data()), want_nearest);
+        }
+      }
+    }
   }
 }
 
