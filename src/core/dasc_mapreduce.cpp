@@ -53,6 +53,14 @@ std::size_t member_dim(std::string_view value) {
   return (value.size() - kWord) / kWord;
 }
 
+/// Write a point's coordinates as raw IEEE-754 bits at `out` (the member
+/// value's bytes after its index).
+void store_point(char* out, std::span<const double> point) {
+  for (std::size_t d = 0; d < point.size(); ++d) {
+    store_u64(out + kWord * d, std::bit_cast<std::uint64_t>(point[d]));
+  }
+}
+
 /// Decode a member's coordinates into `out` (member_dim(value) long) and
 /// return its index.
 std::uint64_t read_member(std::string_view value, std::span<double> out) {
@@ -77,10 +85,7 @@ std::uint64_t parse_u64(std::string_view text, const std::string& what) {
 std::string encode_member(std::size_t index, std::span<const double> point) {
   std::string value(kWord * (1 + point.size()), '\0');
   store_u64(value.data(), index);
-  for (std::size_t d = 0; d < point.size(); ++d) {
-    store_u64(value.data() + kWord * (d + 1),
-              std::bit_cast<std::uint64_t>(point[d]));
-  }
+  store_point(value.data() + kWord, point);
   return value;
 }
 
@@ -91,11 +96,31 @@ std::pair<std::size_t, std::vector<double>> decode_member(
   return {index, std::move(point)};
 }
 
+std::vector<lsh::Signature> read_stage1_signatures(
+    const std::vector<mapreduce::Record>& records, std::size_t n) {
+  DASC_ENSURE(records.size() == n,
+              "dasc_cluster_mapreduce: stage 1 lost or duplicated points");
+  std::vector<lsh::Signature> signatures(n);
+  std::vector<bool> seen(n, false);
+  for (const auto& record : records) {
+    DASC_ENSURE(record.key.size() == kWord && record.value.size() == kWord,
+                "dasc_cluster_mapreduce: malformed stage-1 record");
+    const std::uint64_t index = load_u64(record.value.data());
+    DASC_ENSURE(index < n, "dasc_cluster_mapreduce: bad stage-1 index");
+    DASC_ENSURE(!seen[index],
+                "dasc_cluster_mapreduce: stage 1 duplicated a point");
+    seen[index] = true;
+    signatures[index].bits = load_u64(record.key.data());
+  }
+  // n records, none repeated, all below n: every index appeared.
+  return signatures;
+}
+
 namespace {
 
 /// Algorithm 1: per-record signature generation with broadcast hash
 /// parameters (one hasher copy per map task). Emits (packed signature,
-/// member value), passing the member value through unchanged.
+/// u64 index): the driver holds the points, so only the index travels on.
 class SignatureMapper final : public mapreduce::Mapper {
  public:
   explicit SignatureMapper(lsh::RandomProjectionHasher hasher)
@@ -104,8 +129,8 @@ class SignatureMapper final : public mapreduce::Mapper {
   void map(const std::string& /*key*/, const std::string& value,
            mapreduce::Emitter& out) override {
     point_.resize(member_dim(value));
-    read_member(value, point_);
-    out.emit(u64_bytes(hasher_.hash(point_).bits), value);
+    const std::uint64_t index = read_member(value, point_);
+    out.emit(u64_bytes(hasher_.hash(point_).bits), u64_bytes(index));
   }
 
  private:
@@ -113,8 +138,9 @@ class SignatureMapper final : public mapreduce::Mapper {
   std::vector<double> point_;  ///< reused decode buffer
 };
 
-/// Algorithm 1 over a DFS text file: the key is the global line number and
-/// the value a point_to_record line, parsed once into the member value.
+/// Algorithm 1 over a DFS text file: the key is the global line number, which
+/// is the point index, and the value a point_to_record line. Emits (packed
+/// signature, u64 index) like SignatureMapper.
 class TextSignatureMapper final : public mapreduce::Mapper {
  public:
   explicit TextSignatureMapper(lsh::RandomProjectionHasher hasher)
@@ -124,14 +150,14 @@ class TextSignatureMapper final : public mapreduce::Mapper {
            mapreduce::Emitter& out) override {
     const std::vector<double> point = data::record_to_point(value);
     out.emit(u64_bytes(hasher_.hash(point).bits),
-             encode_member(parse_u64(key, "DFS line number"), point));
+             u64_bytes(parse_u64(key, "DFS line number")));
   }
 
  private:
   lsh::RandomProjectionHasher hasher_;
 };
 
-/// Identity reducer: stage 1 only groups members per signature.
+/// Identity reducer: stage 1 only groups point indices per signature.
 class IdentityReducer final : public mapreduce::Reducer {
  public:
   void reduce(const std::string& key, const std::vector<std::string>& values,
@@ -147,9 +173,9 @@ struct BucketKeys {
   std::vector<std::string> key;        ///< bucket ordinal -> reduce key
 };
 
-/// Stage 2's mapper over stage 1's output: re-keys each member from its
-/// signature to its merged, balanced bucket's key, passing the member
-/// value through unchanged.
+/// Stage 2's mapper over the members the driver rewrote from stage 1's
+/// output: keys each member with its merged, balanced bucket's key, passing
+/// the member value through unchanged.
 class BucketKeyMapper final : public mapreduce::Mapper {
  public:
   explicit BucketKeyMapper(std::shared_ptr<const BucketKeys> keys)
@@ -386,21 +412,10 @@ void finish_pipeline(const data::PointSet& points,
   // ---- Bucket merge between stages (Eq. 6 / star merge). ----
   // Read the per-point signatures from stage 1's output, rebuild the bucket
   // table over them (identical to the in-process path, since points are
-  // revisited in index order), and merge near-duplicate buckets. The member
-  // values stay in the output, which becomes stage 2's input.
+  // revisited in index order), and merge near-duplicate buckets.
   std::vector<mapreduce::Record>& members = result.lsh_job.output;
-  DASC_ENSURE(members.size() == n,
-              "dasc_cluster_mapreduce: stage 1 lost or duplicated points");
-  std::vector<lsh::Signature> signatures(n);
-  for (const auto& record : members) {
-    DASC_ENSURE(record.key.size() == kWord && record.value.size() >= kWord,
-                "dasc_cluster_mapreduce: malformed stage-1 record");
-    const std::uint64_t index = load_u64(record.value.data());
-    DASC_ENSURE(index < n, "dasc_cluster_mapreduce: bad stage-1 index");
-    signatures[index].bits = load_u64(record.key.data());
-  }
-  const lsh::BucketTable table =
-      lsh::BucketTable::from_signatures(signatures, m, params.dasc.metrics);
+  const lsh::BucketTable table = lsh::BucketTable::from_signatures(
+      read_stage1_signatures(members, n), m, params.dasc.metrics);
   const std::vector<lsh::Bucket> merged =
       merge_buckets(points, table, params.dasc, &result.stats);
 
@@ -424,6 +439,18 @@ void finish_pipeline(const data::PointSet& points,
       EmbedderSet(params.dasc, sigma).total_gram_bytes(merged, points.dim());
 
   // ---- Stage 2: per-bucket similarity + spectral clustering. ----
+  // Its input is stage 1's output rewritten in place, in the same order:
+  // each (signature, index) record becomes ("", member), the index bytes
+  // staying at the value's front, so the two record sets are never held at
+  // full size together.
+  const std::size_t dim = points.dim();
+  parallel_for(0, n, params.dasc.threads, [&](std::size_t i) {
+    mapreduce::Record& record = members[i];
+    const std::uint64_t index = load_u64(record.value.data());
+    record.key.clear();
+    record.value.resize(kWord * (1 + dim));
+    store_point(record.value.data() + kWord, points.point(index));
+  });
   mapreduce::JobSpec cluster_spec;
   cluster_spec.conf = with_spill(params.conf, params.dasc);
   cluster_spec.conf.job_name = "dasc-cluster";

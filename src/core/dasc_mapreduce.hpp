@@ -1,20 +1,24 @@
 // DASC as MapReduce jobs (paper Section 3.3, Algorithms 1 and 2).
 //
-// Stage 1 ("dasc-lsh"): the mapper emits (signature, member) pairs —
-// Algorithm 1 — with the fitted hash parameters broadcast from the driver.
-// Between the stages the driver reads only the signatures from stage 1's
-// output and merges buckets whose signatures share at least P bits, exactly
-// where the paper performs the merge ("before applying the reducer").
-// Stage 2 ("dasc-cluster") consumes stage 1's output: its mapper re-keys
-// each member to its merged bucket from a broadcast point -> bucket table,
-// and the reducer receives one bucket per key, builds the bucket's Gram
-// matrix (Algorithm 2, Eq. 1) and runs spectral clustering on it, emitting
-// (index, bucket + local label) pairs.
+// Stage 1 ("dasc-lsh"): the mapper hashes each member with the fitted hash
+// parameters broadcast from the driver (Algorithm 1) and emits (signature,
+// point index) pairs; the point itself stays with the driver, which holds
+// every point already.
+// Between the stages the driver reads the signatures from stage 1's output
+// and merges buckets whose signatures share at least P bits, exactly where
+// the paper performs the merge ("before applying the reducer"). It then
+// rewrites each stage-1 record in place into a member, keeping stage 1's
+// output order, and hands the records to stage 2.
+// Stage 2 ("dasc-cluster"): its mapper keys each member with its merged
+// bucket from a broadcast point -> bucket table, and the reducer receives
+// one bucket per key, builds the bucket's Gram matrix (Algorithm 2, Eq. 1)
+// and runs spectral clustering on it, emitting (index, bucket + local
+// label) pairs.
 // The driver densifies the (bucket, local label) pairs into global labels.
 //
 // Records are fixed-width little-endian binary, not text (DESIGN.md §5,
-// "Record formats"): a member is a u64 index followed by the raw doubles,
-// a stage-1 key is the packed u64 signature.
+// "Record formats"): a member is a u64 index followed by the raw doubles;
+// a stage-1 record is a packed u64 signature key and a u64 index value.
 #pragma once
 
 #include <cstddef>
@@ -24,6 +28,7 @@
 #include "core/dasc_params.hpp"
 #include "core/kernel_approximator.hpp"
 #include "data/point_set.hpp"
+#include "lsh/signature.hpp"
 #include "mapreduce/job.hpp"
 
 namespace dasc::core {
@@ -41,7 +46,8 @@ struct MapReduceDascResult {
   /// Bucketing statistics (resolved M/P, bucket counts, Gram bytes).
   ApproximatorStats stats;
 
-  /// Stage 1 accounting. Its output is stage 2's input, so it is empty.
+  /// Stage 1 accounting: (signature, index) records, one per point. Its
+  /// output is rewritten into stage 2's input, so it is empty.
   mapreduce::JobResult lsh_job;
   mapreduce::JobResult cluster_job;  ///< stage 2 accounting
   double simulated_seconds = 0.0;    ///< both stages on the virtual cluster
@@ -71,5 +77,13 @@ std::string encode_member(std::size_t index, std::span<const double> point);
 /// 8 + 8 * dim bytes long.
 std::pair<std::size_t, std::vector<double>> decode_member(
     const std::string& value);
+
+/// Per-point signatures from stage 1's output over `n` points: each record
+/// is (u64 LE signature, u64 LE index). Throws InternalError unless every
+/// key and value is 8 bytes and every index in [0, n) appears exactly once
+/// (a lost point would keep signature 0 and a duplicate would reach stage 2
+/// twice).
+std::vector<lsh::Signature> read_stage1_signatures(
+    const std::vector<mapreduce::Record>& records, std::size_t n);
 
 }  // namespace dasc::core

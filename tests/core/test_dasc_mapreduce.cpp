@@ -83,6 +83,59 @@ TEST(MemberCodec, RejectsTruncatedOrMisalignedValues) {
   }
 }
 
+std::string u64_le(std::uint64_t value) {
+  std::string bytes(8, '\0');
+  for (std::size_t b = 0; b < 8; ++b) {
+    bytes[b] = static_cast<char>((value >> (8 * b)) & 0xFF);
+  }
+  return bytes;
+}
+
+/// Stage-1 output records (signature, index) for the given indices, with
+/// signature 100 + index.
+std::vector<mapreduce::Record> stage1_records(
+    const std::vector<std::uint64_t>& indices) {
+  std::vector<mapreduce::Record> records;
+  for (const std::uint64_t index : indices) {
+    records.push_back({u64_le(100 + index), u64_le(index)});
+  }
+  return records;
+}
+
+TEST(Stage1Signatures, ReadsEachPointsSignatureInAnyOrder) {
+  const std::vector<lsh::Signature> signatures =
+      read_stage1_signatures(stage1_records({2, 0, 3, 1}), 4);
+  ASSERT_EQ(signatures.size(), 4u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(signatures[i].bits, 100 + i);
+  }
+}
+
+TEST(Stage1Signatures, RejectsIndicesNotSeenExactlyOnce) {
+  const std::vector<std::vector<std::uint64_t>> cases = {
+      {0, 1, 1, 3},  // right count, but 1 twice and 2 never
+      {0, 1, 3},     // 2 missing
+      {0, 1, 2, 4},  // 4 out of range
+  };
+  for (const auto& indices : cases) {
+    EXPECT_THROW(read_stage1_signatures(stage1_records(indices), 4),
+                 dasc::InternalError)
+        << indices.size() << " records, last " << indices.back();
+  }
+}
+
+TEST(Stage1Signatures, RejectsValueThatIsNotOneU64) {
+  for (const std::size_t size : {0, 7, 9, 16}) {
+    std::vector<mapreduce::Record> records = stage1_records({0, 1});
+    records[1].value.resize(size, '\0');
+    EXPECT_THROW(read_stage1_signatures(records, 2), dasc::InternalError)
+        << size << " bytes";
+  }
+  std::vector<mapreduce::Record> records = stage1_records({0, 1});
+  records[0].key.clear();
+  EXPECT_THROW(read_stage1_signatures(records, 2), dasc::InternalError);
+}
+
 TEST(MapReduceDasc, ProducesValidLabeling) {
   const data::PointSet points = blobs(200, 4, 311);
   MapReduceDascParams params;
@@ -206,6 +259,12 @@ TEST(MapReduceDasc, DfsVariantMatchesInMemoryPipeline) {
 
   EXPECT_EQ(from_dfs.labels, in_memory.labels);
   EXPECT_EQ(from_dfs.num_clusters, in_memory.num_clusters);
+  // Both variants emit (signature, index) from stage 1, and the driver
+  // builds stage 2's members from the same points.
+  EXPECT_EQ(from_dfs.lsh_job.counters.shuffle_bytes,
+            in_memory.lsh_job.counters.shuffle_bytes);
+  EXPECT_EQ(from_dfs.cluster_job.counters.shuffle_bytes,
+            in_memory.cluster_job.counters.shuffle_bytes);
   EXPECT_GT(from_dfs.lsh_job.num_map_tasks, 1u);  // block-local splits
 
   // The assignment landed in the DFS.
@@ -331,13 +390,14 @@ TEST(MapReduceDascGolden, ShuffleBytesFollowTheRecordFormat) {
       bucket_points(points, params.dasc, bucket_rng);
   ASSERT_EQ(buckets.size(), result.stats.merged_buckets);
 
-  // shuffle_bytes counts key + value + 2 per record. A member value is a
-  // u64 index plus dim doubles; the stage-1 key is the u64 signature; the
-  // stage-2 key of bucket b is its m-bit string, '#', then b in decimal.
+  // shuffle_bytes counts key + value + 2 per record. A stage-1 record is
+  // the u64 signature and the u64 point index; a member value is a u64
+  // index plus dim doubles; the stage-2 key of bucket b is its m-bit
+  // string, '#', then b in decimal.
   const std::uint64_t n = points.size();
   const std::uint64_t member = 8 + 8 * points.dim();
   const std::uint64_t m = result.stats.signature_bits;
-  EXPECT_EQ(result.lsh_job.counters.shuffle_bytes, n * (8 + member + 2));
+  EXPECT_EQ(result.lsh_job.counters.shuffle_bytes, n * (8 + 8 + 2));
   std::uint64_t stage2_key_bytes = 0;
   for (std::size_t b = 0; b < buckets.size(); ++b) {
     stage2_key_bytes +=
