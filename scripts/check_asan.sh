@@ -21,9 +21,11 @@ ctest --preset asan --tests-regex 'SimdDifferential' --repeat until-fail:3
 # the framing layer with malformed, truncated, and bit-flipped input and
 # the data-plane pool through kill/restart/invalidation churn; every
 # rejection and teardown path must be allocation-clean under ASan, so
-# hammer them too, with the spool and shuffle suites, the checksum's
-# unaligned and split inputs, and a worker's partition-grouped map outputs.
+# hammer them too, with the spool and shuffle suites (the in-process
+# corrupt-fetch path over partition runs included), the checksum's
+# unaligned and split inputs, and a worker's partitioned map outputs, whose
+# runs are served and appended to spools as untrusted bytes.
 ctest --preset asan --tests-regex \
-  '^(TransportFuzz|WireFuzz|Transport|ConnPool|SpoolBuffer|SpilledShuffle|Checksum)\.|^JobRetry\.SpeculativeBackupReStreams|^MultiprocW2W\.OwnerServesEachPartitionOfItsOutputInOutputOrder' \
+  '^(TransportFuzz|WireFuzz|Transport|ConnPool|SpoolBuffer|SpilledShuffle|ShuffleRetry|Checksum)\.|^JobRetry\.SpeculativeBackupReStreams|^MultiprocW2W\.OwnerServesEachPartitionOfItsOutputInOutputOrder' \
   --repeat until-fail:3
 

@@ -28,8 +28,9 @@ ctest --preset tsan "$@"
 # workers, restored on the caller), the bucket balance that splits buckets
 # on parallel_for threads, and the MapReduce driver whose stage 2 maps
 # stage 1's output on worker threads and processes. So must the checksum
-# every frame and page goes through, and a worker's map outputs, whose
-# first slice several data-plane threads may take at once.
+# every frame and page goes through, and a worker's partitioned map
+# outputs, whose runs several data-plane threads serve at once while the
+# serve loop re-stores and drops outputs.
 ctest --preset tsan --tests-regex \
   '^(TransportFuzz|WireFuzz|Transport|ConnPool|SpoolBuffer|SpilledShuffle|ParallelFor|BalanceBuckets|Checksum)\.|^JobRetry\.SpeculativeBackupReStreams|^MapReduceDascGolden\.MemberOrderIgnoresSplitsReducersAndMode|^MultiprocW2W\.OwnerServesEachPartitionOfItsOutputInOutputOrder' \
   --repeat until-fail:3

@@ -54,29 +54,6 @@ std::string next_spool_path(const std::string& dir) {
       .string();
 }
 
-/// One record frame inside a page payload: u32 key length, u32 value
-/// length, key bytes, value bytes.
-struct RecordView {
-  std::string_view key;
-  std::string_view value;
-  std::size_t next = 0;  ///< offset of the following record
-};
-
-RecordView parse_record(std::string_view payload, std::size_t offset) {
-  DASC_ENSURE(offset + 8 <= payload.size(),
-              "spool: truncated record header in page payload");
-  const std::uint32_t klen = get_u32(payload.data() + offset);
-  const std::uint32_t vlen = get_u32(payload.data() + offset + 4);
-  const std::size_t body = offset + 8;
-  DASC_ENSURE(body + klen + vlen <= payload.size(),
-              "spool: truncated record body in page payload");
-  RecordView record;
-  record.key = payload.substr(body, klen);
-  record.value = payload.substr(body + klen, vlen);
-  record.next = body + klen + vlen;
-  return record;
-}
-
 std::size_t framed_size(std::string_view key, std::string_view value) {
   return 8 + key.size() + value.size();
 }
@@ -113,6 +90,36 @@ bool pread_all(int fd, char* data, std::size_t size, std::uint64_t offset) {
 }
 
 }  // namespace
+
+void append_record_frame(std::string& out, std::string_view key,
+                         std::string_view value) {
+  put_u32(out, static_cast<std::uint32_t>(key.size()));
+  put_u32(out, static_cast<std::uint32_t>(value.size()));
+  out.append(key);
+  out.append(value);
+}
+
+RecordFrame parse_record_frame(std::string_view bytes, std::size_t offset) {
+  if (bytes.size() - offset < 8) {
+    throw IoError("record frame: truncated header");
+  }
+  const std::uint32_t klen = get_u32(bytes.data() + offset);
+  const std::uint32_t vlen = get_u32(bytes.data() + offset + 4);
+  const std::size_t body = offset + 8;
+  if (std::uint64_t{klen} + vlen > bytes.size() - body) {
+    throw IoError("record frame: length past the end");
+  }
+  return {bytes.substr(body, klen), bytes.substr(body + klen, vlen),
+          body + klen + vlen};
+}
+
+std::size_t count_record_frames(std::string_view run) {
+  std::size_t count = 0;
+  for (std::size_t offset = 0; offset < run.size(); ++count) {
+    offset = parse_record_frame(run, offset).next;
+  }
+  return count;
+}
 
 // ---------------------------------------------------------------------------
 // SpoolPager
@@ -271,18 +278,30 @@ void SpoolBuffer::append(std::string_view key, std::string_view value) {
   const std::size_t framed = framed_size(key, value);
   DASC_EXPECT(framed <= std::numeric_limits<std::uint32_t>::max(),
               "spool: record too large for the u32 record frame");
+  reserve_frame(framed);
+  append_record_frame(open_page_, key, value);
+}
+
+void SpoolBuffer::append_run(std::string_view run) {
+  DASC_EXPECT(!finished_, "spool: append after finish");
+  count_record_frames(run);  // throws on malformed framing, appending nothing
+  for (std::size_t offset = 0; offset < run.size();) {
+    const std::size_t next = parse_record_frame(run, offset).next;
+    reserve_frame(next - offset);
+    open_page_.append(run.substr(offset, next - offset));
+    offset = next;
+  }
+}
+
+void SpoolBuffer::reserve_frame(std::size_t framed) {
   // A record larger than page_bytes seals the open page and then fills
   // the next one alone; the following append seals it in turn.
   if (open_page_.size() + framed > config_.page_bytes) {
     seal_open_page();
   }
-  put_u32(open_page_, static_cast<std::uint32_t>(key.size()));
-  put_u32(open_page_, static_cast<std::uint32_t>(value.size()));
-  open_page_.append(key);
-  open_page_.append(value);
   ++open_records_;
   ++records_;
-  record_bytes_ += key.size() + value.size() + 2;
+  record_bytes_ += framed - 6;  // key + value + 2
 }
 
 void SpoolBuffer::seal_open_page() {
@@ -298,19 +317,19 @@ void SpoolBuffer::seal_open_page() {
     std::size_t cursor = 0;
     while (cursor < payload.size()) {
       offsets.push_back(cursor);
-      cursor = parse_record(payload, cursor).next;
+      cursor = parse_record_frame(payload, cursor).next;
     }
     std::vector<std::size_t> order(offsets.size());
     std::iota(order.begin(), order.end(), 0);
     std::stable_sort(order.begin(), order.end(),
                      [&](std::size_t a, std::size_t b) {
-                       return parse_record(payload, offsets[a]).key <
-                              parse_record(payload, offsets[b]).key;
+                       return parse_record_frame(payload, offsets[a]).key <
+                              parse_record_frame(payload, offsets[b]).key;
                      });
     std::string sorted;
     sorted.reserve(payload.size());
     for (std::size_t i : order) {
-      const RecordView record = parse_record(payload, offsets[i]);
+      const RecordFrame record = parse_record_frame(payload, offsets[i]);
       sorted.append(payload, offsets[i], record.next - offsets[i]);
     }
     payload = std::move(sorted);
@@ -383,7 +402,7 @@ struct RunCursor {
   void advance(const LoadPage& load, const PageDone& done) {
     while (true) {
       if (offset < payload.size()) {
-        const RecordView record = parse_record(payload, offset);
+        const RecordFrame record = parse_record_frame(payload, offset);
         key = record.key;
         value = record.value;
         offset = record.next;
@@ -470,10 +489,7 @@ SpoolBuffer::Run SpoolBuffer::merge_run_group(
         config_.page_bytes) {
       seal_output();
     }
-    put_u32(out_payload, static_cast<std::uint32_t>(cursor.key.size()));
-    put_u32(out_payload, static_cast<std::uint32_t>(cursor.value.size()));
-    out_payload.append(cursor.key);
-    out_payload.append(cursor.value);
+    append_record_frame(out_payload, cursor.key, cursor.value);
     ++out_records;
     cursor.advance(load, free_source);
   });
@@ -517,7 +533,7 @@ void SpoolBuffer::for_each(const SpoolVisitor& visit) const {
     const std::string payload = load_page(page);
     std::size_t offset = 0;
     while (offset < payload.size()) {
-      const RecordView record = parse_record(payload, offset);
+      const RecordFrame record = parse_record_frame(payload, offset);
       visit(record.key, record.value);
       offset = record.next;
     }

@@ -121,6 +121,26 @@ class SpoolPager {
   std::vector<PageMeta> meta_;
 };
 
+/// Appends one record in the spool's framing: u32 key length, u32 value
+/// length, key bytes, value bytes.
+void append_record_frame(std::string& out, std::string_view key,
+                         std::string_view value);
+
+/// One record frame parsed out of a byte string: views of its key and
+/// value, and the offset of the frame after it.
+struct RecordFrame {
+  std::string_view key;
+  std::string_view value;
+  std::size_t next = 0;
+};
+
+/// Parses the frame at `offset` (at most bytes.size()). Throws IoError on
+/// a partial header or a length past the end: frames can be untrusted.
+RecordFrame parse_record_frame(std::string_view bytes, std::size_t offset);
+
+/// The number of record frames in `run`; throws as parse_record_frame does.
+std::size_t count_record_frames(std::string_view run);
+
 /// One record visited during spool iteration. Views are valid only for
 /// the duration of the visitor call.
 using SpoolVisitor =
@@ -135,6 +155,11 @@ class SpoolBuffer {
   /// (8-byte length header + key + value) overflows the u32 frame, or if
   /// called after finish().
   void append(std::string_view key, std::string_view value);
+
+  /// Append every record of `run` (record frames, untrusted: malformed
+  /// framing throws IoError before anything is appended), sealing pages
+  /// exactly where per-record append would.
+  void append_run(std::string_view run);
 
   /// Seal the open page, enforce the budget, and (with sort_on_seal)
   /// externally merge sorted runs down to at most fan_in. Idempotent.
@@ -178,6 +203,7 @@ class SpoolBuffer {
     std::size_t ordinal = 0;  ///< append-order rank; the merge tie-break
   };
 
+  void reserve_frame(std::size_t framed);
   void seal_open_page();
   void enforce_budget();
   void spill_page(Page& page);

@@ -4,6 +4,7 @@
 
 #include "common/checksum.hpp"
 #include "common/error.hpp"
+#include "common/spool.hpp"
 
 namespace dasc::ipc {
 
@@ -96,10 +97,7 @@ void WireWriter::bytes(std::string_view value) {
 }
 
 void WireWriter::record(std::string_view key, std::string_view value) {
-  put_u32(out_, static_cast<std::uint32_t>(key.size()));
-  put_u32(out_, static_cast<std::uint32_t>(value.size()));
-  out_.append(key);
-  out_.append(value);
+  append_record_frame(out_, key, value);
 }
 
 void WireReader::need(std::size_t n) const {
@@ -131,15 +129,9 @@ std::string_view WireReader::bytes() {
 }
 
 std::pair<std::string_view, std::string_view> WireReader::record() {
-  need(8);
-  const std::uint32_t klen = get_u32(payload_.data() + offset_);
-  const std::uint32_t vlen = get_u32(payload_.data() + offset_ + 4);
-  offset_ += 8;
-  need(static_cast<std::size_t>(klen) + vlen);
-  const std::string_view key = payload_.substr(offset_, klen);
-  const std::string_view value = payload_.substr(offset_ + klen, vlen);
-  offset_ += static_cast<std::size_t>(klen) + vlen;
-  return {key, value};
+  const RecordFrame frame = parse_record_frame(payload_, offset_);
+  offset_ = frame.next;
+  return {frame.key, frame.value};
 }
 
 }  // namespace dasc::ipc

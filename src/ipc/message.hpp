@@ -17,8 +17,8 @@
 //
 // Payloads are built with WireWriter and walked with WireReader; key/value
 // records reuse the spool record framing (u32 key length, u32 value
-// length, key bytes, value bytes), so a shuffle chunk on the wire is the
-// same byte layout as a shuffle chunk in a spool page.
+// length, key bytes, value bytes), so a map output's partition run is the
+// same bytes in the map output, in kFetchData and in a spool page.
 #pragma once
 
 #include <array>
@@ -37,10 +37,10 @@ namespace dasc::ipc {
 enum class MessageType : std::uint32_t {
   kHello = 1,      ///< worker -> supervisor: u64 pid (handshake)
   kJobSetup,       ///< supervisor -> exec worker: registered-job setup
-  kMapAssign,      ///< supervisor -> worker: map task + input records
+  kMapAssign,      ///< supervisor -> worker: task, partitions, records
   kMapDone,        ///< worker -> supervisor: map task counters
-  kFetchData,      ///< owner -> reducer: one listed map task's CRC +
-                   ///< partition records {map_task, crc, count, records}
+  kFetchData,      ///< owner -> reducer: one listed map task's run of the
+                   ///< partition {map_task, crc, count, run bytes}
   kTaskError,      ///< worker -> supervisor: task failed (message text)
   kHeartbeat,      ///< worker -> supervisor: liveness while busy
   kShutdown,       ///< supervisor -> worker: exit the serve loop
@@ -58,7 +58,7 @@ enum class MessageType : std::uint32_t {
                    ///< resume pulling {map_task}
   // Speculative execution (DESIGN.md section 15):
   kTaskCancel,     ///< supervisor -> worker: a retained attempt lost the
-                   ///< commit race {kind, task, spill_dir} — drop the map
+                   ///< commit race {task, kind, spill_dir} — drop the map
                    ///< output (map kind) and sweep own spool files
   kTaskCancelled,  ///< worker -> supervisor: cancel receipt
                    ///< {task, outputs_dropped, spools_swept}

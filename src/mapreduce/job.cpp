@@ -52,7 +52,7 @@ JobResult execute(const JobSpec& spec,
                   << " reduce tasks on " << spec.conf.num_nodes << " nodes";
 
   // ---- Map phase (parallel over tasks; one mapper instance per task) ----
-  std::vector<std::vector<Record>> map_outputs(splits.size());
+  std::vector<MapOutput> map_outputs(splits.size());
   std::atomic<std::uint64_t> map_in{0};
   std::atomic<std::uint64_t> map_out{0};
   std::atomic<std::uint64_t> combine_in{0};
@@ -69,7 +69,7 @@ JobResult execute(const JobSpec& spec,
       [&](std::size_t task, bool /*backup*/) -> detail::TaskAttempt {
         detail::MapTaskResult mapped = execute_map_task(
             spec.mapper_factory, spec.combiner_factory, use_combiner,
-            splits[task]);
+            splits[task], spec.conf.num_reducers);
 
         // The commit closure runs only for the attempt that wins the task,
         // so a retried or speculative attempt never double-counts (Hadoop
@@ -100,7 +100,7 @@ JobResult execute(const JobSpec& spec,
   result.counters.combine_output_records = combine_out.load();
 
   // ---- Shuffle (checksum-verified transfers when faults are on) ----
-  // Verified map outputs stream into per-partition sort-on-seal spools
+  // Verified map outputs' runs stream into per-partition sort-on-seal spools
   // (external merge sort); the spill budget only decides whether sealed
   // pages stay resident or go to disk, never the groups a reducer sees.
   std::vector<std::unique_ptr<SpoolBuffer>> partitions;

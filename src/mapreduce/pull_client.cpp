@@ -1,9 +1,9 @@
 // The reducer side of the worker-to-worker shuffle (DESIGN.md sections
 // 14-15) and the kReducePull / kFetchPart / kReducePullDone codecs. A
-// reducer asks each remote owner once for its partition of every map
-// output that owner holds and reads the replies as it walks the map tasks
-// in order; a retry or a broken stream restarts that owner's request at
-// the task being pulled. Pull order fixes the
+// reducer asks each remote owner once for its partition's run of every
+// map output that owner holds and appends the runs, as bytes, as it walks
+// the map tasks in order; a retry or a broken stream restarts that owner's
+// request at the task being pulled. Pull order fixes the
 // partition's record sequence to exactly what the in-process
 // fetch_and_partition appends, and both spool it under the same
 // shuffle_spool_config, so the reduce is byte-identical in either mode.
@@ -143,21 +143,23 @@ struct OwnerUnreachable {
   std::string reason;
 };
 
-/// Parses the owner's kFetchData reply for `map_task`; a kTaskError reply
-/// (the output is not resident there) is rethrown typed.
-FetchedSlice decode_fetch_data(const Message& reply, std::uint64_t map_task) {
+/// Parses the kFetchData reply for `map_task` into its run; a kTaskError
+/// reply (the output is not resident there, say) is rethrown typed.
+FetchedRun decode_fetch_data(Message reply, std::uint64_t map_task) {
   if (reply.type == MessageType::kTaskError) rethrow_task_error(reply);
   DASC_ENSURE(reply.type == MessageType::kFetchData,
               "ipc: unexpected reply to kFetchPart");
   WireReader data(reply.payload);
   DASC_ENSURE(data.u64() == map_task, "ipc: kFetchData map task mismatch");
-  FetchedSlice slice;
-  slice.crc = data.u32();
+  FetchedRun run;
+  run.crc = data.u32();
   const std::uint64_t count = data.u64();
-  slice.records = read_records(data);
-  DASC_ENSURE(slice.records.size() == count,
+  const std::size_t header = reply.payload.size() - data.remaining();
+  run.bytes = std::move(reply.payload);
+  run.bytes.erase(0, header);
+  DASC_ENSURE(count_record_frames(run.bytes) == count,
               "ipc: kFetchData record count mismatch");
-  return slice;
+  return run;
 }
 
 /// The reply stream from one remote owner (DESIGN.md section 15): one
@@ -223,9 +225,7 @@ class PullClient {
     SpoolBuffer spool(spool_config);
 
     for (std::uint64_t m = 0; m < request_.owners.size(); ++m) {
-      for (const auto& record : pull(m)) {
-        spool.append(record.key, record.value);
-      }
+      spool.append_run(pull(m));
       ++report_.pulls;
     }
     spool.finish();
@@ -250,9 +250,9 @@ class PullClient {
   }
 
  private:
-  /// One map task's verified slice: one `shuffle.fetch` check and one
+  /// One map task's verified run: one `shuffle.fetch` check and one
   /// transfer per attempt, in task order.
-  std::vector<Record> pull(std::uint64_t map_task) {
+  std::string pull(std::uint64_t map_task) {
     // Two rounds suffice: a failed pull re-homes the output onto this
     // worker, and a local pull cannot lose its owner.
     for (std::size_t round = 0;; ++round) {
@@ -272,16 +272,12 @@ class PullClient {
     }
   }
 
-  FetchedSlice pull_once(std::uint64_t map_task) {
+  FetchedRun pull_once(std::uint64_t map_task) {
     const OwnerRef& owner = request_.owners[map_task];
     if (owner.slot == options_.ordinal) {
-      std::optional<FetchedSlice> slice =
-          state_.slice(map_task, request_.task, request_.num_partitions);
-      if (!slice.has_value()) {
-        throw IoError("pull: map output " + std::to_string(map_task) +
-                      " not resident on this worker");
-      }
-      return *std::move(slice);
+      return decode_fetch_data(
+          state_.fetch_reply(map_task, request_.task, request_.num_partitions),
+          map_task);
     }
     if (owner.path.empty()) {
       throw OwnerUnreachable{"owner has no data-plane address"};

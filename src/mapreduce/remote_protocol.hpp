@@ -7,7 +7,6 @@
 #include <cstdint>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -146,7 +145,7 @@ struct PullReport {
   /// worker-local.)
   std::uint64_t spill_retries = 0;
   std::uint64_t conns_opened = 0;  ///< data-plane dials this task paid
-  std::uint64_t pulls = 0;         ///< map-output slices gathered
+  std::uint64_t pulls = 0;         ///< map-output runs gathered
   std::uint64_t fetch_requests = 0;  ///< kFetchPart sent, restarts included
 
   ipc::Message encode() const;
@@ -155,60 +154,43 @@ struct PullReport {
 
 /// A worker's map outputs and outbound data-plane connections, shared by
 /// its serve loop (which stores outputs, including re-executions inside a
-/// pull recovery), its data-plane threads (which serve slices to other
+/// pull recovery), its data-plane threads (which serve runs to other
 /// reducers), and its own pull client.
 class WorkerState {
  public:
-  void store(std::uint64_t map_task, std::vector<Record> output) {
+  void store(std::uint64_t map_task, MapOutput output) {
     std::lock_guard lock(mutex_);
-    StoredOutput& stored = outputs_[map_task];
-    stored.records = std::move(output);
-    stored.grouped_for.reset();  // the old grouping indexes the old records
-    stored.index.clear();
+    outputs_[map_task] = std::move(output);
   }
   /// Drops a retained output; returns how many were dropped (0 or 1).
   std::uint64_t drop(std::uint64_t map_task) {
     std::lock_guard lock(mutex_);
     return outputs_.erase(map_task);
   }
-  /// The records of `map_task`'s output that hash to `partition`, in
-  /// output order, with their CRC — or nullopt when the output is not
-  /// resident here. Order preservation is what makes a reducer pulling
-  /// its slice of every map output in task order see exactly the record
-  /// sequence fetch_and_partition builds for that partition. The first
-  /// slice for a `num_partitions` groups the output by partition (one
-  /// key hash per record); every later one copies a contiguous range.
-  std::optional<FetchedSlice> slice(std::uint64_t map_task,
-                                    std::uint64_t partition,
-                                    std::uint64_t num_partitions);
+  /// The kFetchData reply carrying `map_task`'s run for `partition`, or
+  /// kTaskError when the output is not resident here or has no such
+  /// partition of `num_partitions`. Served to remote pullers and, decoded
+  /// the same way, to this worker's own pull client.
+  ipc::Message fetch_reply(std::uint64_t map_task, std::uint64_t partition,
+                           std::uint64_t num_partitions);
   /// Pooled data-plane connections to map-output owners, reused across
   /// pulls, reduce tasks, and re-attempts (DESIGN.md section 15).
   ipc::ConnPool& pool() { return pool_; }
 
  private:
-  /// One retained map output. Once grouped for `grouped_for` partitions,
-  /// `records` is stably sorted by partition and index[i] holds record i's
-  /// {partition, position in the output}; until then `records` is in
-  /// output order and `index` is empty.
-  struct StoredOutput {
-    std::vector<Record> records;
-    std::optional<std::uint64_t> grouped_for;
-    std::vector<std::pair<std::size_t, std::size_t>> index;
-  };
-  static void group(StoredOutput& stored, std::uint64_t num_partitions);
-
   std::mutex mutex_;
-  std::map<std::uint64_t, StoredOutput> outputs_;
+  std::map<std::uint64_t, MapOutput> outputs_;
   ipc::ConnPool pool_;
 };
 
 /// Runs the kMapAssign whose payload `reader` holds (positioned after the
-/// task id), retains the output in `state`, and returns the kMapDone
-/// reply. Throws when the map task fails. Defined in worker_loop.cpp.
+/// task id: the partition count, then the split's records), retains the
+/// partitioned output in `state`, and returns the kMapDone reply. Throws
+/// when the map task fails. Defined in worker_loop.cpp.
 ipc::Message run_map_assign(const WorkerJob& job, WorkerState& state,
                             std::uint64_t task, ipc::WireReader& reader);
 
-/// The reducer half of kReducePull: pulls `request.task`'s slice of every
+/// The reducer half of kReducePull: pulls `request.task`'s run of every
 /// map output in map-task order into one sort-on-seal spool and reduces
 /// off it. A dead owner is recovered over `control` (kPullFailed ->
 /// kMapAssign -> kPullResume). Throws when the task fails. Defined in

@@ -356,11 +356,8 @@ class MultiprocRun {
 
   detail::TaskAttempt map_attempt(std::size_t task, bool backup) {
     const std::size_t slot = map_placement_.pick(task, backup);
-    WireWriter writer;
-    writer.u64(task);
-    remote::append_records(writer, splits_[task]);
-    const Message reply = map_placement_.dispatch(
-        task, slot, {MessageType::kMapAssign, writer.take()}, kill_fires());
+    const Message reply =
+        map_placement_.dispatch(task, slot, map_assign(task), kill_fires());
     if (reply.type == MessageType::kTaskError) rethrow_task_error(reply);
     DASC_ENSURE(reply.type == MessageType::kMapDone,
                 "ipc: unexpected reply to kMapAssign");
@@ -380,6 +377,15 @@ class MultiprocRun {
               map_owner_[task] = slot;
             },
             [this, task, slot] { queue_cancel(/*kind=*/0, task, slot); }};
+  }
+
+  /// kMapAssign: the task, the partition count, the split's records.
+  Message map_assign(std::size_t task) const {
+    WireWriter writer;
+    writer.u64(task);
+    writer.u64(conf_.num_reducers);
+    remote::append_records(writer, splits_[task]);
+    return {MessageType::kMapAssign, writer.take()};
   }
 
   /// Ships the partition map, lets the reducer pull and spool its own
@@ -444,13 +450,10 @@ class MultiprocRun {
                     << " (owner unreachable during pull for reduce task "
                     << reduce_task << ")";
     add_gauge(spec_.metrics, "worker.map_reexecutions", 1);
-    WireWriter writer;
-    writer.u64(map_task);
-    remote::append_records(writer, splits_[map_task]);
     // The worker reports a failed re-execution as the reduce task's one
     // kTaskError; the attempt fails and retries cleanly.
-    const Message reply = exchange_.converse_locked(
-        reducer_slot, {MessageType::kMapAssign, writer.take()});
+    const Message reply =
+        exchange_.converse_locked(reducer_slot, map_assign(map_task));
     if (reply.type == MessageType::kTaskError) rethrow_task_error(reply);
     DASC_ENSURE(reply.type == MessageType::kMapDone,
                 "ipc: unexpected reply to kMapAssign (pull recovery)");
@@ -540,8 +543,8 @@ class MultiprocRun {
       }
       if (!supervisor_.alive(cancel.slot)) continue;
       WireWriter writer;
-      writer.u64(cancel.kind);
       writer.u64(static_cast<std::uint64_t>(cancel.task));
+      writer.u64(cancel.kind);
       writer.bytes(conf_.spill_dir);
       try {
         const Message reply = exchange_.converse(

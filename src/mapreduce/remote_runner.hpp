@@ -18,16 +18,17 @@
 // data-plane Listener, and reducers pull their partitions from the mapper
 // workers — the supervisor relays no shuffle bytes:
 //
-//   map:     kMapAssign{task, records}        -> kMapDone{counters}
+//   map:     kMapAssign{task, P, records}     -> kMapDone{counters}
 //   reduce:  kReducePull{task, partition map} -> kReducePullDone{records,
 //                                                spill/fault accounting}
 //   pull:    kFetchPart{partition, map tasks} -> one kFetchData{map_task,
-//                                                crc, records} per task
+//                                                crc, count, run} per task
 //            (reducer -> owner's data plane: one pooled request per
 //            owner, restarted at the task a retry needs — DESIGN.md
 //            section 15)
 //
-// Pulled records stream into one sort-on-seal SpoolBuffer per reduce task,
+// Map tasks write one framed run per partition; pulled runs append, as
+// bytes, to one sort-on-seal SpoolBuffer per reduce task,
 // so JobConf::spill_budget_bytes bounds reducer residency. A map-output
 // owner that dies mid-pull is re-executed inline on the pulling reducer
 // (kPullFailed -> kMapAssign -> kPullResume). A speculative backup runs on
@@ -91,7 +92,7 @@ struct WorkerOptions {
 /// A worker process's whole life: serve task assignments from `transport`
 /// until kShutdown or EOF (supervisor gone). Runs map tasks with
 /// execute_map_task (outputs retained for data-plane pulls) and reduce
-/// tasks (kReducePull) by pulling each map task's slice of the partition
+/// tasks (kReducePull) by pulling each map task's run of the partition
 /// into a sort-on-seal SpoolBuffer reduced via execute_reduce_spooled. A
 /// task that throws is reported as kTaskError and the loop keeps serving
 /// (the supervisor decides whether to retry). While a task is executing, a

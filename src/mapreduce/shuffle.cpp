@@ -12,69 +12,31 @@
 
 namespace dasc::mapreduce {
 
-namespace {
-
-/// Injected-corruption realization: flip one byte of the transfer so the
-/// CRC check catches it. Returns false when every record is empty (nothing
-/// to flip — the caller fails the attempt instead).
-bool flip_one_byte(std::vector<Record>& records) {
-  for (auto& record : records) {
-    if (!record.value.empty()) {
-      record.value.front() = static_cast<char>(record.value.front() ^ 0x1);
-      return true;
-    }
-    if (!record.key.empty()) {
-      record.key.front() = static_cast<char>(record.key.front() ^ 0x1);
-      return true;
-    }
-  }
-  return false;
+std::string_view MapOutput::run(std::size_t partition) const {
+  DASC_EXPECT(partition < run_end.size(), "MapOutput: no such partition");
+  const std::size_t begin = partition == 0 ? 0 : run_end[partition - 1];
+  return std::string_view(bytes).substr(begin, run_end[partition] - begin);
 }
 
-/// fetch_verified over an in-memory map output: each attempt copies it.
-std::vector<Record> fetch_local(const std::vector<Record>& output,
-                                std::size_t task, FaultInjector* faults,
-                                std::size_t max_attempts,
-                                MetricsRegistry* metrics) {
-  const std::uint32_t expected = records_crc(output);
-  return fetch_verified(
-      task, faults, max_attempts,
-      [&] { return FetchedSlice{output, expected}; },
-      [metrics] {
-        if (metrics != nullptr) metrics->counter("retry.shuffle_fetch").add();
-      });
-}
-
-}  // namespace
-
-std::uint32_t records_crc(const std::vector<Record>& records) {
-  Crc32 crc;
-  for (const auto& record : records) {
-    crc.update(record.key).update("\t").update(record.value).update("\n");
-  }
-  return crc.value();
-}
-
-std::vector<Record> fetch_verified(
-    std::size_t map_task, FaultInjector* faults, std::size_t max_attempts,
-    const std::function<FetchedSlice()>& transfer,
-    const std::function<void()>& on_retry) {
+std::string fetch_verified(std::size_t map_task, FaultInjector* faults,
+                           std::size_t max_attempts,
+                           const std::function<FetchedRun()>& transfer,
+                           const std::function<void()>& on_retry) {
   for (std::size_t attempt = 1;; ++attempt) {
     const FaultInjector::Outcome fault =
         faults != nullptr ? faults->check("shuffle.fetch")
                           : FaultInjector::Outcome::kNone;
     bool ok = fault != FaultInjector::Outcome::kError;
-    FetchedSlice slice;
+    FetchedRun run;
     if (ok) {
-      slice = transfer();
+      run = transfer();
       if (fault == FaultInjector::Outcome::kCorruption) {
-        ok = flip_one_byte(slice.records) &&
-             records_crc(slice.records) == slice.crc;
-      } else {
-        ok = records_crc(slice.records) == slice.crc;
+        ok = !run.bytes.empty();  // an empty transfer has no byte to flip
+        if (ok) run.bytes.front() = static_cast<char>(run.bytes.front() ^ 0x1);
       }
+      ok = ok && crc32(run.bytes) == run.crc;
     }
-    if (ok) return std::move(slice.records);
+    if (ok) return std::move(run.bytes);
     if (attempt >= max_attempts) {
       throw IoError("shuffle: fetch of map output " +
                     std::to_string(map_task) + " failed after " +
@@ -121,9 +83,8 @@ SpoolConfig shuffle_spool_config(std::size_t spill_budget_bytes,
 }
 
 std::vector<std::unique_ptr<SpoolBuffer>> fetch_and_partition(
-    const std::vector<std::vector<Record>>& outputs,
-    std::size_t num_partitions, FaultInjector* faults,
-    std::size_t max_attempts, MetricsRegistry* metrics,
+    const std::vector<MapOutput>& outputs, std::size_t num_partitions,
+    FaultInjector* faults, std::size_t max_attempts, MetricsRegistry* metrics,
     const SpoolConfig& spool) {
   DASC_EXPECT(num_partitions >= 1, "fetch_and_partition: need >= 1 partition");
   DASC_EXPECT(max_attempts >= 1, "fetch_and_partition: need >= 1 attempt");
@@ -138,15 +99,26 @@ std::vector<std::unique_ptr<SpoolBuffer>> fetch_and_partition(
   for (std::size_t p = 0; p < num_partitions; ++p) {
     partitions.push_back(std::make_unique<SpoolBuffer>(config));
   }
+  const auto on_retry = [metrics] {
+    if (metrics != nullptr) metrics->counter("retry.shuffle_fetch").add();
+  };
   for (std::size_t task = 0; task < outputs.size(); ++task) {
-    // With no injector nothing can fire: no copy, no CRC.
-    const std::vector<Record> fetched =
-        faults == nullptr
-            ? std::vector<Record>()
-            : fetch_local(outputs[task], task, faults, max_attempts, metrics);
-    for (const auto& record : faults == nullptr ? outputs[task] : fetched) {
-      partitions[partition_for_key(record.key, num_partitions)]->append(
-          record.key, record.value);
+    const MapOutput& output = outputs[task];
+    DASC_EXPECT(output.num_partitions() == num_partitions,
+                "fetch_and_partition: map output has another partition count");
+    // With no injector nothing can fire: no copy, no CRC. Otherwise each
+    // attempt copies the bytes, and the run bounds apply to the copy.
+    MapOutput fetched;
+    if (faults != nullptr) {
+      const std::uint32_t crc = crc32(output.bytes);
+      fetched = {fetch_verified(task, faults, max_attempts,
+                                [&] { return FetchedRun{output.bytes, crc}; },
+                                on_retry),
+                 output.run_end};
+    }
+    const MapOutput& source = faults == nullptr ? output : fetched;
+    for (std::size_t p = 0; p < num_partitions; ++p) {
+      partitions[p]->append_run(source.run(p));
     }
   }
   for (auto& partition : partitions) partition->finish();

@@ -1,4 +1,4 @@
-// Shuffle phase: hash partitioning of map outputs into per-partition
+// Shuffle phase: map outputs' partition runs appended to per-partition
 // sort-on-seal spools — the bridge between map and reduce. One shuffle
 // serves both execution modes; the spill budget only decides where sealed
 // pages live (DESIGN.md section 12).
@@ -9,6 +9,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/spool.hpp"
@@ -32,14 +33,22 @@ struct KeyGroup {
   std::vector<std::string> values;
 };
 
-/// CRC-32 over records in the "key\tvalue\n" convention: the transfer
-/// checksum every shuffle path serves and verifies.
-std::uint32_t records_crc(const std::vector<Record>& records);
+/// A map task's output: records in the spool's framing, one run per
+/// partition. Run p holds, in output order, the records partition_for_key
+/// sends to p, and ends at run_end[p].
+struct MapOutput {
+  std::string bytes;
+  std::vector<std::size_t> run_end;
 
-/// One transfer attempt's result: the records as received plus the
-/// checksum their source computed before sending them.
-struct FetchedSlice {
-  std::vector<Record> records;
+  std::size_t num_partitions() const { return run_end.size(); }
+  /// Run `partition`'s bytes. Throws InvalidArgument past the last run.
+  std::string_view run(std::size_t partition) const;
+};
+
+/// One transfer attempt's result: the bytes as received plus the checksum
+/// their source computed before sending them.
+struct FetchedRun {
+  std::string bytes;
   std::uint32_t crc = 0;
 };
 
@@ -48,14 +57,14 @@ struct FetchedSlice {
 /// exercises them identically whichever process fetches.
 /// Each attempt makes one `shuffle.fetch` check (`faults` may be null): an
 /// error fails the attempt without transferring; otherwise `transfer`
-/// runs, a corruption flips one byte of what it returned, and the records
-/// must match the source's CRC. A failed attempt calls `on_retry` and goes
-/// again; after `max_attempts` the loop throws IoError. Exceptions from
-/// `transfer` propagate untouched. Returns the verified records.
-std::vector<Record> fetch_verified(
-    std::size_t map_task, FaultInjector* faults, std::size_t max_attempts,
-    const std::function<FetchedSlice()>& transfer,
-    const std::function<void()>& on_retry);
+/// runs, a corruption flips one byte of what it returned (failing an empty
+/// transfer outright), and the bytes must match the source's CRC. A failed
+/// attempt calls `on_retry` and goes again; after `max_attempts` the loop
+/// throws IoError. Exceptions from `transfer` propagate untouched.
+std::string fetch_verified(std::size_t map_task, FaultInjector* faults,
+                           std::size_t max_attempts,
+                           const std::function<FetchedRun()>& transfer,
+                           const std::function<void()>& on_retry);
 
 /// Sort-on-seal spool knobs for a shuffle partition — the one place the
 /// budget conventions meet: JobConf's 0 ("never spill") becomes an
@@ -67,16 +76,15 @@ SpoolConfig shuffle_spool_config(std::size_t spill_budget_bytes,
 
 /// The shuffle: each map output is copied through fetch_verified (counting
 /// `retry.shuffle_fetch` per re-fetch; no copy or CRC without an injector)
-/// and its records are appended, in task order, to one sort-on-seal spool
-/// per partition, returned sealed. `spool` supplies the dir/budget/page
+/// and its run p is appended, in task order, to partition p's sort-on-seal
+/// spool, returned sealed. `spool` supplies the dir/budget/page
 /// knobs; sort_on_seal is forced on and faults/metrics are overridden with
 /// the arguments. Sealed spools are const-readable, so re-attempts and
 /// speculative backups may stream one partition concurrently, and each
 /// streams the groups sort_and_group would build, for any budget.
 std::vector<std::unique_ptr<SpoolBuffer>> fetch_and_partition(
-    const std::vector<std::vector<Record>>& outputs,
-    std::size_t num_partitions, FaultInjector* faults,
-    std::size_t max_attempts, MetricsRegistry* metrics,
+    const std::vector<MapOutput>& outputs, std::size_t num_partitions,
+    FaultInjector* faults, std::size_t max_attempts, MetricsRegistry* metrics,
     const SpoolConfig& spool);
 
 /// Sort one partition's records by key and group equal keys (the

@@ -10,6 +10,7 @@
 #include "common/fault_injection.hpp"
 #include "common/log.hpp"
 #include "common/metrics.hpp"
+#include "common/spool.hpp"
 #include "common/stopwatch.hpp"
 #include "common/thread_pool.hpp"
 #include "mapreduce/shuffle.hpp"
@@ -26,6 +27,37 @@ double backoff_ms(const JobConf& conf, std::size_t attempt) {
                     std::pow(2.0, static_cast<double>(attempt - 1));
   return std::min(ms, conf.retry_backoff_max_ms);
 }
+
+/// Frames each emitted record straight into its partition's run.
+class RunEmitter final : public Emitter {
+ public:
+  explicit RunEmitter(std::size_t num_partitions) : runs_(num_partitions) {}
+
+  void emit(std::string key, std::string value) override {
+    append_record_frame(runs_[partition_for_key(key, runs_.size())], key,
+                        value);
+    ++records_;
+  }
+
+  std::uint64_t records() const { return records_; }
+
+  /// The runs, concatenated in partition order.
+  MapOutput take() {
+    MapOutput output;
+    std::size_t total = 0;
+    for (const std::string& run : runs_) total += run.size();
+    output.bytes.reserve(total);  // kept until the job ends: no slack
+    for (const std::string& run : runs_) {
+      output.bytes += run;
+      output.run_end.push_back(output.bytes.size());
+    }
+    return output;
+  }
+
+ private:
+  std::vector<std::string> runs_;
+  std::uint64_t records_ = 0;
+};
 
 std::int64_t steady_now_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -184,28 +216,31 @@ void run_task_phase(const JobSpec& spec, std::size_t num_tasks,
 MapTaskResult execute_map_task(
     const std::function<std::unique_ptr<Mapper>()>& mapper_factory,
     const std::function<std::unique_ptr<Reducer>()>& combiner_factory,
-    bool use_combiner, const std::vector<Record>& input) {
+    bool use_combiner, const std::vector<Record>& input,
+    std::size_t num_partitions) {
   const std::unique_ptr<Mapper> mapper = mapper_factory();
-  VectorEmitter emitter;
-  for (const auto& record : input) {
-    mapper->map(record.key, record.value, emitter);
-  }
-
+  RunEmitter runs(num_partitions);
   MapTaskResult result;
-  result.emitted = emitter.records().size();
   if (use_combiner) {
     // Combine within the task: sort/group local output and fold it before
     // it hits the shuffle.
-    const std::unique_ptr<Reducer> combiner = combiner_factory();
-    VectorEmitter combined;
-    for (auto& group : sort_and_group(std::move(emitter.records()))) {
-      combiner->reduce(group.key, group.values, combined);
+    VectorEmitter emitter;
+    for (const auto& record : input) {
+      mapper->map(record.key, record.value, emitter);
     }
-    result.combined = combined.records().size();
-    result.output = std::move(combined.records());
+    result.emitted = emitter.records().size();
+    const std::unique_ptr<Reducer> combiner = combiner_factory();
+    for (auto& group : sort_and_group(std::move(emitter.records()))) {
+      combiner->reduce(group.key, group.values, runs);
+    }
+    result.combined = runs.records();
   } else {
-    result.output = std::move(emitter.records());
+    for (const auto& record : input) {
+      mapper->map(record.key, record.value, runs);
+    }
+    result.emitted = runs.records();
   }
+  result.output = runs.take();
   return result;
 }
 

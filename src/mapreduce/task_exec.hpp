@@ -19,11 +19,8 @@
 #include <vector>
 
 #include "mapreduce/job.hpp"
+#include "mapreduce/shuffle.hpp"
 #include "mapreduce/types.hpp"
-
-namespace dasc {
-class SpoolBuffer;
-}  // namespace dasc
 
 namespace dasc::mapreduce::detail {
 
@@ -74,17 +71,19 @@ void run_task_phase(const JobSpec& spec, std::size_t num_tasks,
                     std::vector<double>& task_seconds, const TaskBody& body);
 
 struct MapTaskResult {
-  std::vector<Record> output;
+  MapOutput output;
   std::uint64_t emitted = 0;   ///< mapper output records (pre-combine)
   std::uint64_t combined = 0;  ///< combiner output records (0 if unused)
 };
 
 /// Run one map task: map every input record, then (when `use_combiner`)
-/// sort/group the local output and fold it through the combiner.
+/// sort/group the local output and fold it through the combiner. Output
+/// records are framed straight into their runs of `num_partitions`.
 MapTaskResult execute_map_task(
     const std::function<std::unique_ptr<Mapper>()>& mapper_factory,
     const std::function<std::unique_ptr<Reducer>()>& combiner_factory,
-    bool use_combiner, const std::vector<Record>& input);
+    bool use_combiner, const std::vector<Record>& input,
+    std::size_t num_partitions);
 
 struct ReduceTaskResult {
   std::vector<Record> output;

@@ -10,13 +10,16 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "common/checksum.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
+#include "common/spool.hpp"
 #include "common/thread_pool.hpp"
 #include "ipc/transport.hpp"
 #include "ipc/worker_supervisor.hpp"
@@ -26,70 +29,46 @@ namespace dasc::mapreduce {
 
 namespace remote {
 
-void WorkerState::group(StoredOutput& stored, std::uint64_t num_partitions) {
-  std::vector<Record>& records = stored.records;
-  const std::size_t n = records.size();
-  if (stored.grouped_for.has_value()) {  // back to output order first
-    std::vector<Record> ordered(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      ordered[stored.index[i].second] = std::move(records[i]);
-    }
-    records.swap(ordered);
-    stored.grouped_for.reset();
-    stored.index.clear();
+ipc::Message WorkerState::fetch_reply(std::uint64_t map_task,
+                                      std::uint64_t partition,
+                                      std::uint64_t num_partitions) {
+  std::lock_guard lock(mutex_);
+  const auto it = outputs_.find(map_task);
+  if (it == outputs_.end()) {
+    return task_error(map_task,
+                      "fetch_part: map output not resident on this worker");
   }
-  // Hashes before moving anything, so a P of 0 throws with the output
-  // intact. Sorting {partition, output position} pairs is a stable sort
-  // by partition, and needs no allocation proportional to P.
-  std::vector<std::pair<std::size_t, std::size_t>> index(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    index[i] = {partition_for_key(records[i].key,
-                                  static_cast<std::size_t>(num_partitions)),
-                i};
+  const MapOutput& output = it->second;
+  if (num_partitions != output.num_partitions() ||
+      partition >= num_partitions) {
+    return task_error(map_task, "fetch_part: no partition " +
+                                    std::to_string(partition) + " of " +
+                                    std::to_string(num_partitions) +
+                                    " in a map output of " +
+                                    std::to_string(output.num_partitions()));
   }
-  std::sort(index.begin(), index.end());
-  std::vector<Record> grouped(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    grouped[i] = std::move(records[index[i].second]);
-  }
-  records.swap(grouped);
-  stored.grouped_for = num_partitions;
-  stored.index = std::move(index);
-}
-
-std::optional<FetchedSlice> WorkerState::slice(std::uint64_t map_task,
-                                               std::uint64_t partition,
-                                               std::uint64_t num_partitions) {
-  FetchedSlice slice;
-  {
-    std::lock_guard lock(mutex_);
-    const auto it = outputs_.find(map_task);
-    if (it == outputs_.end()) return std::nullopt;
-    StoredOutput& stored = it->second;
-    if (stored.grouped_for != num_partitions) group(stored, num_partitions);
-    const auto [first, last] = std::equal_range(
-        stored.index.begin(), stored.index.end(),
-        std::pair<std::size_t, std::size_t>{partition, 0},
-        [](const auto& a, const auto& b) { return a.first < b.first; });
-    const auto begin = stored.records.begin();
-    slice.records.assign(begin + (first - stored.index.begin()),
-                         begin + (last - stored.index.begin()));
-  }
-  slice.crc = records_crc(slice.records);
-  return slice;
+  const std::string_view run = output.run(partition);
+  ipc::WireWriter writer;
+  writer.u64(map_task);
+  writer.u32(crc32(run));
+  writer.u64(count_record_frames(run));
+  std::string payload = writer.take();
+  payload.append(run);
+  return {ipc::MessageType::kFetchData, std::move(payload)};
 }
 
 ipc::Message run_map_assign(const WorkerJob& job, WorkerState& state,
                             std::uint64_t task, ipc::WireReader& reader) {
+  const std::uint64_t num_partitions = reader.u64();
   const std::vector<Record> input = read_records(reader);
   detail::MapTaskResult mapped = detail::execute_map_task(
       job.mapper_factory, job.combiner_factory,
-      job.use_combiner && job.combiner_factory != nullptr, input);
+      job.use_combiner && job.combiner_factory != nullptr, input,
+      static_cast<std::size_t>(num_partitions));
   ipc::WireWriter writer;
   writer.u64(task);
   writer.u64(mapped.emitted);
   writer.u64(mapped.combined);
-  writer.u64(mapped.output.size());
   state.store(task, std::move(mapped.output));
   return {ipc::MessageType::kMapDone, writer.take()};
 }
@@ -148,24 +127,6 @@ std::mutex& job_registry_mutex() {
   return mutex;
 }
 
-/// The reply to one map task a kFetchPart lists: its slice of the
-/// requested partition, or kTaskError when the output is not resident.
-Message fetch_reply(WorkerState& state, const remote::FetchPart& fetch,
-                    std::uint64_t map_task) {
-  const std::optional<FetchedSlice> slice =
-      state.slice(map_task, fetch.partition, fetch.num_partitions);
-  if (!slice.has_value()) {
-    return remote::task_error(
-        map_task, "fetch_part: map output not resident on this worker");
-  }
-  WireWriter writer;
-  writer.u64(map_task);
-  writer.u32(slice->crc);
-  writer.u64(slice->records.size());
-  remote::append_records(writer, slice->records);
-  return {MessageType::kFetchData, writer.take()};
-}
-
 /// Serve one data-plane connection until the puller closes it. A
 /// kFetchPart names one partition and a list of map tasks; the answer is
 /// one reply per task, in list order: kFetchData, or kTaskError when that
@@ -183,7 +144,8 @@ void serve_data_peer(ipc::Transport& peer, WorkerState& state) {
     }
     const remote::FetchPart fetch = remote::FetchPart::decode(*request);
     for (const std::uint64_t map_task : fetch.map_tasks) {
-      peer.send(fetch_reply(state, fetch, map_task));
+      peer.send(
+          state.fetch_reply(map_task, fetch.partition, fetch.num_partitions));
     }
   }
 }
@@ -310,11 +272,10 @@ class Heartbeat {
 /// kTaskCancel: a retained attempt of ours lost the commit race (DESIGN.md
 /// section 15). Drop the losing map output so no reducer can pull a side
 /// effect the job discarded, and sweep our spool files so a cancelled
-/// reduce attempt leaks no disk.
-Message cancel_task(WorkerState& state, const Message& request) {
-  WireReader reader(request.payload);
+/// reduce attempt leaks no disk. `reader` is positioned after the task id.
+Message cancel_task(WorkerState& state, std::uint64_t task,
+                    WireReader& reader) {
   const std::uint64_t kind = reader.u64();  // 0 = map, 1 = reduce
-  const std::uint64_t task = reader.u64();
   const std::string spill_dir(reader.bytes());
   const std::uint64_t dropped = kind == 0 ? state.drop(task) : 0;
   const std::uint64_t swept = static_cast<std::uint64_t>(
@@ -406,7 +367,10 @@ void serve_worker_loop(ipc::Transport& transport, const WorkerJob& job,
         });
         break;
       case MessageType::kTaskCancel:
-        transport.send(cancel_task(state, *message));
+        run_task(*message, "task_cancel",
+                 [&](std::uint64_t task, WireReader& reader) {
+                   return cancel_task(state, task, reader);
+                 });
         break;
       default:
         DASC_LOG(kWarn) << "worker " << options.ordinal

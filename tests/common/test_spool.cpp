@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -199,6 +200,98 @@ TEST(SpoolBuffer, MisuseIsTypedError) {
   EXPECT_THROW(
       spool.for_each_sorted([](std::string_view, std::string_view) {}),
       InvalidArgument);  // sorted walk without sort_on_seal
+}
+
+/// `records[begin, end)` framed as one run.
+std::string framed_run(const KvList& records, std::size_t begin,
+                       std::size_t end) {
+  std::string run;
+  for (std::size_t i = begin; i < end; ++i) {
+    append_record_frame(run, records[i].first, records[i].second);
+  }
+  return run;
+}
+
+TEST(SpoolBuffer, AppendRunMatchesPerRecordAppend) {
+  // Records of 9 to 128 framed bytes, some larger than every small page,
+  // few keys so the sorted stream has ties.
+  KvList records;
+  Rng rng(29);
+  for (int i = 0; i < 12; ++i) {
+    records.emplace_back("k" + std::to_string(rng() % 3),
+                         std::string(i % 4 == 0 ? 117 : i, 'a' + i));
+  }
+  for (const std::size_t page_bytes :
+       {std::size_t{16}, std::size_t{48}, std::size_t{4096}}) {
+    for (const std::size_t budget :
+         {std::size_t{0}, std::size_t{1},
+          std::numeric_limits<std::size_t>::max()}) {
+      const auto build = [&](MetricsRegistry& registry, std::size_t split) {
+        SpoolConfig config;
+        config.page_bytes = page_bytes;
+        config.budget_bytes = budget;
+        config.sort_on_seal = true;
+        config.fan_in = 2;
+        config.metrics = &registry;
+        auto spool = std::make_unique<SpoolBuffer>(config);
+        if (split > records.size()) {  // the per-record reference
+          for (const auto& [key, value] : records) spool->append(key, value);
+        } else {
+          spool->append_run(framed_run(records, 0, split));
+          EXPECT_EQ(spool->records(), split);
+          spool->append_run(framed_run(records, split, records.size()));
+        }
+        spool->finish();
+        return spool;
+      };
+      MetricsRegistry reference_registry;
+      const auto reference = build(reference_registry, records.size() + 1);
+      const KvList reference_stream = drain(*reference, /*sorted=*/true);
+      for (std::size_t split = 0; split <= records.size(); ++split) {
+        SCOPED_TRACE("page_bytes=" + std::to_string(page_bytes) +
+                     " budget=" + std::to_string(budget) +
+                     " split=" + std::to_string(split));
+        MetricsRegistry registry;
+        const auto spool = build(registry, split);
+        EXPECT_EQ(spool->records(), reference->records());
+        EXPECT_EQ(spool->record_bytes(), reference->record_bytes());
+        EXPECT_EQ(spool->pages_spilled(), reference->pages_spilled());
+        EXPECT_EQ(drain(*spool, /*sorted=*/true), reference_stream);
+        for (const char* gauge :
+             {"spill.pages", "spill.bytes_written", "spill.bytes_read"}) {
+          EXPECT_EQ(registry.gauge_value(gauge),
+                    reference_registry.gauge_value(gauge))
+              << gauge;
+        }
+      }
+    }
+  }
+}
+
+TEST(SpoolBuffer, MalformedRunIsTypedError) {
+  const KvList good = {{"key", "value"}, {"k2", ""}};
+  const std::string valid = framed_run(good, 0, good.size());
+  std::string key_past_end;
+  append_record_frame(key_past_end, "key", "value");
+  key_past_end.resize(key_past_end.size() - 6);  // cut inside the key
+  const std::string value_past_end = valid.substr(0, 8 + 3 + 4);
+  for (const std::string& bad :
+       {valid.substr(0, 5),  // truncated 8-byte header
+        key_past_end, value_past_end,
+        valid + std::string(3, '\0')}) {  // trailing partial header
+    SpoolConfig config;
+    config.sort_on_seal = true;
+    SpoolBuffer spool(config);
+    EXPECT_THROW(spool.append_run(bad), IoError);
+    EXPECT_THROW(count_record_frames(bad), IoError);
+    // Nothing of the malformed run was appended; the spool still works.
+    EXPECT_EQ(spool.records(), 0u);
+    EXPECT_EQ(spool.record_bytes(), 0u);
+    spool.append_run(valid);
+    spool.finish();
+    EXPECT_EQ(drain(spool, /*sorted=*/true),
+              (KvList{{"k2", ""}, {"key", "value"}}));
+  }
 }
 
 TEST(SpoolBuffer, ZeroBudgetAccountingMatchesShuffleConvention) {

@@ -21,12 +21,15 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "common/checksum.hpp"
 #include "common/error.hpp"
 #include "common/fault_injection.hpp"
 #include "common/metrics.hpp"
+#include "common/spool.hpp"
 #include "common/thread_pool.hpp"
 #include "ipc/message.hpp"
 #include "ipc/transport.hpp"
@@ -631,11 +634,14 @@ class DirectWorker {
     return supervisor_->recv();
   }
 
-  /// Runs map task `task` over one input line; a committed map output
-  /// stays resident for pulls. Returns the reply type.
-  ipc::MessageType map(std::uint64_t task, const std::string& line) {
+  /// Runs map task `task` over one input line, partitioned for
+  /// `num_partitions`; a committed map output stays resident for pulls.
+  /// Returns the reply type.
+  ipc::MessageType map(std::uint64_t task, const std::string& line,
+                       std::uint64_t num_partitions = 1) {
     ipc::WireWriter writer;
     writer.u64(task);
+    writer.u64(num_partitions);
     writer.record("r" + std::to_string(task), line);
     const auto reply = ask({ipc::MessageType::kMapAssign, writer.take()});
     return reply.has_value() ? reply->type : ipc::MessageType::kHello;
@@ -782,6 +788,23 @@ TEST(MultiprocW2W, ForgedFetchPartCountClosesOnlyItsConnection) {
   EXPECT_EQ(reply->type, ipc::MessageType::kFetchData);
 }
 
+TEST(MultiprocW2W, ForgedTaskCancelFailsTheRequestNotTheWorker) {
+  DirectWorker worker("forged-cancel-test");
+  // A kTaskCancel cut off inside its kind: a typed kTaskError naming the
+  // task, not a decode failure that ends the serve loop.
+  ipc::WireWriter forged;
+  forged.u64(7);  // task
+  forged.u32(0);  // half a kind
+  const auto reply = worker.ask({ipc::MessageType::kTaskCancel,
+                                 forged.take()});
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->type, ipc::MessageType::kTaskError);
+  EXPECT_EQ(reply_task(*reply), 7u);
+
+  // The worker keeps serving.
+  EXPECT_EQ(worker.map(0, "alpha"), ipc::MessageType::kMapDone);
+}
+
 /// `count` distinct words "<prefix>0 <prefix>1 ...": one wordcount map
 /// output record per word.
 std::string word_line(const std::string& prefix, std::size_t count) {
@@ -792,58 +815,54 @@ std::string word_line(const std::string& prefix, std::size_t count) {
   return line;
 }
 
-/// The records of the in-process map output of `line` that hash to
-/// `partition` of `num_partitions`, in output order: what an owner must
-/// serve for that partition.
-std::vector<Record> expected_slice(const std::string& line,
-                                   std::uint64_t partition,
-                                   std::uint64_t num_partitions) {
-  const detail::MapTaskResult mapped = detail::execute_map_task(
-      [] { return std::make_unique<WordCountMapper>(); }, nullptr, false,
-      {{"r", line}});
-  std::vector<Record> slice;
-  for (const Record& record : mapped.output) {
-    if (partition_for_key(record.key, num_partitions) == partition) {
-      slice.push_back(record);
-    }
-  }
-  return slice;
+/// The in-process map output of `line` over `num_partitions`: the runs an
+/// owner must serve.
+MapOutput expected_output(const std::string& line,
+                          std::uint64_t num_partitions) {
+  return detail::execute_map_task(
+             [] { return std::make_unique<WordCountMapper>(); }, nullptr,
+             false, {{"r", line}}, num_partitions)
+      .output;
 }
 
-/// Fetches `partition` of `num_partitions` of `map_task` on `puller` and
-/// decodes the kFetchData reply, or returns nullopt on any other reply.
-std::optional<FetchedSlice> fetch_slice(ipc::Transport& puller,
-                                        std::uint64_t map_task,
-                                        std::uint64_t partition,
-                                        std::uint64_t num_partitions) {
+/// The owner's reply to a kFetchPart for `partition` of `num_partitions`
+/// of `map_task` on `puller`.
+std::optional<ipc::Message> fetch_run(ipc::Transport& puller,
+                                      std::uint64_t map_task,
+                                      std::uint64_t partition,
+                                      std::uint64_t num_partitions) {
   puller.send(remote::FetchPart{partition, num_partitions, {map_task}}
                   .encode());
-  const auto reply = puller.recv();
-  if (!reply.has_value() || reply->type != ipc::MessageType::kFetchData) {
-    return std::nullopt;
-  }
-  ipc::WireReader reader(reply->payload);
-  if (reader.u64() != map_task) return std::nullopt;
-  FetchedSlice slice;
-  slice.crc = reader.u32();
-  reader.u64();  // count
-  slice.records = remote::read_records(reader);
-  return slice;
+  return puller.recv();
 }
 
-/// Whether every partition of `num_partitions` (and one past the last,
-/// which must be empty) that `puller` fetches of `map_task` is the
-/// in-process output of `line` filtered to that partition, in order,
-/// with the records' CRC.
-bool serves_partitions_of(ipc::Transport& puller, std::uint64_t map_task,
-                          const std::string& line,
-                          std::uint64_t num_partitions) {
-  for (std::uint64_t p = 0; p <= num_partitions; ++p) {
-    const std::optional<FetchedSlice> slice =
-        fetch_slice(puller, map_task, p, num_partitions);
-    if (!slice.has_value() ||
-        slice->records != expected_slice(line, p, num_partitions) ||
-        slice->crc != records_crc(slice->records)) {
+ipc::MessageType fetch_run_type(ipc::Transport& puller,
+                                std::uint64_t map_task,
+                                std::uint64_t partition,
+                                std::uint64_t num_partitions) {
+  const auto reply = fetch_run(puller, map_task, partition, num_partitions);
+  return reply.has_value() ? reply->type : ipc::MessageType::kHello;
+}
+
+/// Whether every run of `num_partitions` that `puller` fetches of
+/// `map_task` is, byte for byte, the run the in-process execute_map_task
+/// builds from `line`, with that run's CRC and record count.
+bool serves_runs_of(ipc::Transport& puller, std::uint64_t map_task,
+                    const std::string& line, std::uint64_t num_partitions) {
+  const MapOutput expected = expected_output(line, num_partitions);
+  for (std::uint64_t p = 0; p < num_partitions; ++p) {
+    const auto reply = fetch_run(puller, map_task, p, num_partitions);
+    if (!reply.has_value() || reply->type != ipc::MessageType::kFetchData) {
+      return false;
+    }
+    ipc::WireReader reader(reply->payload);
+    const std::uint64_t task = reader.u64();
+    const std::uint32_t crc = reader.u32();
+    const std::uint64_t count = reader.u64();
+    // The run follows the u64 task, u32 CRC and u64 count.
+    const std::string_view run = std::string_view(reply->payload).substr(20);
+    if (task != map_task || run != expected.run(p) || crc != crc32(run) ||
+        count != count_record_frames(run)) {
       return false;
     }
   }
@@ -851,28 +870,31 @@ bool serves_partitions_of(ipc::Transport& puller, std::uint64_t map_task,
 }
 
 TEST(MultiprocW2W, OwnerServesEachPartitionOfItsOutputInOutputOrder) {
-  // An owner groups a map output by partition on its first slice; every
-  // slice after that, for any partition count and after any re-store,
-  // must still be the in-process output filtered by partition_for_key.
-  DirectWorker worker("slice-test");
+  // A map task partitions its output once, for the partition count its
+  // kMapAssign names. Every run served, from any number of data-plane
+  // threads at once and after any re-store, must be the run the in-process
+  // execute_map_task builds; another count, or a partition past it, is a
+  // typed error on a connection that keeps serving.
+  DirectWorker worker("run-test");
   const std::string first = word_line("w", 40);
   const std::string second = word_line("x", 25);
+  const MapOutput first_output = expected_output(first, 7);
   std::size_t spanned = 0;
-  for (std::uint64_t p = 0; p < 7; ++p) {
-    spanned += expected_slice(first, p, 7).empty() ? 0 : 1;
+  for (std::size_t p = 0; p < 7; ++p) {
+    spanned += first_output.run(p).empty() ? 0 : 1;
   }
   ASSERT_GE(spanned, 4u);
-  ASSERT_EQ(worker.map(0, first), ipc::MessageType::kMapDone);
-  ASSERT_EQ(worker.map(1, second), ipc::MessageType::kMapDone);
+  ASSERT_EQ(worker.map(0, first, 7), ipc::MessageType::kMapDone);
+  ASSERT_EQ(worker.map(1, second, 7), ipc::MessageType::kMapDone);
 
-  // Several data-plane threads take both outputs' first slices at once.
+  // Several data-plane threads serve both outputs at once.
   std::atomic<int> failures{0};
   std::vector<std::thread> pullers;
   for (int i = 0; i < 4; ++i) {
     pullers.emplace_back([&] {
       const std::unique_ptr<ipc::Transport> puller = worker.dial();
-      if (!serves_partitions_of(*puller, 0, first, 7) ||
-          !serves_partitions_of(*puller, 1, second, 7)) {
+      if (!serves_runs_of(*puller, 0, first, 7) ||
+          !serves_runs_of(*puller, 1, second, 7)) {
         ++failures;
       }
     });
@@ -880,34 +902,38 @@ TEST(MultiprocW2W, OwnerServesEachPartitionOfItsOutputInOutputOrder) {
   for (std::thread& thread : pullers) thread.join();
   EXPECT_EQ(failures.load(), 0);
 
-  // Another partition count regroups from output order, and back again.
+  // Nothing regroups: another partition count, or a partition at or past
+  // the count, gets kTaskError, and the connection keeps serving.
   const std::unique_ptr<ipc::Transport> puller = worker.dial();
-  EXPECT_TRUE(serves_partitions_of(*puller, 0, first, 3));
-  EXPECT_TRUE(serves_partitions_of(*puller, 0, first, 7));
-  EXPECT_TRUE(serves_partitions_of(*puller, 1, second, 1));
+  EXPECT_EQ(fetch_run_type(*puller, 0, 0, 3), ipc::MessageType::kTaskError);
+  EXPECT_EQ(fetch_run_type(*puller, 0, 7, 7), ipc::MessageType::kTaskError);
+  EXPECT_EQ(fetch_run_type(*puller, 1, 1, 1), ipc::MessageType::kTaskError);
+  EXPECT_TRUE(serves_runs_of(*puller, 0, first, 7));
 
-  // A re-map over a resident output replaces its grouping too; the new
-  // output has as many records as the old, so a stale grouping would
-  // serve the new records under the old partition boundaries.
+  // A re-map over a resident output replaces its runs, for its new count
+  // too.
   const std::string remapped = word_line("y", 40);
-  ASSERT_EQ(worker.map(0, remapped), ipc::MessageType::kMapDone);
-  EXPECT_TRUE(serves_partitions_of(*puller, 0, remapped, 7));
+  ASSERT_EQ(worker.map(0, remapped, 7), ipc::MessageType::kMapDone);
+  EXPECT_TRUE(serves_runs_of(*puller, 0, remapped, 7));
+  ASSERT_EQ(worker.map(1, second, 3), ipc::MessageType::kMapDone);
+  EXPECT_TRUE(serves_runs_of(*puller, 1, second, 3));
+  EXPECT_EQ(fetch_run_type(*puller, 1, 0, 7), ipc::MessageType::kTaskError);
 
   // A cancelled output is gone; re-mapped with other input, the new
   // records are served.
   ipc::WireWriter cancel;
-  cancel.u64(0);  // kind: map
   cancel.u64(0);  // task
+  cancel.u64(0);  // kind: map
   cancel.bytes(worker.dir().string());
   const auto cancelled =
       worker.ask({ipc::MessageType::kTaskCancel, cancel.take()});
   ASSERT_TRUE(cancelled.has_value());
   ASSERT_EQ(cancelled->type, ipc::MessageType::kTaskCancelled);
-  EXPECT_FALSE(fetch_slice(*puller, 0, 0, 7).has_value());
+  EXPECT_EQ(fetch_run_type(*puller, 0, 0, 7), ipc::MessageType::kTaskError);
   const std::string after_cancel = word_line("z", 33);
-  ASSERT_EQ(worker.map(0, after_cancel), ipc::MessageType::kMapDone);
-  EXPECT_TRUE(serves_partitions_of(*puller, 0, after_cancel, 7));
-  EXPECT_TRUE(serves_partitions_of(*puller, 1, second, 7));
+  ASSERT_EQ(worker.map(0, after_cancel, 7), ipc::MessageType::kMapDone);
+  EXPECT_TRUE(serves_runs_of(*puller, 0, after_cancel, 7));
+  EXPECT_TRUE(serves_runs_of(*puller, 1, second, 3));
 }
 
 // --- Cross-process speculative execution (DESIGN.md section 15) ---
@@ -1006,8 +1032,8 @@ TEST(MultiprocSpeculation, TaskCancelDropsOutputAndSweepsOnlyOwnSpools) {
   const auto cancel = [&](std::uint64_t expect_dropped,
                           std::uint64_t expect_swept) {
     ipc::WireWriter writer;
-    writer.u64(0);  // kind: map
     writer.u64(0);  // task
+    writer.u64(0);  // kind: map
     writer.bytes(dir.string());
     const auto reply =
         worker.ask({ipc::MessageType::kTaskCancel, writer.take()});

@@ -73,6 +73,30 @@ std::vector<std::vector<Record>> synthetic_outputs(std::size_t tasks,
   return outputs;
 }
 
+/// Passes each record through unchanged.
+struct IdentityMapper final : Mapper {
+  void map(const std::string& key, const std::string& value,
+           Emitter& out) override {
+    out.emit(key, value);
+  }
+};
+
+/// Each task's records as the map task that emitted them hands them to the
+/// shuffle: framed into `num_partitions` partition runs.
+std::vector<MapOutput> map_outputs(
+    const std::vector<std::vector<Record>>& outputs,
+    std::size_t num_partitions) {
+  std::vector<MapOutput> mapped;
+  for (const auto& output : outputs) {
+    mapped.push_back(
+        detail::execute_map_task(
+            [] { return std::make_unique<IdentityMapper>(); }, nullptr,
+            /*use_combiner=*/false, output, num_partitions)
+            .output);
+  }
+  return mapped;
+}
+
 /// A reducer that records every group it is handed.
 struct GroupRecorder final : Reducer {
   explicit GroupRecorder(std::vector<KeyGroup>& out) : groups(out) {}
@@ -134,14 +158,31 @@ TEST(ShuffleRetry, FetchAndPartitionMatchesPartitionOutputs) {
   FaultInjector injector(
       FaultPlan::parse("shuffle.fetch:nth=1:max=2:kind=corrupt"));
   const auto fetched = fetch_and_partition(
-      outputs, 3, &injector, /*max_attempts=*/4, &registry, spool);
-  const auto clean =
-      fetch_and_partition(outputs, 3, nullptr, 4, nullptr, spool);
+      map_outputs(outputs, 3), 3, &injector, /*max_attempts=*/4, &registry,
+      spool);
+  const auto clean = fetch_and_partition(map_outputs(outputs, 3), 3, nullptr,
+                                         4, nullptr, spool);
   for (std::size_t p = 0; p < 3; ++p) {
     expect_same_groups(reduced_groups(*fetched[p]), reference[p]);
     expect_same_groups(reduced_groups(*clean[p]), reference[p]);
   }
   EXPECT_EQ(registry.counter_value("retry.shuffle_fetch"), 2);
+
+  // An empty output has no byte to flip: a corrupt fire still fails the
+  // attempt, and the re-fetch delivers the empty output. With one attempt,
+  // the same fire exhausts the fetch.
+  const std::vector<MapOutput> empty = map_outputs({std::vector<Record>()}, 2);
+  MetricsRegistry empty_registry;
+  FaultInjector empty_injector(
+      FaultPlan::parse("shuffle.fetch:nth=1:max=1:kind=corrupt"));
+  const auto refetched = fetch_and_partition(empty, 2, &empty_injector, 2,
+                                             &empty_registry, spool);
+  EXPECT_EQ(empty_registry.counter_value("retry.shuffle_fetch"), 1);
+  EXPECT_EQ(refetched[0]->records() + refetched[1]->records(), 0u);
+  FaultInjector exhausting(
+      FaultPlan::parse("shuffle.fetch:nth=1:max=1:kind=corrupt"));
+  EXPECT_THROW(fetch_and_partition(empty, 2, &exhausting, 1, nullptr, spool),
+               IoError);
 }
 
 TEST(SpilledShuffle, GroupsMatchRamPathAcrossBudgetsAndPageSizes) {
@@ -163,8 +204,9 @@ TEST(SpilledShuffle, GroupsMatchRamPathAcrossBudgetsAndPageSizes) {
       SpoolConfig spool;
       spool.budget_bytes = budget;
       spool.page_bytes = page_bytes;
-      const auto partitions = fetch_and_partition(
-          outputs, num_partitions, nullptr, 4, nullptr, spool);
+      const auto partitions =
+          fetch_and_partition(map_outputs(outputs, num_partitions),
+                              num_partitions, nullptr, 4, nullptr, spool);
       ASSERT_EQ(partitions.size(), num_partitions);
       std::size_t bytes = 0;
       for (std::size_t p = 0; p < num_partitions; ++p) {
@@ -188,8 +230,9 @@ TEST(SpilledShuffle, GroupsSurviveFetchAndPageFaults) {
       &registry);
   SpoolConfig spool;
   spool.page_bytes = 128;
-  const auto partitions = fetch_and_partition(
-      outputs, num_partitions, &injector, 6, &registry, spool);
+  const auto partitions =
+      fetch_and_partition(map_outputs(outputs, num_partitions),
+                          num_partitions, &injector, 6, &registry, spool);
   for (std::size_t p = 0; p < num_partitions; ++p) {
     expect_same_groups(reduced_groups(*partitions[p]), reference[p]);
   }
@@ -202,8 +245,8 @@ TEST(SpilledShuffle, GroupsAreRepeatable) {
   const auto outputs = synthetic_outputs(3, 25);
   SpoolConfig spool;
   spool.page_bytes = 96;
-  const auto partitions =
-      fetch_and_partition(outputs, 2, nullptr, 4, nullptr, spool);
+  const auto partitions = fetch_and_partition(map_outputs(outputs, 2), 2,
+                                              nullptr, 4, nullptr, spool);
   for (const auto& partition : partitions) {
     const auto first = reduced_groups(*partition);
     expect_same_groups(reduced_groups(*partition), first);
