@@ -23,9 +23,10 @@ ctest --preset asan --tests-regex 'SimdDifferential' --repeat until-fail:3
 # rejection and teardown path must be allocation-clean under ASan, so
 # hammer them too, with the spool and shuffle suites (the in-process
 # corrupt-fetch path over partition runs included), the checksum's
-# unaligned and split inputs, and a worker's partitioned map outputs, whose
-# runs are served and appended to spools as untrusted bytes.
+# unaligned and split inputs, a worker's partitioned map outputs, whose
+# runs are served and appended to spools as untrusted bytes, and a reducer
+# that reads a kFetchData frame damaged in flight and re-dials its owner.
 ctest --preset asan --tests-regex \
-  '^(TransportFuzz|WireFuzz|Transport|ConnPool|SpoolBuffer|SpilledShuffle|ShuffleRetry|Checksum)\.|^JobRetry\.SpeculativeBackupReStreams|^MultiprocW2W\.OwnerServesEachPartitionOfItsOutputInOutputOrder' \
+  '^(TransportFuzz|WireFuzz|Transport|ConnPool|SpoolBuffer|SpilledShuffle|ShuffleRetry|Checksum)\.|^JobRetry\.SpeculativeBackupReStreams|^MultiprocW2W\.(OwnerServesEachPartitionOfItsOutputInOutputOrder|DamagedFetchDataFrameRestartsTheOwnerStream)' \
   --repeat until-fail:3
 

@@ -30,7 +30,8 @@ ctest --preset tsan "$@"
 # stage 1's output on worker threads and processes. So must the checksum
 # every frame and page goes through, and a worker's partitioned map
 # outputs, whose runs several data-plane threads serve at once while the
-# serve loop re-stores and drops outputs.
+# serve loop re-stores and drops outputs, and a reducer that re-dials an
+# owner thread after a kFetchData frame fails its CRC.
 ctest --preset tsan --tests-regex \
-  '^(TransportFuzz|WireFuzz|Transport|ConnPool|SpoolBuffer|SpilledShuffle|ParallelFor|BalanceBuckets|Checksum)\.|^JobRetry\.SpeculativeBackupReStreams|^MapReduceDascGolden\.MemberOrderIgnoresSplitsReducersAndMode|^MultiprocW2W\.OwnerServesEachPartitionOfItsOutputInOutputOrder' \
+  '^(TransportFuzz|WireFuzz|Transport|ConnPool|SpoolBuffer|SpilledShuffle|ParallelFor|BalanceBuckets|Checksum)\.|^JobRetry\.SpeculativeBackupReStreams|^MapReduceDascGolden\.MemberOrderIgnoresSplitsReducersAndMode|^MultiprocW2W\.(OwnerServesEachPartitionOfItsOutputInOutputOrder|DamagedFetchDataFrameRestartsTheOwnerStream)' \
   --repeat until-fail:3

@@ -16,8 +16,9 @@
 // Fault kinds:
 //   kError      — the site fails (maybe_throw raises FaultInjectedError)
 //   kCorruption — the site's payload should be corrupted in flight; callers
-//                 with checksummed payloads (DFS reads, shuffle fetches)
-//                 flip bytes and let verification catch it, payload-free
+//                 with checksummed payloads (DFS reads, spill pages) flip
+//                 bytes and let verification catch it; shuffle fetches run
+//                 the transfer and fail it, as the frame CRC would; other
 //                 callers treat it as kError
 //   kStall      — the call is delayed by stall_ms (straggler simulation for
 //                 speculative re-execution); no failure is reported

@@ -10,7 +10,6 @@
 #include <cstring>
 #include <iterator>
 #include <limits>
-#include <numeric>
 #include <utility>
 
 #include "common/checksum.hpp"
@@ -311,26 +310,28 @@ void SpoolBuffer::seal_open_page() {
 
   if (config_.sort_on_seal) {
     // Stable-sort the page's records by key; rebuilding the payload in
-    // sorted order makes each sealed page a sorted run of length one.
-    std::vector<std::size_t> offsets;
-    offsets.reserve(open_records_);
-    std::size_t cursor = 0;
-    while (cursor < payload.size()) {
-      offsets.push_back(cursor);
-      cursor = parse_record_frame(payload, cursor).next;
+    // sorted order makes each sealed page a sorted run of length one. Each
+    // frame is parsed once, into its key and its byte range.
+    struct Entry {
+      std::string_view key;
+      std::size_t begin = 0;
+      std::size_t end = 0;
+    };
+    std::vector<Entry> entries;
+    entries.reserve(open_records_);
+    for (std::size_t cursor = 0; cursor < payload.size();) {
+      const RecordFrame record = parse_record_frame(payload, cursor);
+      entries.push_back({record.key, cursor, record.next});
+      cursor = record.next;
     }
-    std::vector<std::size_t> order(offsets.size());
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return parse_record_frame(payload, offsets[a]).key <
-                              parse_record_frame(payload, offsets[b]).key;
+    std::stable_sort(entries.begin(), entries.end(),
+                     [](const Entry& a, const Entry& b) {
+                       return a.key < b.key;
                      });
     std::string sorted;
     sorted.reserve(payload.size());
-    for (std::size_t i : order) {
-      const RecordFrame record = parse_record_frame(payload, offsets[i]);
-      sorted.append(payload, offsets[i], record.next - offsets[i]);
+    for (const Entry& entry : entries) {
+      sorted.append(payload, entry.begin, entry.end - entry.begin);
     }
     payload = std::move(sorted);
   }

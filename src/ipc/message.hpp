@@ -40,7 +40,8 @@ enum class MessageType : std::uint32_t {
   kMapAssign,      ///< supervisor -> worker: task, partitions, records
   kMapDone,        ///< worker -> supervisor: map task counters
   kFetchData,      ///< owner -> reducer: one listed map task's run of the
-                   ///< partition {map_task, crc, count, run bytes}
+                   ///< partition {u64 map_task, run bytes}; the frame CRC
+                   ///< is the run's only transfer check
   kTaskError,      ///< worker -> supervisor: task failed (message text)
   kHeartbeat,      ///< worker -> supervisor: liveness while busy
   kShutdown,       ///< supervisor -> worker: exit the serve loop

@@ -64,7 +64,7 @@ struct JobConf {
   double retry_backoff_base_ms = 0.0;
   double retry_backoff_max_ms = 100.0;
   /// Attempts per shuffle fetch before the job fails (only exercised when a
-  /// FaultInjector is attached; checksum-verified transfers re-fetch).
+  /// FaultInjector is attached: each `shuffle.fetch` fire fails one).
   std::size_t max_fetch_attempts = 4;
   /// Launch duplicate attempts for straggling tasks (Hadoop speculative
   /// execution): once half the phase has finished, a task whose elapsed

@@ -12,6 +12,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -143,23 +144,17 @@ struct OwnerUnreachable {
   std::string reason;
 };
 
-/// Parses the kFetchData reply for `map_task` into its run; a kTaskError
-/// reply (the output is not resident there, say) is rethrown typed.
-FetchedRun decode_fetch_data(Message reply, std::uint64_t map_task) {
+/// The run a kFetchData reply for `map_task` carries: a view of `reply`
+/// past the task id. A kTaskError reply (the output is not resident there,
+/// say) is rethrown typed.
+std::string_view fetch_data_run(const Message& reply,
+                                std::uint64_t map_task) {
   if (reply.type == MessageType::kTaskError) rethrow_task_error(reply);
   DASC_ENSURE(reply.type == MessageType::kFetchData,
               "ipc: unexpected reply to kFetchPart");
   WireReader data(reply.payload);
   DASC_ENSURE(data.u64() == map_task, "ipc: kFetchData map task mismatch");
-  FetchedRun run;
-  run.crc = data.u32();
-  const std::uint64_t count = data.u64();
-  const std::size_t header = reply.payload.size() - data.remaining();
-  run.bytes = std::move(reply.payload);
-  run.bytes.erase(0, header);
-  DASC_ENSURE(count_record_frames(run.bytes) == count,
-              "ipc: kFetchData record count mismatch");
-  return run;
+  return std::string_view(reply.payload).substr(sizeof(std::uint64_t));
 }
 
 /// The reply stream from one remote owner (DESIGN.md section 15): one
@@ -224,8 +219,9 @@ class PullClient {
     spool_config.metrics = &task_metrics;
     SpoolBuffer spool(spool_config);
 
+    Message reply;
     for (std::uint64_t m = 0; m < request_.owners.size(); ++m) {
-      spool.append_run(pull(m));
+      spool.append_run(pull(m, reply));
       ++report_.pulls;
     }
     spool.finish();
@@ -250,17 +246,22 @@ class PullClient {
   }
 
  private:
-  /// One map task's verified run: one `shuffle.fetch` check and one
-  /// transfer per attempt, in task order.
-  std::string pull(std::uint64_t map_task) {
+  /// One map task's run, a view into `reply`: one `shuffle.fetch` check
+  /// and at most one transfer per attempt, in task order.
+  std::string_view pull(std::uint64_t map_task, Message& reply) {
     // Two rounds suffice: a failed pull re-homes the output onto this
     // worker, and a local pull cannot lose its owner.
     for (std::size_t round = 0;; ++round) {
       try {
-        return fetch_verified(map_task, options_.faults,
-                              request_.max_fetch_attempts,
-                              [&] { return pull_once(map_task); },
-                              [this] { ++report_.fetch_retries; });
+        std::string_view run;
+        fetch_verified(
+            map_task, options_.faults, request_.max_fetch_attempts,
+            [&] {
+              reply = pull_once(map_task);
+              run = fetch_data_run(reply, map_task);
+            },
+            [this] { ++report_.fetch_retries; });
+        return run;
       } catch (const OwnerUnreachable& unreachable) {
         if (round >= 1) {
           throw IoError("pull: map output " + std::to_string(map_task) +
@@ -272,27 +273,25 @@ class PullClient {
     }
   }
 
-  FetchedRun pull_once(std::uint64_t map_task) {
+  Message pull_once(std::uint64_t map_task) {
     const OwnerRef& owner = request_.owners[map_task];
     if (owner.slot == options_.ordinal) {
-      return decode_fetch_data(
-          state_.fetch_reply(map_task, request_.task, request_.num_partitions),
-          map_task);
+      return state_.fetch_reply(map_task, request_.task,
+                                request_.num_partitions);
     }
     if (owner.path.empty()) {
       throw OwnerUnreachable{"owner has no data-plane address"};
     }
-    return decode_fetch_data(read_reply(owners_.at(owner.slot), map_task),
-                             map_task);
+    return read_reply(owners_.at(owner.slot), map_task);
   }
 
   /// Takes `map_task`'s reply off its owner's stream: the next unread one
   /// if it is that task's, else the stream restarts at `map_task` (an
-  /// injected error transferred nothing, so the reply is still next; a
-  /// corrupt transfer consumed it). A stream that breaks restarts once
-  /// more; a second transport failure — a dead process's stale socket,
-  /// EOF mid-reply, a refused dial — is the owner being gone, not a
-  /// verification failure, so it routes to recovery.
+  /// injected error transferred nothing, so the reply is still next; an
+  /// injected corruption consumed it). A stream that breaks — a frame that
+  /// fails its CRC, say — restarts once more; a second transport failure —
+  /// a dead process's stale socket, EOF mid-reply, a refused dial — is the
+  /// owner being gone, so it routes to recovery.
   Message read_reply(OwnerStream& owner, std::uint64_t map_task) {
     for (std::size_t round = 0;; ++round) {
       try {

@@ -22,7 +22,7 @@
 //   reduce:  kReducePull{task, partition map} -> kReducePullDone{records,
 //                                                spill/fault accounting}
 //   pull:    kFetchPart{partition, map tasks} -> one kFetchData{map_task,
-//                                                crc, count, run} per task
+//                                                run} per task
 //            (reducer -> owner's data plane: one pooled request per
 //            owner, restarted at the task a retry needs — DESIGN.md
 //            section 15)

@@ -4,7 +4,6 @@
 #include <functional>
 #include <limits>
 
-#include "common/checksum.hpp"
 #include "common/error.hpp"
 #include "common/fault_injection.hpp"
 #include "common/log.hpp"
@@ -18,25 +17,16 @@ std::string_view MapOutput::run(std::size_t partition) const {
   return std::string_view(bytes).substr(begin, run_end[partition] - begin);
 }
 
-std::string fetch_verified(std::size_t map_task, FaultInjector* faults,
-                           std::size_t max_attempts,
-                           const std::function<FetchedRun()>& transfer,
-                           const std::function<void()>& on_retry) {
+void fetch_verified(std::size_t map_task, FaultInjector* faults,
+                    std::size_t max_attempts,
+                    const std::function<void()>& transfer,
+                    const std::function<void()>& on_retry) {
   for (std::size_t attempt = 1;; ++attempt) {
     const FaultInjector::Outcome fault =
         faults != nullptr ? faults->check("shuffle.fetch")
                           : FaultInjector::Outcome::kNone;
-    bool ok = fault != FaultInjector::Outcome::kError;
-    FetchedRun run;
-    if (ok) {
-      run = transfer();
-      if (fault == FaultInjector::Outcome::kCorruption) {
-        ok = !run.bytes.empty();  // an empty transfer has no byte to flip
-        if (ok) run.bytes.front() = static_cast<char>(run.bytes.front() ^ 0x1);
-      }
-      ok = ok && crc32(run.bytes) == run.crc;
-    }
-    if (ok) return std::move(run.bytes);
+    if (fault != FaultInjector::Outcome::kError) transfer();
+    if (fault == FaultInjector::Outcome::kNone) return;
     if (attempt >= max_attempts) {
       throw IoError("shuffle: fetch of map output " +
                     std::to_string(map_task) + " failed after " +
@@ -44,7 +34,7 @@ std::string fetch_verified(std::size_t map_task, FaultInjector* faults,
     }
     on_retry();
     DASC_LOG(kWarn) << "shuffle: re-fetching map output " << map_task
-                    << " (attempt " << attempt << " failed verification)";
+                    << " (attempt " << attempt << " failed)";
   }
 }
 
@@ -106,19 +96,9 @@ std::vector<std::unique_ptr<SpoolBuffer>> fetch_and_partition(
     const MapOutput& output = outputs[task];
     DASC_EXPECT(output.num_partitions() == num_partitions,
                 "fetch_and_partition: map output has another partition count");
-    // With no injector nothing can fire: no copy, no CRC. Otherwise each
-    // attempt copies the bytes, and the run bounds apply to the copy.
-    MapOutput fetched;
-    if (faults != nullptr) {
-      const std::uint32_t crc = crc32(output.bytes);
-      fetched = {fetch_verified(task, faults, max_attempts,
-                                [&] { return FetchedRun{output.bytes, crc}; },
-                                on_retry),
-                 output.run_end};
-    }
-    const MapOutput& source = faults == nullptr ? output : fetched;
+    fetch_verified(task, faults, max_attempts, [] {}, on_retry);
     for (std::size_t p = 0; p < num_partitions; ++p) {
-      partitions[p]->append_run(source.run(p));
+      partitions[p]->append_run(output.run(p));
     }
   }
   for (auto& partition : partitions) partition->finish();

@@ -5,7 +5,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -45,26 +44,20 @@ struct MapOutput {
   std::string_view run(std::size_t partition) const;
 };
 
-/// One transfer attempt's result: the bytes as received plus the checksum
-/// their source computed before sending them.
-struct FetchedRun {
-  std::string bytes;
-  std::uint32_t crc = 0;
-};
-
-/// The CRC-plus-retry fetch loop every shuffle path shares — the in-
-/// process shuffle and the multi-process pull client — so a fault plan
-/// exercises them identically whichever process fetches.
-/// Each attempt makes one `shuffle.fetch` check (`faults` may be null): an
-/// error fails the attempt without transferring; otherwise `transfer`
-/// runs, a corruption flips one byte of what it returned (failing an empty
-/// transfer outright), and the bytes must match the source's CRC. A failed
-/// attempt calls `on_retry` and goes again; after `max_attempts` the loop
-/// throws IoError. Exceptions from `transfer` propagate untouched.
-std::string fetch_verified(std::size_t map_task, FaultInjector* faults,
-                           std::size_t max_attempts,
-                           const std::function<FetchedRun()>& transfer,
-                           const std::function<void()>& on_retry);
+/// The fetch-and-retry loop every shuffle path shares — the in-process
+/// shuffle and the multi-process pull client — so a fault plan exercises
+/// them identically whichever process fetches. The transfer's own hop
+/// checks the bytes (the frame CRC on a socket); this loop adds no check of
+/// its own. Each attempt makes one `shuffle.fetch` check (`faults` may be
+/// null): an error fails the attempt without calling `transfer`; a
+/// corruption calls it and then fails the attempt, standing for the hop's
+/// check failing on what arrived. A failed attempt calls `on_retry` and
+/// goes again; after `max_attempts` the loop throws IoError. Exceptions
+/// from `transfer` propagate untouched.
+void fetch_verified(std::size_t map_task, FaultInjector* faults,
+                    std::size_t max_attempts,
+                    const std::function<void()>& transfer,
+                    const std::function<void()>& on_retry);
 
 /// Sort-on-seal spool knobs for a shuffle partition — the one place the
 /// budget conventions meet: JobConf's 0 ("never spill") becomes an
@@ -74,14 +67,15 @@ SpoolConfig shuffle_spool_config(std::size_t spill_budget_bytes,
                                  const std::string& spill_dir,
                                  std::size_t max_fetch_attempts);
 
-/// The shuffle: each map output is copied through fetch_verified (counting
-/// `retry.shuffle_fetch` per re-fetch; no copy or CRC without an injector)
-/// and its run p is appended, in task order, to partition p's sort-on-seal
-/// spool, returned sealed. `spool` supplies the dir/budget/page
-/// knobs; sort_on_seal is forced on and faults/metrics are overridden with
-/// the arguments. Sealed spools are const-readable, so re-attempts and
-/// speculative backups may stream one partition concurrently, and each
-/// streams the groups sort_and_group would build, for any budget.
+/// The shuffle: each map output passes through fetch_verified (counting
+/// `retry.shuffle_fetch` per re-fetch) and its run p is appended in place,
+/// in task order, to partition p's sort-on-seal spool, returned sealed. In
+/// process nothing is copied, so the transfer is empty and only injected
+/// fires fail it. `spool` supplies the dir/budget/page knobs; sort_on_seal
+/// is forced on and faults/metrics are overridden with the arguments.
+/// Sealed spools are const-readable, so re-attempts and speculative
+/// backups may stream one partition concurrently, and each streams the
+/// groups sort_and_group would build, for any budget.
 std::vector<std::unique_ptr<SpoolBuffer>> fetch_and_partition(
     const std::vector<MapOutput>& outputs, std::size_t num_partitions,
     FaultInjector* faults, std::size_t max_attempts, MetricsRegistry* metrics,

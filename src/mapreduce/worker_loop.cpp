@@ -16,10 +16,8 @@
 #include <utility>
 #include <vector>
 
-#include "common/checksum.hpp"
 #include "common/error.hpp"
 #include "common/log.hpp"
-#include "common/spool.hpp"
 #include "common/thread_pool.hpp"
 #include "ipc/transport.hpp"
 #include "ipc/worker_supervisor.hpp"
@@ -47,13 +45,10 @@ ipc::Message WorkerState::fetch_reply(std::uint64_t map_task,
                                     " in a map output of " +
                                     std::to_string(output.num_partitions()));
   }
-  const std::string_view run = output.run(partition);
   ipc::WireWriter writer;
   writer.u64(map_task);
-  writer.u32(crc32(run));
-  writer.u64(count_record_frames(run));
   std::string payload = writer.take();
-  payload.append(run);
+  payload.append(output.run(partition));
   return {ipc::MessageType::kFetchData, std::move(payload)};
 }
 

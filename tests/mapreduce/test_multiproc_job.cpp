@@ -25,7 +25,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/checksum.hpp"
 #include "common/error.hpp"
 #include "common/fault_injection.hpp"
 #include "common/metrics.hpp"
@@ -846,7 +845,7 @@ ipc::MessageType fetch_run_type(ipc::Transport& puller,
 
 /// Whether every run of `num_partitions` that `puller` fetches of
 /// `map_task` is, byte for byte, the run the in-process execute_map_task
-/// builds from `line`, with that run's CRC and record count.
+/// builds from `line`.
 bool serves_runs_of(ipc::Transport& puller, std::uint64_t map_task,
                     const std::string& line, std::uint64_t num_partitions) {
   const MapOutput expected = expected_output(line, num_partitions);
@@ -855,14 +854,9 @@ bool serves_runs_of(ipc::Transport& puller, std::uint64_t map_task,
     if (!reply.has_value() || reply->type != ipc::MessageType::kFetchData) {
       return false;
     }
-    ipc::WireReader reader(reply->payload);
-    const std::uint64_t task = reader.u64();
-    const std::uint32_t crc = reader.u32();
-    const std::uint64_t count = reader.u64();
-    // The run follows the u64 task, u32 CRC and u64 count.
-    const std::string_view run = std::string_view(reply->payload).substr(20);
-    if (task != map_task || run != expected.run(p) || crc != crc32(run) ||
-        count != count_record_frames(run)) {
+    // The run follows the u64 task alone; the frame CRC checked it.
+    const std::string_view run = std::string_view(reply->payload).substr(8);
+    if (reply_task(*reply) != map_task || run != expected.run(p)) {
       return false;
     }
   }
@@ -934,6 +928,75 @@ TEST(MultiprocW2W, OwnerServesEachPartitionOfItsOutputInOutputOrder) {
   ASSERT_EQ(worker.map(0, after_cancel, 7), ipc::MessageType::kMapDone);
   EXPECT_TRUE(serves_runs_of(*puller, 0, after_cancel, 7));
   EXPECT_TRUE(serves_runs_of(*puller, 1, second, 3));
+}
+
+TEST(MultiprocW2W, DamagedFetchDataFrameRestartsTheOwnerStream) {
+  // The frame CRC is the shuffle's only transfer check. A fake owner
+  // answers the reducer's first kFetchPart with a kFetchData frame whose
+  // payload has one byte flipped, and the re-dialled request correctly.
+  // The damage is a broken stream, not a failed fetch: the reducer
+  // restarts that owner's request once, retries no fetch and reports no
+  // dead owner.
+  DirectWorker worker("frame-crc-test");
+  const MapOutput output = expected_output(word_line("w", 30), 1);
+  ipc::WireWriter task;
+  task.u64(0);
+  const ipc::Message data{ipc::MessageType::kFetchData,
+                          task.take() + std::string(output.run(0))};
+
+  ipc::Listener listener((worker.dir() / "owner.sock").string());
+  std::atomic<int> requests{0};
+  std::atomic<bool> owner_failed{false};
+  std::thread owner([&] {
+    try {
+      for (const bool damage : {true, false}) {
+        const std::unique_ptr<ipc::Transport> peer = listener.accept();
+        const auto request = peer->recv();
+        if (!request.has_value() ||
+            request->type != ipc::MessageType::kFetchPart) {
+          owner_failed = true;
+          return;
+        }
+        ++requests;
+        if (!damage) {
+          peer->send(data);
+          continue;
+        }
+        std::string frame = ipc::encode_frame(data);
+        frame.back() = static_cast<char>(frame.back() ^ 0x1);
+        for (std::size_t written = 0; written < frame.size();) {
+          const ssize_t n = ::write(peer->fd(), frame.data() + written,
+                                    frame.size() - written);
+          if (n <= 0) throw IoError("fake owner: write failed");
+          written += static_cast<std::size_t>(n);
+        }
+      }
+    } catch (const std::exception&) {
+      owner_failed = true;
+    }
+  });
+
+  remote::ReducePull pull;
+  pull.task = 0;
+  pull.owners = {{1, listener.path()}};
+  const auto reply = worker.ask(pull.encode());
+  owner.join();
+  ASSERT_FALSE(owner_failed.load());
+  EXPECT_EQ(requests.load(), 2);
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->type, ipc::MessageType::kReducePullDone);
+  const remote::PullReport report = remote::PullReport::decode(*reply);
+
+  SpoolBuffer spool(shuffle_spool_config(0, "", 1));
+  spool.append_run(output.run(0));
+  spool.finish();
+  const detail::ReduceTaskResult clean = detail::execute_reduce_spooled(
+      [] { return std::make_unique<SumReducer>(); }, spool);
+  ASSERT_FALSE(clean.output.empty());
+  EXPECT_EQ(flatten(report.reduced.output), flatten(clean.output));
+  EXPECT_EQ(report.pulls, 1u);
+  EXPECT_EQ(report.fetch_requests, 2u);
+  EXPECT_EQ(report.fetch_retries, 0u);
 }
 
 // --- Cross-process speculative execution (DESIGN.md section 15) ---

@@ -152,8 +152,9 @@ TEST(ShuffleRetry, FetchAndPartitionMatchesPartitionOutputs) {
   const auto reference = reference_groups(outputs, 3);
   const SpoolConfig spool = shuffle_spool_config(0, "", 4);
 
-  // Corrupt transfers are re-fetched; a null injector takes the no-copy,
-  // no-CRC path. Both shuffles hold the reference partitions.
+  // Corrupt fires fail their attempt and are re-fetched; with or without
+  // an injector the runs append in place. Both shuffles hold the
+  // reference partitions.
   MetricsRegistry registry;
   FaultInjector injector(
       FaultPlan::parse("shuffle.fetch:nth=1:max=2:kind=corrupt"));
@@ -168,9 +169,9 @@ TEST(ShuffleRetry, FetchAndPartitionMatchesPartitionOutputs) {
   }
   EXPECT_EQ(registry.counter_value("retry.shuffle_fetch"), 2);
 
-  // An empty output has no byte to flip: a corrupt fire still fails the
-  // attempt, and the re-fetch delivers the empty output. With one attempt,
-  // the same fire exhausts the fetch.
+  // A corrupt fire fails the attempt of an empty output too, and the
+  // re-fetch delivers the empty output. With one attempt, the same fire
+  // exhausts the fetch.
   const std::vector<MapOutput> empty = map_outputs({std::vector<Record>()}, 2);
   MetricsRegistry empty_registry;
   FaultInjector empty_injector(
@@ -183,6 +184,42 @@ TEST(ShuffleRetry, FetchAndPartitionMatchesPartitionOutputs) {
       FaultPlan::parse("shuffle.fetch:nth=1:max=1:kind=corrupt"));
   EXPECT_THROW(fetch_and_partition(empty, 2, &exhausting, 1, nullptr, spool),
                IoError);
+}
+
+TEST(ShuffleRetry, FetchVerifiedFailsEachFiredAttemptOnce) {
+  std::size_t transfers = 0;
+  std::size_t retries = 0;
+  const auto transfer = [&] { ++transfers; };
+  const auto on_retry = [&] { ++retries; };
+
+  // No injector, nothing fires: one transfer, no retry.
+  fetch_verified(0, nullptr, 1, transfer, on_retry);
+  EXPECT_EQ(transfers, 1u);
+  EXPECT_EQ(retries, 0u);
+
+  // An error fire transfers nothing: only the third attempt transfers.
+  transfers = retries = 0;
+  FaultInjector errors(FaultPlan::parse("shuffle.fetch:nth=1:max=2"));
+  fetch_verified(0, &errors, 3, transfer, on_retry);
+  EXPECT_EQ(transfers, 1u);
+  EXPECT_EQ(retries, 2u);
+
+  // A corrupt fire transfers once and then fails its attempt.
+  transfers = retries = 0;
+  FaultInjector corrupt(
+      FaultPlan::parse("shuffle.fetch:nth=1:max=2:kind=corrupt"));
+  fetch_verified(0, &corrupt, 3, transfer, on_retry);
+  EXPECT_EQ(transfers, 3u);
+  EXPECT_EQ(retries, 2u);
+
+  // The attempt cap throws IoError; the last failed attempt is not
+  // followed by a retry.
+  transfers = retries = 0;
+  FaultInjector always(FaultPlan::parse("shuffle.fetch:nth=1:kind=corrupt"));
+  EXPECT_THROW(fetch_verified(0, &always, 2, transfer, on_retry), IoError);
+  EXPECT_EQ(transfers, 2u);
+  EXPECT_EQ(retries, 1u);
+  EXPECT_EQ(always.fired("shuffle.fetch"), 2u);
 }
 
 TEST(SpilledShuffle, GroupsMatchRamPathAcrossBudgetsAndPageSizes) {
