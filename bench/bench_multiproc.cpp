@@ -19,6 +19,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -85,11 +86,11 @@ std::vector<Record> bench_input() {
   return input;
 }
 
-std::string flatten(const std::vector<Record>& output) {
+std::string flatten(const JobOutput& output) {
   std::string text;
-  for (const auto& record : output) {
-    text += record.key + "\t" + record.value + "\n";
-  }
+  output.for_each([&text](std::string_view key, std::string_view value) {
+    text.append(key).append("\t").append(value).append("\n");
+  });
   return text;
 }
 

@@ -26,7 +26,11 @@ ctest --preset asan --tests-regex 'SimdDifferential' --repeat until-fail:3
 # unaligned and split inputs, a worker's partitioned map outputs, whose
 # runs are served and appended to spools as untrusted bytes, and a reducer
 # that reads a kFetchData frame damaged in flight and re-dials its owner.
+# So must the kReducePullDone decode, which checks a reducer's output run
+# as untrusted framing (truncated, overrunning and miscounted runs), the
+# job output parts walked as framed runs, the listener wake, and worker
+# shutdown with its SIGKILL escalation.
 ctest --preset asan --tests-regex \
-  '^(TransportFuzz|WireFuzz|Transport|ConnPool|SpoolBuffer|SpilledShuffle|ShuffleRetry|Checksum)\.|^JobRetry\.SpeculativeBackupReStreams|^MultiprocW2W\.(OwnerServesEachPartitionOfItsOutputInOutputOrder|DamagedFetchDataFrameRestartsTheOwnerStream)' \
+  '^(TransportFuzz|WireFuzz|Transport|Listener|WorkerShutdown|JobOutput|PullReport|ConnPool|SpoolBuffer|SpilledShuffle|ShuffleRetry|Checksum)\.|^JobRetry\.SpeculativeBackupReStreams|^MultiprocW2W\.(OwnerServesEachPartitionOfItsOutputInOutputOrder|DamagedFetchDataFrameRestartsTheOwnerStream)' \
   --repeat until-fail:3
 

@@ -31,7 +31,11 @@ ctest --preset tsan "$@"
 # every frame and page goes through, and a worker's partitioned map
 # outputs, whose runs several data-plane threads serve at once while the
 # serve loop re-stores and drops outputs, and a reducer that re-dials an
-# owner thread after a kFetchData frame fails its CRC.
+# owner thread after a kFetchData frame fails its CRC. So must a listener
+# woken from another thread while it waits to accept (how a worker's data
+# plane stops), worker shutdown and its SIGKILL escalation, the job output
+# parts that reduce commits install from the phase pool's threads, and the
+# kReducePullDone decode of a reducer's output run.
 ctest --preset tsan --tests-regex \
-  '^(TransportFuzz|WireFuzz|Transport|ConnPool|SpoolBuffer|SpilledShuffle|ParallelFor|BalanceBuckets|Checksum)\.|^JobRetry\.SpeculativeBackupReStreams|^MapReduceDascGolden\.MemberOrderIgnoresSplitsReducersAndMode|^MultiprocW2W\.(OwnerServesEachPartitionOfItsOutputInOutputOrder|DamagedFetchDataFrameRestartsTheOwnerStream)' \
+  '^(TransportFuzz|WireFuzz|Transport|Listener|WorkerShutdown|JobOutput|PullReport|ConnPool|SpoolBuffer|SpilledShuffle|ParallelFor|BalanceBuckets|Checksum)\.|^JobRetry\.SpeculativeBackupReStreams|^MapReduceDascGolden\.MemberOrderIgnoresSplitsReducersAndMode|^MultiprocW2W\.(OwnerServesEachPartitionOfItsOutputInOutputOrder|DamagedFetchDataFrameRestartsTheOwnerStream)' \
   --repeat until-fail:3

@@ -141,6 +141,17 @@ RecordFrame parse_record_frame(std::string_view bytes, std::size_t offset);
 /// The number of record frames in `run`; throws as parse_record_frame does.
 std::size_t count_record_frames(std::string_view run);
 
+/// Calls visit(key, value) for each record frame of `run` in order; throws
+/// as parse_record_frame does. The views alias `run`.
+template <typename Visit>
+void for_each_record_frame(std::string_view run, Visit&& visit) {
+  for (std::size_t offset = 0; offset < run.size();) {
+    const RecordFrame frame = parse_record_frame(run, offset);
+    visit(frame.key, frame.value);
+    offset = frame.next;
+  }
+}
+
 /// One record visited during spool iteration. Views are valid only for
 /// the duration of the visitor call.
 using SpoolVisitor =

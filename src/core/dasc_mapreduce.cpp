@@ -97,21 +97,21 @@ std::pair<std::size_t, std::vector<double>> decode_member(
 }
 
 std::vector<lsh::Signature> read_stage1_signatures(
-    const std::vector<mapreduce::Record>& records, std::size_t n) {
-  DASC_ENSURE(records.size() == n,
+    const mapreduce::JobOutput& output, std::size_t n) {
+  DASC_ENSURE(output.size() == n,
               "dasc_cluster_mapreduce: stage 1 lost or duplicated points");
   std::vector<lsh::Signature> signatures(n);
   std::vector<bool> seen(n, false);
-  for (const auto& record : records) {
-    DASC_ENSURE(record.key.size() == kWord && record.value.size() == kWord,
+  output.for_each([&](std::string_view key, std::string_view value) {
+    DASC_ENSURE(key.size() == kWord && value.size() == kWord,
                 "dasc_cluster_mapreduce: malformed stage-1 record");
-    const std::uint64_t index = load_u64(record.value.data());
+    const std::uint64_t index = load_u64(value.data());
     DASC_ENSURE(index < n, "dasc_cluster_mapreduce: bad stage-1 index");
     DASC_ENSURE(!seen[index],
                 "dasc_cluster_mapreduce: stage 1 duplicated a point");
     seen[index] = true;
-    signatures[index].bits = load_u64(record.key.data());
-  }
+    signatures[index].bits = load_u64(key.data());
+  });
   // n records, none repeated, all below n: every index appeared.
   return signatures;
 }
@@ -413,9 +413,9 @@ void finish_pipeline(const data::PointSet& points,
   // Read the per-point signatures from stage 1's output, rebuild the bucket
   // table over them (identical to the in-process path, since points are
   // revisited in index order), and merge near-duplicate buckets.
-  std::vector<mapreduce::Record>& members = result.lsh_job.output;
+  const mapreduce::JobOutput& stage1 = result.lsh_job.output;
   const lsh::BucketTable table = lsh::BucketTable::from_signatures(
-      read_stage1_signatures(members, n), m, params.dasc.metrics);
+      read_stage1_signatures(stage1, n), m, params.dasc.metrics);
   const std::vector<lsh::Bucket> merged =
       merge_buckets(points, table, params.dasc, &result.stats);
 
@@ -439,18 +439,24 @@ void finish_pipeline(const data::PointSet& points,
       EmbedderSet(params.dasc, sigma).total_gram_bytes(merged, points.dim());
 
   // ---- Stage 2: per-bucket similarity + spectral clustering. ----
-  // Its input is stage 1's output rewritten in place, in the same order:
-  // each (signature, index) record becomes ("", member), the index bytes
-  // staying at the value's front, so the two record sets are never held at
-  // full size together.
-  const std::size_t dim = points.dim();
-  parallel_for(0, n, params.dasc.threads, [&](std::size_t i) {
-    mapreduce::Record& record = members[i];
-    const std::uint64_t index = load_u64(record.value.data());
-    record.key.clear();
-    record.value.resize(kWord * (1 + dim));
-    store_point(record.value.data() + kWord, points.point(index));
+  // Its input is one member per stage-1 record, in stage 1's output order:
+  // each (signature, index) record becomes ("", index + point). The parts
+  // are built in parallel, each from its own offset; then stage 1's output
+  // is released, before stage 2 runs.
+  std::vector<std::size_t> part_begin(stage1.num_parts() + 1, 0);
+  for (std::size_t p = 0; p < stage1.num_parts(); ++p) {
+    part_begin[p + 1] = part_begin[p] + stage1.part_size(p);
+  }
+  std::vector<mapreduce::Record> members(n);
+  parallel_for(0, stage1.num_parts(), params.dasc.threads, [&](std::size_t p) {
+    std::size_t next = part_begin[p];
+    const auto add_member = [&](std::string_view, std::string_view value) {
+      const std::uint64_t index = load_u64(value.data());
+      members[next++].value = encode_member(index, points.point(index));
+    };
+    for_each_record_frame(stage1.part(p), add_member);
   });
+  result.lsh_job.output = mapreduce::JobOutput();
   mapreduce::JobSpec cluster_spec;
   cluster_spec.conf = with_spill(params.conf, params.dasc);
   cluster_spec.conf.job_name = "dasc-cluster";
@@ -471,15 +477,16 @@ void finish_pipeline(const data::PointSet& points,
   // ---- Densify (bucket ordinal, local label) pairs into labels. ----
   result.labels.assign(n, 0);
   std::unordered_map<std::uint64_t, int> cluster_ids;
-  for (const auto& record : result.cluster_job.output) {
-    DASC_ENSURE(record.key.size() == kWord && record.value.size() == kWord,
+  const auto densify = [&](std::string_view key, std::string_view value) {
+    DASC_ENSURE(key.size() == kWord && value.size() == kWord,
                 "dasc_cluster_mapreduce: malformed stage-2 record");
-    const std::uint64_t index = load_u64(record.key.data());
+    const std::uint64_t index = load_u64(key.data());
     DASC_ENSURE(index < n, "dasc_cluster_mapreduce: bad output index");
     auto [it, inserted] = cluster_ids.try_emplace(
-        load_u64(record.value.data()), static_cast<int>(cluster_ids.size()));
+        load_u64(value.data()), static_cast<int>(cluster_ids.size()));
     result.labels[index] = it->second;
-  }
+  };
+  result.cluster_job.output.for_each(densify);
   result.num_clusters = cluster_ids.size();
 
   result.simulated_seconds =

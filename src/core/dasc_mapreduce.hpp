@@ -7,8 +7,8 @@
 // Between the stages the driver reads the signatures from stage 1's output
 // and merges buckets whose signatures share at least P bits, exactly where
 // the paper performs the merge ("before applying the reducer"). It then
-// rewrites each stage-1 record in place into a member, keeping stage 1's
-// output order, and hands the records to stage 2.
+// builds one member per stage-1 record, in stage 1's output order, and
+// hands the members to stage 2.
 // Stage 2 ("dasc-cluster"): its mapper keys each member with its merged
 // bucket from a broadcast point -> bucket table, and the reducer receives
 // one bucket per key, builds the bucket's Gram matrix (Algorithm 2, Eq. 1)
@@ -47,7 +47,7 @@ struct MapReduceDascResult {
   ApproximatorStats stats;
 
   /// Stage 1 accounting: (signature, index) records, one per point. Its
-  /// output is rewritten into stage 2's input, so it is empty.
+  /// output is released once stage 2's input is built, so it is empty.
   mapreduce::JobResult lsh_job;
   mapreduce::JobResult cluster_job;  ///< stage 2 accounting
   double simulated_seconds = 0.0;    ///< both stages on the virtual cluster
@@ -84,6 +84,6 @@ std::pair<std::size_t, std::vector<double>> decode_member(
 /// (a lost point would keep signature 0 and a duplicate would reach stage 2
 /// twice).
 std::vector<lsh::Signature> read_stage1_signatures(
-    const std::vector<mapreduce::Record>& records, std::size_t n);
+    const mapreduce::JobOutput& output, std::size_t n);
 
 }  // namespace dasc::core

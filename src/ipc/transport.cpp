@@ -1,6 +1,7 @@
 #include "ipc/transport.hpp"
 
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/uio.h>
 #include <sys/un.h>
@@ -198,11 +199,26 @@ Listener::Listener(const std::string& path) : path_(path) {
     fd_ = -1;
     throw IoError(errno_text("ipc: listen on " + path_ + " failed"));
   }
+  wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
+  if (wake_fd_ < 0) {
+    ::close(fd_);
+    fd_ = -1;
+    throw IoError(errno_text("ipc: eventfd for " + path_ + " failed"));
+  }
 }
 
 Listener::~Listener() {
   if (fd_ >= 0) ::close(fd_);
+  if (wake_fd_ >= 0) ::close(wake_fd_);
   ::unlink(path_.c_str());
+}
+
+void Listener::wake() {
+  const std::uint64_t one = 1;
+  // Never read back, so the eventfd stays readable: a wake before the
+  // acceptor reaches poll is not lost. EAGAIN (counter at its maximum)
+  // leaves it readable too.
+  [[maybe_unused]] const ssize_t n = ::write(wake_fd_, &one, sizeof(one));
 }
 
 std::unique_ptr<Transport> Listener::accept(std::size_t timeout_ms,
@@ -217,16 +233,16 @@ std::unique_ptr<Transport> Listener::accept(std::size_t timeout_ms,
 
 std::unique_ptr<Transport> Listener::try_accept(std::size_t timeout_ms,
                                                 MetricsRegistry* metrics) {
-  pollfd pfd;
-  pfd.fd = fd_;
-  pfd.events = POLLIN;
+  pollfd pfds[2] = {{fd_, POLLIN, 0}, {wake_fd_, POLLIN, 0}};
+  const int timeout =
+      timeout_ms == kNoTimeout ? -1 : static_cast<int>(timeout_ms);
   while (true) {
-    const int ready = ::poll(&pfd, 1, static_cast<int>(timeout_ms));
+    const int ready = ::poll(pfds, 2, timeout);
     if (ready < 0) {
       if (errno == EINTR) continue;
       throw IoError(errno_text("ipc: poll on listener failed"));
     }
-    if (ready == 0) return nullptr;
+    if (ready == 0 || pfds[1].revents != 0) return nullptr;
     break;
   }
   const int fd = ::accept4(fd_, nullptr, nullptr, SOCK_CLOEXEC);

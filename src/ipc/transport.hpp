@@ -100,11 +100,18 @@ class Listener {
   std::unique_ptr<Transport> accept(std::size_t timeout_ms = 10000,
                                     MetricsRegistry* metrics = nullptr);
 
-  /// Accept one connection or return nullptr after `timeout_ms` with no
-  /// pending peer — the polling form the worker data-plane loop uses so a
-  /// quiet listener can interleave stop-flag checks instead of throwing.
+  /// Accept one connection, or return nullptr after `timeout_ms` with no
+  /// pending peer (kNoTimeout waits indefinitely) or once wake() has been
+  /// called.
   std::unique_ptr<Transport> try_accept(std::size_t timeout_ms,
                                         MetricsRegistry* metrics = nullptr);
+
+  /// Makes every try_accept, current or later, return nullptr at once.
+  /// Safe to call from another thread while try_accept waits: this is how
+  /// a worker's data plane stops its acceptor without a polling period.
+  void wake();
+
+  static constexpr std::size_t kNoTimeout = static_cast<std::size_t>(-1);
 
   const std::string& path() const { return path_; }
   int fd() const { return fd_; }
@@ -112,6 +119,7 @@ class Listener {
  private:
   std::string path_;
   int fd_ = -1;
+  int wake_fd_ = -1;  ///< eventfd, readable once wake() ran
 };
 
 }  // namespace dasc::ipc

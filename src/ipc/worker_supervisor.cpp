@@ -1,12 +1,15 @@
 #include "ipc/worker_supervisor.hpp"
 
-#include <csignal>
+#include <poll.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
+#include <csignal>
+#include <cstdint>
 #include <filesystem>
-#include <thread>
 #include <utility>
 
 #include "common/error.hpp"
@@ -24,6 +27,32 @@ void reap_pid(pid_t pid) {
   int status = 0;
   while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
   }
+}
+
+/// How long shutdown() waits, for all workers together, before it
+/// SIGKILLs the ones still running.
+constexpr std::chrono::milliseconds kShutdownGrace{1000};
+
+/// Waits until the unreaped child `pid` exits or `deadline` passes, with
+/// no polling step, and reaps it if it exited. It waits on a pidfd; where
+/// pidfd_open is unavailable, on the hangup of the worker's control socket
+/// `control_fd`, which a worker closes only on its way out.
+bool reap_by(pid_t pid, int control_fd,
+             std::chrono::steady_clock::time_point deadline) {
+  const int pidfd = static_cast<int>(::syscall(SYS_pidfd_open, pid, 0));
+  pollfd watch{control_fd, POLLRDHUP, 0};
+  if (pidfd >= 0) watch = {pidfd, POLLIN, 0};
+  int ready = 0;
+  do {
+    const auto left = deadline - std::chrono::steady_clock::now();
+    const auto left_ms =
+        std::chrono::ceil<std::chrono::milliseconds>(left).count();
+    ready = ::poll(&watch, 1, left_ms > 0 ? static_cast<int>(left_ms) : 0);
+  } while (ready < 0 && errno == EINTR);
+  if (pidfd >= 0) ::close(pidfd);
+  if (ready <= 0) return false;
+  reap_pid(pid);
+  return true;
 }
 
 }  // namespace
@@ -279,23 +308,15 @@ void WorkerSupervisor::shutdown() {
       // already dying; the reap below handles it
     }
   }
+  // One bounded grace window for every worker's voluntary exit, then
+  // SIGKILL. It only matters for a wedged worker; a healthy one exits on
+  // kShutdown within one serve-loop iteration, and is reaped the moment
+  // it does.
+  const auto deadline = std::chrono::steady_clock::now() + kShutdownGrace;
   for (const auto& slot : slots_) {
     std::lock_guard lock(slot->lifecycle_mutex);
     if (!slot->alive.load(std::memory_order_acquire)) continue;
-    // Bounded wait for a voluntary exit, then escalate to SIGKILL. The
-    // grace window only matters for a wedged worker; a healthy one exits
-    // on kShutdown within one serve-loop iteration.
-    bool exited = false;
-    for (int spin = 0; spin < 100; ++spin) {
-      int status = 0;
-      const pid_t got = ::waitpid(slot->pid, &status, WNOHANG);
-      if (got == slot->pid || (got < 0 && errno != EINTR)) {
-        exited = true;
-        break;
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-    if (!exited) {
+    if (!reap_by(slot->pid, slot->transport->fd(), deadline)) {
       ::kill(slot->pid, SIGKILL);
       reap_pid(slot->pid);
     }

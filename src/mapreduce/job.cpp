@@ -18,6 +18,27 @@
 
 namespace dasc::mapreduce {
 
+void JobOutput::set_part(std::size_t task, std::string run,
+                         std::size_t records) {
+  DASC_EXPECT(task < parts_.size(), "JobOutput: no such reduce task");
+  parts_[task] = {std::move(run), records};
+}
+
+std::size_t JobOutput::size() const {
+  std::size_t total = 0;
+  for (const Part& part : parts_) total += part.records;
+  return total;
+}
+
+std::vector<Record> JobOutput::records() const {
+  std::vector<Record> out;
+  out.reserve(size());
+  for_each([&out](std::string_view key, std::string_view value) {
+    out.push_back({std::string(key), std::string(value)});
+  });
+  return out;
+}
+
 namespace {
 
 using detail::execute_map_task;
@@ -121,7 +142,7 @@ JobResult execute(const JobSpec& spec,
   // ---- Reduce phase ----
   const std::size_t num_reduce_tasks = partitions.size();
   result.reduce_task_seconds.assign(num_reduce_tasks, 0.0);
-  std::vector<std::vector<Record>> reduce_outputs(num_reduce_tasks);
+  result.output = JobOutput(num_reduce_tasks);
   std::atomic<std::uint64_t> reduce_groups{0};
   std::atomic<std::uint64_t> reduce_in{0};
   std::atomic<std::uint64_t> reduce_out{0};
@@ -136,12 +157,13 @@ JobResult execute(const JobSpec& spec,
             execute_reduce_spooled(spec.reducer_factory, *partitions[task]);
         return {[&, task, num_groups = reduced.num_groups,
                  in_records = reduced.in_records,
+                 out_records = reduced.out_records,
                  out = std::move(reduced.output)]() mutable {
                   reduce_groups.fetch_add(num_groups,
                                           std::memory_order_relaxed);
                   reduce_in.fetch_add(in_records, std::memory_order_relaxed);
-                  reduce_out.fetch_add(out.size(), std::memory_order_relaxed);
-                  reduce_outputs[task] = std::move(out);
+                  reduce_out.fetch_add(out_records, std::memory_order_relaxed);
+                  result.output.set_part(task, std::move(out), out_records);
                 },
                 nullptr};
       });
@@ -150,12 +172,6 @@ JobResult execute(const JobSpec& spec,
   result.counters.reduce_input_records = reduce_in.load();
   result.counters.reduce_output_records = reduce_out.load();
   result.counters.failed_task_attempts = failed_attempts.load();
-
-  for (auto& part : reduce_outputs) {
-    result.output.insert(result.output.end(),
-                         std::make_move_iterator(part.begin()),
-                         std::make_move_iterator(part.end()));
-  }
 
   // ---- Simulated cluster time, metrics, completion log ----
   result.real_seconds = total_clock.seconds();
@@ -210,7 +226,7 @@ JobResult run_job_dfs(const JobSpec& spec, Dfs& dfs,
   // Persist reduce output as part files, Hadoop-style.
   std::vector<std::string> lines;
   lines.reserve(result.output.size());
-  for (const auto& record : result.output) {
+  for (const Record& record : result.output.records()) {
     lines.push_back(record.key + "\t" + record.value);
   }
   char name[32];

@@ -8,11 +8,14 @@
 // separated by a barrier, as in Hadoop.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/spool.hpp"
 #include "mapreduce/dfs.hpp"
 #include "mapreduce/job_conf.hpp"
 #include "mapreduce/types.hpp"
@@ -45,9 +48,56 @@ struct JobSpec {
   FaultInjector* faults = nullptr;
 };
 
+/// A job's output as its reduce tasks wrote it: one run of records in the
+/// spool's framing (append_record_frame) per reduce task, in partition
+/// order, never joined into one array. Part p holds reduce task p's output
+/// in emit order; for_each visits part 0's records, then part 1's, and so
+/// on. Hadoop likewise leaves one part-r-NNNNN file per reduce task.
+class JobOutput {
+ public:
+  JobOutput() = default;
+  explicit JobOutput(std::size_t num_parts) : parts_(num_parts) {}
+
+  /// Installs reduce task `task`'s run of `records` frames. Distinct tasks
+  /// may be set concurrently; the run must be well-formed framing (a run
+  /// from another process is checked before it gets here).
+  void set_part(std::size_t task, std::string run, std::size_t records);
+
+  std::size_t num_parts() const { return parts_.size(); }
+  /// Reduce task `task`'s framed run.
+  std::string_view part(std::size_t task) const { return parts_[task].run; }
+  /// The number of records in part `task`.
+  std::size_t part_size(std::size_t task) const { return parts_[task].records; }
+
+  /// The number of records over all parts.
+  std::size_t size() const;
+  bool empty() const { return size() == 0; }
+
+  /// Calls visit(key, value) for every record, part by part; the views
+  /// alias this output.
+  template <typename Visit>
+  void for_each(Visit&& visit) const {
+    for (const Part& part : parts_) for_each_record_frame(part.run, visit);
+  }
+
+  /// Every record copied out, in for_each order.
+  std::vector<Record> records() const;
+
+  friend bool operator==(const JobOutput&, const JobOutput&) = default;
+
+ private:
+  struct Part {
+    std::string run;
+    std::size_t records = 0;
+
+    friend bool operator==(const Part&, const Part&) = default;
+  };
+  std::vector<Part> parts_;
+};
+
 struct JobResult {
-  /// Reduce outputs concatenated in partition order.
-  std::vector<Record> output;
+  /// Reduce outputs, one framed run per reduce task.
+  JobOutput output;
   Counters counters;
 
   std::size_t num_map_tasks = 0;

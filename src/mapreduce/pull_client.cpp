@@ -104,24 +104,25 @@ Message PullReport::encode() const {
   writer.u64(task);
   writer.u64(reduced.num_groups);
   writer.u64(reduced.in_records);
-  writer.u64(reduced.output.size());
+  writer.u64(reduced.out_records);
   for (const std::uint64_t field :
        {record_bytes, spill_bytes_written, spill_bytes_read, spill_pages,
         fetch_fires, fetch_retries, spill_retries, conns_opened, pulls,
         fetch_requests}) {
     writer.u64(field);
   }
-  append_records(writer, reduced.output);
-  return {MessageType::kReducePullDone, writer.take()};
+  std::string payload = writer.take();
+  payload += reduced.output;
+  return {MessageType::kReducePullDone, std::move(payload)};
 }
 
-PullReport PullReport::decode(const Message& message) {
+PullReport PullReport::decode(Message message) {
   WireReader reader(message.payload);
   PullReport report;
   report.task = reader.u64();
   report.reduced.num_groups = reader.u64();
   report.reduced.in_records = reader.u64();
-  const std::uint64_t out_count = reader.u64();
+  report.reduced.out_records = reader.u64();
   for (std::uint64_t* field :
        {&report.record_bytes, &report.spill_bytes_written,
         &report.spill_bytes_read, &report.spill_pages, &report.fetch_fires,
@@ -129,9 +130,16 @@ PullReport PullReport::decode(const Message& message) {
         &report.conns_opened, &report.pulls, &report.fetch_requests}) {
     *field = reader.u64();
   }
-  report.reduced.output = read_records(reader);
-  DASC_ENSURE(report.reduced.output.size() == out_count,
-              "ipc: kReducePullDone record count mismatch");
+  // The tail is the reducer's output run, checked once here as untrusted
+  // framing and then kept as is.
+  const std::size_t run_begin = message.payload.size() - reader.remaining();
+  const std::size_t frames =
+      count_record_frames(std::string_view(message.payload).substr(run_begin));
+  if (frames != report.reduced.out_records) {
+    throw IoError("ipc: kReducePullDone record count mismatch");
+  }
+  report.reduced.output = std::move(message.payload);
+  report.reduced.output.erase(0, run_begin);
   return report;
 }
 

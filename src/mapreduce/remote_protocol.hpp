@@ -129,7 +129,8 @@ inline std::size_t owner_to_retire(const PullFailed& failed,
 
 /// kReducePullDone: the reduce result plus the pulled byte volume and the
 /// spill, fault, and connection work the supervisor absorbs into its own
-/// registry and injector when the attempt commits.
+/// registry and injector when the attempt commits. On the wire the reduce
+/// output is the payload's tail: the reducer's framed run, unchanged.
 struct PullReport {
   std::uint64_t task = 0;
   detail::ReduceTaskResult reduced;
@@ -149,7 +150,9 @@ struct PullReport {
   std::uint64_t fetch_requests = 0;  ///< kFetchPart sent, restarts included
 
   ipc::Message encode() const;
-  static PullReport decode(const ipc::Message& message);
+  /// Throws IoError on a truncated payload, malformed output framing, or
+  /// an output record count other than the declared one.
+  static PullReport decode(ipc::Message message);
 };
 
 /// A worker's map outputs and outbound data-plane connections, shared by

@@ -202,14 +202,15 @@ std::vector<std::string> data_socket_paths(const JobConf& conf) {
   return paths;
 }
 
-/// A JobResult with the task counts, time slots, and the placement plan
-/// the in-process executor records filled in.
+/// A JobResult with the task counts, time slots, output parts, and the
+/// placement plan the in-process executor records filled in.
 JobResult planned_result(const JobConf& conf, std::size_t num_map_tasks) {
   JobResult result;
   result.num_map_tasks = num_map_tasks;
   result.num_reduce_tasks = conf.num_reducers;
   result.map_task_seconds.assign(num_map_tasks, 0.0);
   result.reduce_task_seconds.assign(conf.num_reducers, 0.0);
+  result.output = JobOutput(conf.num_reducers);
   result.map_task_workers =
       assign_tasks(num_map_tasks, conf.num_workers, conf.placement_seed);
   result.reduce_task_workers = assign_tasks(
@@ -234,7 +235,6 @@ class MultiprocRun {
         data_paths_(data_socket_paths(conf_)),
         result_(planned_result(conf_, splits_.size())),
         map_owner_(splits_.size(), kNoOwner),
-        reduce_outputs_(conf_.num_reducers),
         // Workers launch before any job thread exists: fork safety.
         supervisor_(worker_launch()),
         exchange_(supervisor_, spec_.metrics),
@@ -277,11 +277,6 @@ class MultiprocRun {
     flush_cancels();
 
     result_.counters.failed_task_attempts = failed_attempts_.load();
-    for (auto& part : reduce_outputs_) {
-      result_.output.insert(result_.output.end(),
-                            std::make_move_iterator(part.begin()),
-                            std::make_move_iterator(part.end()));
-    }
 
     supervisor_.shutdown();
     // Workers unlink their data sockets with their Listeners, but a
@@ -393,7 +388,7 @@ class MultiprocRun {
   /// report on commit.
   detail::TaskAttempt reduce_attempt(std::size_t task, bool backup) {
     const std::size_t slot = reduce_placement_.pick(task, backup);
-    const Message reply = reduce_placement_.dispatch(
+    Message reply = reduce_placement_.dispatch(
         task, slot, reduce_pull_request(task), kill_fires(),
         [this, slot](const Message& frame) {
           if (frame.type != MessageType::kPullFailed) return true;
@@ -403,7 +398,7 @@ class MultiprocRun {
     if (reply.type == MessageType::kTaskError) rethrow_task_error(reply);
     DASC_ENSURE(reply.type == MessageType::kReducePullDone,
                 "ipc: unexpected reply to kReducePull");
-    remote::PullReport report = remote::PullReport::decode(reply);
+    remote::PullReport report = remote::PullReport::decode(std::move(reply));
     DASC_ENSURE(report.task == task, "ipc: kReducePullDone task mismatch");
     return {[this, report = std::move(report)]() mutable {
               commit_pull_report(std::move(report));
@@ -481,12 +476,14 @@ class MultiprocRun {
       Counters& counters = result_.counters;
       counters.reduce_input_groups += report.reduced.num_groups;
       counters.reduce_input_records += report.reduced.in_records;
-      counters.reduce_output_records += report.reduced.output.size();
+      counters.reduce_output_records += report.reduced.out_records;
       // The reducers moved the shuffle bytes; the supervisor only tallies
       // them, in the spool's key+value+2 convention, so the counter is
       // worker-count-invariant and equal to the in-process one.
       counters.shuffle_bytes += report.record_bytes;
-      reduce_outputs_[report.task] = std::move(report.reduced.output);
+      // The reducer's run, checked by decode, is the task's output part.
+      result_.output.set_part(report.task, std::move(report.reduced.output),
+                              report.reduced.out_records);
     }
 
     MetricsRegistry* metrics = spec_.metrics;
@@ -583,7 +580,6 @@ class MultiprocRun {
   // the table while a kPullFailed recovery rewrites the re-homed entry.
   std::vector<std::size_t> map_owner_;
   std::mutex owner_mutex_;
-  std::vector<std::vector<Record>> reduce_outputs_;
   std::mutex cancel_mutex_;
   std::vector<CancelRequest> pending_cancels_;
   ipc::WorkerSupervisor supervisor_;

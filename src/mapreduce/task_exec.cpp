@@ -28,6 +28,22 @@ double backoff_ms(const JobConf& conf, std::size_t attempt) {
   return std::min(ms, conf.retry_backoff_max_ms);
 }
 
+/// Frames each emitted record straight into one run.
+class FrameEmitter final : public Emitter {
+ public:
+  void emit(std::string key, std::string value) override {
+    append_record_frame(run_, key, value);
+    ++records_;
+  }
+
+  std::uint64_t records() const { return records_; }
+  std::string take() { return std::move(run_); }
+
+ private:
+  std::string run_;
+  std::uint64_t records_ = 0;
+};
+
 /// Frames each emitted record straight into its partition's run.
 class RunEmitter final : public Emitter {
  public:
@@ -248,7 +264,7 @@ ReduceTaskResult execute_reduce_spooled(
     const std::function<std::unique_ptr<Reducer>()>& reducer_factory,
     const SpoolBuffer& partition) {
   const std::unique_ptr<Reducer> reducer = reducer_factory();
-  VectorEmitter emitter;
+  FrameEmitter emitter;
   ReduceTaskResult result;
   // The merged stream is the partition stable-sorted by key (the spool's
   // sort_on_seal contract), so grouping is one streaming pass: flush
@@ -272,7 +288,8 @@ ReduceTaskResult execute_reduce_spooled(
         group.values.emplace_back(value);
       });
   if (open) flush();
-  result.output = std::move(emitter.records());
+  result.out_records = emitter.records();
+  result.output = emitter.take();
   return result;
 }
 

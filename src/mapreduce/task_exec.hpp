@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -86,7 +87,10 @@ MapTaskResult execute_map_task(
     std::size_t num_partitions);
 
 struct ReduceTaskResult {
-  std::vector<Record> output;
+  /// The reducer's output records in the spool's framing, in emit order:
+  /// the task's JobOutput part.
+  std::string output;
+  std::uint64_t out_records = 0;
   std::uint64_t num_groups = 0;
   std::uint64_t in_records = 0;
 };
@@ -94,8 +98,9 @@ struct ReduceTaskResult {
 /// Run one reduce task over a finished sort-on-seal SpoolBuffer — the
 /// partition every shuffle in both execution modes hands a reducer —
 /// streaming groups off the spool's merged order (a stable sort by key),
-/// so only one group is resident at a time whatever the spill budget. The
-/// spool is only read, so concurrent attempts may share it.
+/// so only one group is resident at a time whatever the spill budget, and
+/// framing the reducer's output straight into one run. The spool is only
+/// read, so concurrent attempts may share it.
 ReduceTaskResult execute_reduce_spooled(
     const std::function<std::unique_ptr<Reducer>()>& reducer_factory,
     const SpoolBuffer& partition);

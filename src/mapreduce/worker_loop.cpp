@@ -166,7 +166,7 @@ class DataPlane {
   /// still blocked on an inbound recv with a half-close — close() would be
   /// unsafe cross-thread, the fd could be reused under the reader.
   ~DataPlane() {
-    stop_.store(true, std::memory_order_release);
+    if (listener_ != nullptr) listener_->wake();
     if (acceptor_.joinable()) acceptor_.join();
     state_.pool().clear();
     {
@@ -178,18 +178,19 @@ class DataPlane {
 
  private:
   void accept_loop() {
-    // Polls so it can observe stop_; the supervisor's shutdown waits for
-    // this worker to exit, so the poll period is on every job's tail.
-    while (!stop_.load(std::memory_order_acquire)) {
+    // Blocks until a peer dials or the destructor wakes the listener: the
+    // supervisor's shutdown waits for this worker to exit, so any polling
+    // period would sit on every job's tail.
+    while (true) {
       std::unique_ptr<ipc::Transport> peer;
       try {
-        peer = listener_->try_accept(10);
+        peer = listener_->try_accept(ipc::Listener::kNoTimeout);
       } catch (const std::exception& error) {
         DASC_LOG(kWarn) << "worker " << options_.ordinal
                         << ": data-plane listener failed: " << error.what();
         return;
       }
-      if (peer == nullptr) continue;
+      if (peer == nullptr) return;  // woken: the worker is stopping
       std::lock_guard lock(peers_mutex_);
       live_peers_.push_back(peer.get());
       peer_threads_.emplace_back(
@@ -214,7 +215,6 @@ class DataPlane {
   const WorkerOptions& options_;
   WorkerState& state_;
   std::unique_ptr<ipc::Listener> listener_;
-  std::atomic<bool> stop_{false};
   std::mutex peers_mutex_;
   std::vector<ipc::Transport*> live_peers_;
   std::vector<std::thread> peer_threads_;

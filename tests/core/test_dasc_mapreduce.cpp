@@ -11,6 +11,7 @@
 #include "common/error.hpp"
 #include "common/fault_injection.hpp"
 #include "common/metrics.hpp"
+#include "common/spool.hpp"
 #include "core/dasc_clusterer.hpp"
 #include "data/dataset_io.hpp"
 #include "mapreduce/virtual_cluster.hpp"
@@ -102,9 +103,25 @@ std::vector<mapreduce::Record> stage1_records(
   return records;
 }
 
+/// A stage-1 JobOutput holding `records`: the first half in part 0, an
+/// empty part 1, and the rest in part 2.
+mapreduce::JobOutput stage1_output(
+    const std::vector<mapreduce::Record>& records) {
+  const std::size_t half = records.size() / 2;
+  std::string runs[3];
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    append_record_frame(runs[i < half ? 0 : 2], records[i].key,
+                        records[i].value);
+  }
+  mapreduce::JobOutput output(3);
+  output.set_part(0, runs[0], half);
+  output.set_part(2, runs[2], records.size() - half);
+  return output;
+}
+
 TEST(Stage1Signatures, ReadsEachPointsSignatureInAnyOrder) {
   const std::vector<lsh::Signature> signatures =
-      read_stage1_signatures(stage1_records({2, 0, 3, 1}), 4);
+      read_stage1_signatures(stage1_output(stage1_records({2, 0, 3, 1})), 4);
   ASSERT_EQ(signatures.size(), 4u);
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(signatures[i].bits, 100 + i);
@@ -118,8 +135,8 @@ TEST(Stage1Signatures, RejectsIndicesNotSeenExactlyOnce) {
       {0, 1, 2, 4},  // 4 out of range
   };
   for (const auto& indices : cases) {
-    EXPECT_THROW(read_stage1_signatures(stage1_records(indices), 4),
-                 dasc::InternalError)
+    const mapreduce::JobOutput output = stage1_output(stage1_records(indices));
+    EXPECT_THROW(read_stage1_signatures(output, 4), dasc::InternalError)
         << indices.size() << " records, last " << indices.back();
   }
 }
@@ -128,12 +145,14 @@ TEST(Stage1Signatures, RejectsValueThatIsNotOneU64) {
   for (const std::size_t size : {0, 7, 9, 16}) {
     std::vector<mapreduce::Record> records = stage1_records({0, 1});
     records[1].value.resize(size, '\0');
-    EXPECT_THROW(read_stage1_signatures(records, 2), dasc::InternalError)
+    EXPECT_THROW(read_stage1_signatures(stage1_output(records), 2),
+                 dasc::InternalError)
         << size << " bytes";
   }
   std::vector<mapreduce::Record> records = stage1_records({0, 1});
   records[0].key.clear();
-  EXPECT_THROW(read_stage1_signatures(records, 2), dasc::InternalError);
+  EXPECT_THROW(read_stage1_signatures(stage1_output(records), 2),
+               dasc::InternalError);
 }
 
 TEST(MapReduceDasc, ProducesValidLabeling) {

@@ -8,6 +8,8 @@
 
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -247,6 +249,29 @@ TEST(Listener, AcceptTimesOutAsIoError) {
           .string();
   Listener listener(path);
   EXPECT_THROW(listener.accept(/*timeout_ms=*/10), IoError);
+}
+
+TEST(Listener, WakeEndsAnAcceptWaitingOnAnotherThread) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() /
+       ("dasc-test-wake-" + std::to_string(::getpid()) + ".sock"))
+          .string();
+  Listener listener(path);
+  // A peer that dials before the wake is still accepted.
+  const auto early = Transport::connect(path);
+  EXPECT_NE(listener.try_accept(Listener::kNoTimeout), nullptr);
+
+  std::atomic<bool> woken{false};
+  std::thread acceptor([&] {
+    woken = listener.try_accept(Listener::kNoTimeout) == nullptr;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  listener.wake();
+  acceptor.join();
+  EXPECT_TRUE(woken.load());
+  // The wake stays: a later wait returns at once, with a peer pending too.
+  const auto late = Transport::connect(path);
+  EXPECT_EQ(listener.try_accept(Listener::kNoTimeout), nullptr);
 }
 
 TEST(SweepSpoolFiles, RemovesOnlyTheDeadWorkersFiles) {

@@ -11,9 +11,12 @@
 #include <map>
 #include <memory>
 #include <sstream>
+#include <string_view>
 
 #include "common/error.hpp"
 #include "common/metrics.hpp"
+#include "common/spool.hpp"
+#include "mapreduce/shuffle.hpp"
 
 namespace dasc::mapreduce {
 namespace {
@@ -59,11 +62,11 @@ std::vector<Record> word_count_input() {
   };
 }
 
-std::map<std::string, long> to_counts(const std::vector<Record>& output) {
+std::map<std::string, long> to_counts(const JobOutput& output) {
   std::map<std::string, long> counts;
-  for (const auto& record : output) {
-    counts[record.key] += std::stol(record.value);
-  }
+  output.for_each([&counts](std::string_view key, std::string_view value) {
+    counts[std::string(key)] += std::stol(std::string(value));
+  });
   return counts;
 }
 
@@ -113,6 +116,92 @@ TEST(Job, EmptyInputStillRuns) {
   EXPECT_TRUE(result.output.empty());
   EXPECT_EQ(result.counters.map_input_records, 0u);
   EXPECT_EQ(result.num_map_tasks, 1u);
+}
+
+/// `records` in the spool's framing: one JobOutput part.
+std::string framed(const std::vector<Record>& records) {
+  std::string run;
+  for (const Record& record : records) {
+    append_record_frame(run, record.key, record.value);
+  }
+  return run;
+}
+
+/// A JobOutput whose part p holds parts[p].
+JobOutput output_of(const std::vector<std::vector<Record>>& parts) {
+  JobOutput output(parts.size());
+  for (std::size_t p = 0; p < parts.size(); ++p) {
+    output.set_part(p, framed(parts[p]), parts[p].size());
+  }
+  return output;
+}
+
+std::vector<Record> visited(const JobOutput& output) {
+  std::vector<Record> records;
+  output.for_each([&records](std::string_view key, std::string_view value) {
+    records.push_back({std::string(key), std::string(value)});
+  });
+  return records;
+}
+
+TEST(JobOutput, EmptyJobHasNoRecords) {
+  for (const JobOutput& output : {JobOutput(), JobOutput(3)}) {
+    EXPECT_EQ(output.size(), 0u);
+    EXPECT_TRUE(output.empty());
+    EXPECT_TRUE(visited(output).empty());
+    EXPECT_TRUE(output.records().empty());
+  }
+  const JobResult result = run_job(word_count_spec(), {});
+  ASSERT_EQ(result.output.num_parts(), 3u);  // one per reduce task
+  for (std::size_t p = 0; p < 3; ++p) {
+    EXPECT_TRUE(result.output.part(p).empty());
+    EXPECT_EQ(result.output.part_size(p), 0u);
+  }
+}
+
+TEST(JobOutput, WalksPartsInOrderAcrossEmptyParts) {
+  std::vector<std::vector<Record>> parts(7);
+  parts[1] = {{"b", "1"}, {"a", "2"}};
+  parts[4] = {{"", ""}};
+  parts[5] = {{"c", "33"}};
+  const JobOutput output = output_of(parts);
+  std::vector<Record> concatenated;
+  for (const auto& part : parts) {
+    concatenated.insert(concatenated.end(), part.begin(), part.end());
+  }
+  EXPECT_EQ(output.size(), 4u);
+  EXPECT_FALSE(output.empty());
+  ASSERT_EQ(output.num_parts(), parts.size());
+  for (std::size_t p = 0; p < parts.size(); ++p) {
+    EXPECT_EQ(output.part_size(p), parts[p].size());
+    EXPECT_EQ(output.part(p), framed(parts[p]));
+  }
+  EXPECT_EQ(visited(output), concatenated);
+  EXPECT_EQ(output.records(), concatenated);
+  EXPECT_EQ(output, output_of(parts));
+  // The same records split into other parts are another output.
+  std::vector<std::vector<Record>> shifted = parts;
+  shifted.erase(shifted.begin());
+  EXPECT_NE(output, output_of(shifted));
+}
+
+TEST(JobOutput, PartPIsReduceTaskPsOutputAtAnySpillBudget) {
+  const JobResult baseline = run_job(word_count_spec(), word_count_input());
+  const JobOutput& output = baseline.output;
+  ASSERT_EQ(output.num_parts(), 3u);
+  EXPECT_EQ(output.size(), baseline.counters.reduce_output_records);
+  for (std::size_t p = 0; p < output.num_parts(); ++p) {
+    const auto in_partition_p = [p](std::string_view key, std::string_view) {
+      EXPECT_EQ(partition_for_key(std::string(key), 3), p) << key;
+    };
+    for_each_record_frame(output.part(p), in_partition_p);
+  }
+  for (const std::size_t budget : {0u, 1u, 4096u}) {
+    JobSpec spec = word_count_spec();
+    spec.conf.spill_budget_bytes = budget;
+    EXPECT_EQ(run_job(spec, word_count_input()).output, output)
+        << "budget=" << budget;
+  }
 }
 
 TEST(Job, SimulatedTimeShrinksWithMoreNodes) {

@@ -4,9 +4,10 @@
 // modes and seeds, worker.kill recovery mid-map and mid-reduce (including
 // the reducers' dead-owner pull recovery), worker-side task failures
 // surfacing as typed errors, heartbeats drained around a reply larger than
-// the socket buffer, the exec-mode worker binary (DESIGN.md
-// sections 13-14), and cross-process speculative execution with
-// supervisor-arbitrated commit and kTaskCancel cleanup (section 15).
+// the socket buffer, the kReducePullDone output run checked as untrusted
+// framing, the exec-mode worker binary (DESIGN.md sections 13-14), and
+// cross-process speculative execution with supervisor-arbitrated commit
+// and kTaskCancel cleanup (section 15).
 #include "mapreduce/remote_runner.hpp"
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -88,16 +90,6 @@ std::vector<Record> word_count_input() {
   return input;
 }
 
-/// Serialize job output exactly as written (order matters: the parity
-/// contract is byte-for-byte, not up-to-reordering).
-std::string flatten(const std::vector<Record>& output) {
-  std::string text;
-  for (const auto& record : output) {
-    text += record.key + "\t" + record.value + "\n";
-  }
-  return text;
-}
-
 JobSpec multiproc_spec(std::size_t workers, std::size_t spill_budget = 0) {
   JobSpec spec = word_count_spec();
   spec.conf.execution_mode = ExecutionMode::kMultiProcess;
@@ -111,7 +103,7 @@ TEST(MultiprocJob, OutputIsByteIdenticalToInProcess) {
   for (const std::size_t workers : {1u, 2u, 4u}) {
     const JobResult result =
         run_job(multiproc_spec(workers), word_count_input());
-    EXPECT_EQ(flatten(result.output), flatten(baseline.output))
+    EXPECT_EQ(result.output, baseline.output)
         << "workers=" << workers;
     EXPECT_EQ(result.counters.map_input_records,
               baseline.counters.map_input_records);
@@ -136,7 +128,7 @@ TEST(MultiprocJob, MovedInputMatchesCopiedInput) {
     EXPECT_EQ(input, word_count_input());
     std::vector<Record> handed_over = word_count_input();
     const JobResult moved = run_job(spec, std::move(handed_over));
-    EXPECT_EQ(flatten(moved.output), flatten(copied.output));
+    EXPECT_EQ(moved.output, copied.output);
     const Counters& a = moved.counters;
     const Counters& b = copied.counters;
     EXPECT_EQ(a.map_input_records, b.map_input_records);
@@ -159,7 +151,7 @@ TEST(MultiprocJob, NoCombinerParityHolds) {
   JobSpec multi = multiproc_spec(2);
   multi.conf.enable_combiner = false;
   const JobResult result = run_job(multi, word_count_input());
-  EXPECT_EQ(flatten(result.output), flatten(baseline.output));
+  EXPECT_EQ(result.output, baseline.output);
   EXPECT_EQ(result.counters.combine_input_records, 0u);
 }
 
@@ -227,7 +219,7 @@ TEST(MultiprocJob, WorkerKillMidMapRecovers) {
   spec.faults = &injector;
 
   const JobResult result = run_job(spec, word_count_input());
-  EXPECT_EQ(flatten(result.output), flatten(baseline.output));
+  EXPECT_EQ(result.output, baseline.output);
   EXPECT_EQ(injector.fired("worker.kill"), 1u);
   // Not asserting failed_task_attempts == 1: in principle a reply can
   // already be in the socket buffer when SIGKILL lands, in which case the
@@ -250,7 +242,7 @@ TEST(MultiprocJob, WorkerKillMidReduceRecovers) {
   spec.faults = &injector;
 
   const JobResult result = run_job(spec, word_count_input());
-  EXPECT_EQ(flatten(result.output), flatten(baseline.output));
+  EXPECT_EQ(result.output, baseline.output);
   EXPECT_EQ(injector.fired("worker.kill"), 1u);
   EXPECT_GE(registry.gauge_value("worker.killed"), 1);
 }
@@ -296,11 +288,7 @@ TEST(MultiprocJob, HeartbeatsDrainAroundALargeReduceReply) {
     return std::make_unique<SlowPaddedSumReducer>();
   };
   const JobResult baseline = run_job(in_proc, word_count_input());
-  std::size_t output_bytes = 0;
-  for (const auto& record : baseline.output) {
-    output_bytes += record.key.size() + record.value.size();
-  }
-  ASSERT_GT(output_bytes, std::size_t{1} << 20);
+  ASSERT_GT(baseline.output.part(0).size(), std::size_t{1} << 20);
 
   MetricsRegistry registry;
   JobSpec multi = in_proc;
@@ -309,7 +297,7 @@ TEST(MultiprocJob, HeartbeatsDrainAroundALargeReduceReply) {
   multi.conf.heartbeat_interval_ms = 1;
   multi.metrics = &registry;
   const JobResult result = run_job(multi, word_count_input());
-  EXPECT_TRUE(flatten(result.output) == flatten(baseline.output));
+  EXPECT_TRUE(result.output == baseline.output);
   EXPECT_GE(registry.gauge_value("worker.heartbeats"), 1);
 }
 
@@ -342,7 +330,7 @@ TEST(MultiprocJob, ReduceTaskBodyIsAParallelRegion) {
     };
     const JobResult result = run_job(spec, word_count_input());
     ASSERT_FALSE(result.output.empty());
-    for (const auto& record : result.output) {
+    for (const Record& record : result.output.records()) {
       EXPECT_EQ(record.value, "inline") << record.key;
     }
   }
@@ -369,7 +357,7 @@ TEST(MultiprocJob, ExecModeWorkerBinaryMatchesInProcess) {
   exec_spec.conf.num_workers = 2;
   exec_spec.conf.worker_binary = DASC_WORKER_BIN;
   const JobResult result = run_job(exec_spec, word_count_input());
-  EXPECT_EQ(flatten(result.output), flatten(baseline.output));
+  EXPECT_EQ(result.output, baseline.output);
 #endif
 }
 
@@ -390,15 +378,25 @@ JobSpec w2w_spec(std::size_t workers, std::size_t spill_budget) {
 }
 
 TEST(MultiprocW2W, OutputIsByteIdenticalAcrossWorkersAndBudgets) {
-  // Unbudgeted, every page on disk, and resident below 64 KiB.
+  // Unbudgeted, every page on disk, and resident below 4 KiB or 64 KiB.
+  // JobOutput equality compares each reduce task's part byte for byte.
   const JobResult baseline = run_job(word_count_spec(), word_count_input());
-  for (const std::size_t workers : {1u, 2u, 4u}) {
-    for (const std::size_t budget : {0u, 1u, 64u * 1024}) {
+  for (const std::size_t budget : {0u, 1u, 4096u, 64u * 1024}) {
+    JobSpec in_proc = word_count_spec();
+    in_proc.conf.spill_budget_bytes = budget;
+    const JobResult in_proc_result = run_job(in_proc, word_count_input());
+    EXPECT_EQ(in_proc_result.output, baseline.output) << "budget=" << budget;
+    for (const std::size_t workers : {1u, 2u, 4u}) {
       SCOPED_TRACE("workers=" + std::to_string(workers) +
                    " budget=" + std::to_string(budget));
       const JobResult result =
           run_job(w2w_spec(workers, budget), word_count_input());
-      EXPECT_EQ(flatten(result.output), flatten(baseline.output));
+      ASSERT_EQ(result.output.num_parts(), baseline.output.num_parts());
+      for (std::size_t p = 0; p < result.output.num_parts(); ++p) {
+        EXPECT_EQ(result.output.part(p), in_proc_result.output.part(p))
+            << "part " << p;
+      }
+      EXPECT_EQ(result.output, baseline.output);
       EXPECT_EQ(result.counters.map_output_records,
                 baseline.counters.map_output_records);
       EXPECT_EQ(result.counters.combine_output_records,
@@ -424,7 +422,7 @@ TEST(MultiprocW2W, WorkerKillMidMapRecovers) {
   spec.metrics = &registry;
   spec.faults = &injector;
   const JobResult result = run_job(spec, word_count_input());
-  EXPECT_EQ(flatten(result.output), flatten(baseline.output));
+  EXPECT_EQ(result.output, baseline.output);
   EXPECT_EQ(injector.fired("worker.kill"), 1u);
   EXPECT_GE(registry.gauge_value("worker.killed"), 1);
   EXPECT_GE(registry.gauge_value("spill.bytes_written"), 1);
@@ -446,7 +444,7 @@ TEST(MultiprocW2W, WorkerKillMidReduceReexecutesLostMapOutputs) {
   spec.metrics = &registry;
   spec.faults = &injector;
   const JobResult result = run_job(spec, word_count_input());
-  EXPECT_EQ(flatten(result.output), flatten(baseline.output));
+  EXPECT_EQ(result.output, baseline.output);
   EXPECT_EQ(injector.fired("worker.kill"), 1u);
   EXPECT_GE(registry.gauge_value("worker.killed"), 1);
   EXPECT_GE(registry.gauge_value("worker.map_reexecutions"), 1);
@@ -488,7 +486,7 @@ TEST(MultiprocW2W, ExecModeWorkerBinaryMatchesInProcess) {
   exec_spec.conf.spill_budget_bytes = 1;
   exec_spec.conf.worker_binary = DASC_WORKER_BIN;
   const JobResult result = run_job(exec_spec, word_count_input());
-  EXPECT_EQ(flatten(result.output), flatten(baseline.output));
+  EXPECT_EQ(result.output, baseline.output);
 #endif
 }
 
@@ -506,7 +504,7 @@ TEST(MultiprocW2W, SpoolPageIoGetsTheFetchAttemptCap) {
   spec.metrics = &registry;
   spec.faults = &injector;
   const JobResult result = run_job(spec, word_count_input());
-  EXPECT_EQ(flatten(result.output), flatten(baseline.output));
+  EXPECT_EQ(result.output, baseline.output);
   EXPECT_GT(injector.fired("spill.page_io"), 0u);
   EXPECT_EQ(static_cast<std::int64_t>(injector.fired("spill.page_io")),
             registry.counter_value("retry.spill_page_io"));
@@ -547,7 +545,7 @@ TEST(MultiprocW2W, OversizedValueShufflesLikeInProcess) {
     multi.conf.execution_mode = ExecutionMode::kMultiProcess;
     multi.conf.num_workers = 2;
     const JobResult result = run_job(multi, word_count_input());
-    EXPECT_EQ(flatten(result.output), flatten(baseline.output));
+    EXPECT_EQ(result.output, baseline.output);
     EXPECT_EQ(result.counters.shuffle_bytes, baseline.counters.shuffle_bytes);
   }
 }
@@ -564,7 +562,7 @@ TEST(MultiprocW2W, OneFetchRequestPerRemoteOwnerAndCorruptRestart) {
   JobSpec clean = w2w_spec(kWorkers, /*spill_budget=*/0);
   clean.metrics = &clean_registry;
   const JobResult clean_result = run_job(clean, word_count_input());
-  EXPECT_EQ(flatten(clean_result.output), flatten(baseline.output));
+  EXPECT_EQ(clean_result.output, baseline.output);
   const std::int64_t clean_requests =
       clean_registry.gauge_value("shuffle.fetch_requests");
   EXPECT_GE(clean_requests, 1);
@@ -583,7 +581,7 @@ TEST(MultiprocW2W, OneFetchRequestPerRemoteOwnerAndCorruptRestart) {
   spec.metrics = &registry;
   spec.faults = &injector;
   const JobResult result = run_job(spec, word_count_input());
-  EXPECT_EQ(flatten(result.output), flatten(baseline.output));
+  EXPECT_EQ(result.output, baseline.output);
   const std::int64_t fired =
       static_cast<std::int64_t>(injector.fired("shuffle.fetch"));
   EXPECT_GE(fired, 1);
@@ -591,6 +589,96 @@ TEST(MultiprocW2W, OneFetchRequestPerRemoteOwnerAndCorruptRestart) {
   EXPECT_EQ(registry.counter_value("retry.shuffle_fetch"), fired);
   EXPECT_LE(registry.gauge_value("shuffle.fetch_requests"),
             clean_requests + fired);
+}
+
+// --- kReducePullDone: the reducer's output run crosses as is ---
+
+/// A report whose output is `records` framed, as a reducer sends it.
+remote::PullReport report_of(const std::vector<Record>& records) {
+  remote::PullReport report;
+  report.task = 2;
+  report.reduced.num_groups = records.size();
+  report.reduced.in_records = 9;
+  for (const Record& record : records) {
+    append_record_frame(report.reduced.output, record.key, record.value);
+  }
+  report.reduced.out_records = records.size();
+  report.record_bytes = 123;
+  report.spill_pages = 4;
+  report.pulls = 6;
+  report.fetch_requests = 5;
+  return report;
+}
+
+TEST(PullReport, OutputRunRoundTripsByteForByte) {
+  std::vector<std::vector<Record>> cases(2);
+  cases[1] = {{"alpha", "3"}, {"", ""}, {"beta", "12"}};
+  for (const std::vector<Record>& records : cases) {
+    const remote::PullReport sent = report_of(records);
+    const ipc::Message message = sent.encode();
+    // The run is the payload's tail, unchanged.
+    const std::string& payload = message.payload;
+    const std::size_t run_bytes = sent.reduced.output.size();
+    ASSERT_GE(payload.size(), run_bytes);
+    EXPECT_EQ(payload.substr(payload.size() - run_bytes), sent.reduced.output);
+    const remote::PullReport got = remote::PullReport::decode(message);
+    EXPECT_EQ(got.task, sent.task);
+    EXPECT_EQ(got.reduced.output, sent.reduced.output);
+    EXPECT_EQ(got.reduced.out_records, records.size());
+    EXPECT_EQ(got.reduced.num_groups, sent.reduced.num_groups);
+    EXPECT_EQ(got.reduced.in_records, sent.reduced.in_records);
+    EXPECT_EQ(got.record_bytes, sent.record_bytes);
+    EXPECT_EQ(got.spill_pages, sent.spill_pages);
+    EXPECT_EQ(got.pulls, sent.pulls);
+    EXPECT_EQ(got.fetch_requests, sent.fetch_requests);
+  }
+}
+
+TEST(PullReport, MalformedOutputRunIsAnIoError) {
+  // The run arrives from another process: truncation, a length past the
+  // payload, or a record count other than the declared one is a typed
+  // IoError, never an InternalError or an out-of-bounds read.
+  const remote::PullReport sent =
+      report_of({{"alpha", "3"}, {"beta", "12"}, {"gamma", "7"}});
+  const ipc::Message good = sent.encode();
+  const std::size_t run_begin =
+      good.payload.size() - sent.reduced.output.size();
+  const auto decode_throws_io = [](ipc::Message message) {
+    try {
+      remote::PullReport::decode(std::move(message));
+    } catch (const IoError&) {
+      return true;
+    } catch (...) {
+      return false;
+    }
+    return false;
+  };
+
+  // Truncated anywhere: inside the fixed fields, right after them (no
+  // frames at all), inside a frame header, inside a key or value.
+  for (std::size_t keep = 0; keep < good.payload.size(); ++keep) {
+    ipc::Message cut = good;
+    cut.payload.resize(keep);
+    EXPECT_TRUE(decode_throws_io(cut)) << "kept " << keep << " bytes";
+  }
+
+  // A key length, then a value length, that runs past the payload.
+  for (const std::size_t field : {run_begin, run_begin + 4}) {
+    ipc::Message overrun = good;
+    const std::uint32_t huge = 0x7fffffff;
+    std::memcpy(overrun.payload.data() + field, &huge, sizeof(huge));
+    EXPECT_TRUE(decode_throws_io(overrun)) << "field at " << field;
+  }
+
+  // Well-formed frames, but not as many as declared.
+  const std::uint64_t miscounts[] = {0, 2, 4, ~std::uint64_t{0}};
+  for (const std::uint64_t declared : miscounts) {
+    remote::PullReport miscounted = sent;
+    miscounted.reduced.out_records = declared;
+    EXPECT_TRUE(decode_throws_io(miscounted.encode()))
+        << "declared " << declared;
+  }
+  EXPECT_FALSE(decode_throws_io(good));
 }
 
 // --- One worker driven directly over a socketpair ---
@@ -993,7 +1081,8 @@ TEST(MultiprocW2W, DamagedFetchDataFrameRestartsTheOwnerStream) {
   const detail::ReduceTaskResult clean = detail::execute_reduce_spooled(
       [] { return std::make_unique<SumReducer>(); }, spool);
   ASSERT_FALSE(clean.output.empty());
-  EXPECT_EQ(flatten(report.reduced.output), flatten(clean.output));
+  EXPECT_EQ(report.reduced.output, clean.output);
+  EXPECT_EQ(report.reduced.out_records, clean.out_records);
   EXPECT_EQ(report.pulls, 1u);
   EXPECT_EQ(report.fetch_requests, 2u);
   EXPECT_EQ(report.fetch_retries, 0u);
@@ -1038,7 +1127,7 @@ TEST(MultiprocSpeculation, EveryCellKeepsParityAndCommitsEachTaskOnce) {
       spec.faults = &injector;
 
       const JobResult result = run_job(spec, word_count_input());
-      EXPECT_EQ(flatten(result.output), flatten(baseline.output));
+      EXPECT_EQ(result.output, baseline.output);
       EXPECT_EQ(result.counters.map_input_records,
                 baseline.counters.map_input_records);
       EXPECT_EQ(result.counters.map_output_records,
