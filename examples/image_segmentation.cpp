@@ -58,7 +58,8 @@ int main() {
   // 2. Segment with DASC: LSH buckets play the role of image tiles and the
   //    per-bucket spectral step separates intensity clusters inside each.
   core::DascParams params;
-  params.k = 6;  // over-provision: per-bucket shares round down to ~2 for the object tile
+  // Over-provision: per-bucket shares round down to ~2 for the object tile.
+  params.k = 6;
   params.m = 2;
   params.p = 2;  // no bucket merging: keep the intensity tiles separate
   params.sigma = 0.08;

@@ -28,9 +28,10 @@ ctest --preset asan --tests-regex 'SimdDifferential' --repeat until-fail:3
 # that reads a kFetchData frame damaged in flight and re-dials its owner.
 # So must the kReducePullDone decode, which checks a reducer's output run
 # as untrusted framing (truncated, overrunning and miscounted runs), the
-# job output parts walked as framed runs, the listener wake, and worker
-# shutdown with its SIGKILL escalation.
+# job output parts walked as framed runs, the listener wake, worker
+# shutdown with its SIGKILL escalation, and in-process reduce tasks, each
+# spooling its partition's runs out of the shared map outputs.
 ctest --preset asan --tests-regex \
-  '^(TransportFuzz|WireFuzz|Transport|Listener|WorkerShutdown|JobOutput|PullReport|ConnPool|SpoolBuffer|SpilledShuffle|ShuffleRetry|Checksum)\.|^JobRetry\.SpeculativeBackupReStreams|^MultiprocW2W\.(OwnerServesEachPartitionOfItsOutputInOutputOrder|DamagedFetchDataFrameRestartsTheOwnerStream)' \
+  '^(TransportFuzz|WireFuzz|Transport|Listener|WorkerShutdown|JobOutput|PullReport|ConnPool|SpoolBuffer|SpilledShuffle|ShuffleRetry|InProcessShuffle|Checksum)\.|^JobRetry\.(SpeculativeBackupReStreams|InProcessFetchChecksArePerReduceTask)|^MultiprocW2W\.(OwnerServesEachPartitionOfItsOutputInOutputOrder|DamagedFetchDataFrameRestartsTheOwnerStream)' \
   --repeat until-fail:3
 

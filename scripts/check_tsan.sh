@@ -22,8 +22,8 @@ ctest --preset tsan "$@"
 # transport pair (a frame larger than the socket buffer, death mid-frame),
 # and the connection-pool suite mixes leases with owner kills/restarts
 # across threads; hammer both so a racy write, shutdown, or give-back path
-# cannot hide behind a lucky interleaving. So must the sealed shuffle spools that
-# a stalled reduce and its speculative backup stream concurrently, and
+# cannot hide behind a lucky interleaving. So must a stalled reduce and its
+# speculative backup, each shuffling the partition into its own spool, and
 # parallel_for's thread-local nested-region flag (set on pool and loop
 # workers, restored on the caller), the bucket balance that splits buckets
 # on parallel_for threads, and the MapReduce driver whose stage 2 maps
@@ -35,7 +35,9 @@ ctest --preset tsan "$@"
 # woken from another thread while it waits to accept (how a worker's data
 # plane stops), worker shutdown and its SIGKILL escalation, the job output
 # parts that reduce commits install from the phase pool's threads, and the
-# kReducePullDone decode of a reducer's output run.
+# kReducePullDone decode of a reducer's output run. So must in-process
+# reduce attempts, which read the shared map outputs, spill their own
+# spools and count fetch retries on the task pool's threads at once.
 ctest --preset tsan --tests-regex \
-  '^(TransportFuzz|WireFuzz|Transport|Listener|WorkerShutdown|JobOutput|PullReport|ConnPool|SpoolBuffer|SpilledShuffle|ParallelFor|BalanceBuckets|Checksum)\.|^JobRetry\.SpeculativeBackupReStreams|^MapReduceDascGolden\.MemberOrderIgnoresSplitsReducersAndMode|^MultiprocW2W\.(OwnerServesEachPartitionOfItsOutputInOutputOrder|DamagedFetchDataFrameRestartsTheOwnerStream)' \
+  '^(TransportFuzz|WireFuzz|Transport|Listener|WorkerShutdown|JobOutput|PullReport|ConnPool|SpoolBuffer|SpilledShuffle|InProcessShuffle|ParallelFor|BalanceBuckets|Checksum)\.|^JobRetry\.(SpeculativeBackupReStreams|InProcessFetchChecksArePerReduceTask)|^MapReduceDascGolden\.MemberOrderIgnoresSplitsReducersAndMode|^MultiprocW2W\.(OwnerServesEachPartitionOfItsOutputInOutputOrder|DamagedFetchDataFrameRestartsTheOwnerStream)' \
   --repeat until-fail:3

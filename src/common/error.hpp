@@ -1,7 +1,7 @@
 // Error handling: contract macros that throw typed exceptions.
 //
 // DASC_EXPECT(cond, msg)  -- precondition; throws dasc::InvalidArgument.
-// DASC_ENSURE(cond, msg)  -- postcondition/invariant; throws dasc::InternalError.
+// DASC_ENSURE(cond, msg)  -- postcondition; throws dasc::InternalError.
 //
 // Both attach file:line so failures in deep pipelines are attributable.
 #pragma once

@@ -13,9 +13,8 @@ auto& find_or_create(Map& map, std::string_view name, std::mutex& mutex) {
   std::lock_guard lock(mutex);
   auto it = map.find(name);
   if (it == map.end()) {
-    it = map.emplace(std::string(name),
-                     std::make_unique<typename Map::mapped_type::element_type>())
-             .first;
+    using Instrument = typename Map::mapped_type::element_type;
+    it = map.emplace(std::string(name), std::make_unique<Instrument>()).first;
   }
   return *it->second;
 }

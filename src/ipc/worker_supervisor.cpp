@@ -60,7 +60,8 @@ bool reap_by(pid_t pid, int control_fd,
 std::size_t sweep_spool_files(const std::string& dir, long pid) {
   namespace fs = std::filesystem;
   std::error_code ec;
-  const fs::path base = dir.empty() ? fs::temp_directory_path(ec) : fs::path(dir);
+  const fs::path base =
+      dir.empty() ? fs::temp_directory_path(ec) : fs::path(dir);
   if (ec) return 0;
   // Exactly "dasc-spool-<pid>-<digits>.spl". Workers in worker-to-worker
   // shuffle mode share the supervisor's spill_dir, so the match must never

@@ -54,7 +54,8 @@ class Dfs {
   const DfsConfig& config() const { return config_; }
 
   /// Create/overwrite a file from lines, splitting into replicated blocks.
-  void write_file(const std::string& path, const std::vector<std::string>& lines);
+  void write_file(const std::string& path,
+                  const std::vector<std::string>& lines);
 
   /// Append lines as new blocks to an existing or new file.
   void append(const std::string& path, const std::vector<std::string>& lines);

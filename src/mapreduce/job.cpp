@@ -42,7 +42,7 @@ std::vector<Record> JobOutput::records() const {
 namespace {
 
 using detail::execute_map_task;
-using detail::execute_reduce_spooled;
+using detail::execute_reduce_task;
 using detail::run_task_phase;
 
 /// In-process execution: tasks run on a host thread pool; splits are one
@@ -120,29 +120,31 @@ JobResult execute(const JobSpec& spec,
   result.counters.combine_input_records = combine_in.load();
   result.counters.combine_output_records = combine_out.load();
 
-  // ---- Shuffle (checksum-verified transfers when faults are on) ----
-  // Verified map outputs' runs stream into per-partition sort-on-seal spools
-  // (external merge sort); the spill budget only decides whether sealed
-  // pages stay resident or go to disk, never the groups a reducer sees.
-  std::vector<std::unique_ptr<SpoolBuffer>> partitions;
-  {
-    ScopedTimer shuffle_timer(spec.metrics, "mapreduce.shuffle");
-    partitions = fetch_and_partition(
-        map_outputs, spec.conf.num_reducers, spec.faults,
-        spec.conf.max_fetch_attempts, spec.metrics,
-        shuffle_spool_config(spec.conf.spill_budget_bytes,
-                             spec.conf.spill_dir,
-                             spec.conf.max_fetch_attempts));
-    for (const auto& partition : partitions) {
-      result.counters.shuffle_bytes += partition->record_bytes();
-    }
-    map_outputs.clear();
+  // ---- Reduce phase: each task shuffles its own partition ----
+  // A reduce attempt fetches run `task` of every map output in task order
+  // into its own sort-on-seal spool, as a worker's reducer pulls it, so the
+  // shuffle runs on the task pool and overlaps other tasks' reduces. In
+  // process nothing is copied: the transfer is empty and only injected
+  // fires fail a fetch; one that exhausts max_fetch_attempts fails the
+  // attempt, which retries like any reduce attempt.
+  const std::size_t num_reduce_tasks = spec.conf.num_reducers;
+  for (const MapOutput& output : map_outputs) {
+    DASC_EXPECT(output.num_partitions() == num_reduce_tasks,
+                "run_job: map output has another partition count");
   }
-
-  // ---- Reduce phase ----
-  const std::size_t num_reduce_tasks = partitions.size();
+  SpoolConfig spool = shuffle_spool_config(spec.conf.spill_budget_bytes,
+                                           spec.conf.spill_dir,
+                                           spec.conf.max_fetch_attempts);
+  spool.faults = spec.faults;
+  spool.metrics = spec.metrics;
+  const auto on_fetch_retry = [&spec] {
+    if (spec.metrics != nullptr) {
+      spec.metrics->counter("retry.shuffle_fetch").add();
+    }
+  };
   result.reduce_task_seconds.assign(num_reduce_tasks, 0.0);
   result.output = JobOutput(num_reduce_tasks);
+  std::atomic<std::uint64_t> shuffle_bytes{0};
   std::atomic<std::uint64_t> reduce_groups{0};
   std::atomic<std::uint64_t> reduce_in{0};
   std::atomic<std::uint64_t> reduce_out{0};
@@ -151,23 +153,34 @@ JobResult execute(const JobSpec& spec,
       spec, num_reduce_tasks, "reduce.task", "retry.reduce_attempts",
       failed_attempts, speculative_launches, result.reduce_task_seconds,
       [&](std::size_t task, bool /*backup*/) -> detail::TaskAttempt {
-        // Sealed spools are const-readable, so re-attempts and speculative
-        // backups stream the same partition again without copying it.
-        detail::ReduceTaskResult reduced =
-            execute_reduce_spooled(spec.reducer_factory, *partitions[task]);
-        return {[&, task, num_groups = reduced.num_groups,
-                 in_records = reduced.in_records,
-                 out_records = reduced.out_records,
-                 out = std::move(reduced.output)]() mutable {
-                  reduce_groups.fetch_add(num_groups,
+        detail::ReduceTaskResult reduced = execute_reduce_task(
+            spec.reducer_factory, map_outputs.size(),
+            [&](std::size_t map_task) {
+              fetch_verified(map_task, spec.faults,
+                             spec.conf.max_fetch_attempts, [] {},
+                             on_fetch_retry);
+              return map_outputs[map_task].run(task);
+            },
+            spool);
+        return {[&, task, reduced = std::move(reduced)]() mutable {
+                  shuffle_bytes.fetch_add(reduced.record_bytes,
                                           std::memory_order_relaxed);
-                  reduce_in.fetch_add(in_records, std::memory_order_relaxed);
-                  reduce_out.fetch_add(out_records, std::memory_order_relaxed);
-                  result.output.set_part(task, std::move(out), out_records);
+                  reduce_groups.fetch_add(reduced.num_groups,
+                                          std::memory_order_relaxed);
+                  reduce_in.fetch_add(reduced.in_records,
+                                      std::memory_order_relaxed);
+                  reduce_out.fetch_add(reduced.out_records,
+                                       std::memory_order_relaxed);
+                  result.output.set_part(task, std::move(reduced.output),
+                                         reduced.out_records);
                 },
                 nullptr};
       });
 
+  // Every reduce attempt has finished, so no map output is read again.
+  std::vector<MapOutput>().swap(map_outputs);
+
+  result.counters.shuffle_bytes = shuffle_bytes.load();
   result.counters.reduce_input_groups = reduce_groups.load();
   result.counters.reduce_input_records = reduce_in.load();
   result.counters.reduce_output_records = reduce_out.load();

@@ -7,8 +7,8 @@ namespace dasc::mapreduce {
 ExecutionMode parse_execution_mode(const std::string& text) {
   if (text == "in_process") return ExecutionMode::kInProcess;
   if (text == "multi_process") return ExecutionMode::kMultiProcess;
-  throw InvalidArgument("execution mode must be in_process or multi_process, got '" +
-                        text + "'");
+  throw InvalidArgument(
+      "execution mode must be in_process or multi_process, got '" + text + "'");
 }
 
 const char* to_string(ExecutionMode mode) {

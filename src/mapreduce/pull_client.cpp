@@ -3,10 +3,10 @@
 // reducer asks each remote owner once for its partition's run of every
 // map output that owner holds and appends the runs, as bytes, as it walks
 // the map tasks in order; a retry or a broken stream restarts that owner's
-// request at the task being pulled. Pull order fixes the
-// partition's record sequence to exactly what the in-process
-// fetch_and_partition appends, and both spool it under the same
-// shuffle_spool_config, so the reduce is byte-identical in either mode.
+// request at the task being pulled. The pulls feed execute_reduce_task,
+// the copy, sort-merge and reduce an in-process reduce task runs too, in
+// the same task order and under the same shuffle_spool_config, so the
+// reduce is byte-identical in either mode.
 #include <algorithm>
 #include <cstddef>
 #include <map>
@@ -106,9 +106,9 @@ Message PullReport::encode() const {
   writer.u64(reduced.in_records);
   writer.u64(reduced.out_records);
   for (const std::uint64_t field :
-       {record_bytes, spill_bytes_written, spill_bytes_read, spill_pages,
-        fetch_fires, fetch_retries, spill_retries, conns_opened, pulls,
-        fetch_requests}) {
+       {reduced.record_bytes, spill_bytes_written, spill_bytes_read,
+        spill_pages, fetch_fires, fetch_retries, spill_retries, conns_opened,
+        pulls, fetch_requests}) {
     writer.u64(field);
   }
   std::string payload = writer.take();
@@ -124,7 +124,7 @@ PullReport PullReport::decode(Message message) {
   report.reduced.in_records = reader.u64();
   report.reduced.out_records = reader.u64();
   for (std::uint64_t* field :
-       {&report.record_bytes, &report.spill_bytes_written,
+       {&report.reduced.record_bytes, &report.spill_bytes_written,
         &report.spill_bytes_read, &report.spill_pages, &report.fetch_fires,
         &report.fetch_retries, &report.spill_retries,
         &report.conns_opened, &report.pulls, &report.fetch_requests}) {
@@ -225,19 +225,16 @@ class PullClient {
         static_cast<std::size_t>(request_.max_fetch_attempts));
     spool_config.faults = faults;
     spool_config.metrics = &task_metrics;
-    SpoolBuffer spool(spool_config);
 
     Message reply;
-    for (std::uint64_t m = 0; m < request_.owners.size(); ++m) {
-      spool.append_run(pull(m, reply));
-      ++report_.pulls;
-    }
-    spool.finish();
-
     report_.task = request_.task;
-    report_.reduced =
-        detail::execute_reduce_spooled(job_.reducer_factory, spool);
-    report_.record_bytes = spool.record_bytes();
+    report_.reduced = detail::execute_reduce_task(
+        job_.reducer_factory, request_.owners.size(),
+        [&](std::size_t map_task) {
+          ++report_.pulls;
+          return pull(map_task, reply);
+        },
+        spool_config);
     report_.spill_bytes_written = static_cast<std::uint64_t>(
         task_metrics.gauge_value("spill.bytes_written"));
     report_.spill_bytes_read = static_cast<std::uint64_t>(

@@ -127,14 +127,14 @@ inline std::size_t owner_to_retire(const PullFailed& failed,
   return current_owner;
 }
 
-/// kReducePullDone: the reduce result plus the pulled byte volume and the
-/// spill, fault, and connection work the supervisor absorbs into its own
-/// registry and injector when the attempt commits. On the wire the reduce
-/// output is the payload's tail: the reducer's framed run, unchanged.
+/// kReducePullDone: the reduce result (the pulled byte volume included)
+/// plus the spill, fault, and connection work the supervisor absorbs into
+/// its own registry and injector when the attempt commits. On the wire
+/// the reduce output is the payload's tail: the reducer's framed run,
+/// unchanged.
 struct PullReport {
   std::uint64_t task = 0;
   detail::ReduceTaskResult reduced;
-  std::uint64_t record_bytes = 0;
   std::uint64_t spill_bytes_written = 0;
   std::uint64_t spill_bytes_read = 0;
   std::uint64_t spill_pages = 0;

@@ -480,7 +480,7 @@ class MultiprocRun {
       // The reducers moved the shuffle bytes; the supervisor only tallies
       // them, in the spool's key+value+2 convention, so the counter is
       // worker-count-invariant and equal to the in-process one.
-      counters.shuffle_bytes += report.record_bytes;
+      counters.shuffle_bytes += report.reduced.record_bytes;
       // The reducer's run, checked by decode, is the task's output part.
       result_.output.set_part(report.task, std::move(report.reduced.output),
                               report.reduced.out_records);

@@ -93,7 +93,7 @@ struct WorkerOptions {
 /// until kShutdown or EOF (supervisor gone). Runs map tasks with
 /// execute_map_task (outputs retained for data-plane pulls) and reduce
 /// tasks (kReducePull) by pulling each map task's run of the partition
-/// into a sort-on-seal SpoolBuffer reduced via execute_reduce_spooled. A
+/// into execute_reduce_task, the reduce path both modes share. A
 /// task that throws is reported as kTaskError and the loop keeps serving
 /// (the supervisor decides whether to retry). While a task is executing, a
 /// companion thread sends kHeartbeat every options.heartbeat_ms.

@@ -7,7 +7,6 @@
 #include "common/error.hpp"
 #include "common/fault_injection.hpp"
 #include "common/log.hpp"
-#include "common/metrics.hpp"
 
 namespace dasc::mapreduce {
 
@@ -70,39 +69,6 @@ SpoolConfig shuffle_spool_config(std::size_t spill_budget_bytes,
   config.max_attempts = std::max(config.max_attempts, max_fetch_attempts);
   config.sort_on_seal = true;
   return config;
-}
-
-std::vector<std::unique_ptr<SpoolBuffer>> fetch_and_partition(
-    const std::vector<MapOutput>& outputs, std::size_t num_partitions,
-    FaultInjector* faults, std::size_t max_attempts, MetricsRegistry* metrics,
-    const SpoolConfig& spool) {
-  DASC_EXPECT(num_partitions >= 1, "fetch_and_partition: need >= 1 partition");
-  DASC_EXPECT(max_attempts >= 1, "fetch_and_partition: need >= 1 attempt");
-
-  SpoolConfig config = spool;
-  config.sort_on_seal = true;
-  config.faults = faults;
-  config.metrics = metrics;
-
-  std::vector<std::unique_ptr<SpoolBuffer>> partitions;
-  partitions.reserve(num_partitions);
-  for (std::size_t p = 0; p < num_partitions; ++p) {
-    partitions.push_back(std::make_unique<SpoolBuffer>(config));
-  }
-  const auto on_retry = [metrics] {
-    if (metrics != nullptr) metrics->counter("retry.shuffle_fetch").add();
-  };
-  for (std::size_t task = 0; task < outputs.size(); ++task) {
-    const MapOutput& output = outputs[task];
-    DASC_EXPECT(output.num_partitions() == num_partitions,
-                "fetch_and_partition: map output has another partition count");
-    fetch_verified(task, faults, max_attempts, [] {}, on_retry);
-    for (std::size_t p = 0; p < num_partitions; ++p) {
-      partitions[p]->append_run(output.run(p));
-    }
-  }
-  for (auto& partition : partitions) partition->finish();
-  return partitions;
 }
 
 }  // namespace dasc::mapreduce

@@ -1,12 +1,13 @@
-// Shuffle phase: map outputs' partition runs appended to per-partition
-// sort-on-seal spools — the bridge between map and reduce. One shuffle
-// serves both execution modes; the spill budget only decides where sealed
-// pages live (DESIGN.md section 12).
+// Shuffle building blocks: the partitioner, a map output's framed
+// partition runs, the fetch-and-retry loop and the shuffle spool's knobs.
+// A reduce task shuffles its own partition: execute_reduce_task
+// (task_exec.hpp) appends run p of every map output to a sort-on-seal
+// spool, in either execution mode; the spill budget only decides where
+// sealed pages live (DESIGN.md section 12).
 #pragma once
 
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -16,7 +17,6 @@
 
 namespace dasc {
 class FaultInjector;
-class MetricsRegistry;
 }  // namespace dasc
 
 namespace dasc::mapreduce {
@@ -44,9 +44,9 @@ struct MapOutput {
   std::string_view run(std::size_t partition) const;
 };
 
-/// The fetch-and-retry loop every shuffle path shares — the in-process
-/// shuffle and the multi-process pull client — so a fault plan exercises
-/// them identically whichever process fetches. The transfer's own hop
+/// The fetch-and-retry loop every reduce task runs per map output — in
+/// process and in a worker's pull client — so a fault plan exercises them
+/// identically whichever process fetches. The transfer's own hop
 /// checks the bytes (the frame CRC on a socket); this loop adds no check of
 /// its own. Each attempt makes one `shuffle.fetch` check (`faults` may be
 /// null): an error fails the attempt without calling `transfer`; a
@@ -66,20 +66,6 @@ void fetch_verified(std::size_t map_task, FaultInjector* faults,
 SpoolConfig shuffle_spool_config(std::size_t spill_budget_bytes,
                                  const std::string& spill_dir,
                                  std::size_t max_fetch_attempts);
-
-/// The shuffle: each map output passes through fetch_verified (counting
-/// `retry.shuffle_fetch` per re-fetch) and its run p is appended in place,
-/// in task order, to partition p's sort-on-seal spool, returned sealed. In
-/// process nothing is copied, so the transfer is empty and only injected
-/// fires fail it. `spool` supplies the dir/budget/page knobs; sort_on_seal
-/// is forced on and faults/metrics are overridden with the arguments.
-/// Sealed spools are const-readable, so re-attempts and speculative
-/// backups may stream one partition concurrently, and each streams the
-/// groups sort_and_group would build, for any budget.
-std::vector<std::unique_ptr<SpoolBuffer>> fetch_and_partition(
-    const std::vector<MapOutput>& outputs, std::size_t num_partitions,
-    FaultInjector* faults, std::size_t max_attempts, MetricsRegistry* metrics,
-    const SpoolConfig& spool);
 
 /// Sort one partition's records by key and group equal keys (the
 /// combiner's in-task grouping).

@@ -260,12 +260,24 @@ MapTaskResult execute_map_task(
   return result;
 }
 
-ReduceTaskResult execute_reduce_spooled(
+ReduceTaskResult execute_reduce_task(
     const std::function<std::unique_ptr<Reducer>()>& reducer_factory,
-    const SpoolBuffer& partition) {
+    std::size_t num_map_tasks, const RunFetcher& fetch_run,
+    SpoolConfig spool) {
+  spool.sort_on_seal = true;
+  SpoolBuffer partition(spool);
+  {
+    ScopedTimer shuffle_timer(spool.metrics, "mapreduce.shuffle");
+    for (std::size_t m = 0; m < num_map_tasks; ++m) {
+      partition.append_run(fetch_run(m));
+    }
+    partition.finish();
+  }
+
   const std::unique_ptr<Reducer> reducer = reducer_factory();
   FrameEmitter emitter;
   ReduceTaskResult result;
+  result.record_bytes = partition.record_bytes();
   // The merged stream is the partition stable-sorted by key (the spool's
   // sort_on_seal contract), so grouping is one streaming pass: flush
   // whenever the key changes — the exact group sequence sort_and_group

@@ -4,7 +4,7 @@
 // Both execution modes run phases through the same run_task_phase — fault
 // injection before each attempt, commit-once idempotence, capped-backoff
 // retries, optional speculative re-execution — and both execute the *work*
-// of a task through the same execute_map_task / execute_reduce_spooled
+// of a task through the same execute_map_task / execute_reduce_task
 // helpers (the in-process mode calls them on the job's thread pool, a
 // worker process calls them inside its serve loop). Sharing the code is
 // what makes the modes' outputs byte-identical by construction rather than
@@ -93,17 +93,31 @@ struct ReduceTaskResult {
   std::uint64_t out_records = 0;
   std::uint64_t num_groups = 0;
   std::uint64_t in_records = 0;
+  /// The partition's record bytes (key + value + 2 per record): the task's
+  /// share of the job's shuffle_bytes.
+  std::uint64_t record_bytes = 0;
 };
 
-/// Run one reduce task over a finished sort-on-seal SpoolBuffer — the
-/// partition every shuffle in both execution modes hands a reducer —
-/// streaming groups off the spool's merged order (a stable sort by key),
-/// so only one group is resident at a time whatever the spill budget, and
-/// framing the reducer's output straight into one run. The spool is only
-/// read, so concurrent attempts may share it.
-ReduceTaskResult execute_reduce_spooled(
+/// Hands a reduce task run `partition` of map output `map_task`, fetched
+/// and checked by the execution mode (through fetch_verified). The view
+/// need only stay valid until the next call.
+using RunFetcher = std::function<std::string_view(std::size_t map_task)>;
+
+/// One reduce task's copy, sort-merge and reduce — the one path both
+/// execution modes run, so a partition's record sequence and groups cannot
+/// differ between them. Appends fetch_run(m) for every map task m in task
+/// order to a sort-on-seal SpoolBuffer built from `spool` (sort_on_seal is
+/// forced on; the spill budget only decides where sealed pages live) and
+/// seals it, recording the fetches, appends and seal as one
+/// `mapreduce.shuffle` sample in spool.metrics. It then streams groups off
+/// the merged order (a stable sort by key), so only one group is resident
+/// at a time whatever the budget, and frames the reducer's output straight
+/// into one run. Each call builds its own spool, so concurrent attempts of
+/// one task share nothing but the map outputs they read.
+ReduceTaskResult execute_reduce_task(
     const std::function<std::unique_ptr<Reducer>()>& reducer_factory,
-    const SpoolBuffer& partition);
+    std::size_t num_map_tasks, const RunFetcher& fetch_run,
+    SpoolConfig spool);
 
 /// Fill in the simulated makespans, record the job's metrics, and log the
 /// completion line — the common tail of both execution modes. Expects

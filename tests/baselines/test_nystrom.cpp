@@ -55,7 +55,8 @@ TEST(Nystrom, KernelBytesScaleWithLandmarks) {
   dasc::Rng rng2(515);
   const NystromResult large = nystrom_cluster(points, params, rng2);
   EXPECT_LT(small.kernel_bytes, large.kernel_bytes);
-  EXPECT_EQ(small.kernel_bytes, linalg::gram_entry_bytes(200u * 20u + 20u * 20u));
+  EXPECT_EQ(small.kernel_bytes,
+            linalg::gram_entry_bytes(200u * 20u + 20u * 20u));
 }
 
 TEST(Nystrom, MemoryBelowFullGramForModestLandmarks) {

@@ -39,7 +39,8 @@ TEST(CostModel, ReductionRatioApproachesOneOverB) {
 }
 
 TEST(CostModel, MemoryIsEq12) {
-  EXPECT_DOUBLE_EQ(dasc_memory_bytes(1000.0, 10.0), 4.0 * 1000.0 * 1000.0 / 10.0);
+  EXPECT_DOUBLE_EQ(dasc_memory_bytes(1000.0, 10.0),
+                   4.0 * 1000.0 * 1000.0 / 10.0);
   EXPECT_DOUBLE_EQ(sc_memory_bytes(1000.0), 4.0 * 1000.0 * 1000.0);
 }
 

@@ -152,8 +152,10 @@ TEST(WikiVectors, SubtopicsSpreadCategoriesIntoModes) {
     double d_cat = 0.0;
     for (std::size_t dim = 0; dim < points.dim(); ++dim) {
       const double a = points.at(i, dim);
-      d_sub += (a - points.at(i + k * s, dim)) * (a - points.at(i + k * s, dim));
-      d_cat += (a - points.at(i + k, dim)) * (a - points.at(i + k, dim));
+      const double sub = a - points.at(i + k * s, dim);
+      const double cat = a - points.at(i + k, dim);
+      d_sub += sub * sub;
+      d_cat += cat * cat;
     }
     same_subtopic += d_sub;
     same_category += d_cat;

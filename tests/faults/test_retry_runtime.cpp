@@ -160,6 +160,59 @@ TEST(JobRetry, ShuffleFetchExhaustionThrowsIoError) {
   EXPECT_THROW(run_job(spec, word_count_input()), IoError);
 }
 
+TEST(JobRetry, InProcessFetchChecksArePerReduceTask) {
+  // Each reduce attempt fetches every map output itself, so a job makes
+  // one shuffle.fetch check per (reduce task, map output) pair.
+  const std::vector<Record> input = word_count_input();
+  JobSpec spec = word_count_spec();
+  const JobResult clean = run_job(spec, input);
+  ASSERT_EQ(clean.num_map_tasks, 3u);
+  FaultInjector counting(FaultPlan::parse("shuffle.fetch:nth=1000"));
+  spec.faults = &counting;
+  EXPECT_EQ(run_job(spec, input).output, clean.output);
+  EXPECT_EQ(counting.calls("shuffle.fetch"), 3u * spec.conf.num_reducers);
+  EXPECT_EQ(counting.fired("shuffle.fetch"), 0u);
+
+  // Fewer fires than max_fetch_attempts can never exhaust a fetch, however
+  // the reduce tasks interleave: every fire is retried exactly once.
+  for (const std::size_t threads : {1u, 4u}) {
+    MetricsRegistry registry;
+    FaultInjector injector(
+        FaultPlan::parse("shuffle.fetch:nth=2:max=3:kind=corrupt"),
+        &registry);
+    JobSpec faulted_spec = word_count_spec();
+    faulted_spec.conf.physical_threads = threads;
+    faulted_spec.faults = &injector;
+    faulted_spec.metrics = &registry;
+    const JobResult faulted = run_job(faulted_spec, input);
+    EXPECT_EQ(faulted.output, clean.output) << "threads=" << threads;
+    EXPECT_EQ(injector.fired("shuffle.fetch"), 3u);
+    EXPECT_EQ(registry.counter_value("fault.injected.shuffle.fetch"), 3);
+    EXPECT_EQ(registry.counter_value("retry.shuffle_fetch"), 3);
+    EXPECT_EQ(registry.counter_value("retry.reduce_attempts"), 0);
+  }
+
+  // One thread runs the reduce tasks in order: both fires land on reduce
+  // task 0's fetch of map output 0 and exhaust it, which fails that
+  // attempt; the retried attempt fetches cleanly.
+  MetricsRegistry registry;
+  FaultInjector injector(FaultPlan::parse("shuffle.fetch:nth=1:max=2"),
+                         &registry);
+  JobSpec exhausting = word_count_spec();
+  exhausting.conf.physical_threads = 1;
+  exhausting.conf.max_fetch_attempts = 2;
+  exhausting.conf.max_task_attempts = 2;
+  exhausting.conf.retry_backoff_base_ms = 0.0;
+  exhausting.faults = &injector;
+  exhausting.metrics = &registry;
+  const JobResult recovered = run_job(exhausting, input);
+  EXPECT_EQ(recovered.output, clean.output);
+  EXPECT_EQ(injector.fired("shuffle.fetch"), 2u);
+  EXPECT_EQ(registry.counter_value("retry.shuffle_fetch"), 1);
+  EXPECT_EQ(registry.counter_value("retry.reduce_attempts"), 1);
+  EXPECT_EQ(recovered.counters.failed_task_attempts, 1u);
+}
+
 TEST(JobRetry, SpeculationRescuesAStalledStraggler) {
   // The first map-task attempt stalls for 300ms; every other task commits
   // in well under the speculative threshold, so the monitor launches a
@@ -193,8 +246,9 @@ TEST(JobRetry, SpeculationRescuesAStalledStraggler) {
 
 TEST(JobRetry, SpeculativeBackupReStreamsAStalledReducePartition) {
   // The first reduce attempt stalls for 300ms, so the monitor launches a
-  // backup that streams the same sealed partition spool the primary
-  // streams once it wakes; exactly one of them commits.
+  // backup that fetches and spools the partition again from the retained
+  // map outputs, as the primary does once it wakes; exactly one of them
+  // commits.
   const std::vector<Record> input = word_count_input();
   JobSpec spec = word_count_spec();
   spec.conf.physical_threads = 4;

@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cstdint>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -201,6 +202,54 @@ TEST(JobOutput, PartPIsReduceTaskPsOutputAtAnySpillBudget) {
     spec.conf.spill_budget_bytes = budget;
     EXPECT_EQ(run_job(spec, word_count_input()).output, output)
         << "budget=" << budget;
+  }
+}
+
+TEST(InProcessShuffle, PartsAndSpillPagesMatchAcrossThreadsAndBudgets) {
+  // Each reduce task spools its own partition on the task pool, so how
+  // many threads run the tasks may change neither the output parts, nor
+  // the shuffle volume, nor the pages spilled at a given budget.
+  std::vector<Record> input;
+  for (int line = 0; line < 4000; ++line) {
+    std::string text;
+    for (int word = 0; word < 8; ++word) {
+      text += "word" + std::to_string((line * 8 + word) % 499) + " ";
+    }
+    input.push_back({std::to_string(line), text});
+  }
+  JobSpec spec = word_count_spec();
+  spec.conf.num_reducers = 4;
+  spec.conf.split_records = 200;  // 20 map tasks
+  spec.combiner_factory = nullptr;  // ship every word: ~75 KB a partition
+
+  const JobResult reference = run_job(spec, input);
+  ASSERT_GT(reference.counters.shuffle_bytes, 4u * 64 * 1024);
+  for (const std::size_t budget : {0u, 1u, 4096u, 64u * 1024}) {
+    std::int64_t pages = -1;
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+      MetricsRegistry registry;
+      JobSpec cell = spec;
+      cell.conf.spill_budget_bytes = budget;
+      cell.conf.physical_threads = threads;
+      cell.metrics = &registry;
+      const JobResult result = run_job(cell, input);
+      const std::string label = "budget=" + std::to_string(budget) +
+                                " threads=" + std::to_string(threads);
+      ASSERT_EQ(result.output.num_parts(), 4u) << label;
+      for (std::size_t p = 0; p < 4; ++p) {
+        EXPECT_EQ(result.output.part(p), reference.output.part(p)) << label;
+      }
+      EXPECT_EQ(result.counters.shuffle_bytes,
+                reference.counters.shuffle_bytes)
+          << label;
+      EXPECT_EQ(registry.counter_value("mapreduce.shuffle_bytes"),
+                static_cast<std::int64_t>(reference.counters.shuffle_bytes))
+          << label;
+      const std::int64_t spilled = registry.gauge_value("spill.pages");
+      if (pages < 0) pages = spilled;
+      EXPECT_EQ(spilled, pages) << label;
+      EXPECT_EQ(spilled > 0, budget > 0) << label;
+    }
   }
 }
 

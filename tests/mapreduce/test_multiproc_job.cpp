@@ -603,7 +603,7 @@ remote::PullReport report_of(const std::vector<Record>& records) {
     append_record_frame(report.reduced.output, record.key, record.value);
   }
   report.reduced.out_records = records.size();
-  report.record_bytes = 123;
+  report.reduced.record_bytes = 123;
   report.spill_pages = 4;
   report.pulls = 6;
   report.fetch_requests = 5;
@@ -627,7 +627,7 @@ TEST(PullReport, OutputRunRoundTripsByteForByte) {
     EXPECT_EQ(got.reduced.out_records, records.size());
     EXPECT_EQ(got.reduced.num_groups, sent.reduced.num_groups);
     EXPECT_EQ(got.reduced.in_records, sent.reduced.in_records);
-    EXPECT_EQ(got.record_bytes, sent.record_bytes);
+    EXPECT_EQ(got.reduced.record_bytes, sent.reduced.record_bytes);
     EXPECT_EQ(got.spill_pages, sent.spill_pages);
     EXPECT_EQ(got.pulls, sent.pulls);
     EXPECT_EQ(got.fetch_requests, sent.fetch_requests);
@@ -1075,11 +1075,10 @@ TEST(MultiprocW2W, DamagedFetchDataFrameRestartsTheOwnerStream) {
   ASSERT_EQ(reply->type, ipc::MessageType::kReducePullDone);
   const remote::PullReport report = remote::PullReport::decode(*reply);
 
-  SpoolBuffer spool(shuffle_spool_config(0, "", 1));
-  spool.append_run(output.run(0));
-  spool.finish();
-  const detail::ReduceTaskResult clean = detail::execute_reduce_spooled(
-      [] { return std::make_unique<SumReducer>(); }, spool);
+  const detail::ReduceTaskResult clean = detail::execute_reduce_task(
+      [] { return std::make_unique<SumReducer>(); }, 1,
+      [&](std::size_t) { return output.run(0); },
+      shuffle_spool_config(0, "", 1));
   ASSERT_FALSE(clean.output.empty());
   EXPECT_EQ(report.reduced.output, clean.output);
   EXPECT_EQ(report.reduced.out_records, clean.out_records);

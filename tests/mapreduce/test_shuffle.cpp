@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <string>
@@ -107,12 +108,41 @@ struct GroupRecorder final : Reducer {
   std::vector<KeyGroup>& groups;
 };
 
-/// The groups a reduce task streams off one sealed partition spool.
-std::vector<KeyGroup> reduced_groups(const SpoolBuffer& partition) {
+/// What one reduce task saw: the groups it was handed, in order, and its
+/// partition's record bytes.
+struct ReducedPartition {
   std::vector<KeyGroup> groups;
-  detail::execute_reduce_spooled(
-      [&] { return std::make_unique<GroupRecorder>(groups); }, partition);
-  return groups;
+  std::uint64_t record_bytes = 0;
+};
+
+/// Reduce task `partition` as the in-process executor runs it: run
+/// `partition` of every map output, in task order, through fetch_verified
+/// (each re-fetch counts `retry.shuffle_fetch` in `metrics`) into
+/// execute_reduce_task, with the spool's faults and metrics set to the
+/// arguments.
+ReducedPartition reduce_partition(const std::vector<MapOutput>& outputs,
+                                  std::size_t partition,
+                                  FaultInjector* faults,
+                                  std::size_t max_attempts,
+                                  MetricsRegistry* metrics,
+                                  SpoolConfig spool) {
+  spool.faults = faults;
+  spool.metrics = metrics;
+  const auto on_retry = [metrics] {
+    if (metrics != nullptr) metrics->counter("retry.shuffle_fetch").add();
+  };
+  ReducedPartition reduced;
+  reduced.record_bytes =
+      detail::execute_reduce_task(
+          [&] { return std::make_unique<GroupRecorder>(reduced.groups); },
+          outputs.size(),
+          [&](std::size_t map_task) {
+            fetch_verified(map_task, faults, max_attempts, [] {}, on_retry);
+            return outputs[map_task].run(partition);
+          },
+          spool)
+          .record_bytes;
+  return reduced;
 }
 
 /// The reference shuffle: each record into its partition_for_key
@@ -143,7 +173,7 @@ void expect_same_groups(const std::vector<KeyGroup>& a,
   }
 }
 
-TEST(ShuffleRetry, FetchAndPartitionMatchesPartitionOutputs) {
+TEST(ShuffleRetry, ReduceTasksMatchPartitionOutputs) {
   const std::vector<std::vector<Record>> outputs = {
       {{"a", "1"}, {"b", "2"}, {"c", "3"}},
       {{"b", "4"}, {"d", "5"}},
@@ -151,6 +181,7 @@ TEST(ShuffleRetry, FetchAndPartitionMatchesPartitionOutputs) {
   };
   const auto reference = reference_groups(outputs, 3);
   const SpoolConfig spool = shuffle_spool_config(0, "", 4);
+  const std::vector<MapOutput> mapped = map_outputs(outputs, 3);
 
   // Corrupt fires fail their attempt and are re-fetched; with or without
   // an injector the runs append in place. Both shuffles hold the
@@ -158,14 +189,15 @@ TEST(ShuffleRetry, FetchAndPartitionMatchesPartitionOutputs) {
   MetricsRegistry registry;
   FaultInjector injector(
       FaultPlan::parse("shuffle.fetch:nth=1:max=2:kind=corrupt"));
-  const auto fetched = fetch_and_partition(
-      map_outputs(outputs, 3), 3, &injector, /*max_attempts=*/4, &registry,
-      spool);
-  const auto clean = fetch_and_partition(map_outputs(outputs, 3), 3, nullptr,
-                                         4, nullptr, spool);
   for (std::size_t p = 0; p < 3; ++p) {
-    expect_same_groups(reduced_groups(*fetched[p]), reference[p]);
-    expect_same_groups(reduced_groups(*clean[p]), reference[p]);
+    expect_same_groups(
+        reduce_partition(mapped, p, &injector, /*max_attempts=*/4, &registry,
+                         spool)
+            .groups,
+        reference[p]);
+    expect_same_groups(
+        reduce_partition(mapped, p, nullptr, 4, nullptr, spool).groups,
+        reference[p]);
   }
   EXPECT_EQ(registry.counter_value("retry.shuffle_fetch"), 2);
 
@@ -176,13 +208,18 @@ TEST(ShuffleRetry, FetchAndPartitionMatchesPartitionOutputs) {
   MetricsRegistry empty_registry;
   FaultInjector empty_injector(
       FaultPlan::parse("shuffle.fetch:nth=1:max=1:kind=corrupt"));
-  const auto refetched = fetch_and_partition(empty, 2, &empty_injector, 2,
-                                             &empty_registry, spool);
+  std::uint64_t refetched_bytes = 0;
+  for (std::size_t p = 0; p < 2; ++p) {
+    const ReducedPartition refetched = reduce_partition(
+        empty, p, &empty_injector, 2, &empty_registry, spool);
+    EXPECT_TRUE(refetched.groups.empty());
+    refetched_bytes += refetched.record_bytes;
+  }
   EXPECT_EQ(empty_registry.counter_value("retry.shuffle_fetch"), 1);
-  EXPECT_EQ(refetched[0]->records() + refetched[1]->records(), 0u);
+  EXPECT_EQ(refetched_bytes, 0u);
   FaultInjector exhausting(
       FaultPlan::parse("shuffle.fetch:nth=1:max=1:kind=corrupt"));
-  EXPECT_THROW(fetch_and_partition(empty, 2, &exhausting, 1, nullptr, spool),
+  EXPECT_THROW(reduce_partition(empty, 0, &exhausting, 1, nullptr, spool),
                IoError);
 }
 
@@ -226,6 +263,7 @@ TEST(SpilledShuffle, GroupsMatchRamPathAcrossBudgetsAndPageSizes) {
   const auto outputs = synthetic_outputs(5, 40);
   const std::size_t num_partitions = 3;
   const auto reference = reference_groups(outputs, num_partitions);
+  const std::vector<MapOutput> mapped = map_outputs(outputs, num_partitions);
   std::size_t reference_bytes = 0;
   for (const auto& output : outputs) {
     for (const auto& record : output) {
@@ -241,14 +279,12 @@ TEST(SpilledShuffle, GroupsMatchRamPathAcrossBudgetsAndPageSizes) {
       SpoolConfig spool;
       spool.budget_bytes = budget;
       spool.page_bytes = page_bytes;
-      const auto partitions =
-          fetch_and_partition(map_outputs(outputs, num_partitions),
-                              num_partitions, nullptr, 4, nullptr, spool);
-      ASSERT_EQ(partitions.size(), num_partitions);
       std::size_t bytes = 0;
       for (std::size_t p = 0; p < num_partitions; ++p) {
-        bytes += partitions[p]->record_bytes();
-        expect_same_groups(reduced_groups(*partitions[p]), reference[p]);
+        const ReducedPartition reduced =
+            reduce_partition(mapped, p, nullptr, 4, nullptr, spool);
+        bytes += reduced.record_bytes;
+        expect_same_groups(reduced.groups, reference[p]);
       }
       EXPECT_EQ(bytes, reference_bytes);
     }
@@ -259,6 +295,7 @@ TEST(SpilledShuffle, GroupsSurviveFetchAndPageFaults) {
   const auto outputs = synthetic_outputs(4, 30);
   const std::size_t num_partitions = 2;
   const auto reference = reference_groups(outputs, num_partitions);
+  const std::vector<MapOutput> mapped = map_outputs(outputs, num_partitions);
 
   MetricsRegistry registry;
   FaultInjector injector(
@@ -267,26 +304,27 @@ TEST(SpilledShuffle, GroupsSurviveFetchAndPageFaults) {
       &registry);
   SpoolConfig spool;
   spool.page_bytes = 128;
-  const auto partitions =
-      fetch_and_partition(map_outputs(outputs, num_partitions),
-                          num_partitions, &injector, 6, &registry, spool);
   for (std::size_t p = 0; p < num_partitions; ++p) {
-    expect_same_groups(reduced_groups(*partitions[p]), reference[p]);
+    expect_same_groups(
+        reduce_partition(mapped, p, &injector, 6, &registry, spool).groups,
+        reference[p]);
   }
   EXPECT_GT(injector.total_fired(), 0u);
 }
 
 TEST(SpilledShuffle, GroupsAreRepeatable) {
-  // Sealed shuffles are const-readable: a reduce re-attempt sees the same
-  // stream again.
+  // Each reduce attempt rebuilds its spool from the retained map outputs:
+  // a re-attempt sees the same stream again.
   const auto outputs = synthetic_outputs(3, 25);
+  const std::vector<MapOutput> mapped = map_outputs(outputs, 2);
   SpoolConfig spool;
   spool.page_bytes = 96;
-  const auto partitions = fetch_and_partition(map_outputs(outputs, 2), 2,
-                                              nullptr, 4, nullptr, spool);
-  for (const auto& partition : partitions) {
-    const auto first = reduced_groups(*partition);
-    expect_same_groups(reduced_groups(*partition), first);
+  for (std::size_t p = 0; p < 2; ++p) {
+    const auto first =
+        reduce_partition(mapped, p, nullptr, 4, nullptr, spool).groups;
+    expect_same_groups(
+        reduce_partition(mapped, p, nullptr, 4, nullptr, spool).groups,
+        first);
   }
 }
 
