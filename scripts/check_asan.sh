@@ -32,6 +32,6 @@ ctest --preset asan --tests-regex 'SimdDifferential' --repeat until-fail:3
 # shutdown with its SIGKILL escalation, and in-process reduce tasks, each
 # spooling its partition's runs out of the shared map outputs.
 ctest --preset asan --tests-regex \
-  '^(TransportFuzz|WireFuzz|Transport|Listener|WorkerShutdown|JobOutput|PullReport|ConnPool|SpoolBuffer|SpilledShuffle|ShuffleRetry|InProcessShuffle|Checksum)\.|^JobRetry\.(SpeculativeBackupReStreams|InProcessFetchChecksArePerReduceTask)|^MultiprocW2W\.(OwnerServesEachPartitionOfItsOutputInOutputOrder|DamagedFetchDataFrameRestartsTheOwnerStream)' \
+  '^(TransportFuzz|WireFuzz|Transport|Listener|WorkerShutdown|JobOutput|PullReport|ConnPool|SpoolBuffer|SpilledShuffle|ShuffleRetry|InProcessShuffle|Checksum)\.|^JobRetry\.(SpeculativeBackupReStreams|InProcessFetchChecksArePerReduceTask)|^MultiprocW2W\.(OwnerServesEachPartitionOfItsOutputInOutputOrder|DamagedFetchDataFrameRestartsTheOwnerStream|PullFailedNamesTheUnreachableOwner|WorkerKillMidReduceReexecutesLostMapOutputs)' \
   --repeat until-fail:3
 

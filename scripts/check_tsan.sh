@@ -30,8 +30,11 @@ ctest --preset tsan "$@"
 # stage 1's output on worker threads and processes. So must the checksum
 # every frame and page goes through, and a worker's partitioned map
 # outputs, whose runs several data-plane threads serve at once while the
-# serve loop re-stores and drops outputs, and a reducer that re-dials an
-# owner thread after a kFetchData frame fails its CRC. So must a listener
+# serve loop re-stores outputs, and a reducer that re-dials an owner
+# thread after a kFetchData frame fails its CRC. So must a reducer that
+# answers kPullFailed and keeps serving, and the dead-owner recovery that
+# re-executes map tasks from a phase-pool thread while other reduce
+# attempts read the owner table. So must a listener
 # woken from another thread while it waits to accept (how a worker's data
 # plane stops), worker shutdown and its SIGKILL escalation, the job output
 # parts that reduce commits install from the phase pool's threads, and the
@@ -39,5 +42,5 @@ ctest --preset tsan "$@"
 # reduce attempts, which read the shared map outputs, spill their own
 # spools and count fetch retries on the task pool's threads at once.
 ctest --preset tsan --tests-regex \
-  '^(TransportFuzz|WireFuzz|Transport|Listener|WorkerShutdown|JobOutput|PullReport|ConnPool|SpoolBuffer|SpilledShuffle|InProcessShuffle|ParallelFor|BalanceBuckets|Checksum)\.|^JobRetry\.(SpeculativeBackupReStreams|InProcessFetchChecksArePerReduceTask)|^MapReduceDascGolden\.MemberOrderIgnoresSplitsReducersAndMode|^MultiprocW2W\.(OwnerServesEachPartitionOfItsOutputInOutputOrder|DamagedFetchDataFrameRestartsTheOwnerStream)' \
+  '^(TransportFuzz|WireFuzz|Transport|Listener|WorkerShutdown|JobOutput|PullReport|ConnPool|SpoolBuffer|SpilledShuffle|InProcessShuffle|ParallelFor|BalanceBuckets|Checksum)\.|^JobRetry\.(SpeculativeBackupReStreams|InProcessFetchChecksArePerReduceTask)|^MapReduceDascGolden\.MemberOrderIgnoresSplitsReducersAndMode|^MultiprocW2W\.(OwnerServesEachPartitionOfItsOutputInOutputOrder|DamagedFetchDataFrameRestartsTheOwnerStream|PullFailedNamesTheUnreachableOwner|WorkerKillMidReduceReexecutesLostMapOutputs)' \
   --repeat until-fail:3

@@ -308,7 +308,7 @@ void SpoolBuffer::seal_open_page() {
   std::string payload = std::move(open_page_);
   open_page_.clear();
 
-  if (config_.sort_on_seal) {
+  {
     // Stable-sort the page's records by key; rebuilding the payload in
     // sorted order makes each sealed page a sorted run of length one. Each
     // frame is parsed once, into its key and its byte range.
@@ -343,12 +343,10 @@ void SpoolBuffer::seal_open_page() {
   const std::size_t page_id = pages_.size();
   resident_bytes_ += page.payload_bytes;
   pages_.push_back(std::move(page));
-  if (config_.sort_on_seal) {
-    Run run;
-    run.page_ids.push_back(page_id);
-    run.ordinal = runs_.size();
-    runs_.push_back(std::move(run));
-  }
+  Run run;
+  run.page_ids.push_back(page_id);
+  run.ordinal = runs_.size();
+  runs_.push_back(std::move(run));
   open_records_ = 0;
   enforce_budget();
 }
@@ -522,29 +520,12 @@ void SpoolBuffer::merge_runs_down_to_fan_in() {
 void SpoolBuffer::finish() {
   if (finished_) return;
   seal_open_page();
-  if (config_.sort_on_seal) merge_runs_down_to_fan_in();
+  merge_runs_down_to_fan_in();
   finished_ = true;
-}
-
-void SpoolBuffer::for_each(const SpoolVisitor& visit) const {
-  DASC_EXPECT(finished_, "spool: for_each before finish");
-  DASC_EXPECT(!config_.sort_on_seal,
-              "spool: for_each is append-order; use for_each_sorted");
-  for (const Page& page : pages_) {
-    const std::string payload = load_page(page);
-    std::size_t offset = 0;
-    while (offset < payload.size()) {
-      const RecordFrame record = parse_record_frame(payload, offset);
-      visit(record.key, record.value);
-      offset = record.next;
-    }
-  }
 }
 
 void SpoolBuffer::for_each_sorted(const SpoolVisitor& visit) const {
   DASC_EXPECT(finished_, "spool: for_each_sorted before finish");
-  DASC_EXPECT(config_.sort_on_seal,
-              "spool: for_each_sorted requires sort_on_seal");
   auto load = [this](std::size_t page_id) {
     return load_page(pages_[page_id]);
   };

@@ -20,12 +20,12 @@
 //                   record gets a page of its own), and sealed pages
 //                   spill to disk whenever resident payload exceeds
 //                   `budget_bytes` (budget 0 = spill every sealed page).
-//                   With `sort_on_seal`, each page is stable-sorted by key
-//                   at seal time and finish() externally merges sorted
-//                   runs (fan-in bounded) so that for_each_sorted() visits
-//                   records in exactly the order a global std::stable_sort
-//                   by key would produce -- the determinism contract the
-//                   external shuffle relies on.
+//                   Each page is stable-sorted by key at seal time and
+//                   finish() externally merges sorted runs (fan-in
+//                   bounded) so that for_each_sorted() visits records in
+//                   exactly the order a global std::stable_sort by key
+//                   would produce -- the determinism contract the external
+//                   shuffle relies on.
 //
 // Determinism: page boundaries depend only on `page_bytes` and the record
 // sequence -- never on the budget, the spill directory, or which pages
@@ -64,9 +64,6 @@ struct SpoolConfig {
   /// Payload capacity per page. A record whose framing is larger takes a
   /// page of its own.
   std::size_t page_bytes = 256 * 1024;
-  /// Stable-sort each page by key at seal time and merge runs in finish(),
-  /// enabling for_each_sorted(). Off = append-order for_each() only.
-  bool sort_on_seal = false;
   /// Attempts per page write/read before IoError (fault site
   /// `spill.page_io`).
   std::size_t max_attempts = 4;
@@ -157,7 +154,7 @@ void for_each_record_frame(std::string_view run, Visit&& visit) {
 using SpoolVisitor =
     std::function<void(std::string_view key, std::string_view value)>;
 
-/// Record-framed spool buffer: append -> finish -> iterate.
+/// Record-framed external sort: append -> finish -> iterate in key order.
 class SpoolBuffer {
  public:
   explicit SpoolBuffer(const SpoolConfig& config);
@@ -172,17 +169,12 @@ class SpoolBuffer {
   /// exactly where per-record append would.
   void append_run(std::string_view run);
 
-  /// Seal the open page, enforce the budget, and (with sort_on_seal)
-  /// externally merge sorted runs down to at most fan_in. Idempotent.
+  /// Seal the open page, enforce the budget, and externally merge sorted
+  /// runs down to at most fan_in. Idempotent.
   void finish();
 
-  /// Visit records in append order. Requires finish() and
-  /// !sort_on_seal.
-  void for_each(const SpoolVisitor& visit) const;
-
   /// Visit records in stable-sorted key order (ties in append order).
-  /// Requires finish() and sort_on_seal. Const and safe to call
-  /// concurrently.
+  /// Requires finish(). Const and safe to call concurrently.
   void for_each_sorted(const SpoolVisitor& visit) const;
 
   std::size_t records() const { return records_; }

@@ -19,8 +19,8 @@
 // must call lease.invalidate() so the destructor closes the socket
 // instead: a pooled connection is a protocol-state invariant ("idle at a
 // message boundary"), and a stale or desynchronized one must never serve
-// another pull. The same applies pool-wide via invalidate(slot) when the
-// supervisor reports an owner dead (kPullFailed): the owner's next
+// another pull. The same applies pool-wide via invalidate(slot) when a
+// reducer reports an owner dead (kPullFailed): the owner's next
 // incarnation listens on a fresh accept queue, so the pooled socket is
 // garbage by definition.
 //

@@ -31,9 +31,10 @@
 namespace dasc::ipc {
 
 /// Protocol message types. kHello..kShutdown are the supervisor/worker
-/// vocabulary (DESIGN.md section 13); kFetchPart..kPullResume are the
+/// vocabulary (DESIGN.md section 13); kFetchPart..kPullFailed are the
 /// worker-to-worker shuffle extensions (section 14); unknown types are
-/// receiver errors.
+/// receiver errors. Every supervisor -> worker request gets exactly one
+/// reply, with kHeartbeat frames before it.
 enum class MessageType : std::uint32_t {
   kHello = 1,      ///< worker -> supervisor: u64 pid (handshake)
   kJobSetup,       ///< supervisor -> exec worker: registered-job setup
@@ -53,16 +54,9 @@ enum class MessageType : std::uint32_t {
                    ///< (partition map of owner slots + data-plane paths)
   kReducePullDone, ///< reducer -> supervisor: reduce output + spill/fault
                    ///< accounting report
-  kPullFailed,     ///< reducer -> supervisor: a map-output owner died
-                   ///< mid-pull {reduce_task, map_task}
-  kPullResume,     ///< supervisor -> reducer: map_task re-executed locally,
-                   ///< resume pulling {map_task}
-  // Speculative execution (DESIGN.md section 15):
-  kTaskCancel,     ///< supervisor -> worker: a retained attempt lost the
-                   ///< commit race {task, kind, spill_dir} — drop the map
-                   ///< output (map kind) and sweep own spool files
-  kTaskCancelled,  ///< worker -> supervisor: cancel receipt
-                   ///< {task, outputs_dropped, spools_swept}
+  kPullFailed,     ///< reducer -> supervisor: the kReducePull's reply when
+                   ///< a map-output owner cannot be reached {reduce_task,
+                   ///< map_task, owner}; the pass reports nothing else
 };
 
 struct Message {

@@ -95,7 +95,7 @@ JobResult execute(const JobSpec& spec,
         // The commit closure runs only for the attempt that wins the task,
         // so a retried or speculative attempt never double-counts (Hadoop
         // discards failed attempts' output). A losing attempt's output is
-        // a process-local temporary, so there is nothing to abandon.
+        // a process-local temporary, dropped with its closure.
         return {[&, task, emitted = mapped.emitted,
                  combined_count = mapped.combined,
                  output = std::move(mapped.output)]() mutable {
@@ -108,8 +108,7 @@ JobResult execute(const JobSpec& spec,
                                           std::memory_order_relaxed);
                   }
                   map_outputs[task] = std::move(output);
-                },
-                nullptr};
+                }};
       });
 
   // Every map attempt has finished, so no split is read again.
@@ -173,8 +172,7 @@ JobResult execute(const JobSpec& spec,
                                        std::memory_order_relaxed);
                   result.output.set_part(task, std::move(reduced.output),
                                          reduced.out_records);
-                },
-                nullptr};
+                }};
       });
 
   // Every reduce attempt has finished, so no map output is read again.

@@ -26,10 +26,6 @@ void JobConf::validate() const {
   DASC_EXPECT(split_records >= 1, "JobConf: split_records must be >= 1");
   DASC_EXPECT(max_task_attempts >= 1,
               "JobConf: max_task_attempts must be >= 1");
-  DASC_EXPECT(retry_backoff_base_ms >= 0.0,
-              "JobConf: retry_backoff_base_ms must be >= 0");
-  DASC_EXPECT(retry_backoff_max_ms >= retry_backoff_base_ms,
-              "JobConf: retry_backoff_max_ms must be >= base");
   DASC_EXPECT(max_fetch_attempts >= 1,
               "JobConf: max_fetch_attempts must be >= 1");
   DASC_EXPECT(speculative_slowdown >= 1.0,

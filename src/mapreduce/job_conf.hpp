@@ -58,11 +58,6 @@ struct JobConf {
   /// Attempts per task before the job fails (Hadoop retries failed task
   /// attempts; 1 = fail fast).
   std::size_t max_task_attempts = 1;
-  /// Capped exponential backoff between task attempts: attempt n sleeps
-  /// min(base * 2^(n-1), max) milliseconds. base 0 disables sleeping (the
-  /// retry is still counted and timed).
-  double retry_backoff_base_ms = 0.0;
-  double retry_backoff_max_ms = 100.0;
   /// Attempts per shuffle fetch before the job fails (only exercised when a
   /// FaultInjector is attached: each `shuffle.fetch` fire fails one).
   std::size_t max_fetch_attempts = 4;
@@ -72,8 +67,9 @@ struct JobConf {
   /// (and `speculative_min_ms`) gets one backup attempt; the first attempt
   /// to finish commits, the other is discarded. Works in both execution
   /// modes: under multi_process the backup is dispatched to a different
-  /// live worker than the primary's current slot, and the losing worker's
-  /// retained side effects are cancelled (DESIGN.md section 15).
+  /// live worker than the primary's current slot, and the losing attempt's
+  /// map output stays on its worker, unread, until the job ends (DESIGN.md
+  /// section 15).
   bool enable_speculation = false;
   double speculative_slowdown = 4.0;
   double speculative_min_ms = 5.0;

@@ -6,7 +6,9 @@
 // request at the task being pulled. The pulls feed execute_reduce_task,
 // the copy, sort-merge and reduce an in-process reduce task runs too, in
 // the same task order and under the same shuffle_spool_config, so the
-// reduce is byte-identical in either mode.
+// reduce is byte-identical in either mode. An owner that cannot be reached
+// ends the pass: the reply is kPullFailed, and the supervisor re-homes the
+// owner's outputs and sends the pull again.
 #include <algorithm>
 #include <cstddef>
 #include <map>
@@ -149,6 +151,7 @@ namespace {
 /// reducer reports kPullFailed so the supervisor re-homes the map output,
 /// rather than burning fetch attempts on a peer that cannot answer.
 struct OwnerUnreachable {
+  std::uint64_t map_task = 0;
   std::string reason;
 };
 
@@ -192,14 +195,12 @@ struct OwnerStream {
   }
 };
 
-/// One kReducePull attempt on this worker.
+/// One kReducePull pass on this worker.
 class PullClient {
  public:
-  PullClient(ipc::Transport& control, const WorkerJob& job,
-             const WorkerOptions& options, WorkerState& state,
-             ReducePull request)
-      : control_(control), job_(job), options_(options), state_(state),
-        request_(std::move(request)) {
+  PullClient(const WorkerJob& job, const WorkerOptions& options,
+             WorkerState& state, const ReducePull& request)
+      : job_(job), options_(options), state_(state), request_(request) {
     for (std::uint64_t m = 0; m < request_.owners.size(); ++m) {
       const OwnerRef& owner = request_.owners[m];
       // An owner without a data-plane address (kNoOwner) surfaces as
@@ -211,7 +212,25 @@ class PullClient {
     }
   }
 
-  PullReport run() {
+  /// The pass's reply: kReducePullDone, or kPullFailed naming the first
+  /// owner it could not reach.
+  Message run() {
+    try {
+      return reduce().encode();
+    } catch (const OwnerUnreachable& unreachable) {
+      const std::size_t dead = request_.owners[unreachable.map_task].slot;
+      DASC_LOG(kWarn) << "worker " << options_.ordinal << ": map output "
+                      << unreachable.map_task << " owner unreachable ("
+                      << unreachable.reason << "); reporting it";
+      // Any idle pooled connection to the dead owner is garbage now: its
+      // slot's next incarnation listens on a fresh accept queue.
+      state_.pool().invalidate(dead);
+      return PullFailed{request_.task, unreachable.map_task, dead}.encode();
+    }
+  }
+
+ private:
+  PullReport reduce() {
     FaultInjector* faults = options_.faults;
     const std::uint64_t fetch_base =
         faults != nullptr ? faults->fired("shuffle.fetch") : 0;
@@ -247,35 +266,21 @@ class PullClient {
       report_.fetch_fires = faults->fired("shuffle.fetch") - fetch_base;
     }
     report_.conns_opened = state_.pool().opened() - conns_base;
-    return report_;
+    return std::move(report_);
   }
 
- private:
   /// One map task's run, a view into `reply`: one `shuffle.fetch` check
   /// and at most one transfer per attempt, in task order.
   std::string_view pull(std::uint64_t map_task, Message& reply) {
-    // Two rounds suffice: a failed pull re-homes the output onto this
-    // worker, and a local pull cannot lose its owner.
-    for (std::size_t round = 0;; ++round) {
-      try {
-        std::string_view run;
-        fetch_verified(
-            map_task, options_.faults, request_.max_fetch_attempts,
-            [&] {
-              reply = pull_once(map_task);
-              run = fetch_data_run(reply, map_task);
-            },
-            [this] { ++report_.fetch_retries; });
-        return run;
-      } catch (const OwnerUnreachable& unreachable) {
-        if (round >= 1) {
-          throw IoError("pull: map output " + std::to_string(map_task) +
-                        " unreachable after re-homing: " +
-                        unreachable.reason);
-        }
-        recover_owner(map_task, unreachable.reason);
-      }
-    }
+    std::string_view run;
+    fetch_verified(
+        map_task, options_.faults, request_.max_fetch_attempts,
+        [&] {
+          reply = pull_once(map_task);
+          run = fetch_data_run(reply, map_task);
+        },
+        [this] { ++report_.fetch_retries; });
+    return run;
   }
 
   Message pull_once(std::uint64_t map_task) {
@@ -285,7 +290,7 @@ class PullClient {
                                 request_.num_partitions);
     }
     if (owner.path.empty()) {
-      throw OwnerUnreachable{"owner has no data-plane address"};
+      throw OwnerUnreachable{map_task, "owner has no data-plane address"};
     }
     return read_reply(owners_.at(owner.slot), map_task);
   }
@@ -296,7 +301,7 @@ class PullClient {
   /// injected corruption consumed it). A stream that breaks — a frame that
   /// fails its CRC, say — restarts once more; a second transport failure —
   /// a dead process's stale socket, EOF mid-reply, a refused dial — is the
-  /// owner being gone, so it routes to recovery.
+  /// owner being gone, which ends the pass.
   Message read_reply(OwnerStream& owner, std::uint64_t map_task) {
     for (std::size_t round = 0;; ++round) {
       try {
@@ -309,7 +314,7 @@ class PullClient {
         return *std::move(reply);
       } catch (const IoError& error) {
         owner.drop();  // a desynchronized socket is closed, never pooled
-        if (round >= 1) throw OwnerUnreachable{error.what()};
+        if (round >= 1) throw OwnerUnreachable{map_task, error.what()};
       }
     }
   }
@@ -332,62 +337,19 @@ class PullClient {
     ++report_.fetch_requests;
   }
 
-  /// Dead-owner recovery (state machine in DESIGN.md section 14): report
-  /// the dead owner, serve the supervisor's inline kMapAssign re-execution
-  /// of that map task, and resume with the output re-homed onto this
-  /// worker. The whole dance happens inside the kReducePull conversation,
-  /// so it needs no second supervisor thread and works at any worker count.
-  void recover_owner(std::uint64_t map_task, const std::string& reason) {
-    DASC_LOG(kWarn) << "worker " << options_.ordinal << ": map output "
-                    << map_task << " owner unreachable (" << reason
-                    << "); asking the supervisor to re-home it";
-    // Any idle pooled connection to the dead owner is garbage now — its
-    // next incarnation listens on a fresh accept queue.
-    const std::size_t dead_slot = request_.owners[map_task].slot;
-    if (dead_slot != kNoOwner && dead_slot != options_.ordinal) {
-      state_.pool().invalidate(dead_slot);
-    }
-    control_.send(PullFailed{request_.task, map_task, dead_slot}.encode());
-    while (true) {
-      std::optional<Message> frame = control_.recv();
-      if (!frame.has_value()) {
-        throw IoError("pull: supervisor vanished during owner recovery");
-      }
-      if (frame->type == MessageType::kMapAssign) {
-        WireReader assign(frame->payload);
-        const std::uint64_t task = assign.u64();
-        control_.send(run_map_assign(job_, state_, task, assign));
-        continue;
-      }
-      if (frame->type != MessageType::kPullResume) {
-        throw IoError(
-            "pull: unexpected message type " +
-            std::to_string(static_cast<std::uint32_t>(frame->type)) +
-            " during owner recovery");
-      }
-      WireReader resume(frame->payload);
-      DASC_ENSURE(resume.u64() == map_task,
-                  "ipc: kPullResume map task mismatch");
-      request_.owners[map_task] = OwnerRef{options_.ordinal, std::string()};
-      return;
-    }
-  }
-
-  ipc::Transport& control_;
   const WorkerJob& job_;
   const WorkerOptions& options_;
   WorkerState& state_;
-  ReducePull request_;  ///< its owners re-homed by recovery
+  const ReducePull& request_;
   std::map<std::size_t, OwnerStream> owners_;  ///< by remote owner slot
   PullReport report_;
 };
 
 }  // namespace
 
-PullReport run_reduce_pull(ipc::Transport& control, const WorkerJob& job,
-                           const WorkerOptions& options, WorkerState& state,
-                           ReducePull request) {
-  return PullClient(control, job, options, state, std::move(request)).run();
+Message run_reduce_pull(const WorkerJob& job, const WorkerOptions& options,
+                        WorkerState& state, const ReducePull& request) {
+  return PullClient(job, options, state, request).run();
 }
 
 }  // namespace dasc::mapreduce::remote

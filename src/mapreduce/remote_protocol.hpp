@@ -19,10 +19,6 @@
 #include "mapreduce/task_exec.hpp"
 #include "mapreduce/types.hpp"
 
-namespace dasc::ipc {
-class Transport;
-}  // namespace dasc::ipc
-
 namespace dasc::mapreduce::remote {
 
 /// No worker: a map task whose output has no owner.
@@ -103,7 +99,8 @@ struct FetchPart {
 };
 
 /// kPullFailed: the reducer running `reduce_task` could not reach `owner`,
-/// the worker its partition map names for `map_task`'s output.
+/// the worker its partition map names for `map_task`'s output. It is the
+/// kReducePull's only reply; the supervisor recovers and pulls again.
 struct PullFailed {
   std::uint64_t reduce_task = 0;
   std::uint64_t map_task = 0;
@@ -116,7 +113,7 @@ struct PullFailed {
 /// The worker a kPullFailed lets the supervisor retire, or kNoOwner: the
 /// owner the reducer failed to reach, and only while `current_owner` says
 /// it still holds the output. Once another reducer's recovery has re-homed
-/// the output, a frame naming the old owner is stale, and the current
+/// the output, a report naming the old owner is stale, and the current
 /// owner is a healthy worker that must not be killed for it.
 inline std::size_t owner_to_retire(const PullFailed& failed,
                                    std::size_t current_owner,
@@ -156,19 +153,15 @@ struct PullReport {
 };
 
 /// A worker's map outputs and outbound data-plane connections, shared by
-/// its serve loop (which stores outputs, including re-executions inside a
-/// pull recovery), its data-plane threads (which serve runs to other
-/// reducers), and its own pull client.
+/// its serve loop (which stores outputs), its data-plane threads (which
+/// serve runs to other reducers), and its own pull client. An output stays
+/// resident until the worker exits; a later map of the same task replaces
+/// it.
 class WorkerState {
  public:
   void store(std::uint64_t map_task, MapOutput output) {
     std::lock_guard lock(mutex_);
     outputs_[map_task] = std::move(output);
-  }
-  /// Drops a retained output; returns how many were dropped (0 or 1).
-  std::uint64_t drop(std::uint64_t map_task) {
-    std::lock_guard lock(mutex_);
-    return outputs_.erase(map_task);
   }
   /// The kFetchData reply carrying `map_task`'s run for `partition`, or
   /// kTaskError when the output is not resident here or has no such
@@ -195,11 +188,12 @@ ipc::Message run_map_assign(const WorkerJob& job, WorkerState& state,
 
 /// The reducer half of kReducePull: pulls `request.task`'s run of every
 /// map output in map-task order into one sort-on-seal spool and reduces
-/// off it. A dead owner is recovered over `control` (kPullFailed ->
-/// kMapAssign -> kPullResume). Throws when the task fails. Defined in
+/// off it. Returns the kReducePullDone report, or kPullFailed when an
+/// owner cannot be reached; that pass reports nothing, and its spool is
+/// gone by the time this returns. Throws when the task fails. Defined in
 /// pull_client.cpp.
-PullReport run_reduce_pull(ipc::Transport& control, const WorkerJob& job,
-                           const WorkerOptions& options, WorkerState& state,
-                           ReducePull request);
+ipc::Message run_reduce_pull(const WorkerJob& job,
+                             const WorkerOptions& options, WorkerState& state,
+                             const ReducePull& request);
 
 }  // namespace dasc::mapreduce::remote

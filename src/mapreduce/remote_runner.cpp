@@ -1,7 +1,7 @@
 // The supervisor side of the multi-process runtime: launches the workers,
-// drives the map and reduce phases through detail::run_task_phase, answers
-// reducers' dead-owner recoveries, and cancels losing speculative
-// attempts. Protocol and contracts in remote_runner.hpp.
+// drives the map and reduce phases through detail::run_task_phase, and
+// re-homes the map outputs of owners that reducers cannot reach. Protocol
+// and contracts in remote_runner.hpp.
 #include "mapreduce/remote_runner.hpp"
 
 #include <unistd.h>
@@ -9,7 +9,6 @@
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
-#include <functional>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -38,12 +37,6 @@ using ipc::WireWriter;
 using remote::kNoOwner;
 using remote::rethrow_task_error;
 
-/// Runs each reply of a conversation: true finishes the conversation with
-/// that reply; false means the handler consumed the frame mid-conversation
-/// (the kPullFailed -> kMapAssign -> kPullResume recovery) and the
-/// exchange keeps listening. A null handler accepts the first reply.
-using ReplyHandler = std::function<bool(const Message&)>;
-
 /// Adds a nonzero `value` to gauge `name` (null-safe; zero adds nothing, so
 /// a gauge appears only once something happened).
 void add_gauge(MetricsRegistry* metrics, const char* name,
@@ -62,25 +55,21 @@ class WorkerExchange {
   WorkerExchange& operator=(const WorkerExchange&) = delete;
 
   /// One request/response conversation with `slot`, serialized by the
-  /// slot's exchange mutex. With `kill_after_send` the worker is SIGKILLed
-  /// right after the request ships, so worker.kill lands genuinely
-  /// mid-task. Heartbeats are drained (worker.heartbeats gauge); other
-  /// frames, kTaskError included, run through `handle`, whose exceptions
-  /// propagate without marking the worker dead. Transport failure or EOF
-  /// marks the slot dead and throws IoError.
+  /// slot's exchange mutex: the reply is the first frame that is not a
+  /// heartbeat (heartbeats feed the worker.heartbeats gauge). With
+  /// `kill_after_send` the worker is SIGKILLed right after the request
+  /// ships, so worker.kill lands genuinely mid-task. Transport failure or
+  /// EOF marks the slot dead and throws IoError.
   Message converse(std::size_t slot, const Message& request,
-                   bool kill_after_send = false,
-                   const ReplyHandler& handle = nullptr) {
+                   bool kill_after_send = false) {
     std::lock_guard lock(supervisor_.exchange_mutex(slot));
-    return converse_locked(slot, request, kill_after_send, handle);
-  }
-
-  /// converse() from inside a handler, whose conversation already holds
-  /// `slot`'s exchange mutex.
-  Message converse_locked(std::size_t slot, const Message& request,
-                          bool kill_after_send = false,
-                          const ReplyHandler& handle = nullptr) {
-    send_locked(slot, request);
+    try {
+      supervisor_.transport(slot).send(request);
+    } catch (const std::exception&) {
+      supervisor_.mark_dead(slot);
+      throw IoError("ipc: worker " + std::to_string(slot) +
+                    " unreachable (send failed)");
+    }
     if (kill_after_send) supervisor_.kill_worker(slot);
     while (true) {
       std::optional<Message> reply;
@@ -95,23 +84,8 @@ class WorkerExchange {
         throw IoError("ipc: worker " + std::to_string(slot) +
                       " died mid-task (connection closed)");
       }
-      if (reply->type == MessageType::kHeartbeat) {
-        note_heartbeat();
-        continue;
-      }
-      if (handle == nullptr || handle(*reply)) return *std::move(reply);
-    }
-  }
-
-  /// A one-way message within a conversation that holds `slot`'s exchange
-  /// mutex. Transport failure marks the slot dead and throws IoError.
-  void send_locked(std::size_t slot, const Message& message) {
-    try {
-      supervisor_.transport(slot).send(message);
-    } catch (const std::exception&) {
-      supervisor_.mark_dead(slot);
-      throw IoError("ipc: worker " + std::to_string(slot) +
-                    " unreachable (send failed)");
+      if (reply->type != MessageType::kHeartbeat) return *std::move(reply);
+      note_heartbeat();
     }
   }
 
@@ -168,9 +142,9 @@ class PhasePlacement {
   /// One attempt's conversation; when it fails with an IoError the task
   /// shifts, so its next attempt tries another worker.
   Message dispatch(std::size_t task, std::size_t slot, const Message& request,
-                   bool kill_after_send, const ReplyHandler& handle = nullptr) {
+                   bool kill_after_send) {
     try {
-      return exchange_.converse(slot, request, kill_after_send, handle);
+      return exchange_.converse(slot, request, kill_after_send);
     } catch (const IoError&) {
       shift_[task].fetch_add(1, std::memory_order_acq_rel);
       throw;
@@ -218,13 +192,6 @@ JobResult planned_result(const JobConf& conf, std::size_t num_map_tasks) {
   return result;
 }
 
-/// A losing attempt's retained state on `slot`, to cancel after its phase.
-struct CancelRequest {
-  std::uint64_t kind;  ///< 0 = map, 1 = reduce
-  std::size_t task;
-  std::size_t slot;
-};
-
 /// One job on worker processes, from launch to shutdown.
 class MultiprocRun {
  public:
@@ -241,7 +208,7 @@ class MultiprocRun {
         map_placement_(supervisor_, exchange_, result_.map_task_workers),
         reduce_placement_(supervisor_, exchange_,
                           result_.reduce_task_workers) {}
-  // Commit and abandon closures hold `this`.
+  // Commit closures hold `this`.
   MultiprocRun(const MultiprocRun&) = delete;
   MultiprocRun& operator=(const MultiprocRun&) = delete;
 
@@ -262,9 +229,6 @@ class MultiprocRun {
         [this](std::size_t task, bool backup) {
           return map_attempt(task, backup);
         });
-    // Losing map attempts' retained outputs are dropped before any reducer
-    // can see a partition map.
-    flush_cancels();
 
     detail::run_task_phase(
         spec_, conf_.num_reducers, "reduce.task", "retry.reduce_attempts",
@@ -272,9 +236,6 @@ class MultiprocRun {
         [this](std::size_t task, bool backup) {
           return reduce_attempt(task, backup);
         });
-    // Losing reduce attempts have no retained output (their reports were
-    // discarded with the attempt), but their spool files still get swept.
-    flush_cancels();
 
     result_.counters.failed_task_attempts = failed_attempts_.load();
 
@@ -349,6 +310,9 @@ class MultiprocRun {
            spec_.faults->check("worker.kill") != FaultInjector::Outcome::kNone;
   }
 
+  /// A losing attempt's output stays resident on its worker until the job
+  /// ends; reducers pull map task m only from map_owner_[m], the slot of
+  /// the attempt that committed.
   detail::TaskAttempt map_attempt(std::size_t task, bool backup) {
     const std::size_t slot = map_placement_.pick(task, backup);
     const Message reply =
@@ -370,8 +334,7 @@ class MultiprocRun {
                 counters.combine_output_records += combined;
               }
               map_owner_[task] = slot;
-            },
-            [this, task, slot] { queue_cancel(/*kind=*/0, task, slot); }};
+            }};
   }
 
   /// kMapAssign: the task, the partition count, the split's records.
@@ -383,30 +346,33 @@ class MultiprocRun {
     return {MessageType::kMapAssign, writer.take()};
   }
 
-  /// Ships the partition map, lets the reducer pull and spool its own
-  /// partition (answering its dead-owner recoveries), then absorbs its
-  /// report on commit.
+  /// Ships the partition map and lets the reducer pull and spool its own
+  /// partition, then absorbs its report on commit. A reducer that cannot
+  /// reach an owner answers kPullFailed instead; the attempt recovers that
+  /// owner's outputs and sends the pull again with the refreshed map, so a
+  /// recovery costs no task attempt.
   detail::TaskAttempt reduce_attempt(std::size_t task, bool backup) {
     const std::size_t slot = reduce_placement_.pick(task, backup);
-    Message reply = reduce_placement_.dispatch(
-        task, slot, reduce_pull_request(task), kill_fires(),
-        [this, slot](const Message& frame) {
-          if (frame.type != MessageType::kPullFailed) return true;
-          handle_pull_failed(slot, frame);
-          return false;  // keep the conversation open
-        });
+    bool kill = kill_fires();
+    Message reply;
+    while (true) {
+      const remote::ReducePull request = reduce_pull_request(task);
+      reply = reduce_placement_.dispatch(task, slot, request.encode(),
+                                         std::exchange(kill, false));
+      if (reply.type != MessageType::kPullFailed) break;
+      recover_owner(slot, request, remote::PullFailed::decode(reply));
+    }
     if (reply.type == MessageType::kTaskError) rethrow_task_error(reply);
     DASC_ENSURE(reply.type == MessageType::kReducePullDone,
                 "ipc: unexpected reply to kReducePull");
     remote::PullReport report = remote::PullReport::decode(std::move(reply));
     DASC_ENSURE(report.task == task, "ipc: kReducePullDone task mismatch");
     return {[this, report = std::move(report)]() mutable {
-              commit_pull_report(std::move(report));
-            },
-            [this, task, slot] { queue_cancel(/*kind=*/1, task, slot); }};
+      commit_pull_report(std::move(report));
+    }};
   }
 
-  Message reduce_pull_request(std::size_t task) {
+  remote::ReducePull reduce_pull_request(std::size_t task) {
     remote::ReducePull request;
     request.task = task;
     request.num_partitions = conf_.num_reducers;
@@ -418,51 +384,52 @@ class MultiprocRun {
       request.owners.push_back(
           {owner, owner == kNoOwner ? std::string() : data_paths_[owner]});
     }
-    return request.encode();
+    return request;
   }
 
-  /// Dead-owner recovery (DESIGN.md section 14): retire the owner a
-  /// reducer could not reach (even if its control socket lingers) unless
-  /// the output has been re-homed since, re-execute the map task inline on
-  /// that reducer over its own conversation — no second exchange, so this
-  /// cannot deadlock even at one worker — and hand the pull back with the
-  /// output re-homed.
-  void handle_pull_failed(std::size_t reducer_slot, const Message& frame) {
-    const remote::PullFailed failed = remote::PullFailed::decode(frame);
-    const std::uint64_t reduce_task = failed.reduce_task;
+  /// Dead-owner recovery (DESIGN.md section 14) for the reducer on
+  /// `reducer_slot`, whose `request` ended in `failed`. Retires the owner
+  /// it could not reach (even if its control socket lingers) and
+  /// re-executes every map task that owner committed on the reducer's
+  /// slot, re-homing the outputs there. The whole recovery holds the owner
+  /// table, so a second reducer reporting the same owner finds its outputs
+  /// re-homed and only pulls again. A report that retires no one and
+  /// follows no re-home of its map task since `request` was built fails
+  /// the attempt.
+  void recover_owner(std::size_t reducer_slot,
+                     const remote::ReducePull& request,
+                     const remote::PullFailed& failed) {
     const std::uint64_t map_task = failed.map_task;
+    DASC_ENSURE(failed.reduce_task == request.task,
+                "ipc: kPullFailed task mismatch");
     DASC_ENSURE(map_task < splits_.size(),
                 "ipc: kPullFailed map task out of range");
-    std::size_t owner = kNoOwner;
-    {
-      std::lock_guard lock(owner_mutex_);
-      owner = remote::owner_to_retire(failed, map_owner_[map_task],
-                                      reducer_slot);
+    std::lock_guard lock(owner_mutex_);
+    const std::size_t owner =
+        remote::owner_to_retire(failed, map_owner_[map_task], reducer_slot);
+    if (owner == kNoOwner) {
+      if (map_owner_[map_task] != request.owners[map_task].slot) return;
+      throw IoError("ipc: worker " + std::to_string(reducer_slot) +
+                    " cannot reach map output " + std::to_string(map_task) +
+                    ", and no owner can be retired for it");
     }
-    if (owner != kNoOwner) supervisor_.kill_worker(owner);
-    DASC_LOG(kWarn) << conf_.job_name << ": re-executing map task " << map_task
-                    << " on reducer worker " << reducer_slot
-                    << " (owner unreachable during pull for reduce task "
-                    << reduce_task << ")";
-    add_gauge(spec_.metrics, "worker.map_reexecutions", 1);
-    // The worker reports a failed re-execution as the reduce task's one
-    // kTaskError; the attempt fails and retries cleanly.
-    const Message reply =
-        exchange_.converse_locked(reducer_slot, map_assign(map_task));
-    if (reply.type == MessageType::kTaskError) rethrow_task_error(reply);
-    DASC_ENSURE(reply.type == MessageType::kMapDone,
-                "ipc: unexpected reply to kMapAssign (pull recovery)");
-    WireReader done(reply.payload);
-    DASC_ENSURE(done.u64() == map_task,
-                "ipc: kMapDone task mismatch (pull recovery)");
-    {
-      std::lock_guard lock(owner_mutex_);
-      map_owner_[map_task] = reducer_slot;
+    supervisor_.kill_worker(owner);
+    for (std::size_t m = 0; m < map_owner_.size(); ++m) {
+      if (map_owner_[m] != owner) continue;
+      DASC_LOG(kWarn) << conf_.job_name << ": re-executing map task " << m
+                      << " on reducer worker " << reducer_slot << " (owner "
+                      << owner << " unreachable during pull for reduce task "
+                      << request.task << ")";
+      add_gauge(spec_.metrics, "worker.map_reexecutions", 1);
+      const Message reply = exchange_.converse(reducer_slot, map_assign(m));
+      if (reply.type == MessageType::kTaskError) rethrow_task_error(reply);
+      DASC_ENSURE(reply.type == MessageType::kMapDone,
+                  "ipc: unexpected reply to kMapAssign (owner recovery)");
+      WireReader done(reply.payload);
+      DASC_ENSURE(done.u64() == m,
+                  "ipc: kMapDone task mismatch (owner recovery)");
+      map_owner_[m] = reducer_slot;
     }
-    WireWriter resume;
-    resume.u64(map_task);
-    exchange_.send_locked(reducer_slot,
-                          {MessageType::kPullResume, resume.take()});
   }
 
   /// Publishes the committing attempt's results and re-homes its worker-
@@ -512,55 +479,6 @@ class MultiprocRun {
     }
   }
 
-  /// Commit arbitration cleanup (DESIGN.md section 15). A losing attempt's
-  /// abandon closure only *queues* the cancel: at the moment the loser
-  /// observes the commit, the winner's commit closure may not have published
-  /// its owner slot yet, and a retried primary can have migrated onto the
-  /// very worker the backup used — cancelling there would drop the winning
-  /// output. Flushing after the phase joins (all commits visible, no attempt
-  /// in flight) makes the winner check race-free.
-  void queue_cancel(std::uint64_t kind, std::size_t task, std::size_t slot) {
-    std::lock_guard lock(cancel_mutex_);
-    pending_cancels_.push_back({kind, task, slot});
-  }
-
-  void flush_cancels() {
-    std::vector<CancelRequest> cancels;
-    {
-      std::lock_guard lock(cancel_mutex_);
-      cancels.swap(pending_cancels_);
-    }
-    for (const CancelRequest& cancel : cancels) {
-      if (cancel.kind == 0) {
-        std::lock_guard lock(owner_mutex_);
-        // The committed output landed on the loser's slot after all (the
-        // primary retried onto it, or a recovery re-homed the task there):
-        // the retained output *is* the winner's — leave it alone.
-        if (map_owner_[cancel.task] == cancel.slot) continue;
-      }
-      if (!supervisor_.alive(cancel.slot)) continue;
-      WireWriter writer;
-      writer.u64(static_cast<std::uint64_t>(cancel.task));
-      writer.u64(cancel.kind);
-      writer.bytes(conf_.spill_dir);
-      try {
-        const Message reply = exchange_.converse(
-            cancel.slot, {MessageType::kTaskCancel, writer.take()});
-        DASC_ENSURE(reply.type == MessageType::kTaskCancelled,
-                    "ipc: unexpected reply to kTaskCancel");
-        WireReader reader(reply.payload);
-        DASC_ENSURE(reader.u64() == cancel.task,
-                    "ipc: kTaskCancelled task mismatch");
-        add_gauge(spec_.metrics, "worker.task_cancels", 1);
-        add_gauge(spec_.metrics, "worker.outputs_cancelled", reader.u64());
-        add_gauge(spec_.metrics, "worker.spool_files_swept", reader.u64());
-      } catch (const IoError&) {
-        // Best effort: a loser slot that died since takes its retained
-        // state with it.
-      }
-    }
-  }
-
   Stopwatch clock_;
   const JobSpec spec_;
   const JobConf& conf_;
@@ -577,11 +495,10 @@ class MultiprocRun {
   // needs no lock (commit-once arbitration makes each task's committing
   // attempt the entry's only writer, and the phases are separated by the
   // pool join); from the reduce phase on, concurrent reduce attempts read
-  // the table while a kPullFailed recovery rewrites the re-homed entry.
+  // the table while a kPullFailed recovery, holding the lock throughout,
+  // rewrites the re-homed entries.
   std::vector<std::size_t> map_owner_;
   std::mutex owner_mutex_;
-  std::mutex cancel_mutex_;
-  std::vector<CancelRequest> pending_cancels_;
   ipc::WorkerSupervisor supervisor_;
   WorkerExchange exchange_;
   PhasePlacement map_placement_;

@@ -16,11 +16,14 @@
 // The shuffle is worker-to-worker (DESIGN.md section 14), as Hadoop
 // reducers fetch map output straight from the mappers: each worker binds a
 // data-plane Listener, and reducers pull their partitions from the mapper
-// workers — the supervisor relays no shuffle bytes:
+// workers — the supervisor relays no shuffle bytes. Every supervisor ->
+// worker conversation is one request and one reply, heartbeats aside:
 //
 //   map:     kMapAssign{task, P, records}     -> kMapDone{counters}
 //   reduce:  kReducePull{task, partition map} -> kReducePullDone{records,
 //                                                spill/fault accounting}
+//                                              | kPullFailed{reduce_task,
+//                                                map_task, owner}
 //   pull:    kFetchPart{partition, map tasks} -> one kFetchData{map_task,
 //                                                run} per task
 //            (reducer -> owner's data plane: one pooled request per
@@ -28,12 +31,15 @@
 //            section 15)
 //
 // Map tasks write one framed run per partition; pulled runs append, as
-// bytes, to one sort-on-seal SpoolBuffer per reduce task,
-// so JobConf::spill_budget_bytes bounds reducer residency. A map-output
-// owner that dies mid-pull is re-executed inline on the pulling reducer
-// (kPullFailed -> kMapAssign -> kPullResume). A speculative backup runs on
-// a different live worker; the loser of the commit race gets a kTaskCancel
-// after the phase joins (section 15).
+// bytes, to one SpoolBuffer per reduce task, so
+// JobConf::spill_budget_bytes bounds reducer residency. A reducer that
+// cannot reach a map-output owner answers kPullFailed; within the same
+// task attempt the supervisor retires that owner, re-executes its map
+// tasks on the reducer's worker (plain kMapAssign conversations), and
+// sends the kReducePull again with the refreshed partition map. A
+// speculative backup runs on a different live worker; reducers pull only
+// the committed attempt's output, so a loser's output is never read and
+// stays on its worker until the job ends (section 15).
 //
 // Job output is byte-identical to kInProcess for any worker count, any
 // spill budget, and any fault plan that lets the job finish. `map.task`,

@@ -67,7 +67,6 @@ SpoolConfig shuffle_spool_config(std::size_t spill_budget_bytes,
                             ? std::numeric_limits<std::size_t>::max()
                             : spill_budget_bytes;
   config.max_attempts = std::max(config.max_attempts, max_fetch_attempts);
-  config.sort_on_seal = true;
   return config;
 }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -19,14 +18,6 @@
 namespace dasc::mapreduce::detail {
 
 namespace {
-
-/// Backoff before task attempt `attempt + 1`: base * 2^(attempt-1) ms,
-/// capped at max.
-double backoff_ms(const JobConf& conf, std::size_t attempt) {
-  const double ms = conf.retry_backoff_base_ms *
-                    std::pow(2.0, static_cast<double>(attempt - 1));
-  return std::min(ms, conf.retry_backoff_max_ms);
-}
 
 /// Frames each emitted record straight into one run.
 class FrameEmitter final : public Emitter {
@@ -111,16 +102,8 @@ void run_task_phase(const JobSpec& spec, std::size_t num_tasks,
                           bool backup) {
     if (spec.faults != nullptr) spec.faults->maybe_throw(fault_site);
     const TaskAttempt attempt = body(task, backup);
+    // Another attempt already won this task: the loser is dropped.
     if (committed[task].exchange(true, std::memory_order_acq_rel)) {
-      // Another attempt already won this task: let the loser clean up
-      // whatever it parked elsewhere (best effort — the winner's output
-      // is committed either way).
-      if (attempt.abandon != nullptr) {
-        try {
-          attempt.abandon();
-        } catch (...) {
-        }
-      }
       return false;
     }
     attempt.commit();
@@ -155,15 +138,6 @@ void run_task_phase(const JobSpec& spec, std::size_t num_tasks,
         failed_attempts.fetch_add(1, std::memory_order_relaxed);
         if (spec.metrics != nullptr) {
           spec.metrics->counter(retry_counter).add();
-        }
-        const double sleep_ms = backoff_ms(conf, attempt);
-        if (spec.metrics != nullptr) {
-          spec.metrics->timer("retry.backoff")
-              .record_seconds(sleep_ms / 1000.0);
-        }
-        if (sleep_ms > 0.0) {
-          std::this_thread::sleep_for(
-              std::chrono::duration<double, std::milli>(sleep_ms));
         }
         DASC_LOG(kWarn) << conf.job_name << ": task attempt " << attempt
                         << " failed; retrying";
@@ -263,8 +237,7 @@ MapTaskResult execute_map_task(
 ReduceTaskResult execute_reduce_task(
     const std::function<std::unique_ptr<Reducer>()>& reducer_factory,
     std::size_t num_map_tasks, const RunFetcher& fetch_run,
-    SpoolConfig spool) {
-  spool.sort_on_seal = true;
+    const SpoolConfig& spool) {
   SpoolBuffer partition(spool);
   {
     ScopedTimer shuffle_timer(spool.metrics, "mapreduce.shuffle");
@@ -279,9 +252,9 @@ ReduceTaskResult execute_reduce_task(
   ReduceTaskResult result;
   result.record_bytes = partition.record_bytes();
   // The merged stream is the partition stable-sorted by key (the spool's
-  // sort_on_seal contract), so grouping is one streaming pass: flush
-  // whenever the key changes — the exact group sequence sort_and_group
-  // builds from the same records.
+  // contract), so grouping is one streaming pass: flush whenever the key
+  // changes — the exact group sequence sort_and_group builds from the same
+  // records.
   KeyGroup group;
   bool open = false;
   const auto flush = [&] {

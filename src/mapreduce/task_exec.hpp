@@ -2,8 +2,8 @@
 // the multi-process remote runner (remote_runner.cpp).
 //
 // Both execution modes run phases through the same run_task_phase — fault
-// injection before each attempt, commit-once idempotence, capped-backoff
-// retries, optional speculative re-execution — and both execute the *work*
+// injection before each attempt, commit-once idempotence, retries,
+// optional speculative re-execution — and both execute the *work*
 // of a task through the same execute_map_task / execute_reduce_task
 // helpers (the in-process mode calls them on the job's thread pool, a
 // worker process calls them inside its serve loop). Sharing the code is
@@ -25,22 +25,14 @@
 
 namespace dasc::mapreduce::detail {
 
-/// What one finished task attempt hands back to the phase runner. Exactly
-/// one of the two closures runs, decided by the task's commit race:
-///   commit  — applies the attempt's side effects (output slot + counters).
-///             Only the attempt that wins the race runs it, so retried and
-///             speculative attempts are idempotent — a discarded attempt
-///             leaves no trace, like Hadoop discarding a failed attempt's
-///             output.
-///   abandon — optional (may be null): tears down state the attempt parked
-///             outside this process before losing — the multi-process
-///             runner queues a kTaskCancel for the loser's worker here so
-///             its retained map output is dropped and its spool files
-///             swept (DESIGN.md section 15). Must be cheap and non-
-///             throwing in spirit; exceptions are swallowed.
+/// What one finished task attempt hands back to the phase runner: `commit`
+/// applies the attempt's side effects (output slot + counters). Only the
+/// attempt that wins the task's commit race runs it, so retried and
+/// speculative attempts are idempotent — a discarded attempt leaves no
+/// trace in the job's result, like Hadoop discarding a failed attempt's
+/// output.
 struct TaskAttempt {
   std::function<void()> commit;
-  std::function<void()> abandon;
 };
 
 /// A task attempt body: does the work for `task` and returns its
@@ -52,16 +44,15 @@ using TaskBody = std::function<TaskAttempt(std::size_t task, bool backup)>;
 
 /// One phase of task attempts with Hadoop-style fault tolerance:
 ///   - fault injection at `fault_site` before each attempt (JobSpec.faults),
-///   - per-task retry up to conf.max_task_attempts, sleeping a capped
-///     exponential backoff between attempts (`retry.backoff` timer; the
-///     phase `retry_counter` counts retried attempts),
+///   - per-task retry up to conf.max_task_attempts, at once (the phase
+///     `retry_counter` counts retried attempts),
 ///   - commit-once idempotence via the TaskBody contract above,
 ///   - optional speculative re-execution: once at least half the tasks
 ///     have committed, any task slower than speculative_slowdown x the
 ///     median committed duration (and speculative_min_ms) gets one backup
 ///     attempt; first commit wins (`retry.speculative_launches` gauge; a
 ///     backup that wins also bumps the `worker.spec_commits_won` gauge)
-///     and the loser's abandon closure runs.
+///     and the loser's attempt is dropped.
 /// The committing attempt's duration lands in task_seconds (a backup that
 /// wins shortens the task, which is the point of speculation). The first
 /// permanent task failure is rethrown after every task settles.
@@ -106,18 +97,17 @@ using RunFetcher = std::function<std::string_view(std::size_t map_task)>;
 /// One reduce task's copy, sort-merge and reduce — the one path both
 /// execution modes run, so a partition's record sequence and groups cannot
 /// differ between them. Appends fetch_run(m) for every map task m in task
-/// order to a sort-on-seal SpoolBuffer built from `spool` (sort_on_seal is
-/// forced on; the spill budget only decides where sealed pages live) and
-/// seals it, recording the fetches, appends and seal as one
-/// `mapreduce.shuffle` sample in spool.metrics. It then streams groups off
-/// the merged order (a stable sort by key), so only one group is resident
-/// at a time whatever the budget, and frames the reducer's output straight
-/// into one run. Each call builds its own spool, so concurrent attempts of
+/// order to a SpoolBuffer built from `spool` (the spill budget only
+/// decides where its sorted pages live) and seals it, recording the
+/// fetches, appends and seal as one `mapreduce.shuffle` sample in
+/// spool.metrics. It then streams groups off the merged order (a stable
+/// sort by key), so only one group is resident at a time whatever the
+/// budget, and frames the reducer's output straight into one run. Each call builds its own spool, so concurrent attempts of
 /// one task share nothing but the map outputs they read.
 ReduceTaskResult execute_reduce_task(
     const std::function<std::unique_ptr<Reducer>()>& reducer_factory,
     std::size_t num_map_tasks, const RunFetcher& fetch_run,
-    SpoolConfig spool);
+    const SpoolConfig& spool);
 
 /// Fill in the simulated makespans, record the job's metrics, and log the
 /// completion line — the common tail of both execution modes. Expects

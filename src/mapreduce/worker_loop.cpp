@@ -1,8 +1,6 @@
 // The worker side of the multi-process runtime: the job registry exec'd
 // workers build their job from, the control-plane serve loop, and the
 // data plane that serves this worker's map outputs to pulling reducers.
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -20,7 +18,6 @@
 #include "common/log.hpp"
 #include "common/thread_pool.hpp"
 #include "ipc/transport.hpp"
-#include "ipc/worker_supervisor.hpp"
 #include "mapreduce/remote_protocol.hpp"
 
 namespace dasc::mapreduce {
@@ -75,7 +72,6 @@ namespace {
 using ipc::Message;
 using ipc::MessageType;
 using ipc::WireReader;
-using ipc::WireWriter;
 using remote::WorkerState;
 
 /// The canonical wordcount job, pre-registered so exec-mode workers and
@@ -264,24 +260,6 @@ class Heartbeat {
   std::thread thread_;
 };
 
-/// kTaskCancel: a retained attempt of ours lost the commit race (DESIGN.md
-/// section 15). Drop the losing map output so no reducer can pull a side
-/// effect the job discarded, and sweep our spool files so a cancelled
-/// reduce attempt leaks no disk. `reader` is positioned after the task id.
-Message cancel_task(WorkerState& state, std::uint64_t task,
-                    WireReader& reader) {
-  const std::uint64_t kind = reader.u64();  // 0 = map, 1 = reduce
-  const std::string spill_dir(reader.bytes());
-  const std::uint64_t dropped = kind == 0 ? state.drop(task) : 0;
-  const std::uint64_t swept = static_cast<std::uint64_t>(
-      ipc::sweep_spool_files(spill_dir, static_cast<long>(::getpid())));
-  WireWriter writer;
-  writer.u64(task);
-  writer.u64(dropped);
-  writer.u64(swept);
-  return {MessageType::kTaskCancelled, writer.take()};
-}
-
 }  // namespace
 
 void register_worker_job(const std::string& name,
@@ -356,16 +334,8 @@ void serve_worker_loop(ipc::Transport& transport, const WorkerJob& job,
       case MessageType::kReducePull:
         run_task(*message, "reduce_pull", [&](std::uint64_t, WireReader&) {
           return remote::run_reduce_pull(
-                     transport, job, options, state,
-                     remote::ReducePull::decode(*message))
-              .encode();
+              job, options, state, remote::ReducePull::decode(*message));
         });
-        break;
-      case MessageType::kTaskCancel:
-        run_task(*message, "task_cancel",
-                 [&](std::uint64_t task, WireReader& reader) {
-                   return cancel_task(state, task, reader);
-                 });
         break;
       default:
         DASC_LOG(kWarn) << "worker " << options.ordinal

@@ -26,17 +26,21 @@ namespace {
 
 using KvList = std::vector<std::pair<std::string, std::string>>;
 
-KvList drain(const SpoolBuffer& spool, bool sorted) {
+/// Every record of a finished spool, in its stable-sorted key order.
+KvList drain(const SpoolBuffer& spool) {
   KvList records;
-  const SpoolVisitor visit = [&](std::string_view key,
-                                 std::string_view value) {
+  spool.for_each_sorted([&](std::string_view key, std::string_view value) {
     records.emplace_back(std::string(key), std::string(value));
-  };
-  if (sorted) {
-    spool.for_each_sorted(visit);
-  } else {
-    spool.for_each(visit);
-  }
+  });
+  return records;
+}
+
+/// `records` stable-sorted by key: what drain must return.
+KvList stable_sorted(KvList records) {
+  std::stable_sort(records.begin(), records.end(),
+                   [](const auto& a, const auto& b) {
+                     return a.first < b.first;
+                   });
   return records;
 }
 
@@ -71,23 +75,27 @@ TEST(SpoolPager, SpillFileIsNeverVisibleByPath) {
 }
 
 TEST(SpoolBuffer, AppendOrderRoundTripAcrossPageBoundaries) {
+  // Keys "key0".."key199" sort in another order than they are appended
+  // ("key10" before "key2"), so every page is reordered and merged.
   SpoolConfig config;
   config.page_bytes = 64;  // tiny pages: records straddle many seals
-  KvList expected;
+  KvList appended;
   SpoolBuffer spool(config);
   for (int i = 0; i < 200; ++i) {
     const std::string key = "key" + std::to_string(i);
     const std::string value(static_cast<std::size_t>(i % 23), 'v');
     spool.append(key, value);
-    expected.emplace_back(key, value);
+    appended.emplace_back(key, value);
   }
   spool.finish();
   // Zero budget spilled every sealed page.
   EXPECT_GT(spool.pages_spilled(), 1u);
   EXPECT_EQ(spool.records(), 200u);
-  EXPECT_EQ(drain(spool, /*sorted=*/false), expected);
+  const KvList expected = stable_sorted(appended);
+  ASSERT_NE(expected, appended);
+  EXPECT_EQ(drain(spool), expected);
   // Re-reading gives the same answer (pages are immutable once sealed).
-  EXPECT_EQ(drain(spool, /*sorted=*/false), expected);
+  EXPECT_EQ(drain(spool), expected);
 }
 
 TEST(SpoolBuffer, BudgetKeepsResidentPagesInRam) {
@@ -95,19 +103,21 @@ TEST(SpoolBuffer, BudgetKeepsResidentPagesInRam) {
   config.page_bytes = 64;
   config.budget_bytes = 1 << 20;  // everything fits: nothing spills
   SpoolBuffer spool(config);
+  KvList appended;
   for (int i = 0; i < 100; ++i) {
     spool.append("k" + std::to_string(i), "value");
+    appended.emplace_back("k" + std::to_string(i), "value");
   }
   spool.finish();
   EXPECT_EQ(spool.pages_spilled(), 0u);
   EXPECT_TRUE(spool.file_path().empty());
   EXPECT_GT(spool.resident_bytes(), 0u);
+  EXPECT_EQ(drain(spool), stable_sorted(appended));
 }
 
 TEST(SpoolBuffer, SortedMergeMatchesGlobalStableSort) {
   SpoolConfig config;
   config.page_bytes = 96;  // many single-page runs
-  config.sort_on_seal = true;
   config.fan_in = 2;  // force multi-pass external merge
   SpoolBuffer spool(config);
   KvList expected;
@@ -120,13 +130,10 @@ TEST(SpoolBuffer, SortedMergeMatchesGlobalStableSort) {
     expected.emplace_back(key, value);
   }
   spool.finish();
-  std::stable_sort(expected.begin(), expected.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first < b.first;
-                   });
-  EXPECT_EQ(drain(spool, /*sorted=*/true), expected);
+  expected = stable_sorted(std::move(expected));
+  EXPECT_EQ(drain(spool), expected);
   // The sorted walk is const and repeatable.
-  EXPECT_EQ(drain(spool, /*sorted=*/true), expected);
+  EXPECT_EQ(drain(spool), expected);
 }
 
 TEST(SpoolBuffer, SortedMergeIdenticalAcrossBudgets) {
@@ -138,7 +145,6 @@ TEST(SpoolBuffer, SortedMergeIdenticalAcrossBudgets) {
     SpoolConfig config;
     config.page_bytes = 128;
     config.budget_bytes = budget;
-    config.sort_on_seal = true;
     SpoolBuffer spool(config);
     Rng rng(7);
     for (int i = 0; i < 300; ++i) {
@@ -146,7 +152,7 @@ TEST(SpoolBuffer, SortedMergeIdenticalAcrossBudgets) {
                    "payload" + std::to_string(i));
     }
     spool.finish();
-    const KvList got = drain(spool, /*sorted=*/true);
+    const KvList got = drain(spool);
     if (reference.empty()) {
       reference = got;
     } else {
@@ -157,35 +163,27 @@ TEST(SpoolBuffer, SortedMergeIdenticalAcrossBudgets) {
 
 TEST(SpoolBuffer, OversizedRecordsRoundTripInEveryMode) {
   // Every fifth record is larger than a 32-byte page and takes a page of
-  // its own: append-order and sorted, spilled and resident, through a
-  // multi-pass merge.
+  // its own: spilled and resident, through a multi-pass merge.
   KvList records;
   Rng rng(13);
   for (int i = 0; i < 40; ++i) {
     records.emplace_back("k" + std::to_string(rng() % 4),
                          std::string(i % 5 == 0 ? 100 + i : i % 7, 'a' + i));
   }
-  KvList sorted = records;
-  std::stable_sort(sorted.begin(), sorted.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first < b.first;
-                   });
-  for (const bool sort_on_seal : {false, true}) {
-    for (const std::size_t budget :
-         {std::size_t{0}, std::numeric_limits<std::size_t>::max()}) {
-      SCOPED_TRACE("budget=" + std::to_string(budget));
-      SpoolConfig config;
-      config.page_bytes = 32;
-      config.budget_bytes = budget;
-      config.sort_on_seal = sort_on_seal;
-      config.fan_in = 2;
-      SpoolBuffer spool(config);
-      for (const auto& [key, value] : records) spool.append(key, value);
-      spool.finish();
-      EXPECT_EQ(spool.records(), records.size());
-      EXPECT_EQ(spool.pages_spilled() > 0, budget == 0);
-      EXPECT_EQ(drain(spool, sort_on_seal), sort_on_seal ? sorted : records);
-    }
+  const KvList sorted = stable_sorted(records);
+  for (const std::size_t budget :
+       {std::size_t{0}, std::numeric_limits<std::size_t>::max()}) {
+    SCOPED_TRACE("budget=" + std::to_string(budget));
+    SpoolConfig config;
+    config.page_bytes = 32;
+    config.budget_bytes = budget;
+    config.fan_in = 2;
+    SpoolBuffer spool(config);
+    for (const auto& [key, value] : records) spool.append(key, value);
+    spool.finish();
+    EXPECT_EQ(spool.records(), records.size());
+    EXPECT_EQ(spool.pages_spilled() > 0, budget == 0);
+    EXPECT_EQ(drain(spool), sorted);
   }
 }
 
@@ -193,13 +191,11 @@ TEST(SpoolBuffer, MisuseIsTypedError) {
   SpoolConfig config;
   SpoolBuffer spool(config);
   spool.append("k", "v");
-  EXPECT_THROW(spool.for_each([](std::string_view, std::string_view) {}),
-               InvalidArgument);  // before finish
-  spool.finish();
-  EXPECT_THROW(spool.append("k2", "v2"), InvalidArgument);  // after finish
   EXPECT_THROW(
       spool.for_each_sorted([](std::string_view, std::string_view) {}),
-      InvalidArgument);  // sorted walk without sort_on_seal
+      InvalidArgument);  // before finish
+  spool.finish();
+  EXPECT_THROW(spool.append("k2", "v2"), InvalidArgument);  // after finish
 }
 
 /// `records[begin, end)` framed as one run.
@@ -230,7 +226,6 @@ TEST(SpoolBuffer, AppendRunMatchesPerRecordAppend) {
         SpoolConfig config;
         config.page_bytes = page_bytes;
         config.budget_bytes = budget;
-        config.sort_on_seal = true;
         config.fan_in = 2;
         config.metrics = &registry;
         auto spool = std::make_unique<SpoolBuffer>(config);
@@ -246,7 +241,7 @@ TEST(SpoolBuffer, AppendRunMatchesPerRecordAppend) {
       };
       MetricsRegistry reference_registry;
       const auto reference = build(reference_registry, records.size() + 1);
-      const KvList reference_stream = drain(*reference, /*sorted=*/true);
+      const KvList reference_stream = drain(*reference);
       for (std::size_t split = 0; split <= records.size(); ++split) {
         SCOPED_TRACE("page_bytes=" + std::to_string(page_bytes) +
                      " budget=" + std::to_string(budget) +
@@ -256,7 +251,7 @@ TEST(SpoolBuffer, AppendRunMatchesPerRecordAppend) {
         EXPECT_EQ(spool->records(), reference->records());
         EXPECT_EQ(spool->record_bytes(), reference->record_bytes());
         EXPECT_EQ(spool->pages_spilled(), reference->pages_spilled());
-        EXPECT_EQ(drain(*spool, /*sorted=*/true), reference_stream);
+        EXPECT_EQ(drain(*spool), reference_stream);
         for (const char* gauge :
              {"spill.pages", "spill.bytes_written", "spill.bytes_read"}) {
           EXPECT_EQ(registry.gauge_value(gauge),
@@ -280,7 +275,6 @@ TEST(SpoolBuffer, MalformedRunIsTypedError) {
         key_past_end, value_past_end,
         valid + std::string(3, '\0')}) {  // trailing partial header
     SpoolConfig config;
-    config.sort_on_seal = true;
     SpoolBuffer spool(config);
     EXPECT_THROW(spool.append_run(bad), IoError);
     EXPECT_THROW(count_record_frames(bad), IoError);
@@ -289,8 +283,7 @@ TEST(SpoolBuffer, MalformedRunIsTypedError) {
     EXPECT_EQ(spool.record_bytes(), 0u);
     spool.append_run(valid);
     spool.finish();
-    EXPECT_EQ(drain(spool, /*sorted=*/true),
-              (KvList{{"k2", ""}, {"key", "value"}}));
+    EXPECT_EQ(drain(spool), (KvList{{"k2", ""}, {"key", "value"}}));
   }
 }
 
@@ -313,13 +306,13 @@ TEST(SpoolFaults, InjectedPageIoRetriesAndCounts) {
   config.faults = &injector;
   config.metrics = &registry;
   SpoolBuffer spool(config);
-  KvList expected;
+  KvList appended;
   for (int i = 0; i < 120; ++i) {
     spool.append("k" + std::to_string(i), "v");
-    expected.emplace_back("k" + std::to_string(i), "v");
+    appended.emplace_back("k" + std::to_string(i), "v");
   }
   spool.finish();
-  EXPECT_EQ(drain(spool, /*sorted=*/false), expected);
+  EXPECT_EQ(drain(spool), stable_sorted(appended));
   const auto fired = static_cast<std::int64_t>(injector.fired("spill.page_io"));
   EXPECT_GT(fired, 0);
   // Every injected fault failed exactly one attempt, and every failed
@@ -363,7 +356,7 @@ TEST(SpoolFaults, OnDiskTamperingIsCaughtByCrc) {
   ASSERT_EQ(::pread(fd, &byte, 1, 20), 1);
   byte = static_cast<char>(byte ^ 0x7F);
   ASSERT_EQ(::pwrite(fd, &byte, 1, 20), 1);
-  EXPECT_THROW(drain(spool, /*sorted=*/false), IoError);
+  EXPECT_THROW(drain(spool), IoError);
 }
 
 }  // namespace

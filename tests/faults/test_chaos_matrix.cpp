@@ -58,8 +58,8 @@ struct ChaosCase {
   std::size_t num_workers = 0;
   /// The plan kills a worker whose map outputs a reducer then pulls, so
   /// the run must go through the reducers' dead-owner recovery (kPullFailed
-  /// -> inline map re-execution -> kPullResume): worker.map_reexecutions
-  /// >= 1.
+  /// -> map re-execution on the reducer's worker -> a fresh kReducePull):
+  /// worker.map_reexecutions >= 1.
   bool expect_reexecution = false;
 };
 
@@ -185,7 +185,7 @@ const ChaosCase kCases[] = {
      mapreduce::ExecutionMode::kMultiProcess, 2, true},
     // Reducers pull partitions straight from mapper workers, so
     // worker.kill can strand map outputs whose owner died — forcing the
-    // kPullFailed -> inline re-execution -> kPullResume recovery. Crossed
+    // kPullFailed -> re-execution -> re-pull recovery. Crossed
     // with spill budgets so the pulled spool itself runs resident (64Ki),
     // fully spilled (1), and unbudgeted (0).
     {"W2WShuffleErrorNthW2", Consumer::kMapReduce, "shuffle.fetch",

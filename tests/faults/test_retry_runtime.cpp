@@ -1,5 +1,5 @@
-// Recovery-path tests of the runtime under injected faults: task retry with
-// backoff, speculative re-execution, checksum-verified DFS reads and shuffle
+// Recovery-path tests of the runtime under injected faults: task retry,
+// speculative re-execution, checksum-verified DFS reads and shuffle
 // transfers, and per-bucket retry / graceful degradation in the pipeline.
 // The common shape: inject a bounded number of faults, assert the run
 // SUCCEEDS with output identical to the fault-free run, and assert the
@@ -125,16 +125,15 @@ TEST(JobRetry, DefaultConfFailsFast) {
   EXPECT_EQ(registry.counter_value("retry.map_attempts"), 0);
 }
 
-TEST(JobRetry, BackoffTimerRecordsOneSamplePerRetry) {
+TEST(JobRetry, CountsOneMapAttemptPerRetry) {
   MetricsRegistry registry;
   FaultInjector injector(FaultPlan::parse("map.task:nth=1:max=3"));
   JobSpec spec = word_count_spec();
   spec.conf.max_task_attempts = 5;
-  spec.conf.retry_backoff_base_ms = 0.0;  // count retries without sleeping
   spec.faults = &injector;
   spec.metrics = &registry;
   run_job(spec, word_count_input());
-  EXPECT_EQ(registry.timer_count("retry.backoff"), 3u);
+  EXPECT_EQ(registry.counter_value("retry.map_attempts"), 3);
 }
 
 TEST(JobRetry, ShuffleCorruptionIsDetectedAndRefetched) {
@@ -202,7 +201,6 @@ TEST(JobRetry, InProcessFetchChecksArePerReduceTask) {
   exhausting.conf.physical_threads = 1;
   exhausting.conf.max_fetch_attempts = 2;
   exhausting.conf.max_task_attempts = 2;
-  exhausting.conf.retry_backoff_base_ms = 0.0;
   exhausting.faults = &injector;
   exhausting.metrics = &registry;
   const JobResult recovered = run_job(exhausting, input);

@@ -342,7 +342,6 @@ TEST(SweepSpoolFiles, LiveSpoolSurvivesSweepingAnotherPid) {
   config.dir = dir.string();
   config.budget_bytes = 0;
   config.page_bytes = 64;
-  config.sort_on_seal = true;
   SpoolBuffer spool(config);
   for (int i = 0; i < 100; ++i) {
     spool.append("key" + std::to_string(i % 7), "value" + std::to_string(i));
