@@ -11,6 +11,7 @@
 // or supervisor death. See DESIGN.md sections 13 (control protocol) and
 // 14 (worker-to-worker shuffle data plane).
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <optional>
@@ -52,11 +53,15 @@ int main(int argc, char** argv) {
     options.heartbeat_ms = static_cast<std::size_t>(reader.u64());
     const bool use_combiner = reader.u32() != 0;
     const std::string job_name(reader.bytes());
-    // The data-plane address this worker binds for reducers' pulls and the
-    // fault plan it evaluates for worker-side sites ("" = no faults).
-    // Exec'd workers own their injector — fires are reported back in
-    // kReducePullDone, so no metrics here.
-    options.data_socket_path = std::string(reader.bytes());
+    // Every slot's data-plane address (this worker binds its own entry
+    // and dials owners at theirs) and the fault plan it evaluates for
+    // worker-side sites ("" = no faults). Exec'd workers own their
+    // injector — fires are reported back in kReducePullDone, so no metrics
+    // here.
+    const std::uint64_t slots = reader.u64();
+    for (std::uint64_t slot = 0; slot < slots; ++slot) {
+      options.data_socket_paths.emplace_back(reader.bytes());
+    }
     const std::string fault_plan_text(reader.bytes());
     std::optional<FaultInjector> faults;
     if (!fault_plan_text.empty()) {

@@ -30,8 +30,10 @@ ctest --preset asan --tests-regex 'SimdDifferential' --repeat until-fail:3
 # as untrusted framing (truncated, overrunning and miscounted runs), the
 # job output parts walked as framed runs, the listener wake, worker
 # shutdown with its SIGKILL escalation, and in-process reduce tasks, each
-# spooling its partition's runs out of the shared map outputs.
+# spooling its partition's runs out of the shared map outputs. So must map
+# tasks reading views into split runs, a split cut mid-frame, a kMapAssign
+# tail cut mid-frame, and the owner-slot kReducePull codec.
 ctest --preset asan --tests-regex \
-  '^(TransportFuzz|WireFuzz|Transport|Listener|WorkerShutdown|JobOutput|PullReport|ConnPool|SpoolBuffer|SpilledShuffle|ShuffleRetry|InProcessShuffle|Checksum)\.|^JobRetry\.(SpeculativeBackupReStreams|InProcessFetchChecksArePerReduceTask)|^MultiprocW2W\.(OwnerServesEachPartitionOfItsOutputInOutputOrder|DamagedFetchDataFrameRestartsTheOwnerStream|PullFailedNamesTheUnreachableOwner|WorkerKillMidReduceReexecutesLostMapOutputs)' \
+  '^(TransportFuzz|WireFuzz|Transport|Listener|WorkerShutdown|JobOutput|PullReport|ConnPool|SpoolBuffer|SpilledShuffle|ShuffleRetry|InProcessShuffle|Checksum)\.|^JobRetry\.(SpeculativeBackupReStreams|InProcessFetchChecksArePerReduceTask)|^Job\.DfsSplitsKeyEachLineByItsGlobalLineNumber|^JobSplits\.|^MultiprocW2W\.(MapAssignCutMidFrameFailsTheTaskNotTheWorker|ReducePullCarriesOwnerSlotsNotPaths|OwnerServesEachPartitionOfItsOutputInOutputOrder|DamagedFetchDataFrameRestartsTheOwnerStream|PullFailedNamesTheUnreachableOwner|WorkerKillMidReduceReexecutesLostMapOutputs)' \
   --repeat until-fail:3
 

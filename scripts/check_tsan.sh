@@ -40,7 +40,10 @@ ctest --preset tsan "$@"
 # parts that reduce commits install from the phase pool's threads, and the
 # kReducePullDone decode of a reducer's output run. So must in-process
 # reduce attempts, which read the shared map outputs, spill their own
-# spools and count fetch retries on the task pool's threads at once.
+# spools and count fetch retries on the task pool's threads at once. So
+# must map tasks, which read views into the shared split runs from the
+# task pool's threads (framed by the driver or the Record adapter, or cut
+# from DFS blocks), and a worker mapping a kMapAssign tail in place.
 ctest --preset tsan --tests-regex \
-  '^(TransportFuzz|WireFuzz|Transport|Listener|WorkerShutdown|JobOutput|PullReport|ConnPool|SpoolBuffer|SpilledShuffle|InProcessShuffle|ParallelFor|BalanceBuckets|Checksum)\.|^JobRetry\.(SpeculativeBackupReStreams|InProcessFetchChecksArePerReduceTask)|^MapReduceDascGolden\.MemberOrderIgnoresSplitsReducersAndMode|^MultiprocW2W\.(OwnerServesEachPartitionOfItsOutputInOutputOrder|DamagedFetchDataFrameRestartsTheOwnerStream|PullFailedNamesTheUnreachableOwner|WorkerKillMidReduceReexecutesLostMapOutputs)' \
+  '^(TransportFuzz|WireFuzz|Transport|Listener|WorkerShutdown|JobOutput|PullReport|ConnPool|SpoolBuffer|SpilledShuffle|InProcessShuffle|ParallelFor|BalanceBuckets|Checksum)\.|^JobRetry\.(SpeculativeBackupReStreams|InProcessFetchChecksArePerReduceTask)|^MapReduceDascGolden\.MemberOrderIgnoresSplitsReducersAndMode|^Job\.DfsSplitsKeyEachLineByItsGlobalLineNumber|^JobSplits\.|^MultiprocW2W\.(MapAssignCutMidFrameFailsTheTaskNotTheWorker|ReducePullCarriesOwnerSlotsNotPaths|OwnerServesEachPartitionOfItsOutputInOutputOrder|DamagedFetchDataFrameRestartsTheOwnerStream|PullFailedNamesTheUnreachableOwner|WorkerKillMidReduceReexecutesLostMapOutputs)' \
   --repeat until-fail:3

@@ -9,6 +9,7 @@
 #include <unordered_map>
 
 #include "common/error.hpp"
+#include "common/spool.hpp"
 #include "common/stopwatch.hpp"
 #include "common/thread_pool.hpp"
 #include "core/bucket_embedder.hpp"
@@ -80,12 +81,20 @@ std::uint64_t parse_u64(std::string_view text, const std::string& what) {
   return value;
 }
 
+/// Write point `index`'s member value into `value`, resizing it to
+/// 8 + 8 * dim bytes (a buffer reused across points allocates once).
+void store_member(std::string& value, std::size_t index,
+                  std::span<const double> point) {
+  value.resize(kWord * (1 + point.size()));
+  store_u64(value.data(), index);
+  store_point(value.data() + kWord, point);
+}
+
 }  // namespace
 
 std::string encode_member(std::size_t index, std::span<const double> point) {
-  std::string value(kWord * (1 + point.size()), '\0');
-  store_u64(value.data(), index);
-  store_point(value.data() + kWord, point);
+  std::string value;
+  store_member(value, index, point);
   return value;
 }
 
@@ -311,6 +320,37 @@ mapreduce::JobConf with_spill(mapreduce::JobConf conf,
   return conf;
 }
 
+/// A job's input splits of members: record i is ("", member of point
+/// index_at(i)) for i in [0, count), and split s holds records
+/// [split_records * s, split_records * (s + 1)) — the splits run_job would
+/// cut from the same records. Each split is framed straight from `points`,
+/// in parallel over the splits.
+template <typename IndexAt>
+std::vector<mapreduce::RecordRun> member_splits(const data::PointSet& points,
+                                                std::size_t count,
+                                                std::size_t split_records,
+                                                std::size_t threads,
+                                                const IndexAt& index_at) {
+  DASC_EXPECT(split_records >= 1, "JobConf: split_records must be >= 1");
+  std::vector<mapreduce::RecordRun> splits(
+      (count + split_records - 1) / split_records);
+  const std::size_t frame_bytes = 2 * 4 + kWord * (1 + points.dim());
+  parallel_for(0, splits.size(), threads, [&](std::size_t s) {
+    const std::size_t begin = s * split_records;
+    const std::size_t end = std::min(count, begin + split_records);
+    mapreduce::RecordRun& split = splits[s];
+    split.records = end - begin;
+    split.run.reserve(split.records * frame_bytes);
+    std::string member;
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::size_t index = index_at(i);
+      store_member(member, index, points.point(index));
+      append_record_frame(split.run, "", member);
+    }
+  });
+  return splits;
+}
+
 /// Stage 1 with `Mapper` (SignatureMapper over member values, or
 /// TextSignatureMapper over DFS text lines).
 template <typename Mapper>
@@ -344,13 +384,11 @@ MapReduceDascResult dasc_cluster_mapreduce(const data::PointSet& points,
   const DriverSetup setup = driver_setup(points, params, rng, result);
 
   // ---- Stage 1: LSH signatures (Algorithm 1). ----
-  std::vector<mapreduce::Record> input(n);
-  parallel_for(0, n, params.dasc.threads, [&](std::size_t i) {
-    input[i].value = encode_member(i, points.point(i));
-  });
-  result.lsh_job = mapreduce::run_job(
+  // Record i is point i's member.
+  result.lsh_job = mapreduce::run_job_splits(
       make_stage1_spec<SignatureMapper>(params, setup.hasher),
-      std::move(input));
+      member_splits(points, n, params.conf.split_records,
+                    params.dasc.threads, [](std::size_t i) { return i; }));
 
   finish_pipeline(points, params, setup, result);
   result.real_seconds = total_clock.seconds();
@@ -440,23 +478,26 @@ void finish_pipeline(const data::PointSet& points,
 
   // ---- Stage 2: per-bucket similarity + spectral clustering. ----
   // Its input is one member per stage-1 record, in stage 1's output order:
-  // each (signature, index) record becomes ("", index + point). The parts
-  // are built in parallel, each from its own offset; then stage 1's output
-  // is released, before stage 2 runs.
+  // each (signature, index) record becomes ("", index + point). The point
+  // indices are gathered in parallel, each part from its own offset; stage
+  // 1's output is released, and the splits are framed before stage 2 runs.
   std::vector<std::size_t> part_begin(stage1.num_parts() + 1, 0);
   for (std::size_t p = 0; p < stage1.num_parts(); ++p) {
     part_begin[p + 1] = part_begin[p] + stage1.part_size(p);
   }
-  std::vector<mapreduce::Record> members(n);
+  std::vector<std::uint64_t> order(n);
   parallel_for(0, stage1.num_parts(), params.dasc.threads, [&](std::size_t p) {
     std::size_t next = part_begin[p];
-    const auto add_member = [&](std::string_view, std::string_view value) {
-      const std::uint64_t index = load_u64(value.data());
-      members[next++].value = encode_member(index, points.point(index));
-    };
-    for_each_record_frame(stage1.part(p), add_member);
+    for_each_record_frame(stage1.part(p),
+                          [&](std::string_view, std::string_view value) {
+                            order[next++] = load_u64(value.data());
+                          });
   });
   result.lsh_job.output = mapreduce::JobOutput();
+  std::vector<mapreduce::RecordRun> members =
+      member_splits(points, n, params.conf.split_records, params.dasc.threads,
+                    [&order](std::size_t i) { return order[i]; });
+  std::vector<std::uint64_t>().swap(order);
   mapreduce::JobSpec cluster_spec;
   cluster_spec.conf = with_spill(params.conf, params.dasc);
   cluster_spec.conf.job_name = "dasc-cluster";
@@ -472,7 +513,8 @@ void finish_pipeline(const data::PointSet& points,
   };
   cluster_spec.metrics = params.dasc.metrics;
   cluster_spec.faults = params.dasc.faults;
-  result.cluster_job = mapreduce::run_job(cluster_spec, std::move(members));
+  result.cluster_job =
+      mapreduce::run_job_splits(cluster_spec, std::move(members));
 
   // ---- Densify (bucket ordinal, local label) pairs into labels. ----
   result.labels.assign(n, 0);

@@ -38,7 +38,8 @@ namespace dasc::ipc {
 enum class MessageType : std::uint32_t {
   kHello = 1,      ///< worker -> supervisor: u64 pid (handshake)
   kJobSetup,       ///< supervisor -> exec worker: registered-job setup
-  kMapAssign,      ///< supervisor -> worker: task, partitions, records
+  kMapAssign,      ///< supervisor -> worker: task, partitions, the
+                   ///< split's framed run as the payload's tail
   kMapDone,        ///< worker -> supervisor: map task counters
   kFetchData,      ///< owner -> reducer: one listed map task's run of the
                    ///< partition {u64 map_task, run bytes}; the frame CRC
@@ -51,7 +52,7 @@ enum class MessageType : std::uint32_t {
                    ///< list of map outputs {partition, num_partitions,
                    ///< count, map_task...}; one reply per task, in order
   kReducePull,     ///< supervisor -> reducer: pull-based reduce assignment
-                   ///< (partition map of owner slots + data-plane paths)
+                   ///< (partition map of owner slots)
   kReducePullDone, ///< reducer -> supervisor: reduce output + spill/fault
                    ///< accounting report
   kPullFailed,     ///< reducer -> supervisor: the kReducePull's reply when
@@ -127,6 +128,8 @@ class WireReader {
 
   bool done() const { return offset_ == payload_.size(); }
   std::size_t remaining() const { return payload_.size() - offset_; }
+  /// The unread tail of the payload; the view aliases the payload.
+  std::string_view rest() const { return payload_.substr(offset_); }
 
  private:
   void need(std::size_t n) const;

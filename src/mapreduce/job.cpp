@@ -26,7 +26,7 @@ void JobOutput::set_part(std::size_t task, std::string run,
 
 std::size_t JobOutput::size() const {
   std::size_t total = 0;
-  for (const Part& part : parts_) total += part.records;
+  for (const RecordRun& part : parts_) total += part.records;
   return total;
 }
 
@@ -45,18 +45,10 @@ using detail::execute_map_task;
 using detail::execute_reduce_task;
 using detail::run_task_phase;
 
-/// In-process execution: tasks run on a host thread pool; splits are one
-/// vector of records per map task.
-JobResult execute(const JobSpec& spec,
-                  std::vector<std::vector<Record>> splits) {
-  spec.conf.validate();
-  DASC_EXPECT(spec.mapper_factory != nullptr, "run_job: missing mapper");
-  DASC_EXPECT(spec.reducer_factory != nullptr, "run_job: missing reducer");
-
-  if (spec.conf.execution_mode == ExecutionMode::kMultiProcess) {
-    return run_job_multiproc(spec, std::move(splits));
-  }
-
+/// In-process execution: tasks run on a host thread pool, each mapping its
+/// split's run in place.
+JobResult execute_in_process(const JobSpec& spec,
+                             std::vector<RecordRun> splits) {
   Stopwatch total_clock;
   JobResult result;
   result.num_map_tasks = splits.size();
@@ -90,7 +82,7 @@ JobResult execute(const JobSpec& spec,
       [&](std::size_t task, bool /*backup*/) -> detail::TaskAttempt {
         detail::MapTaskResult mapped = execute_map_task(
             spec.mapper_factory, spec.combiner_factory, use_combiner,
-            splits[task], spec.conf.num_reducers);
+            splits[task].run, spec.conf.num_reducers);
 
         // The commit closure runs only for the attempt that wins the task,
         // so a retried or speculative attempt never double-counts (Hadoop
@@ -99,7 +91,7 @@ JobResult execute(const JobSpec& spec,
         return {[&, task, emitted = mapped.emitted,
                  combined_count = mapped.combined,
                  output = std::move(mapped.output)]() mutable {
-                  map_in.fetch_add(splits[task].size(),
+                  map_in.fetch_add(splits[task].records,
                                    std::memory_order_relaxed);
                   map_out.fetch_add(emitted, std::memory_order_relaxed);
                   if (use_combiner) {
@@ -112,7 +104,7 @@ JobResult execute(const JobSpec& spec,
       });
 
   // Every map attempt has finished, so no split is read again.
-  std::vector<std::vector<Record>>().swap(splits);
+  std::vector<RecordRun>().swap(splits);
 
   result.counters.map_input_records = map_in.load();
   result.counters.map_output_records = map_out.load();
@@ -192,22 +184,37 @@ JobResult execute(const JobSpec& spec,
 
 }  // namespace
 
+JobResult run_job_splits(const JobSpec& spec, std::vector<RecordRun> splits) {
+  spec.conf.validate();
+  DASC_EXPECT(spec.mapper_factory != nullptr, "run_job: missing mapper");
+  DASC_EXPECT(spec.reducer_factory != nullptr, "run_job: missing reducer");
+  if (splits.empty()) splits.emplace_back();  // empty job still runs
+  if (spec.conf.execution_mode == ExecutionMode::kMultiProcess) {
+    return run_job_multiproc(spec, std::move(splits));
+  }
+  return execute_in_process(spec, std::move(splits));
+}
+
 JobResult run_job(const JobSpec& spec, std::vector<Record> input) {
   spec.conf.validate();
-  std::vector<std::vector<Record>> splits;
-  const auto at = [&input](std::size_t pos) {
-    return std::make_move_iterator(input.begin() +
-                                   static_cast<std::ptrdiff_t>(pos));
-  };
+  std::vector<RecordRun> splits;
   for (std::size_t start = 0; start < input.size();
        start += spec.conf.split_records) {
     const std::size_t end =
         std::min(input.size(), start + spec.conf.split_records);
-    splits.emplace_back(at(start), at(end));
+    RecordRun& split = splits.emplace_back();
+    split.records = end - start;
+    std::size_t bytes = 0;
+    for (std::size_t i = start; i < end; ++i) {
+      bytes += 8 + input[i].key.size() + input[i].value.size();
+    }
+    split.run.reserve(bytes);
+    for (std::size_t i = start; i < end; ++i) {
+      append_record_frame(split.run, input[i].key, input[i].value);
+    }
   }
-  if (splits.empty()) splits.emplace_back();  // empty job still runs
-  std::vector<Record>().swap(input);  // moved-from husks: free them now
-  return execute(spec, std::move(splits));
+  std::vector<Record>().swap(input);  // framed: free the records now
+  return run_job_splits(spec, std::move(splits));
 }
 
 JobResult run_job_dfs(const JobSpec& spec, Dfs& dfs,
@@ -216,23 +223,19 @@ JobResult run_job_dfs(const JobSpec& spec, Dfs& dfs,
   spec.conf.validate();
   const std::vector<BlockInfo> blocks = dfs.block_locations(input_path);
 
-  // One split per DFS block: the data-local layout a Hadoop job would use.
-  std::vector<std::vector<Record>> splits;
-  splits.reserve(blocks.size());
+  // One split per DFS block, (global line number, line) records: the
+  // data-local layout a Hadoop job would use.
+  std::vector<RecordRun> splits(blocks.size());
   std::size_t line_offset = 0;
   for (std::size_t b = 0; b < blocks.size(); ++b) {
-    std::vector<Record> split;
     const std::vector<std::string> lines = dfs.read_block(input_path, b);
-    split.reserve(lines.size());
-    for (std::size_t i = 0; i < lines.size(); ++i) {
-      split.push_back({std::to_string(line_offset + i), lines[i]});
+    for (const std::string& line : lines) {
+      append_record_frame(splits[b].run, std::to_string(line_offset++), line);
     }
-    line_offset += lines.size();
-    splits.push_back(std::move(split));
+    splits[b].records = lines.size();
   }
-  if (splits.empty()) splits.emplace_back();
 
-  JobResult result = execute(spec, std::move(splits));
+  JobResult result = run_job_splits(spec, std::move(splits));
 
   // Persist reduce output as part files, Hadoop-style.
   std::vector<std::string> lines;

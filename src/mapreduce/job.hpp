@@ -77,7 +77,9 @@ class JobOutput {
   /// alias this output.
   template <typename Visit>
   void for_each(Visit&& visit) const {
-    for (const Part& part : parts_) for_each_record_frame(part.run, visit);
+    for (const RecordRun& part : parts_) {
+      for_each_record_frame(part.run, visit);
+    }
   }
 
   /// Every record copied out, in for_each order.
@@ -86,13 +88,7 @@ class JobOutput {
   friend bool operator==(const JobOutput&, const JobOutput&) = default;
 
  private:
-  struct Part {
-    std::string run;
-    std::size_t records = 0;
-
-    friend bool operator==(const Part&, const Part&) = default;
-  };
-  std::vector<Part> parts_;
+  std::vector<RecordRun> parts_;
 };
 
 struct JobResult {
@@ -121,9 +117,16 @@ struct JobResult {
   double real_seconds = 0.0;
 };
 
-/// Run a job over in-memory input records (split every conf.split_records).
-/// The records move into the splits, so a caller that passes an rvalue
-/// (such as the previous job's output) hands them over without a copy.
+/// Run a job over its input splits: one map task per split, in order, each
+/// mapping its run's records in run order. A split's `records` must be its
+/// run's frame count (it is the task's map_input_records). No splits runs
+/// one empty map task. Map tasks read their records straight out of the
+/// runs, which are freed once the map phase ends; a malformed frame fails
+/// the attempt that reads it.
+JobResult run_job_splits(const JobSpec& spec, std::vector<RecordRun> splits);
+
+/// Run a job over in-memory input records: frames them into a split every
+/// conf.split_records and calls run_job_splits.
 JobResult run_job(const JobSpec& spec, std::vector<Record> input);
 
 /// Run a job over a DFS file: one map task per block (data-local splits),

@@ -41,9 +41,8 @@ Message ReducePull::encode() const {
   writer.u64(spill_budget);
   writer.bytes(spill_dir);
   writer.u64(max_fetch_attempts);
-  for (const OwnerRef& owner : owners) {
-    writer.u64(static_cast<std::uint64_t>(owner.slot));
-    writer.bytes(owner.path);
+  for (const std::size_t owner : owners) {
+    writer.u64(static_cast<std::uint64_t>(owner));
   }
   return {MessageType::kReducePull, writer.take()};
 }
@@ -53,14 +52,13 @@ ReducePull ReducePull::decode(const Message& message) {
   ReducePull request;
   request.task = reader.u64();
   request.num_partitions = reader.u64();
-  // An owner is at least a u64 slot and a u32 path length.
-  request.owners.resize(read_count(reader, 12));
+  // An owner is a u64 slot.
+  request.owners.resize(read_count(reader, 8));
   request.spill_budget = reader.u64();
   request.spill_dir = std::string(reader.bytes());
   request.max_fetch_attempts = reader.u64();
-  for (OwnerRef& owner : request.owners) {
-    owner.slot = static_cast<std::size_t>(reader.u64());
-    owner.path = std::string(reader.bytes());
+  for (std::size_t& owner : request.owners) {
+    owner = static_cast<std::size_t>(reader.u64());
   }
   return request;
 }
@@ -202,12 +200,14 @@ class PullClient {
              WorkerState& state, const ReducePull& request)
       : job_(job), options_(options), state_(state), request_(request) {
     for (std::uint64_t m = 0; m < request_.owners.size(); ++m) {
-      const OwnerRef& owner = request_.owners[m];
+      const std::size_t owner = request_.owners[m];
       // An owner without a data-plane address (kNoOwner) surfaces as
       // unreachable in pull_once.
-      if (owner.slot == options_.ordinal || owner.path.empty()) continue;
-      OwnerStream& stream = owners_[owner.slot];
-      stream.path = owner.path;
+      if (owner == options_.ordinal) continue;
+      std::string path = data_socket_path(options_, owner);
+      if (path.empty()) continue;
+      OwnerStream& stream = owners_[owner];
+      stream.path = std::move(path);
       stream.tasks.push_back(m);
     }
   }
@@ -218,7 +218,7 @@ class PullClient {
     try {
       return reduce().encode();
     } catch (const OwnerUnreachable& unreachable) {
-      const std::size_t dead = request_.owners[unreachable.map_task].slot;
+      const std::size_t dead = request_.owners[unreachable.map_task];
       DASC_LOG(kWarn) << "worker " << options_.ordinal << ": map output "
                       << unreachable.map_task << " owner unreachable ("
                       << unreachable.reason << "); reporting it";
@@ -284,15 +284,16 @@ class PullClient {
   }
 
   Message pull_once(std::uint64_t map_task) {
-    const OwnerRef& owner = request_.owners[map_task];
-    if (owner.slot == options_.ordinal) {
+    const std::size_t owner = request_.owners[map_task];
+    if (owner == options_.ordinal) {
       return state_.fetch_reply(map_task, request_.task,
                                 request_.num_partitions);
     }
-    if (owner.path.empty()) {
+    const auto stream = owners_.find(owner);
+    if (stream == owners_.end()) {
       throw OwnerUnreachable{map_task, "owner has no data-plane address"};
     }
-    return read_reply(owners_.at(owner.slot), map_task);
+    return read_reply(stream->second, map_task);
   }
 
   /// Takes `map_task`'s reply off its owner's stream: the next unread one
@@ -326,7 +327,7 @@ class PullClient {
     owner.next = static_cast<std::size_t>(
         std::lower_bound(owner.tasks.begin(), owner.tasks.end(), map_task) -
         owner.tasks.begin());
-    const std::size_t slot = request_.owners[map_task].slot;
+    const std::size_t slot = request_.owners[map_task];
     owner.lease.emplace(state_.pool().lease(slot, owner.path));
     const FetchPart request{
         request_.task, request_.num_partitions,

@@ -24,18 +24,13 @@ namespace dasc::mapreduce::remote {
 /// No worker: a map task whose output has no owner.
 constexpr std::size_t kNoOwner = static_cast<std::size_t>(-1);
 
-inline void append_records(ipc::WireWriter& writer,
-                           const std::vector<Record>& records) {
-  for (const auto& record : records) writer.record(record.key, record.value);
-}
-
-inline std::vector<Record> read_records(ipc::WireReader& reader) {
-  std::vector<Record> records;
-  while (!reader.done()) {
-    const auto [key, value] = reader.record();
-    records.push_back({std::string(key), std::string(value)});
-  }
-  return records;
+/// Slot `slot`'s data-plane address in `options`' table: empty when the
+/// slot has none (kNoOwner included).
+inline std::string data_socket_path(const WorkerOptions& options,
+                                    std::size_t slot) {
+  return slot < options.data_socket_paths.size()
+             ? options.data_socket_paths[slot]
+             : std::string();
 }
 
 /// Reads a wire-decoded entry count and rejects one that the bytes left
@@ -66,13 +61,6 @@ inline ipc::Message task_error(std::uint64_t task, const std::string& what) {
   throw IoError("worker task failed: " + std::string(reader.bytes()));
 }
 
-/// Owner of one map task's output as a kReducePull partition map names
-/// it. An empty path means the owner has no data-plane address.
-struct OwnerRef {
-  std::size_t slot = kNoOwner;
-  std::string path;
-};
-
 /// kReducePull: one pull-based reduce assignment.
 struct ReducePull {
   std::uint64_t task = 0;
@@ -80,7 +68,10 @@ struct ReducePull {
   std::uint64_t spill_budget = 0;  ///< JobConf semantics: 0 = no spilling
   std::string spill_dir;
   std::uint64_t max_fetch_attempts = 1;
-  std::vector<OwnerRef> owners;  ///< indexed by map task
+  /// The owner slot of each map task's output (kNoOwner: none), indexed by
+  /// map task. The reducer dials a slot at the data-plane address its
+  /// WorkerOptions table gives it.
+  std::vector<std::size_t> owners;
 
   ipc::Message encode() const;
   static ReducePull decode(const ipc::Message& message);
@@ -180,9 +171,10 @@ class WorkerState {
 };
 
 /// Runs the kMapAssign whose payload `reader` holds (positioned after the
-/// task id: the partition count, then the split's records), retains the
-/// partitioned output in `state`, and returns the kMapDone reply. Throws
-/// when the map task fails. Defined in worker_loop.cpp.
+/// task id: the partition count, then the split's run, mapped in place),
+/// retains the partitioned output in `state`, and returns the kMapDone
+/// reply. Throws when the map task fails, malformed framing included.
+/// Defined in worker_loop.cpp.
 ipc::Message run_map_assign(const WorkerJob& job, WorkerState& state,
                             std::uint64_t task, ipc::WireReader& reader);
 

@@ -195,7 +195,7 @@ JobResult planned_result(const JobConf& conf, std::size_t num_map_tasks) {
 /// One job on worker processes, from launch to shutdown.
 class MultiprocRun {
  public:
-  MultiprocRun(const JobSpec& spec, std::vector<std::vector<Record>> splits)
+  MultiprocRun(const JobSpec& spec, std::vector<RecordRun> splits)
       : spec_(spec), conf_(spec_.conf), splits_(std::move(splits)),
         use_combiner_(conf_.enable_combiner &&
                       spec_.combiner_factory != nullptr),
@@ -280,7 +280,7 @@ class MultiprocRun {
       WorkerOptions options;
       options.ordinal = slot;
       options.heartbeat_ms = heartbeat_ms;
-      options.data_socket_path = data_paths[slot];
+      options.data_socket_paths = data_paths;
       options.faults = faults;
       serve_worker_loop(transport, job, options);
     };
@@ -296,7 +296,8 @@ class MultiprocRun {
       writer.u64(conf_.heartbeat_interval_ms);
       writer.u32(use_combiner_ ? 1 : 0);
       writer.bytes(conf_.job_name);
-      writer.bytes(data_paths_[slot]);
+      writer.u64(data_paths_.size());
+      for (const std::string& path : data_paths_) writer.bytes(path);
       writer.bytes(spec_.faults != nullptr ? spec_.faults->plan().to_string()
                                            : std::string());
       supervisor_.transport(slot).send({MessageType::kJobSetup, writer.take()});
@@ -327,7 +328,7 @@ class MultiprocRun {
     return {[this, task, slot, emitted, combined] {
               std::lock_guard lock(commit_mutex_);
               Counters& counters = result_.counters;
-              counters.map_input_records += splits_[task].size();
+              counters.map_input_records += splits_[task].records;
               counters.map_output_records += emitted;
               if (use_combiner_) {
                 counters.combine_input_records += emitted;
@@ -337,13 +338,15 @@ class MultiprocRun {
             }};
   }
 
-  /// kMapAssign: the task, the partition count, the split's records.
+  /// kMapAssign: the task, the partition count, then the split's run as
+  /// stored, which the worker maps in place.
   Message map_assign(std::size_t task) const {
     WireWriter writer;
     writer.u64(task);
     writer.u64(conf_.num_reducers);
-    remote::append_records(writer, splits_[task]);
-    return {MessageType::kMapAssign, writer.take()};
+    std::string payload = writer.take();
+    payload += splits_[task].run;
+    return {MessageType::kMapAssign, std::move(payload)};
   }
 
   /// Ships the partition map and lets the reducer pull and spool its own
@@ -380,10 +383,7 @@ class MultiprocRun {
     request.spill_dir = conf_.spill_dir;
     request.max_fetch_attempts = conf_.max_fetch_attempts;
     std::lock_guard lock(owner_mutex_);
-    for (const std::size_t owner : map_owner_) {
-      request.owners.push_back(
-          {owner, owner == kNoOwner ? std::string() : data_paths_[owner]});
-    }
+    request.owners = map_owner_;
     return request;
   }
 
@@ -408,7 +408,7 @@ class MultiprocRun {
     const std::size_t owner =
         remote::owner_to_retire(failed, map_owner_[map_task], reducer_slot);
     if (owner == kNoOwner) {
-      if (map_owner_[map_task] != request.owners[map_task].slot) return;
+      if (map_owner_[map_task] != request.owners[map_task]) return;
       throw IoError("ipc: worker " + std::to_string(reducer_slot) +
                     " cannot reach map output " + std::to_string(map_task) +
                     ", and no owner can be retired for it");
@@ -482,7 +482,7 @@ class MultiprocRun {
   Stopwatch clock_;
   const JobSpec spec_;
   const JobConf& conf_;
-  const std::vector<std::vector<Record>> splits_;
+  const std::vector<RecordRun> splits_;
   const bool use_combiner_;
   const std::vector<std::string> data_paths_;
   JobResult result_;
@@ -508,7 +508,7 @@ class MultiprocRun {
 }  // namespace
 
 JobResult run_job_multiproc(const JobSpec& spec,
-                            std::vector<std::vector<Record>> splits) {
+                            std::vector<RecordRun> splits) {
   return MultiprocRun(spec, std::move(splits)).run();
 }
 

@@ -19,8 +19,8 @@
 // workers — the supervisor relays no shuffle bytes. Every supervisor ->
 // worker conversation is one request and one reply, heartbeats aside:
 //
-//   map:     kMapAssign{task, P, records}     -> kMapDone{counters}
-//   reduce:  kReducePull{task, partition map} -> kReducePullDone{records,
+//   map:     kMapAssign{task, P, split run}   -> kMapDone{counters}
+//   reduce:  kReducePull{task, owner slots}   -> kReducePullDone{records,
 //                                                spill/fault accounting}
 //                                              | kPullFailed{reduce_task,
 //                                                map_task, owner}
@@ -30,8 +30,11 @@
 //            owner, restarted at the task a retry needs — DESIGN.md
 //            section 15)
 //
-// Map tasks write one framed run per partition; pulled runs append, as
-// bytes, to one SpoolBuffer per reduce task, so
+// A split crosses kMapAssign as its stored run, in the spool's framing, and
+// the worker maps it in place. Every worker learns each slot's data-plane
+// address at launch, so a partition map names owner slots only. Map tasks
+// write one framed run per partition; pulled runs append, as bytes, to
+// one SpoolBuffer per reduce task, so
 // JobConf::spill_budget_bytes bounds reducer residency. A reducer that
 // cannot reach a map-output owner answers kPullFailed; within the same
 // task attempt the supervisor retires that owner, re-executes its map
@@ -84,10 +87,13 @@ struct WorkerOptions {
   std::size_t ordinal = 0;
   /// kHeartbeat period while a task runs (0 = off).
   std::size_t heartbeat_ms = 0;
-  /// AF_UNIX path this worker binds its data-plane Listener on, so other
-  /// reducers can pull its map outputs. Empty = no data plane (a worker
-  /// driven directly over a socketpair); it can still pull its own.
-  std::string data_socket_path;
+  /// Every slot's data-plane address (AF_UNIX path), indexed by slot: the
+  /// worker binds its Listener on entry `ordinal`, so other reducers can
+  /// pull its map outputs, and dials a map output's owner slot at that
+  /// slot's entry. A slot without an entry, or with an empty one, has no
+  /// data plane (a worker driven directly over a socketpair can still pull
+  /// its own outputs).
+  std::vector<std::string> data_socket_paths;
   /// Worker-side fault injection (`shuffle.fetch` during pulls,
   /// `spill.page_io` in the reduce spool). May be null. Forked workers
   /// share the supervisor's injector copy-on-write (metrics detached);
@@ -121,6 +127,6 @@ WorkerJob make_registered_worker_job(const std::string& name);
 /// conf.execution_mode == kMultiProcess; call sequence, speculation, and
 /// determinism contract in the file comment.
 JobResult run_job_multiproc(const JobSpec& spec,
-                            std::vector<std::vector<Record>> splits);
+                            std::vector<RecordRun> splits);
 
 }  // namespace dasc::mapreduce

@@ -206,18 +206,26 @@ void run_task_phase(const JobSpec& spec, std::size_t num_tasks,
 MapTaskResult execute_map_task(
     const std::function<std::unique_ptr<Mapper>()>& mapper_factory,
     const std::function<std::unique_ptr<Reducer>()>& combiner_factory,
-    bool use_combiner, const std::vector<Record>& input,
-    std::size_t num_partitions) {
+    bool use_combiner, std::string_view input, std::size_t num_partitions) {
   const std::unique_ptr<Mapper> mapper = mapper_factory();
   RunEmitter runs(num_partitions);
   MapTaskResult result;
+  // Mapper::map takes std::string, so each record is copied into two
+  // reused buffers: no allocation per record once they have grown.
+  std::string key;
+  std::string value;
+  const auto map_input = [&](Emitter& out) {
+    for_each_record_frame(input, [&](std::string_view k, std::string_view v) {
+      key.assign(k);
+      value.assign(v);
+      mapper->map(key, value, out);
+    });
+  };
   if (use_combiner) {
     // Combine within the task: sort/group local output and fold it before
     // it hits the shuffle.
     VectorEmitter emitter;
-    for (const auto& record : input) {
-      mapper->map(record.key, record.value, emitter);
-    }
+    map_input(emitter);
     result.emitted = emitter.records().size();
     const std::unique_ptr<Reducer> combiner = combiner_factory();
     for (auto& group : sort_and_group(std::move(emitter.records()))) {
@@ -225,9 +233,7 @@ MapTaskResult execute_map_task(
     }
     result.combined = runs.records();
   } else {
-    for (const auto& record : input) {
-      mapper->map(record.key, record.value, runs);
-    }
+    map_input(runs);
     result.emitted = runs.records();
   }
   result.output = runs.take();

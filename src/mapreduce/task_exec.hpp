@@ -68,14 +68,15 @@ struct MapTaskResult {
   std::uint64_t combined = 0;  ///< combiner output records (0 if unused)
 };
 
-/// Run one map task: map every input record, then (when `use_combiner`)
-/// sort/group the local output and fold it through the combiner. Output
-/// records are framed straight into their runs of `num_partitions`.
+/// Run one map task: map every record of `input`, a run in the spool's
+/// framing, in one pass, then (when `use_combiner`) sort/group the local
+/// output and fold it through the combiner. Output records are framed
+/// straight into their runs of `num_partitions`. A malformed frame throws
+/// IoError, and the attempt's partial output is dropped with it.
 MapTaskResult execute_map_task(
     const std::function<std::unique_ptr<Mapper>()>& mapper_factory,
     const std::function<std::unique_ptr<Reducer>()>& combiner_factory,
-    bool use_combiner, const std::vector<Record>& input,
-    std::size_t num_partitions);
+    bool use_combiner, std::string_view input, std::size_t num_partitions);
 
 struct ReduceTaskResult {
   /// The reducer's output records in the spool's framing, in emit order:
@@ -102,8 +103,9 @@ using RunFetcher = std::function<std::string_view(std::size_t map_task)>;
 /// fetches, appends and seal as one `mapreduce.shuffle` sample in
 /// spool.metrics. It then streams groups off the merged order (a stable
 /// sort by key), so only one group is resident at a time whatever the
-/// budget, and frames the reducer's output straight into one run. Each call builds its own spool, so concurrent attempts of
-/// one task share nothing but the map outputs they read.
+/// budget, and frames the reducer's output straight into one run. Each
+/// call builds its own spool, so concurrent attempts of one task share
+/// nothing but the map outputs they read.
 ReduceTaskResult execute_reduce_task(
     const std::function<std::unique_ptr<Reducer>()>& reducer_factory,
     std::size_t num_map_tasks, const RunFetcher& fetch_run,

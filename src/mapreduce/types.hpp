@@ -7,6 +7,7 @@
 // (virtual_cluster.hpp) accounts slots and simulated time — see DESIGN.md.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -21,6 +22,17 @@ struct Record {
   std::string value;
 
   friend bool operator==(const Record&, const Record&) = default;
+};
+
+/// A run of records in the spool's framing (common/spool.hpp
+/// append_record_frame: u32 key length, u32 value length, key bytes, value
+/// bytes) and the number of records it holds. A map task's input split is
+/// one; so is a reduce task's part of a job's output.
+struct RecordRun {
+  std::string run;
+  std::size_t records = 0;
+
+  friend bool operator==(const RecordRun&, const RecordRun&) = default;
 };
 
 /// Collects records emitted by a mapper, combiner, or reducer.
@@ -74,6 +86,8 @@ struct Counters {
   /// Task attempts that threw and were retried (Hadoop's "failed task
   /// attempts" counter).
   std::uint64_t failed_task_attempts = 0;
+
+  friend bool operator==(const Counters&, const Counters&) = default;
 };
 
 }  // namespace dasc::mapreduce

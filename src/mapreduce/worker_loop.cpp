@@ -52,10 +52,9 @@ ipc::Message WorkerState::fetch_reply(std::uint64_t map_task,
 ipc::Message run_map_assign(const WorkerJob& job, WorkerState& state,
                             std::uint64_t task, ipc::WireReader& reader) {
   const std::uint64_t num_partitions = reader.u64();
-  const std::vector<Record> input = read_records(reader);
   detail::MapTaskResult mapped = detail::execute_map_task(
       job.mapper_factory, job.combiner_factory,
-      job.use_combiner && job.combiner_factory != nullptr, input,
+      job.use_combiner && job.combiner_factory != nullptr, reader.rest(),
       static_cast<std::size_t>(num_partitions));
   ipc::WireWriter writer;
   writer.u64(task);
@@ -150,8 +149,10 @@ class DataPlane {
  public:
   DataPlane(const WorkerOptions& options, WorkerState& state)
       : options_(options), state_(state) {
-    if (options.data_socket_path.empty()) return;
-    listener_ = std::make_unique<ipc::Listener>(options.data_socket_path);
+    const std::string path =
+        remote::data_socket_path(options, options.ordinal);
+    if (path.empty()) return;
+    listener_ = std::make_unique<ipc::Listener>(path);
     acceptor_ = std::thread([this] { accept_loop(); });
   }
   DataPlane(const DataPlane&) = delete;

@@ -12,7 +12,9 @@
 #include <map>
 #include <memory>
 #include <sstream>
+#include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/metrics.hpp"
@@ -321,6 +323,168 @@ TEST(Job, DfsJobReadsBlocksAndWritesParts) {
   const auto part_lines = dfs.read_file(parts[0]);
   EXPECT_EQ(part_lines.size(), result.output.size());
   EXPECT_NE(part_lines[0].find('\t'), std::string::npos);
+}
+
+/// Emits (word, input key) for every word of the value: which input
+/// records, keyed how, reached which map task shows in the output.
+class WordLinesMapper final : public Mapper {
+ public:
+  void map(const std::string& key, const std::string& value,
+           Emitter& out) override {
+    std::istringstream stream(value);
+    std::string word;
+    while (stream >> word) out.emit(word, key);
+  }
+};
+
+/// Joins a group's values, in shuffle order, with commas.
+class JoinReducer final : public Reducer {
+ public:
+  void reduce(const std::string& key, const std::vector<std::string>& values,
+              Emitter& out) override {
+    std::string joined;
+    for (const std::string& value : values) {
+      if (!joined.empty()) joined += ',';
+      joined += value;
+    }
+    out.emit(key, joined);
+  }
+};
+
+TEST(Job, DfsSplitsKeyEachLineByItsGlobalLineNumber) {
+  // One map task per block, mapping (global line number, line) records in
+  // line order: each word's joined keys are its line numbers in ascending
+  // order, in either execution mode, and the part file holds the output's
+  // records as key<TAB>value lines.
+  DfsConfig dfs_config;
+  dfs_config.block_size_bytes = 64;
+  Dfs dfs(dfs_config);
+  std::vector<std::string> lines;
+  std::map<std::string, std::string> expected;
+  for (int i = 0; i < 40; ++i) {
+    const std::string word = std::string("w") + std::to_string(i % 3);
+    lines.push_back(word + " common");
+    for (const std::string& key : {word, std::string("common")}) {
+      if (!expected[key].empty()) expected[key] += ',';
+      expected[key] += std::to_string(i);
+    }
+  }
+  dfs.write_file("/input/lines", lines);
+  const std::size_t blocks = dfs.block_locations("/input/lines").size();
+  ASSERT_GT(blocks, 4u);
+
+  JobSpec spec;
+  spec.conf.num_reducers = 3;
+  spec.mapper_factory = [] { return std::make_unique<WordLinesMapper>(); };
+  spec.reducer_factory = [] { return std::make_unique<JoinReducer>(); };
+  const JobResult result =
+      run_job_dfs(spec, dfs, "/input/lines", "/output/in-process");
+  EXPECT_EQ(result.num_map_tasks, blocks);
+  EXPECT_EQ(result.counters.map_input_records, 40u);
+  std::map<std::string, std::string> joined;
+  std::vector<std::string> part_lines;
+  result.output.for_each([&](std::string_view key, std::string_view value) {
+    joined[std::string(key)] = std::string(value);
+    part_lines.push_back(std::string(key) + "\t" + std::string(value));
+  });
+  EXPECT_EQ(joined, expected);
+  EXPECT_EQ(dfs.read_file("/output/in-process/part-r-00000"), part_lines);
+
+  JobSpec multi = spec;
+  multi.conf.execution_mode = ExecutionMode::kMultiProcess;
+  multi.conf.num_workers = 2;
+  const JobResult remote =
+      run_job_dfs(multi, dfs, "/input/lines", "/output/multi-process");
+  EXPECT_EQ(remote.output, result.output);
+  EXPECT_EQ(remote.counters, result.counters);
+  EXPECT_EQ(dfs.read_file("/output/multi-process/part-r-00000"), part_lines);
+}
+
+/// `input` cut into splits of `split_records`, framed by hand, as a caller
+/// that never builds Records would pass them.
+std::vector<RecordRun> framed_splits(const std::vector<Record>& input,
+                                     std::size_t split_records) {
+  std::vector<RecordRun> splits;
+  for (std::size_t i = 0; i < input.size(); ++i) {
+    if (i % split_records == 0) splits.emplace_back();
+    append_record_frame(splits.back().run, input[i].key, input[i].value);
+    ++splits.back().records;
+  }
+  return splits;
+}
+
+TEST(JobSplits, RecordAdapterAndFramedSplitsGiveOneOutput) {
+  // run_job frames Records into the splits run_job_splits takes; either
+  // way every cell's output parts are the same bytes and its counters the
+  // same numbers.
+  std::vector<Record> input;
+  for (int line = 0; line < 60; ++line) {
+    std::string text = "alpha w";
+    text += std::to_string(line % 7);
+    text += " beta w";
+    text += std::to_string(line % 11);
+    text += " alpha";
+    input.push_back({std::to_string(line), text});
+  }
+  for (const bool combine : {false, true}) {
+    for (const std::size_t split_records : {1u, 7u, 1024u}) {
+      JobSpec spec = word_count_spec();
+      spec.conf.enable_combiner = combine;
+      spec.conf.split_records = split_records;
+      spec.conf.physical_threads = 1;
+      const JobResult reference = run_job(spec, input);
+      ASSERT_EQ(reference.counters.map_input_records, input.size());
+      ASSERT_EQ(reference.num_map_tasks,
+                (input.size() + split_records - 1) / split_records);
+      for (const ExecutionMode mode :
+           {ExecutionMode::kInProcess, ExecutionMode::kMultiProcess}) {
+        for (const std::size_t threads : {1u, 4u}) {
+          JobSpec cell = spec;
+          cell.conf.execution_mode = mode;
+          cell.conf.num_workers = 2;
+          cell.conf.physical_threads = threads;
+          const std::string label =
+              "combine=" + std::to_string(combine) +
+              " split_records=" + std::to_string(split_records) +
+              " multi_process=" +
+              std::to_string(mode == ExecutionMode::kMultiProcess) +
+              " threads=" + std::to_string(threads);
+          const JobResult adapted = run_job(cell, input);
+          const JobResult framed =
+              run_job_splits(cell, framed_splits(input, split_records));
+          for (const JobResult* result : {&adapted, &framed}) {
+            ASSERT_EQ(result->output.num_parts(), 3u) << label;
+            for (std::size_t p = 0; p < 3; ++p) {
+              EXPECT_EQ(result->output.part(p), reference.output.part(p))
+                  << label << " part " << p;
+            }
+            EXPECT_EQ(result->counters, reference.counters) << label;
+            EXPECT_EQ(result->num_map_tasks, reference.num_map_tasks)
+                << label;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(JobSplits, MalformedSplitFailsEveryAttempt) {
+  // A split whose run ends mid-frame fails each attempt that maps it with
+  // an IoError, in process and on a worker alike; once the attempts are
+  // spent the job throws it.
+  std::vector<RecordRun> splits = framed_splits(word_count_input(), 2);
+  splits[1].run.pop_back();
+  for (const ExecutionMode mode :
+       {ExecutionMode::kInProcess, ExecutionMode::kMultiProcess}) {
+    MetricsRegistry registry;
+    JobSpec spec = word_count_spec();
+    spec.conf.execution_mode = mode;
+    spec.conf.num_workers = 2;
+    spec.conf.max_task_attempts = 2;
+    spec.metrics = &registry;
+    EXPECT_THROW(run_job_splits(spec, splits), IoError);
+    EXPECT_EQ(registry.counter_value("retry.map_attempts"), 1);
+  }
 }
 
 TEST(Job, ZeroSpillBudgetNeverSpills) {

@@ -119,8 +119,8 @@ TEST(MultiprocJob, OutputIsByteIdenticalToInProcess) {
 }
 
 TEST(MultiprocJob, MovedInputMatchesCopiedInput) {
-  // run_job moves its input records into the splits; a caller's lvalue is
-  // copied first and left as it was.
+  // run_job frames its input records into splits and frees them; a
+  // caller's lvalue is copied first and left as it was.
   for (const JobSpec& spec : {word_count_spec(), multiproc_spec(2)}) {
     const std::vector<Record> input = word_count_input();
     const JobResult copied = run_job(spec, input);
@@ -712,7 +712,12 @@ class DirectWorker {
     worker_end_ = std::make_unique<ipc::Transport>(worker_fd);
     job_.mapper_factory = [] { return std::make_unique<WordCountMapper>(); };
     job_.reducer_factory = [] { return std::make_unique<SumReducer>(); };
-    options_.data_socket_path = (dir_ / "data.sock").string();
+    // Slot 0 is this worker; the test may listen at, or leave dead, the
+    // addresses of slots 1-3.
+    for (std::size_t slot = 0; slot < 4; ++slot) {
+      options_.data_socket_paths.push_back(
+          (dir_ / ("slot" + std::to_string(slot) + ".sock")).string());
+    }
     thread_ = std::thread(
         [this] { serve_worker_loop(*worker_end_, job_, options_); });
   }
@@ -728,7 +733,10 @@ class DirectWorker {
     std::filesystem::remove_all(dir_);
   }
 
-  const std::filesystem::path& dir() const { return dir_; }
+  /// The data-plane address the worker's table gives `slot`.
+  const std::string& path(std::size_t slot) const {
+    return options_.data_socket_paths.at(slot);
+  }
 
   /// Sends `message` on the control plane and returns the worker's reply.
   std::optional<ipc::Message> ask(const ipc::Message& message) {
@@ -751,7 +759,7 @@ class DirectWorker {
 
   /// A fresh data-plane connection, as a pulling reducer dials one.
   std::unique_ptr<ipc::Transport> dial() const {
-    return ipc::Transport::connect(options_.data_socket_path);
+    return ipc::Transport::connect(path(0));
   }
 
  private:
@@ -848,6 +856,32 @@ TEST(MultiprocW2W, ForgedReducePullCountFailsTheTaskNotTheWorker) {
   EXPECT_EQ(worker.map(0, "alpha"), ipc::MessageType::kMapDone);
 }
 
+TEST(MultiprocW2W, ReducePullCarriesOwnerSlotsNotPaths) {
+  // A partition map is one u64 owner slot per map task; each worker knows
+  // every slot's data-plane address from launch. So the request's size is
+  // fixed by the map task count and the spill dir, whatever the socket
+  // paths (they carry the supervisor's pid).
+  remote::ReducePull pull;
+  pull.task = 3;
+  pull.num_partitions = 64;
+  pull.spill_budget = 4096;
+  pull.spill_dir = "spill";
+  pull.max_fetch_attempts = 2;
+  pull.owners = {0, 4, remote::kNoOwner, 2};
+  const ipc::Message message = pull.encode();
+  // task, num_partitions, count, spill_budget, max_fetch_attempts; the
+  // length-prefixed spill dir; the slots.
+  EXPECT_EQ(message.payload.size(),
+            5 * 8 + (4 + pull.spill_dir.size()) + 8 * pull.owners.size());
+  const remote::ReducePull decoded = remote::ReducePull::decode(message);
+  EXPECT_EQ(decoded.task, pull.task);
+  EXPECT_EQ(decoded.num_partitions, pull.num_partitions);
+  EXPECT_EQ(decoded.spill_budget, pull.spill_budget);
+  EXPECT_EQ(decoded.spill_dir, pull.spill_dir);
+  EXPECT_EQ(decoded.max_fetch_attempts, pull.max_fetch_attempts);
+  EXPECT_EQ(decoded.owners, pull.owners);
+}
+
 TEST(MultiprocW2W, ForgedFetchPartCountClosesOnlyItsConnection) {
   DirectWorker worker("forged-fetch-test");
   ASSERT_EQ(worker.map(0, "alpha"), ipc::MessageType::kMapDone);
@@ -881,9 +915,11 @@ std::string word_line(const std::string& prefix, std::size_t count) {
 /// owner must serve.
 MapOutput expected_output(const std::string& line,
                           std::uint64_t num_partitions) {
+  std::string split;
+  append_record_frame(split, "r", line);
   return detail::execute_map_task(
              [] { return std::make_unique<WordCountMapper>(); }, nullptr,
-             false, {{"r", line}}, num_partitions)
+             false, split, num_partitions)
       .output;
 }
 
@@ -924,6 +960,43 @@ bool serves_runs_of(ipc::Transport& puller, std::uint64_t map_task,
     }
   }
   return true;
+}
+
+TEST(MultiprocW2W, MapAssignCutMidFrameFailsTheTaskNotTheWorker) {
+  // kMapAssign's tail is the split's run, mapped in place. A run that ends
+  // inside a frame header, key or value is a typed kTaskError naming the
+  // task; the records mapped before the cut are dropped with the attempt,
+  // so no output of the task is resident, and the worker keeps serving.
+  DirectWorker worker("cut-split-test");
+  std::string run;
+  append_record_frame(run, "r0", "alpha beta");
+  append_record_frame(run, "r1", "gamma");
+  const std::size_t second = 8 + 2 + 10;  // the second frame's offset
+  for (const std::size_t keep :
+       {second + 4, second + 8 + 1, run.size() - 1}) {
+    ipc::WireWriter writer;
+    writer.u64(5);  // task
+    writer.u64(1);  // num_partitions
+    const auto reply = worker.ask(
+        {ipc::MessageType::kMapAssign, writer.take() + run.substr(0, keep)});
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(reply->type, ipc::MessageType::kTaskError) << "kept " << keep;
+    EXPECT_EQ(reply_task(*reply), 5u);
+    const std::unique_ptr<ipc::Transport> puller = worker.dial();
+    EXPECT_EQ(fetch_run_type(*puller, 5, 0, 1), ipc::MessageType::kTaskError)
+        << "kept " << keep;
+  }
+
+  // The whole run maps, and its output is served.
+  ipc::WireWriter writer;
+  writer.u64(5);
+  writer.u64(1);
+  const auto reply =
+      worker.ask({ipc::MessageType::kMapAssign, writer.take() + run});
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->type, ipc::MessageType::kMapDone);
+  const std::unique_ptr<ipc::Transport> puller = worker.dial();
+  EXPECT_EQ(fetch_run_type(*puller, 5, 0, 1), ipc::MessageType::kFetchData);
 }
 
 TEST(MultiprocW2W, OwnerServesEachPartitionOfItsOutputInOutputOrder) {
@@ -991,7 +1064,7 @@ TEST(MultiprocW2W, DamagedFetchDataFrameRestartsTheOwnerStream) {
   const ipc::Message data{ipc::MessageType::kFetchData,
                           task.take() + std::string(output.run(0))};
 
-  ipc::Listener listener((worker.dir() / "owner.sock").string());
+  ipc::Listener listener(worker.path(1));
   std::atomic<int> requests{0};
   std::atomic<bool> owner_failed{false};
   std::thread owner([&] {
@@ -1025,7 +1098,7 @@ TEST(MultiprocW2W, DamagedFetchDataFrameRestartsTheOwnerStream) {
 
   remote::ReducePull pull;
   pull.task = 0;
-  pull.owners = {{1, listener.path()}};
+  pull.owners = {1};
   const auto reply = worker.ask(pull.encode());
   owner.join();
   ASSERT_FALSE(owner_failed.load());
@@ -1051,7 +1124,7 @@ TEST(MultiprocW2W, PullFailedNamesTheUnreachableOwner) {
   // Map 0's output is said to live on slot 3, whose data plane is gone.
   remote::ReducePull pull;
   pull.task = 0;
-  pull.owners = {{3, (worker.dir() / "gone.sock").string()}};
+  pull.owners = {3};
   const auto frame = worker.ask(pull.encode());
   ASSERT_TRUE(frame.has_value());
   ASSERT_EQ(frame->type, ipc::MessageType::kPullFailed);
@@ -1066,7 +1139,7 @@ TEST(MultiprocW2W, PullFailedNamesTheUnreachableOwner) {
   // map 0's owner.
   const std::string line = "alpha beta alpha";
   ASSERT_EQ(worker.map(0, line), ipc::MessageType::kMapDone);
-  pull.owners = {{0, (worker.dir() / "data.sock").string()}};
+  pull.owners = {0};
   const auto done = worker.ask(pull.encode());
   ASSERT_TRUE(done.has_value());
   ASSERT_EQ(done->type, ipc::MessageType::kReducePullDone);

@@ -13,6 +13,7 @@
 #include "common/fault_injection.hpp"
 #include "common/metrics.hpp"
 #include "common/rng.hpp"
+#include "common/spool.hpp"
 #include "mapreduce/task_exec.hpp"
 
 namespace dasc::mapreduce {
@@ -89,10 +90,14 @@ std::vector<MapOutput> map_outputs(
     std::size_t num_partitions) {
   std::vector<MapOutput> mapped;
   for (const auto& output : outputs) {
+    std::string run;
+    for (const Record& record : output) {
+      append_record_frame(run, record.key, record.value);
+    }
     mapped.push_back(
         detail::execute_map_task(
             [] { return std::make_unique<IdentityMapper>(); }, nullptr,
-            /*use_combiner=*/false, output, num_partitions)
+            /*use_combiner=*/false, run, num_partitions)
             .output);
   }
   return mapped;
